@@ -229,7 +229,7 @@ def _jacobian_fd(rng) -> float:
         aux = None
         if variant is solver.SchemeVariant.CG_MOMENTUM:
             aux = rng.uniform(-0.5, 0.5, (prob.D, asm.aux_space.dof_count, config.q + 2))
-        jac = asm.jacobian(z)
+        jac = asm.jacobian(z).toarray()
         step = 1e-6
         fd = np.zeros((asm.size, asm.size))
         for j in range(asm.size):

@@ -14,12 +14,13 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .mesh import gauss_legendre, quadrature_order_policy, uniform_partition
 from .problems import MultisymplecticProblem
-from .spaces import SlabCoefficients, SpatialSpace, TemporalSlab
-from .spatial_ops import g_matrix
+from .spaces import SlabCoefficients, SpatialSpace, TemporalSlab, assemble
+from .spatial_ops import g_matrix, weak_g_matrix
 
 __all__ = [
     "SchemeVariant",
@@ -27,9 +28,6 @@ __all__ = [
     "SolverFailure",
     "Trajectory",
     "SlabAssembler",
-    "assemble_residual",
-    "assemble_jacobian",
-    "newton_solve",
     "run_simulation",
     "build_space",
 ]
@@ -146,19 +144,17 @@ class SlabAssembler:
         ta0 = dt * np.einsum("ag,bg,g->ab", self.Ts, self.Tt, self.rule_t.weights)
         self.ta1_u, self.ta0_u = ta1[:, 1:], ta0[:, 1:]
 
-        mass = space.mass_matrix()
+        widths = space.partition.widths[:, None, None]
+        mass = self._spatial_block(space, self.B, space, self.B, widths)
         if variant is SchemeVariant.DG_PRIMARY:
-            deriv = mass @ self.gmat
+            deriv = weak_g_matrix(space)
         else:
-            ref = np.einsum("kg,lg,g->kl", self.B, self.dB, self.rule_x.weights)
-            deriv = np.zeros((self.n, self.n))
-            for m in range(space.partition.element_count):
-                dofs = space.element_dofs[m]
-                deriv[np.ix_(dofs, dofs)] += ref
+            # Widths cancel against the derivative jacobian.
+            deriv = self._spatial_block(space, self.B, space, self.dB, 1.0)
+        kron = scipy.sparse.kron
         self.linear_jacobian = (
-            np.kron(problem.K, np.kron(mass, self.ta1_u))
-            + np.kron(problem.L, np.kron(deriv, self.ta0_u))
-        )
+            kron(problem.K, kron(mass, self.ta1_u)) + kron(problem.L, kron(deriv, self.ta0_u))
+        ).tocsc()
 
         self.aux_space: SpatialSpace | None = None
         if variant is SchemeVariant.CG_MOMENTUM:
@@ -166,10 +162,12 @@ class SlabAssembler:
             self.n_aux = self.aux_space.dof_count
             self.n_a = d * self.n_aux * (q + 1)
             self.Bdg = self.aux_space.tabulate(("asm", len(self.rule_x)), self.rule_x.points)
-            cross = self._cross_mass(space, self.aux_space)
-            self.block_za = -np.kron(np.eye(d), np.kron(cross, self.ta0_u))
-            self.block_aa = np.kron(
-                np.eye(d), np.kron(self.aux_space.mass_matrix(), self.ta0_u))
+            eye = scipy.sparse.identity(d)
+            cross = self._spatial_block(space, self.B, self.aux_space, self.Bdg, widths)
+            aux_mass = self._spatial_block(self.aux_space, self.Bdg, self.aux_space,
+                                           self.Bdg, widths)
+            self.block_za = -kron(eye, kron(cross, self.ta0_u))
+            self.block_aa = kron(eye, kron(aux_mass, self.ta0_u))
         else:
             self.n_a = 0
 
@@ -177,13 +175,14 @@ class SlabAssembler:
         self.jacobian_is_constant = problem.s_degree <= 2
         self._lu = None
 
-    def _cross_mass(self, rows: SpatialSpace, cols: SpatialSpace) -> np.ndarray:
-        ref = np.einsum("kg,lg,g->kl", self.B, self.Bdg, self.rule_x.weights)
-        out = np.zeros((rows.dof_count, cols.dof_count))
-        for m in range(rows.partition.element_count):
-            out[np.ix_(rows.element_dofs[m], cols.element_dofs[m])] += \
-                rows.partition.widths[m] * ref
-        return out
+    def _spatial_block(self, rows: SpatialSpace, row_table: np.ndarray,
+                       cols: SpatialSpace, col_table: np.ndarray,
+                       scale) -> scipy.sparse.csr_matrix:
+        """Reference integrals of row x column basis tables, times ``scale``
+        (a number or per-element (M, 1, 1) factors), summed over elements."""
+        ref = np.einsum("kg,lg,g->kl", row_table, col_table, self.rule_x.weights)
+        return assemble(rows.element_dofs, cols.element_dofs, scale * ref,
+                        (rows.dof_count, cols.dof_count))
 
     # -- grid evaluation ------------------------------------------------------
 
@@ -238,56 +237,42 @@ class SlabAssembler:
 
     def _test_rows(self, fgrid: np.ndarray, space: SpatialSpace,
                    basis_table: np.ndarray) -> np.ndarray:
-        elem = np.einsum("cgmh,kh,ag,g,mh->cmka", fgrid, basis_table,
+        """Test-space rows (D, dofs, q+1) of a grid field."""
+        elem = np.einsum("cgmh,kh,ag,g,mh->camk", fgrid, basis_table,
                          self.Ts, self.wt, self.wx)
-        d = fgrid.shape[0]
-        out = np.zeros((d, space.dof_count, self.q + 1))
-        np.add.at(
-            out,
-            (slice(None), space.element_dofs.reshape(-1), slice(None)),
-            elem.reshape(d, -1, self.q + 1),
-        )
-        return out
+        return np.swapaxes(space.scatter_add(elem), 1, 2)
 
-    def jacobian(self, z_nodes: np.ndarray) -> np.ndarray:
-        """Exact derivative of the flat residual w.r.t. the unknown nodes."""
-        if self.variant is SchemeVariant.CG_MOMENTUM:
-            jac = np.zeros((self.size, self.size))
-            jac[: self.n_z, : self.n_z] = self.linear_jacobian
-            jac[: self.n_z, self.n_z:] = self.block_za
-            jac[self.n_z:, self.n_z:] = self.block_aa
-            z = self.grid_eval(z_nodes, self.space, self.B, self.Tt)
-            block = self._hessian_block(z, self.aux_space, self.Bdg, self.space, self.B)
-            jac[self.n_z:, : self.n_z] = -block
-            return jac
-        jac = self.linear_jacobian.copy()
+    def jacobian(self, z_nodes: np.ndarray) -> scipy.sparse.csc_matrix:
+        """Exact sparse derivative of the flat residual w.r.t. the unknown nodes."""
         z = self.grid_eval(z_nodes, self.space, self.B, self.Tt)
-        jac -= self._hessian_block(z, self.space, self.B, self.space, self.B)
-        return jac
+        if self.variant is SchemeVariant.CG_MOMENTUM:
+            block = self._hessian_block(z, self.aux_space, self.Bdg, self.space, self.B)
+            return scipy.sparse.bmat([[self.linear_jacobian, self.block_za],
+                                      [-block, self.block_aa]], format="csc")
+        return self.linear_jacobian - self._hessian_block(z, self.space, self.B,
+                                                          self.space, self.B)
 
     def _hessian_block(self, zgrid: np.ndarray, row_space: SpatialSpace,
                        row_table: np.ndarray, col_space: SpatialSpace,
-                       col_table: np.ndarray) -> np.ndarray:
+                       col_table: np.ndarray) -> scipy.sparse.csr_matrix:
         pts = np.moveaxis(zgrid, 0, -1)
         hess = self.problem.hess_s(pts)  # (nt, M, ns, D, D)
-        q1 = self.q + 1
         ttu = self.Tt[1:, :]
         vals = np.einsum("gmhcd,kh,lh,ag,bg,g,mh->mckadlb", hess, row_table,
                          col_table, self.Ts, ttu, self.wt, self.wx)
-        d = self.problem.D
-        n_rows = d * row_space.dof_count * q1
-        n_cols = d * col_space.dof_count * q1
-        rows = (np.arange(d)[None, :, None, None] * row_space.dof_count
-                + row_space.element_dofs[:, None, :, None]) * q1 \
+        m = len(vals)
+        rows, cols = self._flat_dofs(row_space), self._flat_dofs(col_space)
+        return assemble(rows, cols, vals.reshape(m, rows.shape[1], cols.shape[1]),
+                        (self.problem.D * row_space.dof_count * (self.q + 1),
+                         self.problem.D * col_space.dof_count * (self.q + 1)))
+
+    def _flat_dofs(self, space: SpatialSpace) -> np.ndarray:
+        """Flat unknown indices (M, D*(p+1)*(q+1)) of each element, ordered (c, k, a)."""
+        q1 = self.q + 1
+        comp = np.arange(self.problem.D)[None, :, None, None] * space.dof_count
+        flat = (comp + space.element_dofs[:, None, :, None]) * q1 \
             + np.arange(q1)[None, None, None, :]
-        cols = (np.arange(d)[None, :, None, None] * col_space.dof_count
-                + col_space.element_dofs[:, None, :, None]) * q1 \
-            + np.arange(q1)[None, None, None, :]
-        flat = (rows[:, :, :, :, None, None, None] * n_cols
-                + cols[:, None, None, None, :, :, :])
-        out = np.zeros(n_rows * n_cols)
-        np.add.at(out, flat.ravel(), vals.ravel())
-        return out.reshape(n_rows, n_cols)
+        return flat.reshape(len(flat), -1)
 
     # -- newton ----------------------------------------------------------------
 
@@ -327,11 +312,12 @@ class SlabAssembler:
         )
 
     def _newton_step(self, z_nodes, aux_nodes, r):
-        if self.jacobian_is_constant:
-            if self._lu is None:
-                self._lu = scipy.linalg.lu_factor(self.jacobian(z_nodes))
-            return scipy.linalg.lu_solve(self._lu, -r)
-        return np.linalg.solve(self.jacobian(z_nodes), -r)
+        lu = self._lu
+        if lu is None:
+            lu = scipy.sparse.linalg.splu(self.jacobian(z_nodes))
+            if self.jacobian_is_constant:
+                self._lu = lu
+        return lu.solve(-r)
 
 
 @dataclass(eq=False)
@@ -359,38 +345,6 @@ class Trajectory:
         if n == 0:
             return self.initial_coeffs
         return self.slabs[n - 1].state_at_node(self.slabs[n - 1].slab.q + 1)
-
-
-def _public_assembler(variant, problem, space, slab) -> SlabAssembler:
-    return SlabAssembler(variant, problem, space, slab.q, slab.dt)
-
-
-def assemble_residual(variant: SchemeVariant, problem: MultisymplecticProblem,
-                      space: SpatialSpace, slab: TemporalSlab, z_nodes: np.ndarray,
-                      aux_nodes: np.ndarray | None = None) -> np.ndarray:
-    """Flat residual of one slab system at the given trial coefficients."""
-    return _public_assembler(variant, problem, space, slab).residual(z_nodes, aux_nodes)
-
-
-def assemble_jacobian(variant: SchemeVariant, problem: MultisymplecticProblem,
-                      space: SpatialSpace, slab: TemporalSlab, z_nodes: np.ndarray,
-                      aux_nodes: np.ndarray | None = None) -> np.ndarray:
-    """Square derivative of the flat residual w.r.t. the unknown coefficients."""
-    return _public_assembler(variant, problem, space, slab).jacobian(z_nodes)
-
-
-def newton_solve(variant: SchemeVariant, problem: MultisymplecticProblem,
-                 space: SpatialSpace, slab: TemporalSlab, z_start: np.ndarray,
-                 aux_start: np.ndarray | None = None, tolerance: float = 1e-12,
-                 max_iterations: int = 50) -> SlabCoefficients:
-    """Solve one slab from the constant-in-time initial guess."""
-    assembler = _public_assembler(variant, problem, space, slab)
-    if variant is SchemeVariant.CG_MOMENTUM and aux_start is None:
-        aux_start = _project_gradient(assembler, z_start)
-    z_nodes, aux_nodes, _, _ = assembler.solve_slab(
-        z_start, aux_start, tolerance, max_iterations)
-    return SlabCoefficients(slab, space, z_nodes, aux=aux_nodes,
-                            aux_space=assembler.aux_space)
 
 
 def _project_gradient(assembler: SlabAssembler, z_coeffs: np.ndarray) -> np.ndarray:

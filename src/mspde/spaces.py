@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .mesh import (
     LagrangeBasis,
@@ -22,6 +23,7 @@ from .mesh import (
 )
 
 __all__ = [
+    "assemble",
     "SpatialSpace",
     "TemporalSlab",
     "SlabCoefficients",
@@ -30,6 +32,22 @@ __all__ = [
     "l2_project_spacetime",
     "eval_field",
 ]
+
+
+def assemble(row_dofs, col_dofs, blocks, shape) -> scipy.sparse.csr_matrix:
+    """Sum element blocks (M, r, c) into a sparse matrix of the given shape.
+
+    Block m lands on rows ``row_dofs[m]`` (length r) and columns
+    ``col_dofs[m]`` (length c); entries that meet on one (row, column) pair
+    are added.  A single (r, c) block is shared by all M elements.
+    """
+    row_dofs, col_dofs = np.asarray(row_dofs), np.asarray(col_dofs)
+    full = (len(row_dofs), row_dofs.shape[1], col_dofs.shape[1])
+    blocks = np.broadcast_to(np.asarray(blocks, dtype=float), full)
+    rows = np.broadcast_to(row_dofs[:, :, None], full)
+    cols = np.broadcast_to(col_dofs[:, None, :], full)
+    return scipy.sparse.csr_matrix(
+        (blocks.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
 
 
 class SpatialSpace:
@@ -92,18 +110,19 @@ class SpatialSpace:
 
     # -- mass matrix and projections ----------------------------------------
 
+    def reference_mass(self) -> np.ndarray:
+        """Mass matrix of the reference element [0, 1], shape (p+1, p+1)."""
+        rule = gauss_legendre(quadrature_order_policy(2 * self.degree))
+        b = self.tabulate("mass", rule.points)
+        return np.einsum("kg,lg,g->kl", b, b, rule.weights)
+
     def mass_matrix(self) -> np.ndarray:
         """Exactly integrated mass matrix (symmetric positive definite)."""
         if self._mass is None:
-            rule = gauss_legendre(quadrature_order_policy(2 * self.degree))
-            b = self.tabulate("mass", rule.points)
-            ref = np.einsum("kg,lg,g->kl", b, b, rule.weights)
-            mass = np.zeros((self.dof_count, self.dof_count))
-            widths = self.partition.widths
-            for m in range(self.partition.element_count):
-                dofs = self.element_dofs[m]
-                mass[np.ix_(dofs, dofs)] += widths[m] * ref
-            self._mass = mass
+            blocks = self.partition.widths[:, None, None] * self.reference_mass()
+            n = self.dof_count
+            self._mass = assemble(self.element_dofs, self.element_dofs, blocks,
+                                  (n, n)).toarray()
         return self._mass
 
     def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -152,13 +171,7 @@ class SpatialSpace:
         b = self.tabulate(("rule", len(rule)), rule.points)
         w = self.partition.widths[:, None] * rule.weights[None, :]
         elem_rhs = np.einsum("mg...,kg,mg->...mk", vals, b, w)
-        rhs = np.zeros(comp_shape + (self.dof_count,))
-        np.add.at(
-            rhs.reshape(-1, self.dof_count),
-            (slice(None), self.element_dofs.ravel()),
-            elem_rhs.reshape(-1, self.element_dofs.size),
-        )
-        return self.mass_solve(rhs)
+        return self.mass_solve(self.scatter_add(elem_rhs))
 
     def integrate(self, grid_values: np.ndarray, rule: QuadratureRule) -> np.ndarray:
         """Integrate values sampled on the rule grid (..., M, len(rule)) over space."""
@@ -302,13 +315,7 @@ def l2_project_spacetime(field, slab: TemporalSlab, space: SpatialSpace,
     wt = slab.dt * time_rule.weights
     wx = space.partition.widths[:, None] * space_rule.weights[None, :]
     elem_rhs = np.einsum("cgmh,kh,ag,g,mh->camk", grid, b, ts, wt, wx)
-    rhs = np.zeros((d, slab.q + 1, space.dof_count))
-    np.add.at(
-        rhs.reshape(-1, space.dof_count),
-        (slice(None), space.element_dofs.ravel()),
-        elem_rhs.reshape(d * (slab.q + 1), -1),
-    )
-    rhs = space.mass_solve(rhs)
+    rhs = space.mass_solve(space.scatter_add(elem_rhs))
     tmass = slab.dt * np.einsum("ag,bg,g->ab", ts, ts, time_rule.weights)
     coeffs = np.linalg.solve(tmass, rhs.reshape(d, slab.q + 1, -1))
     return np.swapaxes(coeffs, 1, 2)

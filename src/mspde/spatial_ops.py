@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .mesh import gauss_legendre, quadrature_order_policy
-from .spaces import SpatialSpace
+from .spaces import SpatialSpace, assemble
 
 __all__ = [
     "TraceValues",
@@ -26,6 +27,7 @@ __all__ = [
     "avg",
     "node_traces",
     "g_matrix",
+    "weak_g_matrix",
     "apply_g",
     "weak_g_from_samples",
     "broken_derivative",
@@ -70,34 +72,42 @@ def node_traces(space: SpatialSpace, coeffs: np.ndarray) -> tuple[np.ndarray, np
 _G_CACHE_ATTR = "_g_matrix_cache"
 
 
-def g_matrix(space: SpatialSpace) -> np.ndarray:
-    """Dense matrix of the average-flux derivative on a broken space."""
+def weak_g_matrix(space: SpatialSpace) -> scipy.sparse.csr_matrix:
+    """Sparse weak form ``M G`` of the average-flux derivative on a broken space.
+
+    Row i holds int G(U) . phi_i as a linear function of U's coefficients.
+    """
     if space.continuity != "dg":
         raise ValueError("the average-flux derivative operator needs a broken space")
-    cached = getattr(space, _G_CACHE_ATTR, None)
-    if cached is not None:
-        return cached
-
-    n, p, m = space.dof_count, space.degree, space.partition.element_count
+    n, p = space.dof_count, space.degree
     rule = gauss_legendre(quadrature_order_policy(2 * p - 1))
     b = space.tabulate(("g", len(rule)), rule.points)
     db = space.tabulate(("g", len(rule)), rule.points, derivative_order=1)
+    dofs = space.element_dofs
     # Volume term: widths cancel against the derivative jacobian.
     ref = np.einsum("kg,lg,g->kl", b, db, rule.weights)
-    weak = np.zeros((n, n))
-    for e in range(m):
-        dofs = space.element_dofs[e]
-        weak[np.ix_(dofs, dofs)] += ref
+    volume = assemble(dofs, dofs, ref, (n, n))
 
-    # Interface term: nodal basis traces live on the first/last local dof.
-    for node in range(m):
-        left_dof = space.element_dofs[(node - 1) % m, -1]   # limit from below
-        right_dof = space.element_dofs[node, 0]             # limit from above
-        for j_dof, j_sign in ((left_dof, 1.0), (right_dof, -1.0)):
-            for i_dof in (left_dof, right_dof):
-                weak[i_dof, j_dof] -= j_sign * 0.5
+    # Interface term at node m, on (limit from below, limit from above):
+    # -[U]_m {phi}_m, with nodal basis traces on the first/last local dof.
+    pair = np.stack([np.roll(dofs[:, -1], 1), dofs[:, 0]], axis=1)
+    return volume + assemble(pair, pair, [[-0.5, 0.5], [-0.5, 0.5]], (n, n))
 
-    g = space.mass_solve(weak.T).T
+
+def g_matrix(space: SpatialSpace) -> np.ndarray:
+    """Dense matrix of the average-flux derivative on a broken space.
+
+    The broken mass matrix is block diagonal, so G is the weak form times
+    the element-local inverse mass blocks.
+    """
+    cached = getattr(space, _G_CACHE_ATTR, None)
+    if cached is not None:
+        return cached
+    weak = weak_g_matrix(space)
+    n, dofs = space.dof_count, space.element_dofs
+    inverse = np.linalg.inv(space.reference_mass())
+    local = inverse[None, :, :] / space.partition.widths[:, None, None]
+    g = (assemble(dofs, dofs, local, (n, n)) @ weak).toarray()
     setattr(space, _G_CACHE_ATTR, g)
     return g
 

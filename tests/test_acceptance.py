@@ -440,7 +440,7 @@ def test_criterion_11_oracle_suite():
         if variant is SchemeVariant.CG_MOMENTUM:
             aux = rng.uniform(-0.5, 0.5, (prob.D, asm.aux_space.dof_count,
                                           config.q + 2))
-        jac = asm.jacobian(z)
+        jac = asm.jacobian(z).toarray()
         step = 1e-6
         for j in range(asm.size):
             delta = np.zeros(asm.size)

@@ -9,13 +9,9 @@ from mspde.solver import (
     SlabAssembler,
     SolverConfig,
     SolverFailure,
-    assemble_jacobian,
-    assemble_residual,
     build_space,
-    newton_solve,
     run_simulation,
 )
-from mspde.spaces import TemporalSlab
 
 
 def constant_wave_problem(value=0.7):
@@ -56,10 +52,10 @@ def test_residual_vanishes_at_constant_steady_state():
     prob = linear_wave()
     config = SolverConfig(q=1, p=2, dt=0.1, dx=0.25, t_final=1.0)
     space = build_space(prob, config, SchemeVariant.CG_PRIMARY)
-    slab = TemporalSlab(0.0, 0.1, 1)
+    asm = SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, 1, 0.1)
     z = np.zeros((3, space.dof_count, 3))
     z[0] = 1.3
-    r = assemble_residual(SchemeVariant.CG_PRIMARY, prob, space, slab, z)
+    r = asm.residual(z)
     assert np.max(np.abs(r)) < 1e-14
 
 
@@ -67,10 +63,10 @@ def test_residual_size_is_test_space_dimension():
     prob = nonlinear_wave()
     config = SolverConfig(q=2, p=2, dt=0.1, dx=0.25, t_final=1.0)
     space = build_space(prob, config, SchemeVariant.CG_PRIMARY)
-    slab = TemporalSlab(0.0, 0.1, 2)
+    asm = SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, 2, 0.1)
     rng = np.random.default_rng(0)
     z = rng.standard_normal((3, space.dof_count, 4))
-    r = assemble_residual(SchemeVariant.CG_PRIMARY, prob, space, slab, z)
+    r = asm.residual(z)
     assert r.size == 3 * space.dof_count * (2 + 1)
 
 
@@ -80,13 +76,13 @@ def test_residual_of_projected_exact_solution_shrinks():
     for m in (8, 16, 32):
         config = SolverConfig(q=1, p=2, dt=1.0 / m, dx=1.0 / m, t_final=1.0)
         space = build_space(prob, config, SchemeVariant.CG_PRIMARY)
-        slab = TemporalSlab(0.0, config.dt, config.q)
+        asm = SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, config.q, config.dt)
         nodes = np.stack(
             [space.project(lambda x, s=s: prob.exact_solution(s * config.dt, x))
              for s in np.linspace(0.0, 1.0, config.q + 2)],
             axis=-1,
         )
-        r = assemble_residual(SchemeVariant.CG_PRIMARY, prob, space, slab, nodes)
+        r = asm.residual(nodes)
         norms.append(np.max(np.abs(r)))
     assert norms[1] < 0.5 * norms[0]
     assert norms[2] < 0.5 * norms[1]
@@ -96,12 +92,10 @@ def test_linear_jacobian_state_independent():
     prob = linear_wave()
     config = SolverConfig(q=1, p=1, dt=0.1, dx=0.25, t_final=1.0)
     space = build_space(prob, config, SchemeVariant.CG_PRIMARY)
-    slab = TemporalSlab(0.0, 0.1, 1)
+    asm = SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, 1, 0.1)
     rng = np.random.default_rng(1)
-    j1 = assemble_jacobian(SchemeVariant.CG_PRIMARY, prob, space, slab,
-                           rng.standard_normal((3, space.dof_count, 3)))
-    j2 = assemble_jacobian(SchemeVariant.CG_PRIMARY, prob, space, slab,
-                           rng.standard_normal((3, space.dof_count, 3)))
+    j1 = asm.jacobian(rng.standard_normal((3, space.dof_count, 3))).toarray()
+    j2 = asm.jacobian(rng.standard_normal((3, space.dof_count, 3))).toarray()
     assert np.max(np.abs(j1 - j2)) < 1e-13
 
 
@@ -117,7 +111,7 @@ def test_jacobian_matches_finite_differences(variant, factory):
     asm = SlabAssembler(variant, prob, space, config.q, config.dt)
     rng = np.random.default_rng(3)
     z = rng.uniform(-0.5, 0.5, (prob.D, space.dof_count, config.q + 2))
-    jac = asm.jacobian(z)
+    jac = asm.jacobian(z).toarray()
     step = 1e-6
     fd = np.zeros_like(jac)
     for j in range(asm.size):
@@ -139,7 +133,7 @@ def test_momentum_variant_jacobian_includes_projected_hessian_block():
     rng = np.random.default_rng(4)
     z = rng.uniform(-0.5, 0.5, (3, space.dof_count, 2))
     aux = rng.uniform(-0.5, 0.5, (3, asm.aux_space.dof_count, 2))
-    jac = asm.jacobian(z)
+    jac = asm.jacobian(z).toarray()
     step = 1e-6
     fd = np.zeros_like(jac)
     for j in range(asm.size):
@@ -225,10 +219,10 @@ def test_newton_solve_public_entrypoint():
     prob = nonlinear_wave()
     config = SolverConfig(q=1, p=1, dt=0.1, dx=0.25, t_final=0.1)
     space = build_space(prob, config, SchemeVariant.CG_PRIMARY)
-    slab = TemporalSlab(0.0, 0.1, 1)
+    asm = SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, 1, 0.1)
     z0 = space.project(lambda x: prob.initial_state(x))
-    coeffs = newton_solve(SchemeVariant.CG_PRIMARY, prob, space, slab, z0)
-    r = assemble_residual(SchemeVariant.CG_PRIMARY, prob, space, slab, coeffs.values)
+    z_nodes, _, _, _ = asm.solve_slab(z0, None, 1e-12, 50)
+    r = asm.residual(z_nodes)
     assert np.max(np.abs(r)) < 1e-12
 
 
