@@ -18,15 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import gauss_legendre, quadrature_order_policy
+from .mesh import LagrangeBasis, gauss_legendre, quadrature_order_policy
 from .problems import MultisymplecticProblem
 from .spaces import (
     SlabCoefficients,
     SpatialSpace,
     l2_project_spacetime,
+    spacetime_eval,
 )
 from .solver import SchemeVariant, Trajectory
-from .spatial_ops import g_matrix
+from .spatial_ops import apply_g
 
 __all__ = [
     "InvariantSeries",
@@ -50,7 +51,7 @@ def _derivative_coeffs(variant: SchemeVariant, space: SpatialSpace,
                        spatial_coeffs: np.ndarray) -> tuple[np.ndarray, bool]:
     """Scheme derivative as coefficients (broken) or a flag to differentiate."""
     if variant is SchemeVariant.DG_PRIMARY:
-        return np.einsum("ij,...j->...i", g_matrix(space), spatial_coeffs), False
+        return apply_g(space, spatial_coeffs), False
     return spatial_coeffs, True
 
 
@@ -152,59 +153,42 @@ class _SlabGrid:
         trial = coeffs.slab.trial_basis
         self.tt = trial.tabulate(self.rule_t.points)
         self.dtt = trial.tabulate(self.rule_t.points, 1) / coeffs.slab.dt
-        self.b = self.space.tabulate(("diag", len(self.rule_x)), self.rule_x.points)
-        self.db = self.space.tabulate(("diag", len(self.rule_x)), self.rule_x.points, 1)
+        self.b = self.space.tabulate(self.rule_x.points)
+        self.db = self.space.tabulate(self.rule_x.points, 1)
+        self.ends = self.space.tabulate([0.0, 1.0])
         self.wt = coeffs.slab.dt * self.rule_t.weights
-        self.wx = self.space.partition.widths[:, None] * self.rule_x.weights[None, :]
 
         values = coeffs.values
-        self.z = self._eval(values, self.b, self.tt)
-        self.zt = self._eval(values, self.b, self.dtt)
+        self.z = spacetime_eval(values, self.space, self.b, self.tt)
+        self.zt = spacetime_eval(values, self.space, self.b, self.dtt)
         if variant is SchemeVariant.DG_PRIMARY:
-            gmat = g_matrix(self.space)
-            gz = np.einsum("ij,cjt->cit", gmat, values)
-            self.dz = self._eval(gz, self.b, self.tt)
-            self.dz_t = self._eval(gz, self.b, self.dtt)
+            gz = apply_g(self.space, values, axis=1)
+            self.dz = spacetime_eval(gz, self.space, self.b, self.tt)
+            self.dz_t = spacetime_eval(gz, self.space, self.b, self.dtt)
         else:
-            self.dz = self._eval(values, self.db, self.tt, dx=True)
-            self.dz_t = self._eval(values, self.db, self.dtt, dx=True)
+            widths = self.space.partition.widths[:, None]
+            self.dz = spacetime_eval(values, self.space, self.db, self.tt) / widths
+            self.dz_t = spacetime_eval(values, self.space, self.db, self.dtt) / widths
         pts = np.moveaxis(self.z, 0, -1)
         self.s = problem.s(pts)
         self.grad = np.moveaxis(problem.grad_s(pts), -1, 0)
 
-    def _eval(self, nodes, basis_table, time_table, dx=False):
-        local = nodes[:, self.space.element_dofs, :]
-        vals = np.einsum("cmkt,kh,tg->cgmh", local, basis_table, time_table)
-        if dx:
-            vals = vals / self.space.partition.widths[None, None, :, None]
-        return vals
-
     def integrate(self, grid, per_element: bool = False):
-        if per_element:
-            return np.einsum("gmh,g,mh->m", grid, self.wt, self.wx)
-        return float(np.einsum("gmh,g,mh->", grid, self.wt, self.wx))
+        per_time = grid @ self.rule_x.weights                        # (nt, M)
+        elements = (self.wt @ per_time) * self.space.partition.widths
+        return elements if per_element else float(np.sum(elements))
 
     def projected_derivative(self) -> np.ndarray:
         """Test-space projection of Dz, evaluated back on the grid."""
         coeffs = l2_project_spacetime(self.dz, self.slab, self.space,
                                       self.rule_t, self.rule_x)
         ts = self.slab.test_basis.tabulate(self.rule_t.points)
-        local = coeffs[:, self.space.element_dofs, :]
-        return np.einsum("cmka,kh,ag->cgmh", local, self.b, ts)
+        return spacetime_eval(coeffs, self.space, self.b, ts)
 
-    def traces(self, nodes) -> tuple[np.ndarray, np.ndarray]:
+    def traces(self, nodes, time_table) -> tuple[np.ndarray, np.ndarray]:
         """Left/right limits at mesh nodes for all time points, (D, nt, M)."""
-        local = nodes[:, self.space.element_dofs, :]          # (D, M, p+1, q+2)
-        right = np.einsum("cmt,tg->cgm", local[:, :, 0, :], self.tt)
-        left_elem = np.einsum("cmt,tg->cgm", local[:, :, -1, :], self.tt)
-        left = np.roll(left_elem, 1, axis=-1)
-        return left, right
-
-    def traces_dt(self, nodes) -> tuple[np.ndarray, np.ndarray]:
-        local = nodes[:, self.space.element_dofs, :]
-        right = np.einsum("cmt,tg->cgm", local[:, :, 0, :], self.dtt)
-        left_elem = np.einsum("cmt,tg->cgm", local[:, :, -1, :], self.dtt)
-        return np.roll(left_elem, 1, axis=-1), right
+        ends = spacetime_eval(nodes, self.space, self.ends, time_table)   # (D, nt, M, 2)
+        return np.roll(ends[..., 1], 1, axis=-1), ends[..., 0]
 
 
 @dataclass(eq=False)
@@ -257,8 +241,8 @@ def local_conservation_residuals(variant: SchemeVariant,
         return LocalResiduals(np.array(momentum), np.array(energy), plain)
 
     # Broken space: element-local laws with interface trace corrections.
-    zl, zr = grid.traces(coeffs.values)
-    ztl, ztr = grid.traces_dt(coeffs.values)
+    zl, zr = grid.traces(coeffs.values, grid.tt)
+    ztl, ztr = grid.traces(coeffs.values, grid.dtt)
     kz_l = np.einsum("cd,dgm->cgm", k, zl)
     kz_r = np.einsum("cd,dgm->cgm", k, zr)
     lz_l = np.einsum("cd,dgm->cgm", l, zl)
@@ -333,24 +317,24 @@ def bochner_error(trajectory: Trajectory, upto_node: int | None = None) -> np.nd
     space = trajectory.space
     rule_t = gauss_legendre(9)
     rule_x = gauss_legendre(9)
-    b = space.tabulate(("boch", len(rule_x)), rule_x.points)
+    b = space.tabulate(rule_x.points)
+    tt = LagrangeBasis.equispaced(trajectory.q + 1).tabulate(rule_t.points)
     xs = space.quad_points(rule_x)
-    wx = space.partition.widths[:, None] * rule_x.weights[None, :]
+    # Reference time weights times physical space weights, one per grid point.
+    weights = (rule_t.weights[:, None, None] * space.partition.widths[:, None]
+               * rule_x.weights).ravel()
 
     limit = trajectory.node_count if upto_node is None else upto_node + 1
     accum = np.zeros(problem.D)
     errors = np.zeros((limit, problem.D))
     for n in range(1, limit):
         coeffs = trajectory.slabs[n - 1]
-        tt = coeffs.slab.trial_basis.tabulate(rule_t.points)
-        local = coeffs.values[:, space.element_dofs, :]
-        zgrid = np.einsum("cmkt,kh,tg->cgmh", local, b, tt)
+        zgrid = spacetime_eval(coeffs.values, space, b, tt)
         times = coeffs.slab.times(rule_t.points)
         exact = np.stack(
             [np.moveaxis(problem.exact_solution(t, xs), -1, 0) for t in times], axis=1)
-        diff2 = (zgrid - exact) ** 2
-        wt = coeffs.slab.dt * rule_t.weights
-        accum = accum + np.einsum("cgmh,g,mh->c", diff2, wt, wx)
+        diff2 = ((zgrid - exact) ** 2).reshape(problem.D, -1)
+        accum = accum + coeffs.slab.dt * (diff2 @ weights)
         errors[n] = np.sqrt(accum)
     return errors
 
@@ -426,7 +410,6 @@ def energy_stability_monitor(variant: SchemeVariant, problem: MultisymplecticPro
         return problem.s(z)
 
     use_g = variant is SchemeVariant.DG_PRIMARY
-    gmat = g_matrix(space) if use_g else None
 
     v2, w2, pot = [], [], []
     ux0_norm2 = None
@@ -436,10 +419,10 @@ def energy_stability_monitor(variant: SchemeVariant, problem: MultisymplecticPro
         v2.append(space.integrate(vals[1] ** 2, rule))
         pot.append(space.integrate(potential(vals[0]), rule))
         if use_g:
-            slope = space.eval_on_rule(gmat @ state[0], rule)
+            slope = space.eval_on_rule(apply_g(space, state[0]), rule)
         else:
             ux = space.eval_on_rule(state[0], rule, 1)
-            b = space.tabulate(("mon", len(rule)), rule.points)
+            b = space.tabulate(rule.points)
             w = space.partition.widths[:, None] * rule.weights[None, :]
             proj = space.mass_solve(space.scatter_add(np.einsum("mg,kg,mg->mk", ux, b, w)))
             slope = space.eval_on_rule(proj, rule)
@@ -464,10 +447,9 @@ def auxiliary_identity_residual(trajectory: Trajectory) -> float:
     if problem.D != 3:
         raise ValueError("the auxiliary identity is formulated for wave systems")
     use_g = trajectory.variant is SchemeVariant.DG_PRIMARY
-    gmat = g_matrix(space) if use_g else None
     gauss = gauss_legendre(trajectory.q + 1)
     rule = gauss_legendre(quadrature_order_policy(2 * space.degree))
-    b = space.tabulate(("aux", len(rule)), rule.points)
+    b = space.tabulate(rule.points)
     w = space.partition.widths[:, None] * rule.weights[None, :]
 
     worst = 0.0
@@ -475,7 +457,7 @@ def auxiliary_identity_residual(trajectory: Trajectory) -> float:
         for s in gauss.points:
             spatial = coeffs.temporal_values(coeffs.slab.times(s))
             if use_g:
-                target = gmat @ spatial[0]
+                target = apply_g(space, spatial[0])
             else:
                 ux = space.eval_on_rule(spatial[0], rule, 1)
                 target = space.mass_solve(

@@ -11,6 +11,7 @@ gradient term enters directly or through an auxiliary projected field.
 from __future__ import annotations
 
 import enum
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +20,15 @@ import scipy.sparse.linalg
 
 from .mesh import gauss_legendre, quadrature_order_policy, uniform_partition
 from .problems import MultisymplecticProblem
-from .spaces import SlabCoefficients, SpatialSpace, TemporalSlab, assemble
-from .spatial_ops import g_matrix, weak_g_matrix
+from .spaces import (
+    SlabCoefficients,
+    SpatialSpace,
+    TemporalSlab,
+    assemble,
+    spacetime_eval,
+    spacetime_test,
+)
+from .spatial_ops import apply_g, weak_g_matrix
 
 __all__ = [
     "SchemeVariant",
@@ -31,6 +39,8 @@ __all__ = [
     "run_simulation",
     "build_space",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 class SchemeVariant(enum.Enum):
@@ -130,14 +140,12 @@ class SlabAssembler:
         self.Tt = trial.tabulate(self.rule_t.points)              # (q+2, nt)
         self.dTt = trial.tabulate(self.rule_t.points, 1)          # reference derivative
         self.Ts = test.tabulate(self.rule_t.points)               # (q+1, nt)
-        self.B = space.tabulate(("asm", len(self.rule_x)), self.rule_x.points)
-        self.dB = space.tabulate(("asm", len(self.rule_x)), self.rule_x.points, 1)
+        self.B = space.tabulate(self.rule_x.points)
+        self.dB = space.tabulate(self.rule_x.points, 1)
         self.wt = dt * self.rule_t.weights
-        self.wx = space.partition.widths[:, None] * self.rule_x.weights[None, :]
 
         self.n = space.dof_count
         self.n_z = d * self.n * (q + 1)
-        self.gmat = g_matrix(space) if variant is SchemeVariant.DG_PRIMARY else None
 
         # Temporal coupling blocks (test x trial); node-0 columns are knowns.
         ta1 = np.einsum("ag,bg,g->ab", self.Ts, self.dTt, self.rule_t.weights)
@@ -152,28 +160,43 @@ class SlabAssembler:
             # Widths cancel against the derivative jacobian.
             deriv = self._spatial_block(space, self.B, space, self.dB, 1.0)
         kron = scipy.sparse.kron
-        self.linear_jacobian = (
-            kron(problem.K, kron(mass, self.ta1_u)) + kron(problem.L, kron(deriv, self.ta0_u))
-        ).tocsc()
+        linear = (kron(problem.K, kron(mass, self.ta1_u))
+                  + kron(problem.L, kron(deriv, self.ta0_u)))
 
+        # Hessian rows: the scheme rows, or for cg-momentum the projection
+        # rows below them; its columns are always the z unknowns.
+        hess_rows, hess_table, hess_offset = space, self.B, 0
         self.aux_space: SpatialSpace | None = None
         if variant is SchemeVariant.CG_MOMENTUM:
             self.aux_space = SpatialSpace(space.partition, p, "dg")
             self.n_aux = self.aux_space.dof_count
             self.n_a = d * self.n_aux * (q + 1)
-            self.Bdg = self.aux_space.tabulate(("asm", len(self.rule_x)), self.rule_x.points)
+            self.Bdg = self.aux_space.tabulate(self.rule_x.points)
             eye = scipy.sparse.identity(d)
             cross = self._spatial_block(space, self.B, self.aux_space, self.Bdg, widths)
             aux_mass = self._spatial_block(self.aux_space, self.Bdg, self.aux_space,
                                            self.Bdg, widths)
-            self.block_za = -kron(eye, kron(cross, self.ta0_u))
-            self.block_aa = kron(eye, kron(aux_mass, self.ta0_u))
+            linear = scipy.sparse.bmat([[linear, -kron(eye, kron(cross, self.ta0_u))],
+                                        [None, kron(eye, kron(aux_mass, self.ta0_u))]])
+            hess_rows, hess_table, hess_offset = self.aux_space, self.Bdg, self.n_z
         else:
             self.n_a = 0
 
         self.size = self.n_z + self.n_a
+        self.linear_jacobian = linear.tocsc()
         self.jacobian_is_constant = problem.s_degree <= 2
         self._lu = None
+
+        # Sum-factorisation tables of the Hessian block: (row x column basis
+        # x space weight) products and (test x unknown trial x time weight)
+        # products, plus the flat unknown indices of each element block.
+        ns, nt = len(self.rule_x), len(self.rule_t)
+        self._space_products = np.einsum(
+            "kh,lh,h->hkl", hess_table, self.B, self.rule_x.weights).reshape(ns, -1)
+        self._time_products = np.einsum(
+            "ag,bg,g->abg", self.Ts, self.Tt[1:], self.wt).reshape(-1, nt)
+        self._hess_rows = hess_offset + self._flat_dofs(hess_rows)
+        self._hess_cols = self._flat_dofs(space)
 
     def _spatial_block(self, rows: SpatialSpace, row_table: np.ndarray,
                        cols: SpatialSpace, col_table: np.ndarray,
@@ -186,27 +209,16 @@ class SlabAssembler:
 
     # -- grid evaluation ------------------------------------------------------
 
-    def grid_eval(self, nodes: np.ndarray, space: SpatialSpace, basis_table: np.ndarray,
-                  time_table: np.ndarray, dx_scale: bool = False,
-                  dt_scale: bool = False) -> np.ndarray:
-        """Field values on the quadrature grid, shape (D, nt, M, ns)."""
-        local = nodes[:, space.element_dofs, :]
-        vals = np.einsum("cmkt,kh,tg->cgmh", local, basis_table, time_table)
-        if dx_scale:
-            vals = vals / space.partition.widths[None, None, :, None]
-        if dt_scale:
-            vals = vals / self.dt
-        return vals
-
     def fields_on_grid(self, z_nodes: np.ndarray):
         """(Z, Z_t, DZ) on the assembly grid; DZ is the scheme's derivative."""
-        z = self.grid_eval(z_nodes, self.space, self.B, self.Tt)
-        zt = self.grid_eval(z_nodes, self.space, self.B, self.dTt, dt_scale=True)
+        space = self.space
+        z = spacetime_eval(z_nodes, space, self.B, self.Tt)
+        zt = spacetime_eval(z_nodes, space, self.B, self.dTt / self.dt)
         if self.variant is SchemeVariant.DG_PRIMARY:
-            gz_nodes = np.einsum("ij,cjt->cit", self.gmat, z_nodes)
-            dz = self.grid_eval(gz_nodes, self.space, self.B, self.Tt)
+            dz = spacetime_eval(apply_g(space, z_nodes, axis=1), space, self.B, self.Tt)
         else:
-            dz = self.grid_eval(z_nodes, self.space, self.dB, self.Tt, dx_scale=True)
+            dz = spacetime_eval(z_nodes, space, self.dB, self.Tt) \
+                / space.partition.widths[:, None]
         return z, zt, dz
 
     def _pointwise_grad(self, zgrid: np.ndarray) -> np.ndarray:
@@ -225,46 +237,44 @@ class SlabAssembler:
         if self.variant is SchemeVariant.CG_MOMENTUM:
             if aux_nodes is None:
                 raise ValueError("momentum variant needs the auxiliary field")
-            a_grid = self.grid_eval(aux_nodes, self.aux_space, self.Bdg, self.Tt)
+            a_grid = spacetime_eval(aux_nodes, self.aux_space, self.Bdg, self.Tt)
             f_z = k_zt + l_dz - a_grid
             f_a = a_grid - grad
-            r_z = self._test_rows(f_z, self.space, self.B)
-            r_a = self._test_rows(f_a, self.aux_space, self.Bdg)
+            r_z = spacetime_test(f_z, self.space, self.B, self.Ts, self.rule_x.weights, self.wt)
+            r_a = spacetime_test(f_a, self.aux_space, self.Bdg, self.Ts, self.rule_x.weights,
+                                 self.wt)
             return np.concatenate([r_z.ravel(), r_a.ravel()])
 
         f = k_zt + l_dz - grad
-        return self._test_rows(f, self.space, self.B).ravel()
-
-    def _test_rows(self, fgrid: np.ndarray, space: SpatialSpace,
-                   basis_table: np.ndarray) -> np.ndarray:
-        """Test-space rows (D, dofs, q+1) of a grid field."""
-        elem = np.einsum("cgmh,kh,ag,g,mh->camk", fgrid, basis_table,
-                         self.Ts, self.wt, self.wx)
-        return np.swapaxes(space.scatter_add(elem), 1, 2)
+        return spacetime_test(f, self.space, self.B, self.Ts, self.rule_x.weights,
+                              self.wt).ravel()
 
     def jacobian(self, z_nodes: np.ndarray) -> scipy.sparse.csc_matrix:
-        """Exact sparse derivative of the flat residual w.r.t. the unknown nodes."""
-        z = self.grid_eval(z_nodes, self.space, self.B, self.Tt)
-        if self.variant is SchemeVariant.CG_MOMENTUM:
-            block = self._hessian_block(z, self.aux_space, self.Bdg, self.space, self.B)
-            return scipy.sparse.bmat([[self.linear_jacobian, self.block_za],
-                                      [-block, self.block_aa]], format="csc")
-        return self.linear_jacobian - self._hessian_block(z, self.space, self.B,
-                                                          self.space, self.B)
+        """Exact sparse derivative of the flat residual w.r.t. the unknown nodes.
 
-    def _hessian_block(self, zgrid: np.ndarray, row_space: SpatialSpace,
-                       row_table: np.ndarray, col_space: SpatialSpace,
-                       col_table: np.ndarray) -> scipy.sparse.csr_matrix:
-        pts = np.moveaxis(zgrid, 0, -1)
-        hess = self.problem.hess_s(pts)  # (nt, M, ns, D, D)
-        ttu = self.Tt[1:, :]
-        vals = np.einsum("gmhcd,kh,lh,ag,bg,g,mh->mckadlb", hess, row_table,
-                         col_table, self.Ts, ttu, self.wt, self.wx)
-        m = len(vals)
-        rows, cols = self._flat_dofs(row_space), self._flat_dofs(col_space)
+        The constant linear part less the state-dependent Hessian block; the
+        sparse difference stores no entry that is exactly zero.
+        """
+        z = spacetime_eval(z_nodes, self.space, self.B, self.Tt)
+        return self.linear_jacobian - self._hessian_block(z)
+
+    def _hessian_block(self, zgrid: np.ndarray) -> scipy.sparse.csr_matrix:
+        """Gradient-term derivative, (size, size), nonzero on the Hessian rows.
+
+        Sum-factorised: the pointwise Hessian is contracted over space
+        quadrature first, then over time quadrature.
+        """
+        hess = self.problem.hess_s(np.moveaxis(zgrid, 0, -1))  # (nt, M, ns, D, D)
+        nt, m, ns, d, _ = hess.shape
+        in_space = np.moveaxis(hess, 2, -1).reshape(-1, ns) @ self._space_products
+        vals = self._time_products @ in_space.reshape(nt, -1)
+        q1 = self.q + 1
+        vals = vals.reshape(q1, q1, m, d, d, -1, len(self.B)) \
+            * self.space.partition.widths[:, None, None, None, None]  # (a, b, M, c, d, k, l)
+        vals = vals.transpose(2, 3, 5, 0, 4, 6, 1)           # (M, c, k, a, d, l, b)
+        rows, cols = self._hess_rows, self._hess_cols
         return assemble(rows, cols, vals.reshape(m, rows.shape[1], cols.shape[1]),
-                        (self.problem.D * row_space.dof_count * (self.q + 1),
-                         self.problem.D * col_space.dof_count * (self.q + 1)))
+                        (self.size, self.size))
 
     def _flat_dofs(self, space: SpatialSpace) -> np.ndarray:
         """Flat unknown indices (M, D*(p+1)*(q+1)) of each element, ordered (c, k, a)."""
@@ -388,13 +398,16 @@ def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
             assembler = SlabAssembler(variant, problem, space, config.q, dt)
             assemblers[dt] = assembler
         try:
-            z_nodes, aux_nodes, iters, _ = assembler.solve_slab(
+            z_nodes, aux_nodes, iters, norm = assembler.solve_slab(
                 z_prev, aux_prev, config.newton_tolerance, config.max_newton_iterations)
         except SolverFailure as failure:
             failure.slab_index = index
             failure.partial = traj
             traj.times = traj.times[: index + 1]
             raise
+        if norm > config.newton_tolerance:
+            logger.warning("slab %d accepted at residual %.3e, above newton_tolerance %.3e",
+                           index, norm, config.newton_tolerance)
         slab = TemporalSlab(times[index], times[index + 1], config.q)
         traj.slabs.append(SlabCoefficients(slab, space, z_nodes, aux=aux_nodes,
                                            aux_space=assembler.aux_space))

@@ -31,6 +31,8 @@ __all__ = [
     "l2_project_spatial",
     "l2_project_spacetime",
     "eval_field",
+    "spacetime_eval",
+    "spacetime_test",
 ]
 
 
@@ -85,9 +87,14 @@ class SpatialSpace:
 
     # -- tabulation ---------------------------------------------------------
 
-    def tabulate(self, key, points, derivative_order: int = 0) -> np.ndarray:
-        """Cached reference-basis table of shape (p+1, len(points))."""
-        cache_key = (key, derivative_order)
+    def tabulate(self, points, derivative_order: int = 0) -> np.ndarray:
+        """Cached reference-basis table of shape (p+1, len(points)).
+
+        The cache is keyed by the points themselves, so equal point sets
+        share one table and different ones never do.
+        """
+        points = np.atleast_1d(np.asarray(points, dtype=float))
+        cache_key = (points.tobytes(), derivative_order)
         if cache_key not in self._tabulations:
             self._tabulations[cache_key] = self.basis.tabulate(points, derivative_order)
         return self._tabulations[cache_key]
@@ -113,7 +120,7 @@ class SpatialSpace:
     def reference_mass(self) -> np.ndarray:
         """Mass matrix of the reference element [0, 1], shape (p+1, p+1)."""
         rule = gauss_legendre(quadrature_order_policy(2 * self.degree))
-        b = self.tabulate("mass", rule.points)
+        b = self.tabulate(rule.points)
         return np.einsum("kg,lg,g->kl", b, b, rule.weights)
 
     def mass_matrix(self) -> np.ndarray:
@@ -141,7 +148,7 @@ class SpatialSpace:
 
     def eval_on_rule(self, coeffs, rule: QuadratureRule, derivative_order: int = 0):
         """Evaluate a coefficient field on the rule grid, shape (..., M, len(rule))."""
-        b = self.tabulate(("rule", len(rule)), rule.points, derivative_order)
+        b = self.tabulate(rule.points, derivative_order)
         vals = np.einsum("...mk,kg->...mg", self.gather(coeffs), b)
         if derivative_order == 1:
             vals = vals / self.partition.widths[:, None]
@@ -168,7 +175,7 @@ class SpatialSpace:
         vals = np.asarray(f(pts.ravel()), dtype=float)
         comp_shape = vals.shape[1:]
         vals = vals.reshape(pts.shape + comp_shape)
-        b = self.tabulate(("rule", len(rule)), rule.points)
+        b = self.tabulate(rule.points)
         w = self.partition.widths[:, None] * rule.weights[None, :]
         elem_rhs = np.einsum("mg...,kg,mg->...mk", vals, b, w)
         return self.mass_solve(self.scatter_add(elem_rhs))
@@ -287,6 +294,41 @@ def eval_field(coeffs: SlabCoefficients, t, x, dt_order: int = 0, dx_order: int 
     return coeffs.space.evaluate(spatial, x, dx_order)
 
 
+def spacetime_eval(nodes: np.ndarray, space: SpatialSpace, basis_table: np.ndarray,
+                   time_table: np.ndarray) -> np.ndarray:
+    """Grid values (D, nt, M, ns) of node coefficients (D, dofs, T).
+
+    ``time_table`` (T, nt) and ``basis_table`` (p+1, ns) tabulate the
+    temporal and reference spatial basis on the grid.  The time table is
+    applied first, on global dofs, then the basis table on element-local
+    values, each as one matrix product.
+    """
+    in_time = np.swapaxes(np.asarray(nodes) @ time_table, 1, 2)   # (D, nt, dofs)
+    local = in_time[..., space.element_dofs]                       # (D, nt, M, p+1)
+    return (local.reshape(-1, local.shape[-1]) @ basis_table).reshape(
+        local.shape[:-1] + basis_table.shape[-1:])
+
+
+def spacetime_test(grid: np.ndarray, space: SpatialSpace, basis_table: np.ndarray,
+                   time_table: np.ndarray, space_weights: np.ndarray,
+                   time_weights: np.ndarray) -> np.ndarray:
+    """Test-space rows (D, dofs, T) of a grid field (D, nt, M, ns).
+
+    Row (c, i, a) is the quadrature sum of component c times spatial basis
+    function i times temporal basis function a.  ``space_weights`` are the
+    reference rule weights (element widths are applied here) and
+    ``time_weights`` the physical time weights; each is folded into its
+    table, and the grid is contracted over space, then over time.
+    """
+    grid = np.asarray(grid)
+    d, nt, m, ns = grid.shape
+    weighted_basis = (basis_table * space_weights).T                # (ns, p+1)
+    in_space = grid.reshape(-1, ns) @ weighted_basis                # (D*nt*M, p+1)
+    rows = (time_table * time_weights) @ in_space.reshape(d, nt, -1)
+    rows = rows.reshape(d, len(time_table), m, -1) * space.partition.widths[:, None]
+    return np.swapaxes(space.scatter_add(rows), 1, 2)
+
+
 def l2_project_spacetime(field, slab: TemporalSlab, space: SpatialSpace,
                          time_rule: QuadratureRule | None = None,
                          space_rule: QuadratureRule | None = None) -> np.ndarray:
@@ -309,13 +351,10 @@ def l2_project_spacetime(field, slab: TemporalSlab, space: SpatialSpace,
         )
     else:
         grid = np.asarray(field, dtype=float)
-    d = grid.shape[0]
     ts = slab.test_basis.tabulate(time_rule.points)
-    b = space.tabulate(("rule", len(space_rule)), space_rule.points)
     wt = slab.dt * time_rule.weights
-    wx = space.partition.widths[:, None] * space_rule.weights[None, :]
-    elem_rhs = np.einsum("cgmh,kh,ag,g,mh->camk", grid, b, ts, wt, wx)
-    rhs = space.mass_solve(space.scatter_add(elem_rhs))
-    tmass = slab.dt * np.einsum("ag,bg,g->ab", ts, ts, time_rule.weights)
-    coeffs = np.linalg.solve(tmass, rhs.reshape(d, slab.q + 1, -1))
-    return np.swapaxes(coeffs, 1, 2)
+    rows = spacetime_test(grid, space, space.tabulate(space_rule.points), ts,
+                          space_rule.weights, wt)
+    rhs = space.mass_solve(np.swapaxes(rows, 1, 2))                  # (D, q+1, dofs)
+    tmass = (ts * wt) @ ts.T
+    return np.swapaxes(np.linalg.solve(tmass, rhs), 1, 2)

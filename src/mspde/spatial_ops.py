@@ -26,6 +26,7 @@ __all__ = [
     "jump",
     "avg",
     "node_traces",
+    "g_operator",
     "g_matrix",
     "weak_g_matrix",
     "apply_g",
@@ -69,7 +70,7 @@ def node_traces(space: SpatialSpace, coeffs: np.ndarray) -> tuple[np.ndarray, np
     return left, right
 
 
-_G_CACHE_ATTR = "_g_matrix_cache"
+_G_CACHE_ATTR = "_g_operator_cache"
 
 
 def weak_g_matrix(space: SpatialSpace) -> scipy.sparse.csr_matrix:
@@ -81,8 +82,8 @@ def weak_g_matrix(space: SpatialSpace) -> scipy.sparse.csr_matrix:
         raise ValueError("the average-flux derivative operator needs a broken space")
     n, p = space.dof_count, space.degree
     rule = gauss_legendre(quadrature_order_policy(2 * p - 1))
-    b = space.tabulate(("g", len(rule)), rule.points)
-    db = space.tabulate(("g", len(rule)), rule.points, derivative_order=1)
+    b = space.tabulate(rule.points)
+    db = space.tabulate(rule.points, derivative_order=1)
     dofs = space.element_dofs
     # Volume term: widths cancel against the derivative jacobian.
     ref = np.einsum("kg,lg,g->kl", b, db, rule.weights)
@@ -94,8 +95,8 @@ def weak_g_matrix(space: SpatialSpace) -> scipy.sparse.csr_matrix:
     return volume + assemble(pair, pair, [[-0.5, 0.5], [-0.5, 0.5]], (n, n))
 
 
-def g_matrix(space: SpatialSpace) -> np.ndarray:
-    """Dense matrix of the average-flux derivative on a broken space.
+def g_operator(space: SpatialSpace) -> scipy.sparse.csr_matrix:
+    """Sparse average-flux derivative G on a broken space, cached per space.
 
     The broken mass matrix is block diagonal, so G is the weak form times
     the element-local inverse mass blocks.
@@ -107,15 +108,21 @@ def g_matrix(space: SpatialSpace) -> np.ndarray:
     n, dofs = space.dof_count, space.element_dofs
     inverse = np.linalg.inv(space.reference_mass())
     local = inverse[None, :, :] / space.partition.widths[:, None, None]
-    g = (assemble(dofs, dofs, local, (n, n)) @ weak).toarray()
+    g = (assemble(dofs, dofs, local, (n, n)) @ weak).tocsr()
     setattr(space, _G_CACHE_ATTR, g)
     return g
 
 
-def apply_g(space: SpatialSpace, coeffs: np.ndarray) -> np.ndarray:
-    """Apply the average-flux derivative along the trailing dof axis."""
-    g = g_matrix(space)
-    return np.einsum("ij,...j->...i", g, np.asarray(coeffs))
+def g_matrix(space: SpatialSpace) -> np.ndarray:
+    """Dense copy of :func:`g_operator`, for dense algebra on small meshes."""
+    return g_operator(space).toarray()
+
+
+def apply_g(space: SpatialSpace, coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Apply the average-flux derivative along the dof axis (default: last)."""
+    coeffs = np.moveaxis(np.asarray(coeffs, dtype=float), axis, 0)
+    flat = g_operator(space) @ coeffs.reshape(space.dof_count, -1)
+    return np.moveaxis(flat.reshape(coeffs.shape), 0, axis)
 
 
 def weak_g_from_samples(space: SpatialSpace, grid_values: np.ndarray,
@@ -128,7 +135,7 @@ def weak_g_from_samples(space: SpatialSpace, grid_values: np.ndarray,
     node (..., M).  Used by the conservation diagnostics, where F is a
     product of fields with polynomial degree above the space's.
     """
-    b = space.tabulate(("rule", len(rule)), rule.points)
+    b = space.tabulate(rule.points)
     w = space.partition.widths[:, None] * rule.weights[None, :]
     elem = np.einsum("...mg,kg,mg->...mk", np.asarray(grid_derivatives), b, w)
     rhs = space.scatter_add(elem)
@@ -158,8 +165,7 @@ def broken_derivative(space: SpatialSpace, coeffs: np.ndarray):
         raise ValueError("broken derivative needs degree >= 1")
     coeffs = np.asarray(coeffs)
     target = SpatialSpace(space.partition, space.degree - 1, "dg")
-    db = space.tabulate(("broken_d", space.degree), target.basis.nodes,
-                        derivative_order=1)
+    db = space.tabulate(target.basis.nodes, derivative_order=1)
     local = np.einsum("...mk,kg->...mg", space.gather(coeffs), db)
     local = local / space.partition.widths[:, None]
     out = np.zeros(coeffs.shape[:-1] + (target.dof_count,))

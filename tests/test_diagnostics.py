@@ -201,7 +201,7 @@ def test_auxiliary_identity_fails_at_slab_endpoints():
     prob, traj = short_run(q=1, p=2, dx=0.125, t_final=0.5)
     space = traj.space
     rule = gauss_legendre(9)
-    b = space.tabulate(("t", 9), rule.points)
+    b = space.tabulate(rule.points)
     w = space.partition.widths[:, None] * rule.weights[None, :]
     coeffs = traj.slabs[-1]
     spatial = coeffs.temporal_values(coeffs.slab.t_end)

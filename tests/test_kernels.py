@@ -1,0 +1,161 @@
+"""Factorised space-time kernels against the plain einsum contractions they replace.
+
+Each reference below is the direct multi-operand ``np.einsum`` over the full
+(time basis) x (space basis) x (quadrature) index set.  Meshes are periodic
+with elements of unequal width, so a width applied along the wrong axis
+shows; the tolerance is relative to the largest reference entry.
+"""
+
+import numpy as np
+import pytest
+
+from mspde.diagnostics import bochner_error
+from mspde.mesh import Partition1D, gauss_legendre
+from mspde.problems import linear_wave, nls
+from mspde.solver import SchemeVariant, SlabAssembler, Trajectory
+from mspde.spaces import (
+    SlabCoefficients,
+    SpatialSpace,
+    TemporalSlab,
+    spacetime_eval,
+    spacetime_test,
+)
+from mspde.spatial_ops import g_matrix
+
+RTOL = 1e-13
+CASES = [(variant, q, p) for variant in SchemeVariant for q, p in [(0, 1), (1, 2), (2, 3)]]
+
+
+def assert_close(actual, reference):
+    scale = float(np.max(np.abs(reference)))
+    assert np.max(np.abs(actual - reference)) <= RTOL * scale
+
+
+def nonuniform_space(rng, length, count, p, continuity):
+    widths = rng.uniform(0.5, 1.5, count)
+    nodes = np.concatenate([[0.0], np.cumsum(widths)]) * (length / widths.sum())
+    nodes[-1] = length
+    return SpatialSpace(Partition1D(nodes, periodic=True), p, continuity)
+
+
+def assembler(variant, q, p, seed):
+    rng = np.random.default_rng(seed)
+    problem = nls()
+    space = nonuniform_space(rng, problem.domain_length, 5, p, variant.spatial_continuity)
+    return SlabAssembler(variant, problem, space, q, 0.1), rng
+
+
+def reference_eval(nodes, space, basis_table, time_table):
+    local = nodes[:, space.element_dofs, :]
+    return np.einsum("cmkt,kh,tg->cgmh", local, basis_table, time_table)
+
+
+def reference_test(grid, space, basis_table, time_table, space_weights, time_weights):
+    wx = space.partition.widths[:, None] * space_weights[None, :]
+    elem = np.einsum("cgmh,kh,ag,g,mh->camk", grid, basis_table, time_table,
+                     time_weights, wx)
+    out = np.zeros(elem.shape[:2] + (space.dof_count,))
+    np.add.at(out, (slice(None), slice(None), space.element_dofs), elem)
+    return np.swapaxes(out, 1, 2)
+
+
+def flat_unknowns(space, d, q1, offset):
+    """Flat (c, dof, a) unknown indices of each element, shape (M, D*(p+1)*q1)."""
+    comp = np.arange(d)[None, :, None, None] * space.dof_count
+    local = space.element_dofs[:, None, :, None]
+    flat = (comp + local) * q1 + np.arange(q1)[None, None, None, :]
+    return offset + flat.reshape(len(flat), -1)
+
+
+@pytest.mark.parametrize("variant,q,p", CASES)
+def test_spacetime_eval_matches_einsum(variant, q, p):
+    asm, rng = assembler(variant, q, p, seed=10 * q + p)
+    space, d = asm.space, asm.problem.D
+    nodes = rng.standard_normal((d, space.dof_count, q + 2))
+
+    z, zt, dz = asm.fields_on_grid(nodes)
+    assert_close(z, reference_eval(nodes, space, asm.B, asm.Tt))
+    assert_close(zt, reference_eval(nodes, space, asm.B, asm.dTt) / asm.dt)
+    if variant is SchemeVariant.DG_PRIMARY:
+        g_nodes = np.einsum("ij,cjt->cit", g_matrix(space), nodes)
+        expected = reference_eval(g_nodes, space, asm.B, asm.Tt)
+    else:
+        expected = reference_eval(nodes, space, asm.dB, asm.Tt) \
+            / space.partition.widths[None, None, :, None]
+    assert_close(dz, expected)
+
+    test_nodes = rng.standard_normal((d, space.dof_count, q + 1))
+    assert_close(spacetime_eval(test_nodes, space, asm.B, asm.Ts),
+                 reference_eval(test_nodes, space, asm.B, asm.Ts))
+    if asm.aux_space is not None:
+        aux = rng.standard_normal((d, asm.aux_space.dof_count, q + 2))
+        assert_close(spacetime_eval(aux, asm.aux_space, asm.Bdg, asm.Tt),
+                     reference_eval(aux, asm.aux_space, asm.Bdg, asm.Tt))
+
+
+@pytest.mark.parametrize("variant,q,p", CASES)
+def test_spacetime_test_matches_einsum(variant, q, p):
+    asm, rng = assembler(variant, q, p, seed=20 + 10 * q + p)
+    d, weights = asm.problem.D, asm.rule_x.weights
+    pairs = [(asm.space, asm.B)]
+    if asm.aux_space is not None:
+        pairs.append((asm.aux_space, asm.Bdg))
+    for space, table in pairs:
+        grid = rng.standard_normal((d, len(asm.rule_t), space.partition.element_count,
+                                    len(asm.rule_x)))
+        assert_close(spacetime_test(grid, space, table, asm.Ts, weights, asm.wt),
+                     reference_test(grid, space, table, asm.Ts, weights, asm.wt))
+
+
+@pytest.mark.parametrize("variant,q,p", CASES)
+def test_hessian_block_matches_einsum(variant, q, p):
+    asm, rng = assembler(variant, q, p, seed=40 + 10 * q + p)
+    space, d, q1 = asm.space, asm.problem.D, q + 1
+    nodes = rng.uniform(-1.0, 1.0, (d, space.dof_count, q + 2))
+    zgrid = reference_eval(nodes, space, asm.B, asm.Tt)
+
+    if asm.aux_space is None:
+        row_space, row_table, offset = space, asm.B, 0
+    else:
+        row_space, row_table, offset = asm.aux_space, asm.Bdg, asm.n_z
+    hess = asm.problem.hess_s(np.moveaxis(zgrid, 0, -1))
+    wx = space.partition.widths[:, None] * asm.rule_x.weights[None, :]
+    vals = np.einsum("gmhcd,kh,lh,ag,bg,g,mh->mckadlb", hess, row_table, asm.B,
+                     asm.Ts, asm.Tt[1:], asm.wt, wx)
+    rows = flat_unknowns(row_space, d, q1, offset)
+    cols = flat_unknowns(space, d, q1, 0)
+    expected = np.zeros((asm.size, asm.size))
+    np.add.at(expected, (rows[:, :, None], cols[:, None, :]),
+              vals.reshape(len(rows), rows.shape[1], cols.shape[1]))
+
+    assert_close(asm._hessian_block(zgrid).toarray(), expected)
+
+
+@pytest.mark.parametrize("variant,q,p", CASES)
+def test_bochner_error_matches_einsum(variant, q, p):
+    rng = np.random.default_rng(60 + 10 * q + p)
+    problem = linear_wave()
+    space = nonuniform_space(rng, problem.domain_length, 6, p, variant.spatial_continuity)
+    times = np.array([0.0, 0.1, 0.25, 0.3])
+    slabs = [SlabCoefficients(TemporalSlab(t0, t1, q), space,
+                              rng.standard_normal((3, space.dof_count, q + 2)))
+             for t0, t1 in zip(times[:-1], times[1:])]
+    traj = Trajectory(problem, variant, space, q, times, slabs[0].values[:, :, 0],
+                      slabs=slabs)
+
+    rule = gauss_legendre(9)
+    b = space.basis.tabulate(rule.points)
+    xs = space.quad_points(rule)
+    wx = space.partition.widths[:, None] * rule.weights[None, :]
+    accum = np.zeros(3)
+    expected = [accum.copy()]
+    for coeffs in slabs:
+        tt = coeffs.slab.trial_basis.tabulate(rule.points)
+        zgrid = reference_eval(coeffs.values, space, b, tt)
+        exact = np.stack([np.moveaxis(problem.exact_solution(t, xs), -1, 0)
+                          for t in coeffs.slab.times(rule.points)], axis=1)
+        wt = coeffs.slab.dt * rule.weights
+        accum = accum + np.einsum("cgmh,g,mh->c", (zgrid - exact) ** 2, wt, wx)
+        expected.append(np.sqrt(accum))
+
+    assert_close(bochner_error(traj), np.array(expected))

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -177,6 +178,29 @@ def test_newton_failure_reports_residual():
         run_simulation(SchemeVariant.CG_PRIMARY, prob, config)
     assert excinfo.value.residual_norm > 0.0
     assert excinfo.value.slab_index == 0
+
+
+def test_slab_accepted_above_tolerance_is_logged(monkeypatch, caplog):
+    prob = linear_wave()
+    config = SolverConfig(q=0, p=1, dt=0.1, dx=0.25, t_final=0.2)
+    with caplog.at_level(logging.WARNING, logger="mspde.solver"):
+        run_simulation(SchemeVariant.CG_PRIMARY, prob, config)
+    assert not caplog.records
+
+    solve = SlabAssembler.solve_slab
+
+    def stalled(self, z_start, aux_start, tolerance, max_iterations):
+        z_nodes, aux_nodes, iterations, _ = solve(self, z_start, aux_start, tolerance,
+                                                  max_iterations)
+        return z_nodes, aux_nodes, iterations, 5.0 * tolerance
+
+    monkeypatch.setattr(SlabAssembler, "solve_slab", stalled)
+    with caplog.at_level(logging.WARNING, logger="mspde.solver"):
+        run_simulation(SchemeVariant.CG_PRIMARY, prob, config)
+    messages = [record.getMessage() for record in caplog.records]
+    assert len(messages) == 2
+    assert "slab 0 " in messages[0] and "slab 1 " in messages[1]
+    assert all("5.000e-12" in message for message in messages)
 
 
 def test_steady_state_trajectory_constant():

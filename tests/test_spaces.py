@@ -95,10 +95,23 @@ def test_galerkin_orthogonality_of_projection():
     coeffs = l2_project_spatial(f, space)
     rule = gauss_legendre(16)
     resid = space.eval_on_rule(coeffs, rule) - f(space.quad_points(rule))
-    b = space.tabulate(("t", 16), rule.points)
+    b = space.tabulate(rule.points)
     w = space.partition.widths[:, None] * rule.weights[None, :]
     moments = space.scatter_add(np.einsum("mg,kg,mg->mk", resid, b, w))
     assert np.max(np.abs(moments)) < 1e-11
+
+
+def test_tabulation_cache_is_keyed_by_points():
+    # Two point sets of one size must not share a cached table, and equal
+    # point sets must.
+    space = dg(4, 2)
+    gauss, even = gauss_legendre(4).points, np.linspace(0.0, 1.0, 4)
+    for points in (gauss, even, gauss):
+        for order in (0, 1):
+            assert np.array_equal(space.tabulate(points, order),
+                                  space.basis.tabulate(points, order))
+    assert not np.array_equal(space.tabulate(gauss), space.tabulate(even))
+    assert space.tabulate(gauss) is space.tabulate(gauss.copy())
 
 
 def test_cg_field_has_zero_jumps_in_dg():
@@ -188,7 +201,7 @@ def test_spacetime_projection_orthogonality():
     rule_t = gauss_legendre(6)
     rule_x = gauss_legendre(6)
     tt = slab.trial_basis.tabulate(rule_t.points)
-    db = space.tabulate(("p", 6), rule_x.points, 1)
+    db = space.tabulate(rule_x.points, 1)
     local = z_nodes[:, space.element_dofs, :]
     zx = np.einsum("cmkt,kh,tg->cgmh", local, db, tt)
     zx = zx / space.partition.widths[None, None, :, None]
@@ -196,7 +209,7 @@ def test_spacetime_projection_orthogonality():
     coeffs = l2_project_spacetime(zx, slab, space, rule_t, rule_x)
 
     ts = slab.test_basis.tabulate(rule_t.points)
-    b = space.tabulate(("p", 6), rule_x.points)
+    b = space.tabulate(rule_x.points)
     proj_grid = np.einsum("cna,kh,ag->cgnh"[:0] or "cmka,kh,ag->cgmh",
                           coeffs[:, space.element_dofs, :], b, ts)
     resid = zx - proj_grid
@@ -226,7 +239,7 @@ def test_spacetime_projection_preserves_time_derivative_of_trial():
     rule_t = gauss_legendre(5)
     rule_x = gauss_legendre(5)
     dtt = slab.trial_basis.tabulate(rule_t.points, 1) / slab.dt
-    b = space.tabulate(("zt", 5), rule_x.points)
+    b = space.tabulate(rule_x.points)
     local = z_nodes[:, space.element_dofs, :]
     zt_grid = np.einsum("cmkt,kh,tg->cgmh", local, b, dtt)
 
