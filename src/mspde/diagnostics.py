@@ -319,7 +319,10 @@ def bochner_error(trajectory: Trajectory, upto_node: int | None = None) -> np.nd
     rule_x = gauss_legendre(9)
     b = space.tabulate(rule_x.points)
     tt = LagrangeBasis.equispaced(trajectory.q + 1).tabulate(rule_t.points)
+    # x at the full (nt, M, ns) grid shape, so that an exact solution that
+    # ignores t still returns one value per grid point.
     xs = space.quad_points(rule_x)
+    xs = np.broadcast_to(xs, (len(rule_t),) + xs.shape)
     # Reference time weights times physical space weights, one per grid point.
     weights = (rule_t.weights[:, None, None] * space.partition.widths[:, None]
                * rule_x.weights).ravel()
@@ -330,9 +333,8 @@ def bochner_error(trajectory: Trajectory, upto_node: int | None = None) -> np.nd
     for n in range(1, limit):
         coeffs = trajectory.slabs[n - 1]
         zgrid = spacetime_eval(coeffs.values, space, b, tt)
-        times = coeffs.slab.times(rule_t.points)
-        exact = np.stack(
-            [np.moveaxis(problem.exact_solution(t, xs), -1, 0) for t in times], axis=1)
+        times = coeffs.slab.times(rule_t.points)[:, None, None]
+        exact = np.moveaxis(problem.exact_solution(times, xs), -1, 0)
         diff2 = ((zgrid - exact) ** 2).reshape(problem.D, -1)
         accum = accum + coeffs.slab.dt * (diff2 @ weights)
         errors[n] = np.sqrt(accum)
@@ -421,10 +423,7 @@ def energy_stability_monitor(variant: SchemeVariant, problem: MultisymplecticPro
         if use_g:
             slope = space.eval_on_rule(apply_g(space, state[0]), rule)
         else:
-            ux = space.eval_on_rule(state[0], rule, 1)
-            b = space.tabulate(rule.points)
-            w = space.partition.widths[:, None] * rule.weights[None, :]
-            proj = space.mass_solve(space.scatter_add(np.einsum("mg,kg,mg->mk", ux, b, w)))
+            proj = space.project_grid(space.eval_on_rule(state[0], rule, 1), rule)
             slope = space.eval_on_rule(proj, rule)
         w2.append(space.integrate(slope**2, rule))
         if n == 0:
@@ -449,8 +448,6 @@ def auxiliary_identity_residual(trajectory: Trajectory) -> float:
     use_g = trajectory.variant is SchemeVariant.DG_PRIMARY
     gauss = gauss_legendre(trajectory.q + 1)
     rule = gauss_legendre(quadrature_order_policy(2 * space.degree))
-    b = space.tabulate(rule.points)
-    w = space.partition.widths[:, None] * rule.weights[None, :]
 
     worst = 0.0
     for coeffs in trajectory.slabs:
@@ -459,8 +456,6 @@ def auxiliary_identity_residual(trajectory: Trajectory) -> float:
             if use_g:
                 target = apply_g(space, spatial[0])
             else:
-                ux = space.eval_on_rule(spatial[0], rule, 1)
-                target = space.mass_solve(
-                    space.scatter_add(np.einsum("mg,kg,mg->mk", ux, b, w)))
+                target = space.project_grid(space.eval_on_rule(spatial[0], rule, 1), rule)
             worst = max(worst, float(np.max(np.abs(spatial[2] - target))))
     return worst

@@ -32,7 +32,8 @@ class MultisymplecticProblem:
     axis: z of shape (..., D) maps to (...), (..., D) and (..., D, D).
     ``s_degree`` is the polynomial degree of S in z (drives quadrature
     orders).  ``exact_solution(t, x)`` and ``initial_state(x)`` are
-    vectorised over x and return (..., D).
+    vectorised over x and return (..., D); ``t`` may be an array that
+    broadcasts against x, e.g. (nt, 1, 1) times against an (nt, M, ns) x.
     """
 
     label: str

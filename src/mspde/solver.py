@@ -4,8 +4,11 @@ One slab couples the whole spatial mesh with a single temporal element:
 trial functions are continuous degree q+1 in time (node 0 pinned by the
 incoming state) times the spatial space; tests are discontinuous degree q in
 time times the same spatial space.  The three scheme variants differ only in
-the spatial derivative (elementwise vs average-flux) and in whether the
-gradient term enters directly or through an auxiliary projected field.
+the spatial derivative (elementwise vs average-flux) and in whether an
+auxiliary field, the broken-space projection of the gradient term, is
+carried along.  That projection acts on every continuous test function like
+the gradient itself, so ``cg-momentum`` solves the ``cg`` Newton system and
+projects its auxiliary field once the slab has converged.
 """
 
 from __future__ import annotations
@@ -145,67 +148,47 @@ class SlabAssembler:
         self.wt = dt * self.rule_t.weights
 
         self.n = space.dof_count
-        self.n_z = d * self.n * (q + 1)
+        self.size = d * self.n * (q + 1)
 
         # Temporal coupling blocks (test x trial); node-0 columns are knowns.
         ta1 = np.einsum("ag,bg,g->ab", self.Ts, self.dTt, self.rule_t.weights)
-        ta0 = dt * np.einsum("ag,bg,g->ab", self.Ts, self.Tt, self.rule_t.weights)
-        self.ta1_u, self.ta0_u = ta1[:, 1:], ta0[:, 1:]
+        self.ta0 = dt * np.einsum("ag,bg,g->ab", self.Ts, self.Tt, self.rule_t.weights)
 
-        widths = space.partition.widths[:, None, None]
-        mass = self._spatial_block(space, self.B, space, self.B, widths)
+        mass = self._spatial_block(self.B, space.partition.widths[:, None, None])
         if variant is SchemeVariant.DG_PRIMARY:
             deriv = weak_g_matrix(space)
         else:
             # Widths cancel against the derivative jacobian.
-            deriv = self._spatial_block(space, self.B, space, self.dB, 1.0)
+            deriv = self._spatial_block(self.dB, 1.0)
         kron = scipy.sparse.kron
-        linear = (kron(problem.K, kron(mass, self.ta1_u))
-                  + kron(problem.L, kron(deriv, self.ta0_u)))
-
-        # Hessian rows: the scheme rows, or for cg-momentum the projection
-        # rows below them; its columns are always the z unknowns.
-        hess_rows, hess_table, hess_offset = space, self.B, 0
-        self.aux_space: SpatialSpace | None = None
-        if variant is SchemeVariant.CG_MOMENTUM:
-            self.aux_space = SpatialSpace(space.partition, p, "dg")
-            self.n_aux = self.aux_space.dof_count
-            self.n_a = d * self.n_aux * (q + 1)
-            self.Bdg = self.aux_space.tabulate(self.rule_x.points)
-            eye = scipy.sparse.identity(d)
-            cross = self._spatial_block(space, self.B, self.aux_space, self.Bdg, widths)
-            aux_mass = self._spatial_block(self.aux_space, self.Bdg, self.aux_space,
-                                           self.Bdg, widths)
-            linear = scipy.sparse.bmat([[linear, -kron(eye, kron(cross, self.ta0_u))],
-                                        [None, kron(eye, kron(aux_mass, self.ta0_u))]])
-            hess_rows, hess_table, hess_offset = self.aux_space, self.Bdg, self.n_z
-        else:
-            self.n_a = 0
-
-        self.size = self.n_z + self.n_a
+        linear = (kron(problem.K, kron(mass, ta1[:, 1:]))
+                  + kron(problem.L, kron(deriv, self.ta0[:, 1:])))
         self.linear_jacobian = linear.tocsc()
         self.jacobian_is_constant = problem.s_degree <= 2
         self._lu = None
+
+        # Broken space of the cg-momentum auxiliary field; it shares the
+        # reference basis, so ``B`` tabulates it too.
+        self.aux_space: SpatialSpace | None = None
+        if variant is SchemeVariant.CG_MOMENTUM:
+            self.aux_space = SpatialSpace(space.partition, p, "dg")
 
         # Sum-factorisation tables of the Hessian block: (row x column basis
         # x space weight) products and (test x unknown trial x time weight)
         # products, plus the flat unknown indices of each element block.
         ns, nt = len(self.rule_x), len(self.rule_t)
         self._space_products = np.einsum(
-            "kh,lh,h->hkl", hess_table, self.B, self.rule_x.weights).reshape(ns, -1)
+            "kh,lh,h->hkl", self.B, self.B, self.rule_x.weights).reshape(ns, -1)
         self._time_products = np.einsum(
             "ag,bg,g->abg", self.Ts, self.Tt[1:], self.wt).reshape(-1, nt)
-        self._hess_rows = hess_offset + self._flat_dofs(hess_rows)
-        self._hess_cols = self._flat_dofs(space)
+        self._hess_dofs = self._flat_dofs()
 
-    def _spatial_block(self, rows: SpatialSpace, row_table: np.ndarray,
-                       cols: SpatialSpace, col_table: np.ndarray,
-                       scale) -> scipy.sparse.csr_matrix:
-        """Reference integrals of row x column basis tables, times ``scale``
+    def _spatial_block(self, col_table: np.ndarray, scale) -> scipy.sparse.csr_matrix:
+        """Reference integrals of basis x ``col_table`` products, times ``scale``
         (a number or per-element (M, 1, 1) factors), summed over elements."""
-        ref = np.einsum("kg,lg,g->kl", row_table, col_table, self.rule_x.weights)
-        return assemble(rows.element_dofs, cols.element_dofs, scale * ref,
-                        (rows.dof_count, cols.dof_count))
+        ref = np.einsum("kg,lg,g->kl", self.B, col_table, self.rule_x.weights)
+        dofs = self.space.element_dofs
+        return assemble(dofs, dofs, scale * ref, (self.n, self.n))
 
     # -- grid evaluation ------------------------------------------------------
 
@@ -227,25 +210,12 @@ class SlabAssembler:
 
     # -- residual and jacobian -------------------------------------------------
 
-    def residual(self, z_nodes: np.ndarray, aux_nodes: np.ndarray | None = None) -> np.ndarray:
-        """Flat residual over all test rows (scheme rows, then projection rows)."""
+    def residual(self, z_nodes: np.ndarray) -> np.ndarray:
+        """Flat residual over all test rows."""
         z, zt, dz = self.fields_on_grid(z_nodes)
         k_zt = np.einsum("cd,dgmh->cgmh", self.problem.K, zt)
         l_dz = np.einsum("cd,dgmh->cgmh", self.problem.L, dz)
-        grad = self._pointwise_grad(z)
-
-        if self.variant is SchemeVariant.CG_MOMENTUM:
-            if aux_nodes is None:
-                raise ValueError("momentum variant needs the auxiliary field")
-            a_grid = spacetime_eval(aux_nodes, self.aux_space, self.Bdg, self.Tt)
-            f_z = k_zt + l_dz - a_grid
-            f_a = a_grid - grad
-            r_z = spacetime_test(f_z, self.space, self.B, self.Ts, self.rule_x.weights, self.wt)
-            r_a = spacetime_test(f_a, self.aux_space, self.Bdg, self.Ts, self.rule_x.weights,
-                                 self.wt)
-            return np.concatenate([r_z.ravel(), r_a.ravel()])
-
-        f = k_zt + l_dz - grad
+        f = k_zt + l_dz - self._pointwise_grad(z)
         return spacetime_test(f, self.space, self.B, self.Ts, self.rule_x.weights,
                               self.wt).ravel()
 
@@ -259,7 +229,7 @@ class SlabAssembler:
         return self.linear_jacobian - self._hessian_block(z)
 
     def _hessian_block(self, zgrid: np.ndarray) -> scipy.sparse.csr_matrix:
-        """Gradient-term derivative, (size, size), nonzero on the Hessian rows.
+        """Gradient-term derivative, (size, size).
 
         Sum-factorised: the pointwise Hessian is contracted over space
         quadrature first, then over time quadrature.
@@ -272,15 +242,15 @@ class SlabAssembler:
         vals = vals.reshape(q1, q1, m, d, d, -1, len(self.B)) \
             * self.space.partition.widths[:, None, None, None, None]  # (a, b, M, c, d, k, l)
         vals = vals.transpose(2, 3, 5, 0, 4, 6, 1)           # (M, c, k, a, d, l, b)
-        rows, cols = self._hess_rows, self._hess_cols
-        return assemble(rows, cols, vals.reshape(m, rows.shape[1], cols.shape[1]),
+        dofs = self._hess_dofs
+        return assemble(dofs, dofs, vals.reshape(m, dofs.shape[1], dofs.shape[1]),
                         (self.size, self.size))
 
-    def _flat_dofs(self, space: SpatialSpace) -> np.ndarray:
+    def _flat_dofs(self) -> np.ndarray:
         """Flat unknown indices (M, D*(p+1)*(q+1)) of each element, ordered (c, k, a)."""
         q1 = self.q + 1
-        comp = np.arange(self.problem.D)[None, :, None, None] * space.dof_count
-        flat = (comp + space.element_dofs[:, None, :, None]) * q1 \
+        comp = np.arange(self.problem.D)[None, :, None, None] * self.n
+        flat = (comp + self.space.element_dofs[:, None, :, None]) * q1 \
             + np.arange(q1)[None, None, None, :]
         return flat.reshape(len(flat), -1)
 
@@ -288,46 +258,62 @@ class SlabAssembler:
 
     def solve_slab(self, z_start: np.ndarray, aux_start: np.ndarray | None,
                    tolerance: float, max_iterations: int):
-        """Newton iteration from the constant-in-time extension of z_start."""
-        d, q2 = self.problem.D, self.q + 2
-        z_nodes = np.repeat(z_start[:, :, None], q2, axis=2)
-        aux_nodes = None
-        if self.variant is SchemeVariant.CG_MOMENTUM:
-            aux_nodes = np.repeat(aux_start[:, :, None], q2, axis=2)
+        """Newton iteration from the constant-in-time extension of z_start.
 
-        iterations = 0
+        For ``cg-momentum`` the auxiliary field, starting from aux_start, is
+        projected from the converged slab; otherwise it is None.
+        """
+        z_nodes = np.repeat(z_start[:, :, None], self.q + 2, axis=2)
+        iterations, accepted = 0, False
         for _ in range(max_iterations + 1):
-            r = self.residual(z_nodes, aux_nodes)
+            r = self.residual(z_nodes)
             norm = float(np.max(np.abs(r))) if r.size else 0.0
             if norm <= tolerance:
-                return z_nodes, aux_nodes, iterations, norm
+                accepted = True
+                break
             if iterations >= max_iterations:
                 break
-            step = self._newton_step(z_nodes, aux_nodes, r)
-            z_step = step[: self.n_z].reshape(d, self.n, self.q + 1)
-            z_nodes[:, :, 1:] += z_step
-            if aux_nodes is not None:
-                aux_nodes[:, :, 1:] += step[self.n_z:].reshape(d, self.n_aux, self.q + 1)
+            step = self._newton_step(z_nodes, r)
+            z_nodes[:, :, 1:] += step.reshape(self.problem.D, self.n, self.q + 1)
             iterations += 1
             scale = max(1.0, float(np.max(np.abs(z_nodes))))
             if float(np.max(np.abs(step))) <= 1e-14 * scale:
-                r = self.residual(z_nodes, aux_nodes)
-                norm = float(np.max(np.abs(r)))
-                if norm <= 10.0 * tolerance:
-                    return z_nodes, aux_nodes, iterations, norm
+                norm = float(np.max(np.abs(self.residual(z_nodes))))
+                accepted = norm <= 10.0 * tolerance
                 break
-        raise SolverFailure(
-            f"Newton stalled at residual {norm:.3e} after {iterations} iterations",
-            residual_norm=norm,
-        )
+        if not accepted:
+            raise SolverFailure(
+                f"Newton stalled at residual {norm:.3e} after {iterations} iterations",
+                residual_norm=norm,
+            )
+        aux_nodes = None
+        if self.aux_space is not None:
+            aux_nodes = self._project_auxiliary(z_nodes, aux_start)
+        return z_nodes, aux_nodes, iterations, norm
 
-    def _newton_step(self, z_nodes, aux_nodes, r):
+    def _newton_step(self, z_nodes, r):
         lu = self._lu
         if lu is None:
             lu = scipy.sparse.linalg.splu(self.jacobian(z_nodes))
             if self.jacobian_is_constant:
                 self._lu = lu
         return lu.solve(-r)
+
+    def _project_auxiliary(self, z_nodes: np.ndarray, aux_start: np.ndarray) -> np.ndarray:
+        """Auxiliary nodes (D, broken dofs, q+2) of a solved slab.
+
+        Node 0 is aux_start; nodes 1..q+1 solve the projection rows
+        int (a - grad S(z)) . psi tau = 0 for broken-space psi and degree-q
+        tau, i.e. (mass x ta0) a = rows(grad S(z)): one broken mass solve,
+        then one (q+1)-square temporal solve.
+        """
+        z = spacetime_eval(z_nodes, self.space, self.B, self.Tt)
+        rows = spacetime_test(self._pointwise_grad(z), self.aux_space, self.B, self.Ts,
+                              self.rule_x.weights, self.wt)
+        rhs = self.aux_space.mass_solve(np.swapaxes(rows, 1, 2)) \
+            - self.ta0[:, :1] * aux_start[:, None, :]                  # (D, q+1, dofs)
+        unknown = np.linalg.solve(self.ta0[:, 1:], rhs)
+        return np.concatenate([aux_start[:, :, None], np.swapaxes(unknown, 1, 2)], axis=2)
 
 
 @dataclass(eq=False)
@@ -357,19 +343,6 @@ class Trajectory:
         return self.slabs[n - 1].state_at_node(self.slabs[n - 1].slab.q + 1)
 
 
-def _project_gradient(assembler: SlabAssembler, z_coeffs: np.ndarray) -> np.ndarray:
-    """Broken-space projection of grad S evaluated on the current field."""
-    rule = assembler.rule_x
-    zvals = assembler.space.eval_on_rule(z_coeffs, rule)        # (D, M, ns)
-    pts = np.moveaxis(zvals, 0, -1)
-    grad = np.moveaxis(assembler.problem.grad_s(pts), -1, 0)
-    dg = assembler.aux_space
-    w = dg.partition.widths[:, None] * rule.weights[None, :]
-    elem = np.einsum("cmg,kg,mg->cmk", grad, assembler.Bdg, w)
-    rhs = dg.scatter_add(elem)
-    return dg.mass_solve(rhs)
-
-
 def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
                    config: SolverConfig) -> Trajectory:
     """Project the initial state, then advance slab by slab to t_final."""
@@ -390,7 +363,10 @@ def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
     z_prev = z0
     aux_prev = None
     if variant is SchemeVariant.CG_MOMENTUM:
-        aux_prev = _project_gradient(assemblers[config.dt], z0)
+        # Broken-space projection of grad S on the initial state.
+        first = assemblers[config.dt]
+        grad = first._pointwise_grad(space.eval_on_rule(z0, first.rule_x))
+        aux_prev = first.aux_space.project_grid(grad, first.rule_x)
 
     for index, dt in enumerate(slab_lengths):
         assembler = assemblers.get(dt)
@@ -401,10 +377,10 @@ def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
             z_nodes, aux_nodes, iters, norm = assembler.solve_slab(
                 z_prev, aux_prev, config.newton_tolerance, config.max_newton_iterations)
         except SolverFailure as failure:
-            failure.slab_index = index
-            failure.partial = traj
             traj.times = traj.times[: index + 1]
-            raise
+            error = SolverFailure(f"slab {index}: {failure}", failure.residual_norm, index)
+            error.partial = traj
+            raise error from failure
         if norm > config.newton_tolerance:
             logger.warning("slab %d accepted at residual %.3e, above newton_tolerance %.3e",
                            index, norm, config.newton_tolerance)

@@ -173,11 +173,14 @@ class SpatialSpace:
         rule = gauss_legendre(quadrature_order_policy(QUADRATURE_NONPOLY))
         pts = self.quad_points(rule)
         vals = np.asarray(f(pts.ravel()), dtype=float)
-        comp_shape = vals.shape[1:]
-        vals = vals.reshape(pts.shape + comp_shape)
+        vals = vals.reshape(pts.shape + vals.shape[1:])
+        return self.project_grid(np.moveaxis(vals, (0, 1), (-2, -1)), rule)
+
+    def project_grid(self, grid_values: np.ndarray, rule: QuadratureRule) -> np.ndarray:
+        """L2 projection of values sampled on the rule grid (..., M, len(rule))."""
         b = self.tabulate(rule.points)
         w = self.partition.widths[:, None] * rule.weights[None, :]
-        elem_rhs = np.einsum("mg...,kg,mg->...mk", vals, b, w)
+        elem_rhs = np.einsum("...mg,kg,mg->...mk", np.asarray(grid_values), b, w)
         return self.mass_solve(self.scatter_add(elem_rhs))
 
     def integrate(self, grid_values: np.ndarray, rule: QuadratureRule) -> np.ndarray:

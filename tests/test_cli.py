@@ -39,6 +39,18 @@ def test_run_is_deterministic(tmp_path):
     assert a == b
 
 
+def test_momentum_variant_writes_the_cg_series(tmp_path):
+    # cg-momentum solves the cg slab system and only adds the auxiliary
+    # field, so its invariant series is the cg one, byte for byte.
+    args = ["run", "--problem", "nonlinear-wave", "--q", "1", "--p", "2",
+            "--dt", "0.1", "--dx", "0.25", "--T", "0.5"]
+    assert main(args + ["--variant", "cg", "--out", str(tmp_path / "cg")]) == 0
+    assert main(args + ["--variant", "cg-momentum", "--out", str(tmp_path / "cgm")]) == 0
+    cg = (tmp_path / "cg" / "invariants.csv").read_bytes()
+    cgm = (tmp_path / "cgm" / "invariants.csv").read_bytes()
+    assert cg == cgm
+
+
 def test_run_constant_state_deviations_tiny(tmp_path, monkeypatch):
     # Steady state: every deviation column stays at machine zero.
     import dataclasses

@@ -12,9 +12,10 @@ from mspde.diagnostics import (
     global_invariants,
     local_conservation_residuals,
 )
-from mspde.mesh import gauss_legendre
+from mspde.mesh import Partition1D, gauss_legendre
 from mspde.problems import linear_wave, nls, nonlinear_wave
-from mspde.solver import SchemeVariant, SolverConfig, run_simulation
+from mspde.solver import SchemeVariant, SlabAssembler, SolverConfig, run_simulation
+from mspde.spaces import SlabCoefficients, SpatialSpace, TemporalSlab
 
 
 def short_run(variant=SchemeVariant.CG_PRIMARY, factory=nonlinear_wave,
@@ -122,6 +123,24 @@ def test_dg_local_laws_on_nls():
         res = local_conservation_residuals(SchemeVariant.DG_PRIMARY, prob, coeffs)
         assert np.max(np.abs(res.energy)) < 1e-10
         assert np.max(np.abs(res.momentum)) < 1e-10
+
+
+@pytest.mark.parametrize("variant", [SchemeVariant.CG_PRIMARY, SchemeVariant.DG_PRIMARY])
+@pytest.mark.parametrize("factory", [nonlinear_wave, nls])
+def test_local_laws_on_nonuniform_meshes(variant, factory):
+    # One slab on a random nonuniform periodic mesh of 12 elements: the slab
+    # (cg) and element (dg) laws must not depend on equal element widths.
+    prob = factory()
+    widths = np.random.default_rng(12).uniform(0.5, 1.5, 12)
+    nodes = np.concatenate([[0.0], np.cumsum(widths)]) * (prob.domain_length / widths.sum())
+    nodes[-1] = prob.domain_length
+    space = SpatialSpace(Partition1D(nodes, periodic=True), 2, variant.spatial_continuity)
+    asm = SlabAssembler(variant, prob, space, 1, 0.1)
+    z_nodes, _, _, _ = asm.solve_slab(space.project(prob.initial_state), None, 1e-12, 50)
+    coeffs = SlabCoefficients(TemporalSlab(0.0, 0.1, 1), space, z_nodes)
+    res = local_conservation_residuals(variant, prob, coeffs)
+    assert np.max(np.abs(res.momentum)) <= 1e-10
+    assert np.max(np.abs(res.energy)) <= 1e-10
 
 
 def test_bochner_error_zero_for_reproduced_state():

@@ -59,12 +59,12 @@ def reference_test(grid, space, basis_table, time_table, space_weights, time_wei
     return np.swapaxes(out, 1, 2)
 
 
-def flat_unknowns(space, d, q1, offset):
+def flat_unknowns(space, d, q1):
     """Flat (c, dof, a) unknown indices of each element, shape (M, D*(p+1)*q1)."""
     comp = np.arange(d)[None, :, None, None] * space.dof_count
     local = space.element_dofs[:, None, :, None]
     flat = (comp + local) * q1 + np.arange(q1)[None, None, None, :]
-    return offset + flat.reshape(len(flat), -1)
+    return flat.reshape(len(flat), -1)
 
 
 @pytest.mark.parametrize("variant,q,p", CASES)
@@ -87,24 +87,16 @@ def test_spacetime_eval_matches_einsum(variant, q, p):
     test_nodes = rng.standard_normal((d, space.dof_count, q + 1))
     assert_close(spacetime_eval(test_nodes, space, asm.B, asm.Ts),
                  reference_eval(test_nodes, space, asm.B, asm.Ts))
-    if asm.aux_space is not None:
-        aux = rng.standard_normal((d, asm.aux_space.dof_count, q + 2))
-        assert_close(spacetime_eval(aux, asm.aux_space, asm.Bdg, asm.Tt),
-                     reference_eval(aux, asm.aux_space, asm.Bdg, asm.Tt))
 
 
 @pytest.mark.parametrize("variant,q,p", CASES)
 def test_spacetime_test_matches_einsum(variant, q, p):
     asm, rng = assembler(variant, q, p, seed=20 + 10 * q + p)
-    d, weights = asm.problem.D, asm.rule_x.weights
-    pairs = [(asm.space, asm.B)]
-    if asm.aux_space is not None:
-        pairs.append((asm.aux_space, asm.Bdg))
-    for space, table in pairs:
-        grid = rng.standard_normal((d, len(asm.rule_t), space.partition.element_count,
-                                    len(asm.rule_x)))
-        assert_close(spacetime_test(grid, space, table, asm.Ts, weights, asm.wt),
-                     reference_test(grid, space, table, asm.Ts, weights, asm.wt))
+    space, weights = asm.space, asm.rule_x.weights
+    grid = rng.standard_normal((asm.problem.D, len(asm.rule_t),
+                                space.partition.element_count, len(asm.rule_x)))
+    assert_close(spacetime_test(grid, space, asm.B, asm.Ts, weights, asm.wt),
+                 reference_test(grid, space, asm.B, asm.Ts, weights, asm.wt))
 
 
 @pytest.mark.parametrize("variant,q,p", CASES)
@@ -114,19 +106,14 @@ def test_hessian_block_matches_einsum(variant, q, p):
     nodes = rng.uniform(-1.0, 1.0, (d, space.dof_count, q + 2))
     zgrid = reference_eval(nodes, space, asm.B, asm.Tt)
 
-    if asm.aux_space is None:
-        row_space, row_table, offset = space, asm.B, 0
-    else:
-        row_space, row_table, offset = asm.aux_space, asm.Bdg, asm.n_z
     hess = asm.problem.hess_s(np.moveaxis(zgrid, 0, -1))
     wx = space.partition.widths[:, None] * asm.rule_x.weights[None, :]
-    vals = np.einsum("gmhcd,kh,lh,ag,bg,g,mh->mckadlb", hess, row_table, asm.B,
+    vals = np.einsum("gmhcd,kh,lh,ag,bg,g,mh->mckadlb", hess, asm.B, asm.B,
                      asm.Ts, asm.Tt[1:], asm.wt, wx)
-    rows = flat_unknowns(row_space, d, q1, offset)
-    cols = flat_unknowns(space, d, q1, 0)
+    dofs = flat_unknowns(space, d, q1)
     expected = np.zeros((asm.size, asm.size))
-    np.add.at(expected, (rows[:, :, None], cols[:, None, :]),
-              vals.reshape(len(rows), rows.shape[1], cols.shape[1]))
+    np.add.at(expected, (dofs[:, :, None], dofs[:, None, :]),
+              vals.reshape(len(dofs), dofs.shape[1], dofs.shape[1]))
 
     assert_close(asm._hessian_block(zgrid).toarray(), expected)
 
