@@ -2,7 +2,7 @@
 
 Everything is emitted as CSV (RFC-4180 style, '.' decimal separator, 17
 significant digits) so outputs are diffable and byte-reproducible for a
-given configuration and seed.
+given configuration.
 
 Exit codes: 0 success, 1 solver failure, 2 invalid configuration.
 """
@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=int, default=1)
         p.add_argument("--T", type=float, default=1.0)
         p.add_argument("--out", default="out")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None,
                        help="key=value file; command-line flags override it")
         p.add_argument("--newton-tol", type=float, default=1e-12)
@@ -95,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _CONFIG_TYPES = {
     "q": int, "p": int, "dt": float, "dx": float, "T": float, "imin": int,
-    "imax": int, "seed": int, "snapshots": int, "hscale": float,
+    "imax": int, "snapshots": int, "hscale": float,
     "newton_tol": float,
 }
 

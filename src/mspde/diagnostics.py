@@ -26,8 +26,7 @@ from .spaces import (
     l2_project_spacetime,
     spacetime_eval,
 )
-from .solver import SchemeVariant, Trajectory
-from .spatial_ops import apply_g
+from .solver import SchemeVariant, Trajectory, field_on_grid, scheme_derivative
 
 __all__ = [
     "InvariantSeries",
@@ -47,12 +46,21 @@ __all__ = [
 # -- pointwise densities -------------------------------------------------------
 
 
-def _derivative_coeffs(variant: SchemeVariant, space: SpatialSpace,
-                       spatial_coeffs: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Scheme derivative as coefficients (broken) or a flag to differentiate."""
-    if variant is SchemeVariant.DG_PRIMARY:
-        return apply_g(space, spatial_coeffs), False
-    return spatial_coeffs, True
+def _form(a: np.ndarray, matrix: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise bilinear form a . matrix b over the leading component axis."""
+    return np.einsum("c...,cd,d...->...", a, matrix, b)
+
+
+def _densities(problem: MultisymplecticProblem, z, dz, zt=None):
+    """(momentum density, momentum flux, energy density, energy flux) of fields
+    with the component axis first; the fluxes need z_t and are None without it."""
+    s = problem.s(np.moveaxis(z, 0, -1))
+    momentum_density = 0.5 * _form(dz, problem.K, z)
+    energy_density = 0.5 * _form(z, problem.L, dz) - s
+    if zt is None:
+        return momentum_density, None, energy_density, None
+    return (momentum_density, 0.5 * _form(z, problem.K, zt) - s,
+            energy_density, 0.5 * _form(zt, problem.L, z))
 
 
 def densities_fluxes(variant: SchemeVariant, problem: MultisymplecticProblem,
@@ -63,20 +71,9 @@ def densities_fluxes(variant: SchemeVariant, problem: MultisymplecticProblem,
     """
     space = coeffs.space
     spatial = coeffs.temporal_values(t)
-    spatial_t = coeffs.temporal_values(t, derivative_order=1)
-    z = np.stack([space.evaluate(spatial[c], x) for c in range(problem.D)], axis=-1)
-    zt = np.stack([space.evaluate(spatial_t[c], x) for c in range(problem.D)], axis=-1)
-    dcoeffs, differentiate = _derivative_coeffs(variant, space, spatial)
-    order = 1 if differentiate else 0
-    dz = np.stack([space.evaluate(dcoeffs[c], x, order) for c in range(problem.D)], axis=-1)
-
-    k, l = problem.K, problem.L
-    s = problem.s(z)
-    momentum_density = 0.5 * np.einsum("...c,cd,...d->...", dz, k, z)
-    momentum_flux = 0.5 * np.einsum("...c,cd,...d->...", z, k, zt) - s
-    energy_density = 0.5 * np.einsum("...c,cd,...d->...", z, l, dz) - s
-    energy_flux = 0.5 * np.einsum("...c,cd,...d->...", zt, l, z)
-    return momentum_density, momentum_flux, energy_density, energy_flux
+    dcoeffs, order = scheme_derivative(variant, space, spatial)
+    return _densities(problem, space.evaluate(spatial, x), space.evaluate(dcoeffs, x, order),
+                      space.evaluate(coeffs.temporal_values(t, derivative_order=1), x))
 
 
 # -- nodal invariant series ----------------------------------------------------
@@ -108,12 +105,8 @@ def _node_rule(problem: MultisymplecticProblem, space: SpatialSpace):
 
 def _nodal_quantities(variant, problem, space, state, rule):
     vals = space.eval_on_rule(state, rule)
-    dcoeffs, differentiate = _derivative_coeffs(variant, space, state)
-    dz = space.eval_on_rule(dcoeffs, rule, 1 if differentiate else 0)
-    pts = np.moveaxis(vals, 0, -1)
-    s = problem.s(pts)
-    momentum = 0.5 * np.einsum("cmg,cd,dmg->mg", dz, problem.K, vals)
-    energy = 0.5 * np.einsum("cmg,cd,dmg->mg", vals, problem.L, dz) - s
+    dcoeffs, order = scheme_derivative(variant, space, state)
+    momentum, _, energy, _ = _densities(problem, vals, space.eval_on_rule(dcoeffs, rule, order))
     mass = np.array([space.integrate(vals[c], rule) for c in range(problem.D)])
     return mass, space.integrate(momentum, rule), space.integrate(energy, rule)
 
@@ -139,9 +132,6 @@ class _SlabGrid:
     """Space-time quadrature samples of one solved slab."""
 
     def __init__(self, variant, problem, coeffs: SlabCoefficients):
-        self.variant = variant
-        self.problem = problem
-        self.coeffs = coeffs
         self.space = coeffs.space
         self.slab = coeffs.slab
         q, p = coeffs.slab.q, coeffs.space.degree
@@ -154,24 +144,14 @@ class _SlabGrid:
         self.tt = trial.tabulate(self.rule_t.points)
         self.dtt = trial.tabulate(self.rule_t.points, 1) / coeffs.slab.dt
         self.b = self.space.tabulate(self.rule_x.points)
-        self.db = self.space.tabulate(self.rule_x.points, 1)
+        db = self.space.tabulate(self.rule_x.points, 1)
         self.ends = self.space.tabulate([0.0, 1.0])
         self.wt = coeffs.slab.dt * self.rule_t.weights
 
         values = coeffs.values
-        self.z = spacetime_eval(values, self.space, self.b, self.tt)
-        self.zt = spacetime_eval(values, self.space, self.b, self.dtt)
-        if variant is SchemeVariant.DG_PRIMARY:
-            gz = apply_g(self.space, values, axis=1)
-            self.dz = spacetime_eval(gz, self.space, self.b, self.tt)
-            self.dz_t = spacetime_eval(gz, self.space, self.b, self.dtt)
-        else:
-            widths = self.space.partition.widths[:, None]
-            self.dz = spacetime_eval(values, self.space, self.db, self.tt) / widths
-            self.dz_t = spacetime_eval(values, self.space, self.db, self.dtt) / widths
-        pts = np.moveaxis(self.z, 0, -1)
-        self.s = problem.s(pts)
-        self.grad = np.moveaxis(problem.grad_s(pts), -1, 0)
+        self.z, self.dz = field_on_grid(variant, self.space, values, self.b, db, self.tt)
+        self.zt, self.dz_t = field_on_grid(variant, self.space, values, self.b, db, self.dtt)
+        self.grad = np.moveaxis(problem.grad_s(np.moveaxis(self.z, 0, -1)), -1, 0)
 
     def integrate(self, grid, per_element: bool = False):
         per_time = grid @ self.rule_x.weights                        # (nt, M)
@@ -189,6 +169,11 @@ class _SlabGrid:
         """Left/right limits at mesh nodes for all time points, (D, nt, M)."""
         ends = spacetime_eval(nodes, self.space, self.ends, time_table)   # (D, nt, M, 2)
         return np.roll(ends[..., 1], 1, axis=-1), ends[..., 0]
+
+    def node_difference(self, series) -> np.ndarray:
+        """Time integral of a node series (nt, M) at each element's upper node
+        less its lower node, per element."""
+        return self.wt @ (np.roll(series, -1, axis=-1) - series)
 
 
 @dataclass(eq=False)
@@ -210,31 +195,19 @@ def local_conservation_residuals(variant: SchemeVariant,
                                  coeffs: SlabCoefficients) -> LocalResiduals:
     grid = _SlabGrid(variant, problem, coeffs)
     k, l = problem.K, problem.L
+    z, zt, dz, dz_t = grid.z, grid.zt, grid.dz, grid.dz_t
 
     # d/dt of momentum and energy densities, pointwise on the grid.
-    g_t = 0.5 * (
-        np.einsum("cgmh,cd,dgmh->gmh", grid.dz_t, k, grid.z)
-        + np.einsum("cgmh,cd,dgmh->gmh", grid.dz, k, grid.zt)
-    )
-    e_t = 0.5 * (
-        np.einsum("cgmh,cd,dgmh->gmh", grid.zt, l, grid.dz)
-        + np.einsum("cgmh,cd,dgmh->gmh", grid.z, l, grid.dz_t)
-    ) - np.einsum("cgmh,cgmh->gmh", grid.grad, grid.zt)
-
-    w_field = np.einsum("cgmh,cgmh->gmh", grid.grad, grid.projected_derivative())
+    g_t = 0.5 * (_form(dz_t, k, z) + _form(dz, k, zt))
+    e_t = 0.5 * (_form(zt, l, dz) + _form(z, l, dz_t)) - np.sum(grid.grad * zt, axis=0)
+    w_field = np.sum(grid.grad * grid.projected_derivative(), axis=0)
 
     if variant is not SchemeVariant.DG_PRIMARY:
         # Laws are global in space; flux terms integrate to zero exactly and
-        # are carried along to keep the full statement in view.
-        zx_t = grid.dz_t  # elementwise derivative commutes with d/dt
-        flux_m_x = 0.5 * (
-            np.einsum("cgmh,cd,dgmh->gmh", grid.dz, k, grid.zt)
-            + np.einsum("cgmh,cd,dgmh->gmh", grid.z, k, zx_t)
-        )
-        flux_e_x = 0.5 * (
-            np.einsum("cgmh,cd,dgmh->gmh", zx_t, l, grid.z)
-            + np.einsum("cgmh,cd,dgmh->gmh", grid.zt, l, grid.dz)
-        )
+        # are carried along to keep the full statement in view.  The
+        # elementwise derivative commutes with d/dt, so Dz_t is (z_t)_x.
+        flux_m_x = 0.5 * (_form(dz, k, zt) + _form(z, k, dz_t))
+        flux_e_x = 0.5 * (_form(dz_t, l, z) + _form(zt, l, dz))
         momentum = grid.integrate(g_t + flux_m_x - w_field)
         energy = grid.integrate(e_t + flux_e_x)
         plain = grid.integrate(g_t + flux_m_x)
@@ -243,63 +216,33 @@ def local_conservation_residuals(variant: SchemeVariant,
     # Broken space: element-local laws with interface trace corrections.
     zl, zr = grid.traces(coeffs.values, grid.tt)
     ztl, ztr = grid.traces(coeffs.values, grid.dtt)
-    kz_l = np.einsum("cd,dgm->cgm", k, zl)
-    kz_r = np.einsum("cd,dgm->cgm", k, zr)
-    lz_l = np.einsum("cd,dgm->cgm", l, zl)
-    lz_r = np.einsum("cd,dgm->cgm", l, zr)
 
-    def node_series(a_l, a_r, b_l, b_r):
-        cross = 0.5 * (np.einsum("cgm,cgm->gm", a_l, b_r)
-                       + np.einsum("cgm,cgm->gm", a_r, b_l))
-        average = 0.5 * (np.einsum("cgm,cgm->gm", a_l, b_l)
-                         + np.einsum("cgm,cgm->gm", a_r, b_r))
-        return cross, average
-
-    def upper_minus_lower(series):
-        return np.roll(series, -1, axis=-1) - series
-
-    def time_integral(series):
-        return np.einsum("gm,g->m", series, grid.wt)
-
-    # Momentum law: d/dt G + G(F + S) - W = trace corrections.
-    cross_k, _ = node_series(ztl, ztr, kz_l, kz_r)
-    _, avg_fk = node_series(zl, zr, np.einsum("cd,dgm->cgm", k, ztl),
-                            np.einsum("cd,dgm->cgm", k, ztr))
-    flux_m = _elementwise_g_of_scalar(
-        grid, 0.5 * np.einsum("cgmh,cd,dgmh->gmh", grid.z, k, grid.zt),
-        0.5 * np.einsum("cgm,cgm->gm", zl, np.einsum("cd,dgm->cgm", k, ztl)),
-        0.5 * np.einsum("cgm,cgm->gm", zr, np.einsum("cd,dgm->cgm", k, ztr)),
-    )
-    lhs_m = grid.integrate(g_t - w_field, per_element=True) + flux_m
-    rhs_m = 0.5 * time_integral(upper_minus_lower(cross_k)) \
-        + 0.5 * time_integral(upper_minus_lower(avg_fk))
+    # Momentum law: d/dt G + G(F + S) - W = trace corrections, F + S = z . K z_t / 2.
+    fs_l, fs_r = 0.5 * _form(zl, k, ztl), 0.5 * _form(zr, k, ztr)
+    cross_k = 0.5 * (_form(ztl, k, zr) + _form(ztr, k, zl))
+    lhs_m = grid.integrate(g_t - w_field, per_element=True) \
+        + _elementwise_g_of_scalar(grid, fs_l, fs_r)
+    rhs_m = 0.5 * grid.node_difference(cross_k) + grid.node_difference(0.5 * (fs_l + fs_r))
     momentum = lhs_m - rhs_m
 
-    # Energy law: d/dt E + G(Ef) = trace corrections.
-    cross_l, avg_ef = node_series(ztl, ztr, lz_l, lz_r)
-    flux_e = _elementwise_g_of_scalar(
-        grid, 0.5 * np.einsum("cgmh,cd,dgmh->gmh", grid.zt, l, grid.z),
-        0.5 * np.einsum("cgm,cgm->gm", ztl, lz_l),
-        0.5 * np.einsum("cgm,cgm->gm", ztr, lz_r),
-    )
-    lhs_e = grid.integrate(e_t, per_element=True) + flux_e
-    rhs_e = 0.5 * time_integral(upper_minus_lower(avg_ef)) \
-        - 0.5 * time_integral(upper_minus_lower(cross_l))
+    # Energy law: d/dt E + G(Ef) = trace corrections, Ef = z_t . L z / 2.
+    ef_l, ef_r = 0.5 * _form(ztl, l, zl), 0.5 * _form(ztr, l, zr)
+    cross_l = 0.5 * (_form(ztl, l, zr) + _form(ztr, l, zl))
+    lhs_e = grid.integrate(e_t, per_element=True) + _elementwise_g_of_scalar(grid, ef_l, ef_r)
+    rhs_e = grid.node_difference(0.5 * (ef_l + ef_r)) - 0.5 * grid.node_difference(cross_l)
     energy = lhs_e - rhs_e
 
     plain = grid.integrate(g_t)
     return LocalResiduals(momentum, energy, float(plain))
 
 
-def _elementwise_g_of_scalar(grid: _SlabGrid, values, left, right) -> np.ndarray:
-    """Time integral of int_e G(F) dx for a sampled broken scalar F.
+def _elementwise_g_of_scalar(grid: _SlabGrid, left, right) -> np.ndarray:
+    """Time integral of int_e G(F) dx for a broken scalar F with these traces.
 
     By the local orthogonality identity this is {F}_upper - {F}_lower at
     each time, so only the traces enter.
     """
-    average = 0.5 * (left + right)
-    diff = np.roll(average, -1, axis=-1) - average
-    return np.einsum("gm,g->m", diff, grid.wt)
+    return grid.node_difference(0.5 * (left + right))
 
 
 # -- error norms and convergence -------------------------------------------------
@@ -411,8 +354,6 @@ def energy_stability_monitor(variant: SchemeVariant, problem: MultisymplecticPro
         z[..., 0] = u_grid
         return problem.s(z)
 
-    use_g = variant is SchemeVariant.DG_PRIMARY
-
     v2, w2, pot = [], [], []
     ux0_norm2 = None
     for n in range(trajectory.node_count):
@@ -420,15 +361,13 @@ def energy_stability_monitor(variant: SchemeVariant, problem: MultisymplecticPro
         vals = space.eval_on_rule(state, rule)
         v2.append(space.integrate(vals[1] ** 2, rule))
         pot.append(space.integrate(potential(vals[0]), rule))
-        if use_g:
-            slope = space.eval_on_rule(apply_g(space, state[0]), rule)
-        else:
-            proj = space.project_grid(space.eval_on_rule(state[0], rule, 1), rule)
-            slope = space.eval_on_rule(proj, rule)
+        # The slope is G(U) on broken spaces, the projection of U_x otherwise.
+        dcoeffs, order = scheme_derivative(variant, space, state[0])
+        du = space.eval_on_rule(dcoeffs, rule, order)
+        slope = space.eval_on_rule(space.project_grid(du, rule), rule) if order else du
         w2.append(space.integrate(slope**2, rule))
         if n == 0:
-            ux_raw = slope if use_g else space.eval_on_rule(state[0], rule, 1)
-            ux0_norm2 = space.integrate(ux_raw**2, rule)
+            ux0_norm2 = space.integrate(du**2, rule)
 
     bound = v2[0] + ux0_norm2 + pot[0]
     return StabilityMonitor(trajectory.times.copy(), np.array(v2), np.array(w2),
@@ -445,7 +384,6 @@ def auxiliary_identity_residual(trajectory: Trajectory) -> float:
     problem, space = trajectory.problem, trajectory.space
     if problem.D != 3:
         raise ValueError("the auxiliary identity is formulated for wave systems")
-    use_g = trajectory.variant is SchemeVariant.DG_PRIMARY
     gauss = gauss_legendre(trajectory.q + 1)
     rule = gauss_legendre(quadrature_order_policy(2 * space.degree))
 
@@ -453,9 +391,8 @@ def auxiliary_identity_residual(trajectory: Trajectory) -> float:
     for coeffs in trajectory.slabs:
         for s in gauss.points:
             spatial = coeffs.temporal_values(coeffs.slab.times(s))
-            if use_g:
-                target = apply_g(space, spatial[0])
-            else:
-                target = space.project_grid(space.eval_on_rule(spatial[0], rule, 1), rule)
+            target, order = scheme_derivative(trajectory.variant, space, spatial[0])
+            if order:
+                target = space.project_grid(space.eval_on_rule(target, rule, order), rule)
             worst = max(worst, float(np.max(np.abs(spatial[2] - target))))
     return worst

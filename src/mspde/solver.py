@@ -41,6 +41,8 @@ __all__ = [
     "SlabAssembler",
     "run_simulation",
     "build_space",
+    "scheme_derivative",
+    "field_on_grid",
 ]
 
 logger = logging.getLogger(__name__)
@@ -111,6 +113,36 @@ def build_space(problem: MultisymplecticProblem, config: SolverConfig,
         )
     partition = uniform_partition(problem.domain_length, m, periodic=True)
     return SpatialSpace(partition, config.p, variant.spatial_continuity)
+
+
+def scheme_derivative(variant: SchemeVariant, space: SpatialSpace, coeffs: np.ndarray,
+                      axis: int = -1) -> tuple[np.ndarray, int]:
+    """Coefficients and x-derivative order whose evaluation is the scheme derivative Dz.
+
+    Dz is the average-flux derivative G on broken spaces (G's coefficients,
+    order 0) and the elementwise derivative otherwise (the field's own
+    coefficients, order 1).  ``axis`` is the dof axis of ``coeffs``.
+    """
+    if variant is SchemeVariant.DG_PRIMARY:
+        return apply_g(space, coeffs, axis=axis), 0
+    return coeffs, 1
+
+
+def field_on_grid(variant: SchemeVariant, space: SpatialSpace, nodes: np.ndarray,
+                  basis_table: np.ndarray, derivative_table: np.ndarray,
+                  time_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid values (D, nt, M, ns) of node coefficients (D, dofs, T) and of their Dz.
+
+    ``basis_table`` and ``derivative_table`` tabulate the reference basis and
+    its derivative on the same points; ``time_table`` is applied to both, so
+    a time-derivative table yields (z_t, Dz_t).
+    """
+    z = spacetime_eval(nodes, space, basis_table, time_table)
+    dcoeffs, order = scheme_derivative(variant, space, nodes, axis=1)
+    if order == 0:
+        return z, spacetime_eval(dcoeffs, space, basis_table, time_table)
+    return z, spacetime_eval(dcoeffs, space, derivative_table, time_table) \
+        / space.partition.widths[:, None]
 
 
 class SlabAssembler:
@@ -194,14 +226,8 @@ class SlabAssembler:
 
     def fields_on_grid(self, z_nodes: np.ndarray):
         """(Z, Z_t, DZ) on the assembly grid; DZ is the scheme's derivative."""
-        space = self.space
-        z = spacetime_eval(z_nodes, space, self.B, self.Tt)
-        zt = spacetime_eval(z_nodes, space, self.B, self.dTt / self.dt)
-        if self.variant is SchemeVariant.DG_PRIMARY:
-            dz = spacetime_eval(apply_g(space, z_nodes, axis=1), space, self.B, self.Tt)
-        else:
-            dz = spacetime_eval(z_nodes, space, self.dB, self.Tt) \
-                / space.partition.widths[:, None]
+        z, dz = field_on_grid(self.variant, self.space, z_nodes, self.B, self.dB, self.Tt)
+        zt = spacetime_eval(z_nodes, self.space, self.B, self.dTt / self.dt)
         return z, zt, dz
 
     def _pointwise_grad(self, zgrid: np.ndarray) -> np.ndarray:

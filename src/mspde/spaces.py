@@ -83,6 +83,7 @@ class SpatialSpace:
             self.element_dofs = (p + 1) * np.arange(m)[:, None] + np.arange(p + 1)[None, :]
         self._mass = None
         self._mass_cho = None
+        self._g = None  # sparse average-flux derivative, built by spatial_ops.g_operator
         self._tabulations: dict = {}
 
     # -- tabulation ---------------------------------------------------------

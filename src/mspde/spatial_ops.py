@@ -70,9 +70,6 @@ def node_traces(space: SpatialSpace, coeffs: np.ndarray) -> tuple[np.ndarray, np
     return left, right
 
 
-_G_CACHE_ATTR = "_g_operator_cache"
-
-
 def weak_g_matrix(space: SpatialSpace) -> scipy.sparse.csr_matrix:
     """Sparse weak form ``M G`` of the average-flux derivative on a broken space.
 
@@ -101,16 +98,13 @@ def g_operator(space: SpatialSpace) -> scipy.sparse.csr_matrix:
     The broken mass matrix is block diagonal, so G is the weak form times
     the element-local inverse mass blocks.
     """
-    cached = getattr(space, _G_CACHE_ATTR, None)
-    if cached is not None:
-        return cached
-    weak = weak_g_matrix(space)
-    n, dofs = space.dof_count, space.element_dofs
-    inverse = np.linalg.inv(space.reference_mass())
-    local = inverse[None, :, :] / space.partition.widths[:, None, None]
-    g = (assemble(dofs, dofs, local, (n, n)) @ weak).tocsr()
-    setattr(space, _G_CACHE_ATTR, g)
-    return g
+    if space._g is None:
+        weak = weak_g_matrix(space)
+        n, dofs = space.dof_count, space.element_dofs
+        inverse = np.linalg.inv(space.reference_mass())
+        local = inverse[None, :, :] / space.partition.widths[:, None, None]
+        space._g = (assemble(dofs, dofs, local, (n, n)) @ weak).tocsr()
+    return space._g
 
 
 def g_matrix(space: SpatialSpace) -> np.ndarray:

@@ -134,6 +134,19 @@ def test_config_file_merging(tmp_path):
     assert len(rows) == 3  # T=0.5 with dt=0.25
 
 
+def test_seed_is_a_verify_option_only(tmp_path):
+    # run and converge draw no random numbers, so they take no --seed flag
+    # and a config file may not set one either.
+    with pytest.raises(SystemExit) as flag:
+        main(["run", "--seed", "0", "--out", str(tmp_path)])
+    assert flag.value.code == 2
+    cfg = tmp_path / "seeded.cfg"
+    cfg.write_text("seed = 1\n")
+    with pytest.raises(SystemExit) as key:
+        main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert key.value.code == 2
+
+
 def test_verify_passes_with_default_seed(capsys):
     assert main(["verify", "--seed", "0"]) == 0
     output = capsys.readouterr().out

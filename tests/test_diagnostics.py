@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mspde.diagnostics import (
+    _node_rule,
     auxiliary_identity_residual,
     bochner_error,
     densities_fluxes,
@@ -14,7 +15,13 @@ from mspde.diagnostics import (
 )
 from mspde.mesh import Partition1D, gauss_legendre
 from mspde.problems import linear_wave, nls, nonlinear_wave
-from mspde.solver import SchemeVariant, SlabAssembler, SolverConfig, run_simulation
+from mspde.solver import (
+    SchemeVariant,
+    SlabAssembler,
+    SolverConfig,
+    Trajectory,
+    run_simulation,
+)
 from mspde.spaces import SlabCoefficients, SpatialSpace, TemporalSlab
 
 
@@ -141,6 +148,34 @@ def test_local_laws_on_nonuniform_meshes(variant, factory):
     res = local_conservation_residuals(variant, prob, coeffs)
     assert np.max(np.abs(res.momentum)) <= 1e-10
     assert np.max(np.abs(res.energy)) <= 1e-10
+
+
+@pytest.mark.parametrize("variant", [SchemeVariant.CG_PRIMARY, SchemeVariant.DG_PRIMARY])
+def test_pointwise_densities_integrate_to_the_invariant_series(variant):
+    # densities_fluxes at a temporal node, integrated with the invariant
+    # series' rule, gives that series' momentum and energy at the node.  The
+    # tolerance is relative to the integral of the density's magnitude, as
+    # the momentum is a cancelling integral (zero for the initial state).
+    prob = nls()
+    widths = np.random.default_rng(7).uniform(0.5, 1.5, 10)
+    nodes = np.concatenate([[0.0], np.cumsum(widths)]) * (prob.domain_length / widths.sum())
+    nodes[-1] = prob.domain_length
+    space = SpatialSpace(Partition1D(nodes, periodic=True), 2, variant.spatial_continuity)
+    z0 = space.project(prob.initial_state)
+    z_nodes, _, _, _ = SlabAssembler(variant, prob, space, 1, 0.1).solve_slab(
+        z0, None, 1e-12, 50)
+    coeffs = SlabCoefficients(TemporalSlab(0.0, 0.1, 1), space, z_nodes)
+    traj = Trajectory(prob, variant, space, 1, np.array([0.0, 0.1]), z0, [coeffs])
+    series = global_invariants(variant, prob, traj)
+    rule = _node_rule(prob, space)
+    xs = space.quad_points(rule)
+    for node, t in enumerate(series.times):
+        g, _, e, _ = densities_fluxes(variant, prob, coeffs, t, xs.ravel())
+        for density, total in ((g, series.momentum[node]), (e, series.energy[node])):
+            density = density.reshape(xs.shape)
+            scale = space.integrate(np.abs(density), rule)
+            integral = space.integrate(density, rule)
+            assert abs(integral - total) <= 1e-13 * scale, (node, integral, total)
 
 
 def test_bochner_error_zero_for_reproduced_state():

@@ -12,7 +12,7 @@ import pytest
 from mspde.diagnostics import bochner_error
 from mspde.mesh import Partition1D, gauss_legendre
 from mspde.problems import linear_wave, nls
-from mspde.solver import SchemeVariant, SlabAssembler, Trajectory
+from mspde.solver import SchemeVariant, SlabAssembler, Trajectory, field_on_grid
 from mspde.spaces import (
     SlabCoefficients,
     SpatialSpace,
@@ -73,16 +73,20 @@ def test_spacetime_eval_matches_einsum(variant, q, p):
     space, d = asm.space, asm.problem.D
     nodes = rng.standard_normal((d, space.dof_count, q + 2))
 
+    def reference_derivative(time_table):
+        if variant is SchemeVariant.DG_PRIMARY:
+            g_nodes = np.einsum("ij,cjt->cit", g_matrix(space), nodes)
+            return reference_eval(g_nodes, space, asm.B, time_table)
+        return reference_eval(nodes, space, asm.dB, time_table) \
+            / space.partition.widths[None, None, :, None]
+
     z, zt, dz = asm.fields_on_grid(nodes)
     assert_close(z, reference_eval(nodes, space, asm.B, asm.Tt))
     assert_close(zt, reference_eval(nodes, space, asm.B, asm.dTt) / asm.dt)
-    if variant is SchemeVariant.DG_PRIMARY:
-        g_nodes = np.einsum("ij,cjt->cit", g_matrix(space), nodes)
-        expected = reference_eval(g_nodes, space, asm.B, asm.Tt)
-    else:
-        expected = reference_eval(nodes, space, asm.dB, asm.Tt) \
-            / space.partition.widths[None, None, :, None]
-    assert_close(dz, expected)
+    assert_close(dz, reference_derivative(asm.Tt))
+    # The shared evaluation on a time-derivative table gives Dz_t.
+    _, dz_t = field_on_grid(variant, space, nodes, asm.B, asm.dB, asm.dTt)
+    assert_close(dz_t, reference_derivative(asm.dTt))
 
     test_nodes = rng.standard_normal((d, space.dof_count, q + 1))
     assert_close(spacetime_eval(test_nodes, space, asm.B, asm.Ts),
