@@ -77,9 +77,7 @@ def _projection_quality(rng) -> float:
         coeffs = space.project(f)
         rule = gauss_legendre(16)
         resid = space.eval_on_rule(coeffs, rule) - f(space.quad_points(rule))
-        b = space.tabulate(rule.points)
-        w = space.partition.widths[:, None] * rule.weights[None, :]
-        moments = space.scatter_add(np.einsum("mg,kg,mg->mk", resid, b, w))
+        moments = space.test_rows(resid, rule)
         worst = max(worst, float(np.max(np.abs(moments))))
         again = space.mass_solve(space.mass_matrix() @ coeffs)
         worst = max(worst, float(np.max(np.abs(again - coeffs))))

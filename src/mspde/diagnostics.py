@@ -217,32 +217,18 @@ def local_conservation_residuals(variant: SchemeVariant,
     zl, zr = grid.traces(coeffs.values, grid.tt)
     ztl, ztr = grid.traces(coeffs.values, grid.dtt)
 
-    # Momentum law: d/dt G + G(F + S) - W = trace corrections, F + S = z . K z_t / 2.
-    fs_l, fs_r = 0.5 * _form(zl, k, ztl), 0.5 * _form(zr, k, ztr)
+    # By the local orthogonality identity int_e G(F) equals {F}_upper - {F}_lower,
+    # which is also the average part of the interface trace correction; the
+    # flux terms G(F + S) and G(Ef) cancel against it, leaving the time
+    # derivative (and W) against the cross trace products.
     cross_k = 0.5 * (_form(ztl, k, zr) + _form(ztr, k, zl))
-    lhs_m = grid.integrate(g_t - w_field, per_element=True) \
-        + _elementwise_g_of_scalar(grid, fs_l, fs_r)
-    rhs_m = 0.5 * grid.node_difference(cross_k) + grid.node_difference(0.5 * (fs_l + fs_r))
-    momentum = lhs_m - rhs_m
-
-    # Energy law: d/dt E + G(Ef) = trace corrections, Ef = z_t . L z / 2.
-    ef_l, ef_r = 0.5 * _form(ztl, l, zl), 0.5 * _form(ztr, l, zr)
+    momentum = grid.integrate(g_t - w_field, per_element=True) \
+        - 0.5 * grid.node_difference(cross_k)
     cross_l = 0.5 * (_form(ztl, l, zr) + _form(ztr, l, zl))
-    lhs_e = grid.integrate(e_t, per_element=True) + _elementwise_g_of_scalar(grid, ef_l, ef_r)
-    rhs_e = grid.node_difference(0.5 * (ef_l + ef_r)) - 0.5 * grid.node_difference(cross_l)
-    energy = lhs_e - rhs_e
+    energy = grid.integrate(e_t, per_element=True) + 0.5 * grid.node_difference(cross_l)
 
     plain = grid.integrate(g_t)
     return LocalResiduals(momentum, energy, float(plain))
-
-
-def _elementwise_g_of_scalar(grid: _SlabGrid, left, right) -> np.ndarray:
-    """Time integral of int_e G(F) dx for a broken scalar F with these traces.
-
-    By the local orthogonality identity this is {F}_upper - {F}_lower at
-    each time, so only the traces enter.
-    """
-    return grid.node_difference(0.5 * (left + right))
 
 
 # -- error norms and convergence -------------------------------------------------

@@ -186,14 +186,10 @@ class SlabAssembler:
         ta1 = np.einsum("ag,bg,g->ab", self.Ts, self.dTt, self.rule_t.weights)
         self.ta0 = dt * np.einsum("ag,bg,g->ab", self.Ts, self.Tt, self.rule_t.weights)
 
-        mass = self._spatial_block(self.B, space.partition.widths[:, None, None])
-        if variant is SchemeVariant.DG_PRIMARY:
-            deriv = weak_g_matrix(space)
-        else:
-            # Widths cancel against the derivative jacobian.
-            deriv = self._spatial_block(self.dB, 1.0)
+        deriv = weak_g_matrix(space) if variant is SchemeVariant.DG_PRIMARY \
+            else space.derivative_operator()
         kron = scipy.sparse.kron
-        linear = (kron(problem.K, kron(mass, ta1[:, 1:]))
+        linear = (kron(problem.K, kron(space.mass_operator(), ta1[:, 1:]))
                   + kron(problem.L, kron(deriv, self.ta0[:, 1:])))
         self.linear_jacobian = linear.tocsc()
         self.jacobian_is_constant = problem.s_degree <= 2
@@ -214,13 +210,6 @@ class SlabAssembler:
         self._time_products = np.einsum(
             "ag,bg,g->abg", self.Ts, self.Tt[1:], self.wt).reshape(-1, nt)
         self._hess_dofs = self._flat_dofs()
-
-    def _spatial_block(self, col_table: np.ndarray, scale) -> scipy.sparse.csr_matrix:
-        """Reference integrals of basis x ``col_table`` products, times ``scale``
-        (a number or per-element (M, 1, 1) factors), summed over elements."""
-        ref = np.einsum("kg,lg,g->kl", self.B, col_table, self.rule_x.weights)
-        dofs = self.space.element_dofs
-        return assemble(dofs, dofs, scale * ref, (self.n, self.n))
 
     # -- grid evaluation ------------------------------------------------------
 

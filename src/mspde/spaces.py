@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .mesh import (
     LagrangeBasis,
@@ -82,7 +82,7 @@ class SpatialSpace:
             self.dof_count = m * (p + 1)
             self.element_dofs = (p + 1) * np.arange(m)[:, None] + np.arange(p + 1)[None, :]
         self._mass = None
-        self._mass_cho = None
+        self._mass_lu = None
         self._g = None  # sparse average-flux derivative, built by spatial_ops.g_operator
         self._tabulations: dict = {}
 
@@ -124,23 +124,42 @@ class SpatialSpace:
         b = self.tabulate(rule.points)
         return np.einsum("kg,lg,g->kl", b, b, rule.weights)
 
-    def mass_matrix(self) -> np.ndarray:
-        """Exactly integrated mass matrix (symmetric positive definite)."""
+    def mass_operator(self) -> scipy.sparse.csc_matrix:
+        """Sparse exactly integrated mass matrix, row i holding int u phi_i."""
         if self._mass is None:
             blocks = self.partition.widths[:, None, None] * self.reference_mass()
-            n = self.dof_count
-            self._mass = assemble(self.element_dofs, self.element_dofs, blocks,
-                                  (n, n)).toarray()
+            self._mass = self._assemble(blocks).tocsc()
         return self._mass
 
+    def mass_matrix(self) -> np.ndarray:
+        """Dense copy of :meth:`mass_operator`, for dense algebra on small meshes."""
+        return self.mass_operator().toarray()
+
+    def derivative_operator(self) -> scipy.sparse.csr_matrix:
+        """Sparse elementwise weak derivative, row i holding int u_x phi_i.
+
+        Widths cancel against the derivative jacobian.
+        """
+        rule = gauss_legendre(quadrature_order_policy(max(2 * self.degree - 1, 0)))
+        b, db = self.tabulate(rule.points), self.tabulate(rule.points, 1)
+        return self._assemble(np.einsum("kg,lg,g->kl", b, db, rule.weights))
+
+    def _assemble(self, blocks) -> scipy.sparse.csr_matrix:
+        """Element blocks (M, p+1, p+1), or one shared block, summed on this space's dofs."""
+        return assemble(self.element_dofs, self.element_dofs, blocks,
+                        (self.dof_count, self.dof_count))
+
     def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve M x = rhs (rhs may carry leading axes; dof axis last)."""
-        if self._mass_cho is None:
-            self._mass_cho = scipy.linalg.cho_factor(self.mass_matrix())
+        """Solve M x = rhs (rhs may carry leading axes; dof axis last).
+
+        The sparse mass is factorised once; the broken mass is block
+        diagonal, so its factor has no fill.
+        """
+        if self._mass_lu is None:
+            self._mass_lu = scipy.sparse.linalg.splu(self.mass_operator())
         rhs = np.asarray(rhs, dtype=float)
         flat = rhs.reshape(-1, self.dof_count).T
-        sol = scipy.linalg.cho_solve(self._mass_cho, flat)
-        return sol.T.reshape(rhs.shape)
+        return self._mass_lu.solve(flat).T.reshape(rhs.shape)
 
     def quad_points(self, rule: QuadratureRule) -> np.ndarray:
         """Physical quadrature coordinates, shape (M, len(rule))."""
@@ -179,10 +198,13 @@ class SpatialSpace:
 
     def project_grid(self, grid_values: np.ndarray, rule: QuadratureRule) -> np.ndarray:
         """L2 projection of values sampled on the rule grid (..., M, len(rule))."""
+        return self.mass_solve(self.test_rows(grid_values, rule))
+
+    def test_rows(self, grid_values: np.ndarray, rule: QuadratureRule) -> np.ndarray:
+        """Rows int f phi_i (..., dofs) of values f sampled on the rule grid (..., M, len(rule))."""
         b = self.tabulate(rule.points)
         w = self.partition.widths[:, None] * rule.weights[None, :]
-        elem_rhs = np.einsum("...mg,kg,mg->...mk", np.asarray(grid_values), b, w)
-        return self.mass_solve(self.scatter_add(elem_rhs))
+        return self.scatter_add(np.einsum("...mg,kg,mg->...mk", np.asarray(grid_values), b, w))
 
     def integrate(self, grid_values: np.ndarray, rule: QuadratureRule) -> np.ndarray:
         """Integrate values sampled on the rule grid (..., M, len(rule)) over space."""

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .mesh import gauss_legendre, quadrature_order_policy
 from .spaces import SpatialSpace, assemble
 
 __all__ = [
@@ -57,39 +56,37 @@ def avg(trace: TraceValues) -> np.ndarray:
     return 0.5 * (np.asarray(trace.left_value) + np.asarray(trace.right_value))
 
 
+def _node_dofs(space: SpatialSpace) -> np.ndarray:
+    """Dofs (M, 2) of the left and of the right limit at each mesh node.
+
+    Node m sits between elements m-1 and m (periodic wrap at m = 0); the
+    nodal basis puts the limits on the last and first local dof.
+    """
+    dofs = space.element_dofs
+    return np.stack([np.roll(dofs[:, -1], 1), dofs[:, 0]], axis=1)
+
+
 def node_traces(space: SpatialSpace, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left and right limits at every mesh node, shapes (..., M).
 
-    Node m sits between elements m-1 and m (periodic wrap at m = 0).  For a
-    continuous space both limits coincide.
+    For a continuous space both limits coincide.
     """
-    coeffs = np.asarray(coeffs)
-    local = space.gather(coeffs)  # (..., M, p+1)
-    right = local[..., :, 0]
-    left = np.roll(local[..., :, -1], 1, axis=-1)
-    return left, right
+    traces = np.asarray(coeffs)[..., _node_dofs(space)]  # (..., M, 2)
+    return traces[..., 0], traces[..., 1]
 
 
 def weak_g_matrix(space: SpatialSpace) -> scipy.sparse.csr_matrix:
     """Sparse weak form ``M G`` of the average-flux derivative on a broken space.
 
-    Row i holds int G(U) . phi_i as a linear function of U's coefficients.
+    Row i holds int G(U) . phi_i as a linear function of U's coefficients:
+    the elementwise derivative plus the interface term -[U]_m {phi}_m at each
+    node m, on (left limit, right limit).
     """
     if space.continuity != "dg":
         raise ValueError("the average-flux derivative operator needs a broken space")
-    n, p = space.dof_count, space.degree
-    rule = gauss_legendre(quadrature_order_policy(2 * p - 1))
-    b = space.tabulate(rule.points)
-    db = space.tabulate(rule.points, derivative_order=1)
-    dofs = space.element_dofs
-    # Volume term: widths cancel against the derivative jacobian.
-    ref = np.einsum("kg,lg,g->kl", b, db, rule.weights)
-    volume = assemble(dofs, dofs, ref, (n, n))
-
-    # Interface term at node m, on (limit from below, limit from above):
-    # -[U]_m {phi}_m, with nodal basis traces on the first/last local dof.
-    pair = np.stack([np.roll(dofs[:, -1], 1), dofs[:, 0]], axis=1)
-    return volume + assemble(pair, pair, [[-0.5, 0.5], [-0.5, 0.5]], (n, n))
+    n, pair = space.dof_count, _node_dofs(space)
+    return space.derivative_operator() \
+        + assemble(pair, pair, [[-0.5, 0.5], [-0.5, 0.5]], (n, n))
 
 
 def g_operator(space: SpatialSpace) -> scipy.sparse.csr_matrix:
@@ -99,11 +96,9 @@ def g_operator(space: SpatialSpace) -> scipy.sparse.csr_matrix:
     the element-local inverse mass blocks.
     """
     if space._g is None:
-        weak = weak_g_matrix(space)
-        n, dofs = space.dof_count, space.element_dofs
         inverse = np.linalg.inv(space.reference_mass())
         local = inverse[None, :, :] / space.partition.widths[:, None, None]
-        space._g = (assemble(dofs, dofs, local, (n, n)) @ weak).tocsr()
+        space._g = (space._assemble(local) @ weak_g_matrix(space)).tocsr()
     return space._g
 
 
@@ -129,18 +124,13 @@ def weak_g_from_samples(space: SpatialSpace, grid_values: np.ndarray,
     node (..., M).  Used by the conservation diagnostics, where F is a
     product of fields with polynomial degree above the space's.
     """
-    b = space.tabulate(rule.points)
-    w = space.partition.widths[:, None] * rule.weights[None, :]
-    elem = np.einsum("...mg,kg,mg->...mk", np.asarray(grid_derivatives), b, w)
-    rhs = space.scatter_add(elem)
-
-    jumps = np.asarray(left_traces) - np.asarray(right_traces)
-    m = space.partition.element_count
-    for node in range(m):
-        l_dof = space.element_dofs[(node - 1) % m, -1]
-        r_dof = space.element_dofs[node, 0]
-        rhs[..., l_dof] -= 0.5 * jumps[..., node]
-        rhs[..., r_dof] -= 0.5 * jumps[..., node]
+    rhs = space.test_rows(grid_derivatives, rule)
+    # One accumulating scatter of -[F]_m {phi}_m: at degree 0 one dof is the
+    # right limit of node m and the left limit of node m+1.
+    half_jumps = 0.5 * (np.asarray(left_traces) - np.asarray(right_traces))
+    flat = rhs.reshape(-1, space.dof_count)
+    np.subtract.at(flat, (slice(None), _node_dofs(space).ravel()),
+                   np.repeat(half_jumps.reshape(len(flat), -1), 2, axis=-1))
     return space.mass_solve(rhs)
 
 

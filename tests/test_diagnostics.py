@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -295,3 +296,23 @@ def test_energy_law_across_degree_grid(variant, factory):
                 for coeffs in traj.slabs:
                     res = local_conservation_residuals(variant, prob, coeffs)
                     assert abs(float(np.max(np.abs(res.momentum)))) < 1e-9
+
+
+@pytest.mark.parametrize("variant", list(SchemeVariant))
+def test_run_and_diagnostics_need_no_dense_operator(variant, monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("dense spatial operator built on the run path")
+
+    monkeypatch.setattr(SpatialSpace, "mass_matrix", dense)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mspde") and hasattr(module, "g_matrix"):
+            monkeypatch.setattr(module, "g_matrix", dense)
+
+    prob, traj = short_run(variant, dx=0.25, t_final=0.2)
+    global_invariants(variant, prob, traj)
+    for coeffs in traj.slabs:
+        local_conservation_residuals(variant, prob, coeffs)
+    energy_stability_monitor(variant, prob, traj)
+    auxiliary_identity_residual(traj)
+    _, linear = short_run(variant, factory=linear_wave, dx=0.25, t_final=0.2)
+    bochner_error(linear)

@@ -1,7 +1,9 @@
-"""Factorised space-time kernels against the plain einsum contractions they replace.
+"""Factorised kernels and sparse operators against the plain dense computations they replace.
 
 Each reference below is the direct multi-operand ``np.einsum`` over the full
-(time basis) x (space basis) x (quadrature) index set.  Meshes are periodic
+(time basis) x (space basis) x (quadrature) index set; the sparse spatial
+operators are checked against dense einsum assemblies and the dense mass
+solve.  Meshes are periodic
 with elements of unequal width, so a width applied along the wrong axis
 shows; the tolerance is relative to the largest reference entry.
 """
@@ -20,7 +22,7 @@ from mspde.spaces import (
     spacetime_eval,
     spacetime_test,
 )
-from mspde.spatial_ops import g_matrix
+from mspde.spatial_ops import g_matrix, node_traces, weak_g_from_samples
 
 RTOL = 1e-13
 CASES = [(variant, q, p) for variant in SchemeVariant for q, p in [(0, 1), (1, 2), (2, 3)]]
@@ -57,6 +59,30 @@ def reference_test(grid, space, basis_table, time_table, space_weights, time_wei
     out = np.zeros(elem.shape[:2] + (space.dof_count,))
     np.add.at(out, (slice(None), slice(None), space.element_dofs), elem)
     return np.swapaxes(out, 1, 2)
+
+
+def reference_assembly(space, ref_blocks):
+    """Dense sum of element blocks (M, p+1, p+1) (or one shared block)."""
+    dofs = space.element_dofs
+    blocks = np.broadcast_to(ref_blocks, (len(dofs),) + dofs.shape[1:] * 2)
+    out = np.zeros((space.dof_count, space.dof_count))
+    np.add.at(out, (dofs[:, :, None], dofs[:, None, :]), blocks)
+    return out
+
+
+def reference_derivative_matrix(space, b, db, weights):
+    """Dense int u_x phi_i: elementwise volume term (widths cancel), plus the
+    average-flux interface term -[u]_m {phi}_m on broken spaces."""
+    out = reference_assembly(space, np.einsum("kg,lg,g->kl", b, db, weights))
+    if space.continuity == "dg":
+        m = space.partition.element_count
+        for node in range(m):
+            left = space.element_dofs[(node - 1) % m, -1]
+            right = space.element_dofs[node, 0]
+            for row in (left, right):
+                out[row, left] -= 0.5
+                out[row, right] += 0.5
+    return out
 
 
 def flat_unknowns(space, d, q1):
@@ -150,3 +176,52 @@ def test_bochner_error_matches_einsum(variant, q, p):
         expected.append(np.sqrt(accum))
 
     assert_close(bochner_error(traj), np.array(expected))
+
+
+@pytest.mark.parametrize("continuity,p", [("cg", 1), ("cg", 2), ("cg", 3),
+                                          ("dg", 0), ("dg", 1), ("dg", 2), ("dg", 3)])
+def test_mass_solve_matches_dense_solve(continuity, p):
+    rng = np.random.default_rng(80 + p + 10 * (continuity == "dg"))
+    space = nonuniform_space(rng, 1.0, 7, p, continuity)
+    rhs = rng.standard_normal((2, 3, space.dof_count))
+    expected = np.linalg.solve(space.mass_matrix(), rhs.reshape(-1, space.dof_count).T)
+    assert_close(space.mass_solve(rhs), expected.T.reshape(rhs.shape))
+
+
+@pytest.mark.parametrize("continuity,p", [(c, p) for c in ("cg", "dg") for p in (1, 2, 3)])
+def test_derivative_operator_matches_einsum(continuity, p):
+    rng = np.random.default_rng(100 + p + 10 * (continuity == "dg"))
+    space = nonuniform_space(rng, 1.0, 6, p, continuity)
+    rule = gauss_legendre(p + 2)
+    b, db = space.basis.tabulate(rule.points), space.basis.tabulate(rule.points, 1)
+    expected = reference_assembly(space, np.einsum("kg,lg,g->kl", b, db, rule.weights))
+    assert_close(space.derivative_operator().toarray(), expected)
+
+
+@pytest.mark.parametrize("variant,q,p", CASES)
+def test_linear_jacobian_matches_dense_kron(variant, q, p):
+    asm, _ = assembler(variant, q, p, seed=120 + 10 * q + p)
+    space, weights = asm.space, asm.rule_x.weights
+    mass = reference_assembly(
+        space, space.partition.widths[:, None, None]
+        * np.einsum("kg,lg,g->kl", asm.B, asm.B, weights))
+    deriv = reference_derivative_matrix(space, asm.B, asm.dB, weights)
+    ta1 = np.einsum("ag,bg,g->ab", asm.Ts, asm.dTt, asm.rule_t.weights)
+    ta0 = asm.dt * np.einsum("ag,bg,g->ab", asm.Ts, asm.Tt, asm.rule_t.weights)
+    expected = np.kron(asm.problem.K, np.kron(mass, ta1[:, 1:])) \
+        + np.kron(asm.problem.L, np.kron(deriv, ta0[:, 1:]))
+    assert_close(asm.linear_jacobian.toarray(), expected)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_weak_g_from_samples_matches_g_on_the_space(p):
+    # At degree 0 every dof is the right limit of one node and the left limit
+    # of the next, so both interface terms must accumulate on it.
+    rng = np.random.default_rng(140 + p)
+    space = nonuniform_space(rng, 1.0, 6, p, "dg")
+    u = rng.standard_normal((2, space.dof_count))
+    rule = gauss_legendre(p + 2)
+    left, right = node_traces(space, u)
+    sampled = weak_g_from_samples(space, space.eval_on_rule(u, rule),
+                                  space.eval_on_rule(u, rule, 1), left, right, rule)
+    assert_close(sampled, np.einsum("ij,cj->ci", g_matrix(space), u))

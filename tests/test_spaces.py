@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -247,3 +249,19 @@ def test_spacetime_projection_preserves_time_derivative_of_trial():
     ts = slab.test_basis.tabulate(rule_t.points)
     back = np.einsum("cmka,kh,ag->cgmh", coeffs[:, space.element_dofs, :], b, ts)
     assert back == pytest.approx(zt_grid, abs=1e-12)
+
+
+@pytest.mark.parametrize("continuity", ["cg", "dg"])
+def test_projection_memory_grows_linearly_with_elements(continuity):
+    # Linear growth gives a ratio near 4 between 800 and 200 elements; a dense
+    # n x n mass matrix gives about 16.
+    def peak(count):
+        f = lambda x: np.stack([np.sin(2 * np.pi * x), np.cos(2 * np.pi * x)], axis=-1)
+        tracemalloc.start()
+        try:
+            SpatialSpace(uniform_partition(1.0, count), 2, continuity).project(f)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(800) / peak(200) < 8.0
