@@ -202,9 +202,9 @@ def cmd_converge(args) -> int:
     errors, hs = [], []
     for i in levels:
         h = args.hscale * 2.0**-i
-        config = SolverConfig(q=args.q, p=args.p, dt=h, dx=h, t_final=args.T,
-                              newton_tolerance=args.newton_tol)
         try:
+            config = SolverConfig(q=args.q, p=args.p, dt=h, dx=h, t_final=args.T,
+                                  newton_tolerance=args.newton_tol)
             trajectory = run_simulation(variant, problem, config)
         except ValueError as exc:
             print(f"invalid configuration at level {i}: {exc}", file=sys.stderr)

@@ -18,15 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import LagrangeBasis, gauss_legendre, quadrature_order_policy
+from .mesh import gauss_legendre, quadrature_order_policy
 from .problems import MultisymplecticProblem
-from .spaces import (
-    SlabCoefficients,
-    SpatialSpace,
-    l2_project_spacetime,
-    spacetime_eval,
-)
-from .solver import SchemeVariant, Trajectory, field_on_grid, scheme_derivative
+from .spaces import SlabCoefficients, SlabGrid, SpatialSpace
+from .solver import SchemeVariant, Trajectory, field_on_grid, scheme_derivative, slab_rules
+from .spatial_ops import node_traces
 
 __all__ = [
     "InvariantSeries",
@@ -125,55 +121,7 @@ def global_invariants(variant: SchemeVariant, problem: MultisymplecticProblem,
                            tuple(problem.component_names))
 
 
-# -- slab grids for the conservation laws ---------------------------------------
-
-
-class _SlabGrid:
-    """Space-time quadrature samples of one solved slab."""
-
-    def __init__(self, variant, problem, coeffs: SlabCoefficients):
-        self.space = coeffs.space
-        self.slab = coeffs.slab
-        q, p = coeffs.slab.q, coeffs.space.degree
-        grad_deg = max(problem.s_degree - 1, 1)
-        self.rule_t = gauss_legendre(
-            quadrature_order_policy(max(2 * q + 2, grad_deg * (q + 1) + q + 1)))
-        self.rule_x = gauss_legendre(
-            quadrature_order_policy(max(2 * p, (grad_deg + 1) * p)))
-        trial = coeffs.slab.trial_basis
-        self.tt = trial.tabulate(self.rule_t.points)
-        self.dtt = trial.tabulate(self.rule_t.points, 1) / coeffs.slab.dt
-        self.b = self.space.tabulate(self.rule_x.points)
-        db = self.space.tabulate(self.rule_x.points, 1)
-        self.ends = self.space.tabulate([0.0, 1.0])
-        self.wt = coeffs.slab.dt * self.rule_t.weights
-
-        values = coeffs.values
-        self.z, self.dz = field_on_grid(variant, self.space, values, self.b, db, self.tt)
-        self.zt, self.dz_t = field_on_grid(variant, self.space, values, self.b, db, self.dtt)
-        self.grad = np.moveaxis(problem.grad_s(np.moveaxis(self.z, 0, -1)), -1, 0)
-
-    def integrate(self, grid, per_element: bool = False):
-        per_time = grid @ self.rule_x.weights                        # (nt, M)
-        elements = (self.wt @ per_time) * self.space.partition.widths
-        return elements if per_element else float(np.sum(elements))
-
-    def projected_derivative(self) -> np.ndarray:
-        """Test-space projection of Dz, evaluated back on the grid."""
-        coeffs = l2_project_spacetime(self.dz, self.slab, self.space,
-                                      self.rule_t, self.rule_x)
-        ts = self.slab.test_basis.tabulate(self.rule_t.points)
-        return spacetime_eval(coeffs, self.space, self.b, ts)
-
-    def traces(self, nodes, time_table) -> tuple[np.ndarray, np.ndarray]:
-        """Left/right limits at mesh nodes for all time points, (D, nt, M)."""
-        ends = spacetime_eval(nodes, self.space, self.ends, time_table)   # (D, nt, M, 2)
-        return np.roll(ends[..., 1], 1, axis=-1), ends[..., 0]
-
-    def node_difference(self, series) -> np.ndarray:
-        """Time integral of a node series (nt, M) at each element's upper node
-        less its lower node, per element."""
-        return self.wt @ (np.roll(series, -1, axis=-1) - series)
+# -- slab-local conservation laws ------------------------------------------------
 
 
 @dataclass(eq=False)
@@ -193,14 +141,19 @@ class LocalResiduals:
 def local_conservation_residuals(variant: SchemeVariant,
                                  problem: MultisymplecticProblem,
                                  coeffs: SlabCoefficients) -> LocalResiduals:
-    grid = _SlabGrid(variant, problem, coeffs)
+    space, slab, values = coeffs.space, coeffs.slab, coeffs.values
+    grid = SlabGrid(space, slab.q, slab.dt, *slab_rules(problem, space.degree, slab.q))
     k, l = problem.K, problem.L
-    z, zt, dz, dz_t = grid.z, grid.zt, grid.dz, grid.dz_t
+    dtt = grid.dTt / slab.dt
+    z, dz = field_on_grid(variant, grid, values, grid.Tt)
+    zt, dz_t = field_on_grid(variant, grid, values, dtt)
+    grad = np.moveaxis(problem.grad_s(np.moveaxis(z, 0, -1)), -1, 0)
 
-    # d/dt of momentum and energy densities, pointwise on the grid.
+    # d/dt of momentum and energy densities, pointwise on the grid; W pairs
+    # grad S with the test-space projection of Dz.
     g_t = 0.5 * (_form(dz_t, k, z) + _form(dz, k, zt))
-    e_t = 0.5 * (_form(zt, l, dz) + _form(z, l, dz_t)) - np.sum(grid.grad * zt, axis=0)
-    w_field = np.sum(grid.grad * grid.projected_derivative(), axis=0)
+    e_t = 0.5 * (_form(zt, l, dz) + _form(z, l, dz_t)) - np.sum(grad * zt, axis=0)
+    w_field = np.sum(grad * grid.eval(grid.project(dz), grid.Ts), axis=0)
 
     if variant is not SchemeVariant.DG_PRIMARY:
         # Laws are global in space; flux terms integrate to zero exactly and
@@ -214,8 +167,13 @@ def local_conservation_residuals(variant: SchemeVariant,
         return LocalResiduals(np.array(momentum), np.array(energy), plain)
 
     # Broken space: element-local laws with interface trace corrections.
-    zl, zr = grid.traces(coeffs.values, grid.tt)
-    ztl, ztr = grid.traces(coeffs.values, grid.dtt)
+    zl, zr = node_traces(space, np.swapaxes(values @ grid.Tt, 1, 2))    # (D, nt, M)
+    ztl, ztr = node_traces(space, np.swapaxes(values @ dtt, 1, 2))
+
+    def node_difference(series):
+        """Time integral of a node series (nt, M) at each element's upper node
+        less its lower node."""
+        return grid.wt @ (np.roll(series, -1, axis=-1) - series)
 
     # By the local orthogonality identity int_e G(F) equals {F}_upper - {F}_lower,
     # which is also the average part of the interface trace correction; the
@@ -223,9 +181,9 @@ def local_conservation_residuals(variant: SchemeVariant,
     # derivative (and W) against the cross trace products.
     cross_k = 0.5 * (_form(ztl, k, zr) + _form(ztr, k, zl))
     momentum = grid.integrate(g_t - w_field, per_element=True) \
-        - 0.5 * grid.node_difference(cross_k)
+        - 0.5 * node_difference(cross_k)
     cross_l = 0.5 * (_form(ztl, l, zr) + _form(ztr, l, zl))
-    energy = grid.integrate(e_t, per_element=True) + 0.5 * grid.node_difference(cross_l)
+    energy = grid.integrate(e_t, per_element=True) + 0.5 * node_difference(cross_l)
 
     plain = grid.integrate(g_t)
     return LocalResiduals(momentum, energy, float(plain))
@@ -234,7 +192,7 @@ def local_conservation_residuals(variant: SchemeVariant,
 # -- error norms and convergence -------------------------------------------------
 
 
-def bochner_error(trajectory: Trajectory, upto_node: int | None = None) -> np.ndarray:
+def bochner_error(trajectory: Trajectory) -> np.ndarray:
     """Accumulated space-time L2 error per component at each temporal node.
 
     Returns an array of shape (node_count, D) whose row n is the error over
@@ -244,30 +202,20 @@ def bochner_error(trajectory: Trajectory, upto_node: int | None = None) -> np.nd
     if problem.exact_solution is None:
         raise ValueError(f"problem {problem.label!r} has no exact solution")
     space = trajectory.space
-    rule_t = gauss_legendre(9)
-    rule_x = gauss_legendre(9)
-    b = space.tabulate(rule_x.points)
-    tt = LagrangeBasis.equispaced(trajectory.q + 1).tabulate(rule_t.points)
+    # A unit-length grid: each slab's integral is scaled by its own dt.
+    grid = SlabGrid(space, trajectory.q, 1.0, gauss_legendre(9), gauss_legendre(9))
     # x at the full (nt, M, ns) grid shape, so that an exact solution that
     # ignores t still returns one value per grid point.
-    xs = space.quad_points(rule_x)
-    xs = np.broadcast_to(xs, (len(rule_t),) + xs.shape)
-    # Reference time weights times physical space weights, one per grid point.
-    weights = (rule_t.weights[:, None, None] * space.partition.widths[:, None]
-               * rule_x.weights).ravel()
+    xs = space.quad_points(grid.rule_x)
+    xs = np.broadcast_to(xs, (len(grid.rule_t),) + xs.shape)
 
-    limit = trajectory.node_count if upto_node is None else upto_node + 1
-    accum = np.zeros(problem.D)
-    errors = np.zeros((limit, problem.D))
-    for n in range(1, limit):
-        coeffs = trajectory.slabs[n - 1]
-        zgrid = spacetime_eval(coeffs.values, space, b, tt)
-        times = coeffs.slab.times(rule_t.points)[:, None, None]
+    errors = np.zeros((trajectory.node_count, problem.D))
+    for n, coeffs in enumerate(trajectory.slabs, start=1):
+        times = coeffs.slab.times(grid.rule_t.points)[:, None, None]
         exact = np.moveaxis(problem.exact_solution(times, xs), -1, 0)
-        diff2 = ((zgrid - exact) ** 2).reshape(problem.D, -1)
-        accum = accum + coeffs.slab.dt * (diff2 @ weights)
-        errors[n] = np.sqrt(accum)
-    return errors
+        diff2 = (grid.eval(coeffs.values, grid.Tt) - exact) ** 2
+        errors[n] = errors[n - 1] + coeffs.slab.dt * grid.integrate(diff2)
+    return np.sqrt(errors)
 
 
 @dataclass(eq=False)

@@ -40,11 +40,6 @@ class QuadratureRule:
     def __len__(self):
         return self.points.size
 
-    def integrate(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Contract sampled values with the weights along ``axis``."""
-        values = np.asarray(values)
-        return np.tensordot(values, self.weights, axes=([axis], [0]))
-
 
 def gauss_legendre(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule on [0, 1]; exact for degree <= 2n - 1."""

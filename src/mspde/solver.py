@@ -21,16 +21,9 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .mesh import gauss_legendre, quadrature_order_policy, uniform_partition
+from .mesh import QuadratureRule, gauss_legendre, quadrature_order_policy, uniform_partition
 from .problems import MultisymplecticProblem
-from .spaces import (
-    SlabCoefficients,
-    SpatialSpace,
-    TemporalSlab,
-    assemble,
-    spacetime_eval,
-    spacetime_test,
-)
+from .spaces import SlabCoefficients, SlabGrid, SpatialSpace, TemporalSlab, assemble
 from .spatial_ops import apply_g, weak_g_matrix
 
 __all__ = [
@@ -41,6 +34,7 @@ __all__ = [
     "SlabAssembler",
     "run_simulation",
     "build_space",
+    "slab_rules",
     "scheme_derivative",
     "field_on_grid",
 ]
@@ -85,6 +79,8 @@ class SolverConfig:
             raise ValueError("newton_tolerance must be positive")
         if self.q < 0 or self.p < 1:
             raise ValueError("need q >= 0 and p >= 1")
+        if self.max_newton_iterations < 0:
+            raise ValueError("max_newton_iterations must be nonnegative")
         if min(self.dt, self.dx, self.t_final) <= 0.0:
             raise ValueError("dt, dx and t_final must be positive")
 
@@ -115,6 +111,20 @@ def build_space(problem: MultisymplecticProblem, config: SolverConfig,
     return SpatialSpace(partition, config.p, variant.spatial_continuity)
 
 
+def slab_rules(problem: MultisymplecticProblem, p: int,
+               q: int) -> tuple[QuadratureRule, QuadratureRule]:
+    """Time and space rules of every slab integral at spatial degree p, test degree q.
+
+    With g = max(deg S - 1, 1) the degree of grad S, the time rule is exact
+    to degree max(2q+1, g(q+1)+q) and the space rule to max(2p, (g+1)p):
+    enough for the scheme's rows, the local conservation-law integrands and
+    the test-space projection rows of polynomial densities.
+    """
+    g = max(problem.s_degree - 1, 1)
+    return (gauss_legendre(quadrature_order_policy(max(2 * q + 1, g * (q + 1) + q))),
+            gauss_legendre(quadrature_order_policy(max(2 * p, (g + 1) * p))))
+
+
 def scheme_derivative(variant: SchemeVariant, space: SpatialSpace, coeffs: np.ndarray,
                       axis: int = -1) -> tuple[np.ndarray, int]:
     """Coefficients and x-derivative order whose evaluation is the scheme derivative Dz.
@@ -128,56 +138,33 @@ def scheme_derivative(variant: SchemeVariant, space: SpatialSpace, coeffs: np.nd
     return coeffs, 1
 
 
-def field_on_grid(variant: SchemeVariant, space: SpatialSpace, nodes: np.ndarray,
-                  basis_table: np.ndarray, derivative_table: np.ndarray,
+def field_on_grid(variant: SchemeVariant, grid: SlabGrid, nodes: np.ndarray,
                   time_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Grid values (D, nt, M, ns) of node coefficients (D, dofs, T) and of their Dz.
 
-    ``basis_table`` and ``derivative_table`` tabulate the reference basis and
-    its derivative on the same points; ``time_table`` is applied to both, so
-    a time-derivative table yields (z_t, Dz_t).
+    ``time_table`` is applied to both, so a time-derivative table yields
+    (z_t, Dz_t).
     """
-    z = spacetime_eval(nodes, space, basis_table, time_table)
-    dcoeffs, order = scheme_derivative(variant, space, nodes, axis=1)
-    if order == 0:
-        return z, spacetime_eval(dcoeffs, space, basis_table, time_table)
-    return z, spacetime_eval(dcoeffs, space, derivative_table, time_table) \
-        / space.partition.widths[:, None]
+    dcoeffs, order = scheme_derivative(variant, grid.space, nodes, axis=1)
+    return grid.eval(nodes, time_table), grid.eval(dcoeffs, time_table, derivative_order=order)
 
 
-class SlabAssembler:
-    """Precomputed tables and constant blocks for one slab geometry.
+class SlabAssembler(SlabGrid):
+    """Slab grid plus the constant blocks of one slab geometry.
 
-    Reusable across slabs of equal length; quadrature orders follow the
-    integrand-degree policy, so every integral below is exact for the
-    shipped polynomial densities.
+    Reusable across slabs of equal length; the rules follow
+    :func:`slab_rules`, so every integral below is exact for the shipped
+    polynomial densities.
     """
 
     def __init__(self, variant: SchemeVariant, problem: MultisymplecticProblem,
                  space: SpatialSpace, q: int, dt: float):
         if variant.spatial_continuity != space.continuity:
             raise ValueError(f"{variant.value} requires a {variant.spatial_continuity} space")
+        super().__init__(space, q, dt, *slab_rules(problem, space.degree, q))
         self.variant = variant
         self.problem = problem
-        self.space = space
-        self.q = q
-        self.dt = dt
         d, p = problem.D, space.degree
-        grad_deg = max(problem.s_degree - 1, 1)
-
-        self.rule_t = gauss_legendre(
-            quadrature_order_policy(max(2 * q + 1, grad_deg * (q + 1) + q)))
-        self.rule_x = gauss_legendre(
-            quadrature_order_policy(max(2 * p, (grad_deg + 1) * p)))
-
-        trial = TemporalSlab(0.0, dt, q).trial_basis
-        test = TemporalSlab(0.0, dt, q).test_basis
-        self.Tt = trial.tabulate(self.rule_t.points)              # (q+2, nt)
-        self.dTt = trial.tabulate(self.rule_t.points, 1)          # reference derivative
-        self.Ts = test.tabulate(self.rule_t.points)               # (q+1, nt)
-        self.B = space.tabulate(self.rule_x.points)
-        self.dB = space.tabulate(self.rule_x.points, 1)
-        self.wt = dt * self.rule_t.weights
 
         self.n = space.dof_count
         self.size = d * self.n * (q + 1)
@@ -195,8 +182,7 @@ class SlabAssembler:
         self.jacobian_is_constant = problem.s_degree <= 2
         self._lu = None
 
-        # Broken space of the cg-momentum auxiliary field; it shares the
-        # reference basis, so ``B`` tabulates it too.
+        # Broken space of the cg-momentum auxiliary field.
         self.aux_space: SpatialSpace | None = None
         if variant is SchemeVariant.CG_MOMENTUM:
             self.aux_space = SpatialSpace(space.partition, p, "dg")
@@ -211,14 +197,6 @@ class SlabAssembler:
             "ag,bg,g->abg", self.Ts, self.Tt[1:], self.wt).reshape(-1, nt)
         self._hess_dofs = self._flat_dofs()
 
-    # -- grid evaluation ------------------------------------------------------
-
-    def fields_on_grid(self, z_nodes: np.ndarray):
-        """(Z, Z_t, DZ) on the assembly grid; DZ is the scheme's derivative."""
-        z, dz = field_on_grid(self.variant, self.space, z_nodes, self.B, self.dB, self.Tt)
-        zt = spacetime_eval(z_nodes, self.space, self.B, self.dTt / self.dt)
-        return z, zt, dz
-
     def _pointwise_grad(self, zgrid: np.ndarray) -> np.ndarray:
         pts = np.moveaxis(zgrid, 0, -1)
         return np.moveaxis(self.problem.grad_s(pts), -1, 0)
@@ -227,12 +205,11 @@ class SlabAssembler:
 
     def residual(self, z_nodes: np.ndarray) -> np.ndarray:
         """Flat residual over all test rows."""
-        z, zt, dz = self.fields_on_grid(z_nodes)
+        z, dz = field_on_grid(self.variant, self, z_nodes, self.Tt)
+        zt = self.eval(z_nodes, self.dTt / self.dt)
         k_zt = np.einsum("cd,dgmh->cgmh", self.problem.K, zt)
         l_dz = np.einsum("cd,dgmh->cgmh", self.problem.L, dz)
-        f = k_zt + l_dz - self._pointwise_grad(z)
-        return spacetime_test(f, self.space, self.B, self.Ts, self.rule_x.weights,
-                              self.wt).ravel()
+        return self.test(k_zt + l_dz - self._pointwise_grad(z)).ravel()
 
     def jacobian(self, z_nodes: np.ndarray) -> scipy.sparse.csc_matrix:
         """Exact sparse derivative of the flat residual w.r.t. the unknown nodes.
@@ -240,7 +217,7 @@ class SlabAssembler:
         The constant linear part less the state-dependent Hessian block; the
         sparse difference stores no entry that is exactly zero.
         """
-        z = spacetime_eval(z_nodes, self.space, self.B, self.Tt)
+        z = self.eval(z_nodes, self.Tt)
         return self.linear_jacobian - self._hessian_block(z)
 
     def _hessian_block(self, zgrid: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -275,7 +252,8 @@ class SlabAssembler:
                    tolerance: float, max_iterations: int):
         """Newton iteration from the constant-in-time extension of z_start.
 
-        For ``cg-momentum`` the auxiliary field, starting from aux_start, is
+        For ``cg-momentum`` the auxiliary field, starting from aux_start (or,
+        when that is None, from the projection of grad S(z_start)), is
         projected from the converged slab; otherwise it is None.
         """
         z_nodes = np.repeat(z_start[:, :, None], self.q + 2, axis=2)
@@ -314,17 +292,20 @@ class SlabAssembler:
                 self._lu = lu
         return lu.solve(-r)
 
-    def _project_auxiliary(self, z_nodes: np.ndarray, aux_start: np.ndarray) -> np.ndarray:
+    def _project_auxiliary(self, z_nodes: np.ndarray,
+                           aux_start: np.ndarray | None) -> np.ndarray:
         """Auxiliary nodes (D, broken dofs, q+2) of a solved slab.
 
-        Node 0 is aux_start; nodes 1..q+1 solve the projection rows
+        Node 0 is aux_start, or the broken-space projection of grad S(z) at
+        node 0 when aux_start is None; nodes 1..q+1 solve the projection rows
         int (a - grad S(z)) . psi tau = 0 for broken-space psi and degree-q
         tau, i.e. (mass x ta0) a = rows(grad S(z)): one broken mass solve,
         then one (q+1)-square temporal solve.
         """
-        z = spacetime_eval(z_nodes, self.space, self.B, self.Tt)
-        rows = spacetime_test(self._pointwise_grad(z), self.aux_space, self.B, self.Ts,
-                              self.rule_x.weights, self.wt)
+        if aux_start is None:
+            grad = self._pointwise_grad(self.space.eval_on_rule(z_nodes[:, :, 0], self.rule_x))
+            aux_start = self.aux_space.project_grid(grad, self.rule_x)
+        rows = self.test(self._pointwise_grad(self.eval(z_nodes, self.Tt)), self.aux_space)
         rhs = self.aux_space.mass_solve(np.swapaxes(rows, 1, 2)) \
             - self.ta0[:, :1] * aux_start[:, None, :]                  # (D, q+1, dofs)
         unknown = np.linalg.solve(self.ta0[:, 1:], rhs)
@@ -375,13 +356,7 @@ def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
     traj = Trajectory(problem, variant, space, config.q, times, z0)
 
     assemblers = {config.dt: SlabAssembler(variant, problem, space, config.q, config.dt)}
-    z_prev = z0
-    aux_prev = None
-    if variant is SchemeVariant.CG_MOMENTUM:
-        # Broken-space projection of grad S on the initial state.
-        first = assemblers[config.dt]
-        grad = first._pointwise_grad(space.eval_on_rule(z0, first.rule_x))
-        aux_prev = first.aux_space.project_grid(grad, first.rule_x)
+    z_prev, aux_prev = z0, None
 
     for index, dt in enumerate(slab_lengths):
         assembler = assemblers.get(dt)

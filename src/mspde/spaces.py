@@ -33,6 +33,7 @@ __all__ = [
     "eval_field",
     "spacetime_eval",
     "spacetime_test",
+    "SlabGrid",
 ]
 
 
@@ -284,10 +285,6 @@ class SlabCoefficients:
         if self.values.shape[1] != self.space.dof_count:
             raise ValueError("spatial dof count mismatch")
 
-    @property
-    def components(self) -> int:
-        return self.values.shape[0]
-
     def state_at_node(self, node: int) -> np.ndarray:
         return self.values[:, :, node]
 
@@ -355,6 +352,58 @@ def spacetime_test(grid: np.ndarray, space: SpatialSpace, basis_table: np.ndarra
     return np.swapaxes(space.scatter_add(rows), 1, 2)
 
 
+class SlabGrid:
+    """Space-time quadrature grid of one slab of length ``dt`` on ``space``.
+
+    Holds the rules, the trial table ``Tt`` and its reference derivative
+    ``dTt``, the test table ``Ts``, the spatial basis table ``B`` and its
+    derivative ``dB``, and the physical time weights ``wt``.  Every integral
+    over a slab (the scheme's rows, the local conservation laws, the
+    space-time projection, error norms) goes through one of these grids.
+    """
+
+    def __init__(self, space: SpatialSpace, q: int, dt: float,
+                 rule_t: QuadratureRule, rule_x: QuadratureRule):
+        slab = TemporalSlab(0.0, dt, q)
+        self.space, self.q, self.dt = space, q, dt
+        self.rule_t, self.rule_x = rule_t, rule_x
+        self.Tt = slab.trial_basis.tabulate(rule_t.points)             # (q+2, nt)
+        self.dTt = slab.trial_basis.tabulate(rule_t.points, 1)         # reference derivative
+        self.Ts = slab.test_basis.tabulate(rule_t.points)              # (q+1, nt)
+        self.B = space.tabulate(rule_x.points)
+        self.dB = space.tabulate(rule_x.points, 1)
+        self.wt = dt * rule_t.weights
+
+    def eval(self, nodes: np.ndarray, time_table: np.ndarray,
+             derivative_order: int = 0) -> np.ndarray:
+        """Grid values (D, nt, M, ns) of node coefficients (D, dofs, T), or of
+        their x-derivative at order 1."""
+        if derivative_order:
+            return spacetime_eval(nodes, self.space, self.dB, time_table) \
+                / self.space.partition.widths[:, None]
+        return spacetime_eval(nodes, self.space, self.B, time_table)
+
+    def test(self, grid: np.ndarray, space: SpatialSpace | None = None) -> np.ndarray:
+        """Test-space rows (D, dofs, q+1) of a grid field (D, nt, M, ns) on ``space``
+        (default: the grid's; any space on the grid's partition)."""
+        space = space or self.space
+        return spacetime_test(grid, space, space.tabulate(self.rule_x.points), self.Ts,
+                              self.rule_x.weights, self.wt)
+
+    def project(self, grid: np.ndarray) -> np.ndarray:
+        """Test-space L2 projection (D, dofs, q+1) of a grid field (D, nt, M, ns):
+        the test rows, one spatial mass solve, then one temporal mass solve."""
+        rhs = self.space.mass_solve(np.swapaxes(self.test(grid), 1, 2))  # (D, q+1, dofs)
+        tmass = (self.Ts * self.wt) @ self.Ts.T
+        return np.swapaxes(np.linalg.solve(tmass, rhs), 1, 2)
+
+    def integrate(self, grid: np.ndarray, per_element: bool = False) -> np.ndarray:
+        """Slab integral of grid values (..., nt, M, ns), or one per element (..., M)."""
+        per_time = np.asarray(grid) @ self.rule_x.weights              # (..., nt, M)
+        elements = (self.wt @ per_time) * self.space.partition.widths
+        return elements if per_element else np.sum(elements, axis=-1)
+
+
 def l2_project_spacetime(field, slab: TemporalSlab, space: SpatialSpace,
                          time_rule: QuadratureRule | None = None,
                          space_rule: QuadratureRule | None = None) -> np.ndarray:
@@ -364,23 +413,14 @@ def l2_project_spacetime(field, slab: TemporalSlab, space: SpatialSpace,
     pre-sampled grid of shape (D, nt, M, ns) matching the supplied rules.
     Returns coefficients of shape (D, dofs, q+1) against the slab test basis.
     """
-    if time_rule is None:
-        time_rule = gauss_legendre(quadrature_order_policy(QUADRATURE_NONPOLY))
-    if space_rule is None:
-        space_rule = gauss_legendre(quadrature_order_policy(QUADRATURE_NONPOLY))
+    nonpoly = gauss_legendre(quadrature_order_policy(QUADRATURE_NONPOLY))
+    grid = SlabGrid(space, slab.q, slab.dt, nonpoly if time_rule is None else time_rule,
+                    nonpoly if space_rule is None else space_rule)
     if callable(field):
-        times = slab.times(time_rule.points)
-        xs = space.quad_points(space_rule)
-        grid = np.stack(
-            [np.asarray(field(t, xs.ravel())).reshape(-1, *xs.shape) for t in times],
+        xs = space.quad_points(grid.rule_x)
+        field = np.stack(
+            [np.asarray(field(t, xs.ravel())).reshape(-1, *xs.shape)
+             for t in slab.times(grid.rule_t.points)],
             axis=1,
         )
-    else:
-        grid = np.asarray(field, dtype=float)
-    ts = slab.test_basis.tabulate(time_rule.points)
-    wt = slab.dt * time_rule.weights
-    rows = spacetime_test(grid, space, space.tabulate(space_rule.points), ts,
-                          space_rule.weights, wt)
-    rhs = space.mass_solve(np.swapaxes(rows, 1, 2))                  # (D, q+1, dofs)
-    tmass = (ts * wt) @ ts.T
-    return np.swapaxes(np.linalg.solve(tmass, rhs), 1, 2)
+    return grid.project(np.asarray(field, dtype=float))

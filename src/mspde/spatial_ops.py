@@ -31,7 +31,6 @@ __all__ = [
     "apply_g",
     "weak_g_from_samples",
     "broken_derivative",
-    "broken_space",
     "LocalBoundaryTerms",
     "local_g_boundary_terms",
 ]
@@ -132,11 +131,6 @@ def weak_g_from_samples(space: SpatialSpace, grid_values: np.ndarray,
     np.subtract.at(flat, (slice(None), _node_dofs(space).ravel()),
                    np.repeat(half_jumps.reshape(len(flat), -1), 2, axis=-1))
     return space.mass_solve(rhs)
-
-
-def broken_space(space: SpatialSpace, degree: int | None = None) -> SpatialSpace:
-    """Broken companion space on the same partition (default: same degree)."""
-    return SpatialSpace(space.partition, degree if degree is not None else space.degree, "dg")
 
 
 def broken_derivative(space: SpatialSpace, coeffs: np.ndarray):

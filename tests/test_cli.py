@@ -91,6 +91,8 @@ def test_invalid_config_exit_code(tmp_path):
     assert main(["run", "--dx", "-0.1", "--out", str(tmp_path)]) == 2
     assert main(["run", "--problem", "nls", "--dx", "0.3",
                  "--out", str(tmp_path)]) == 2
+    assert main(["converge", "--newton-tol", "0", "--out", str(tmp_path)]) == 2
+    assert main(["converge", "--hscale", "-1", "--out", str(tmp_path)]) == 2
 
 
 def test_solver_failure_exit_code(tmp_path):

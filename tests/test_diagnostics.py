@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from mspde import diagnostics
 from mspde.diagnostics import (
     _node_rule,
     auxiliary_identity_residual,
@@ -22,6 +23,7 @@ from mspde.solver import (
     SolverConfig,
     Trajectory,
     run_simulation,
+    slab_rules,
 )
 from mspde.spaces import SlabCoefficients, SpatialSpace, TemporalSlab
 
@@ -149,6 +151,27 @@ def test_local_laws_on_nonuniform_meshes(variant, factory):
     res = local_conservation_residuals(variant, prob, coeffs)
     assert np.max(np.abs(res.momentum)) <= 1e-10
     assert np.max(np.abs(res.energy)) <= 1e-10
+
+
+@pytest.mark.parametrize("variant", [SchemeVariant.CG_PRIMARY, SchemeVariant.DG_PRIMARY])
+@pytest.mark.parametrize("factory", [nonlinear_wave, nls])
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_local_laws_exact_on_the_shared_slab_rules(variant, factory, q, monkeypatch):
+    # The solver's slab rules integrate every local-law integrand exactly:
+    # one more point in time and in space moves no residual beyond roundoff.
+    prob, traj = short_run(variant, factory, q=q, dx=factory().domain_length / 10,
+                           t_final=0.1)
+    coeffs = traj.slabs[0]
+    shared = local_conservation_residuals(variant, prob, coeffs)
+
+    def richer(problem, p, q):
+        return tuple(gauss_legendre(len(rule) + 1) for rule in slab_rules(problem, p, q))
+
+    monkeypatch.setattr(diagnostics, "slab_rules", richer)
+    finer = local_conservation_residuals(variant, prob, coeffs)
+    for name in ("momentum", "energy", "plain_momentum"):
+        difference = np.abs(getattr(shared, name) - getattr(finer, name))
+        assert np.max(difference) <= 1e-14, (name, np.max(difference))
 
 
 @pytest.mark.parametrize("variant", [SchemeVariant.CG_PRIMARY, SchemeVariant.DG_PRIMARY])

@@ -17,6 +17,7 @@ from mspde.problems import linear_wave, nls
 from mspde.solver import SchemeVariant, SlabAssembler, Trajectory, field_on_grid
 from mspde.spaces import (
     SlabCoefficients,
+    SlabGrid,
     SpatialSpace,
     TemporalSlab,
     spacetime_eval,
@@ -106,12 +107,13 @@ def test_spacetime_eval_matches_einsum(variant, q, p):
         return reference_eval(nodes, space, asm.dB, time_table) \
             / space.partition.widths[None, None, :, None]
 
-    z, zt, dz = asm.fields_on_grid(nodes)
+    z, dz = field_on_grid(variant, asm, nodes, asm.Tt)
     assert_close(z, reference_eval(nodes, space, asm.B, asm.Tt))
-    assert_close(zt, reference_eval(nodes, space, asm.B, asm.dTt) / asm.dt)
     assert_close(dz, reference_derivative(asm.Tt))
+    assert_close(asm.eval(nodes, asm.dTt / asm.dt),
+                 reference_eval(nodes, space, asm.B, asm.dTt) / asm.dt)
     # The shared evaluation on a time-derivative table gives Dz_t.
-    _, dz_t = field_on_grid(variant, space, nodes, asm.B, asm.dB, asm.dTt)
+    _, dz_t = field_on_grid(variant, asm, nodes, asm.dTt)
     assert_close(dz_t, reference_derivative(asm.dTt))
 
     test_nodes = rng.standard_normal((d, space.dof_count, q + 1))
@@ -176,6 +178,26 @@ def test_bochner_error_matches_einsum(variant, q, p):
         expected.append(np.sqrt(accum))
 
     assert_close(bochner_error(traj), np.array(expected))
+
+
+@pytest.mark.parametrize("continuity,q,p", [(c, q, p) for c in ("cg", "dg")
+                                             for q, p in [(0, 1), (1, 2), (2, 3)]])
+def test_slab_grid_project_and_integrate_match_einsum(continuity, q, p):
+    rng = np.random.default_rng(160 + 10 * q + p + 100 * (continuity == "dg"))
+    space = nonuniform_space(rng, 1.0, 5, p, continuity)
+    grid = SlabGrid(space, q, 0.1, gauss_legendre(q + 3), gauss_legendre(p + 3))
+    values = rng.standard_normal((2, len(grid.rule_t), 5, len(grid.rule_x)))
+
+    # The projection solves (spatial mass x temporal mass) c = test rows.
+    rows = reference_test(values, space, grid.B, grid.Ts, grid.rule_x.weights, grid.wt)
+    tmass = np.einsum("ag,bg,g->ab", grid.Ts, grid.Ts, grid.wt)
+    flat = np.linalg.solve(np.kron(space.mass_matrix(), tmass), rows.reshape(2, -1).T)
+    assert_close(grid.project(values), flat.T.reshape(rows.shape))
+
+    wx = space.partition.widths[:, None] * grid.rule_x.weights[None, :]
+    per_element = np.einsum("cgmh,g,mh->cm", values, grid.wt, wx)
+    assert_close(grid.integrate(values, per_element=True), per_element)
+    assert_close(grid.integrate(values), per_element.sum(axis=1))
 
 
 @pytest.mark.parametrize("continuity,p", [("cg", 1), ("cg", 2), ("cg", 3),

@@ -39,6 +39,8 @@ def test_config_validation():
         SolverConfig(q=-1, p=1, dt=0.1, dx=0.1, t_final=1.0)
     with pytest.raises(ValueError):
         SolverConfig(q=0, p=0, dt=0.1, dx=0.1, t_final=1.0)
+    with pytest.raises(ValueError):
+        SolverConfig(q=0, p=1, dt=0.1, dx=0.1, t_final=1.0, max_newton_iterations=-1)
 
 
 def test_space_matches_requested_width():
@@ -269,6 +271,24 @@ def test_momentum_variant_auxiliary_field_solves_the_coupled_system():
                                          asm.wt)
         assert np.max(np.abs(projection_rows)) <= 1e-12
         assert np.max(np.abs(scheme_rows)) <= 1e-12
+
+
+def test_momentum_variant_projects_the_initial_auxiliary_field():
+    # Without an incoming auxiliary state, solve_slab starts the auxiliary
+    # field from the broken-space projection of grad S(z_start), as the
+    # first slab of a run does.
+    prob = nonlinear_wave()
+    config = SolverConfig(q=1, p=2, dt=0.1, dx=0.25, t_final=0.1)
+    traj = run_simulation(SchemeVariant.CG_MOMENTUM, prob, config)
+    asm = SlabAssembler(SchemeVariant.CG_MOMENTUM, prob, traj.space, config.q, config.dt)
+    z0 = traj.initial_coeffs
+    _, aux_nodes, _, _ = asm.solve_slab(z0, None, config.newton_tolerance,
+                                        config.max_newton_iterations)
+    zgrid = traj.space.eval_on_rule(z0, asm.rule_x)
+    grad = np.moveaxis(prob.grad_s(np.moveaxis(zgrid, 0, -1)), -1, 0)
+    expected = asm.aux_space.project_grid(grad, asm.rule_x)
+    assert np.array_equal(aux_nodes[:, :, 0], expected)
+    assert np.array_equal(traj.slabs[0].aux[:, :, 0], expected)
 
 
 def test_variant_space_mismatch_rejected():
