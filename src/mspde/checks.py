@@ -102,7 +102,7 @@ def _derivative_consistency(seed) -> float:
     for factory in (problems.linear_wave, problems.nonlinear_wave, problems.nls):
         report = problems.validate(factory(), seed=seed)
         worst = max(worst, report.gradient_residual, report.hessian_residual,
-                    report.hessian_asymmetry)
+                    report.hessian_asymmetry, report.hessian_outside_pattern)
     return worst
 
 
@@ -239,7 +239,7 @@ def _jacobian_fd(rng) -> float:
 
 def _perturb(asm, z, delta):
     zz = z.copy()
-    zz[:, :, 1:] += delta.reshape(z.shape[0], asm.space.dof_count, asm.q + 1)
+    zz[:, :, 1:] += asm.as_nodes(delta)
     return zz
 
 

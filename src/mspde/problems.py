@@ -34,6 +34,9 @@ class MultisymplecticProblem:
     orders).  ``exact_solution(t, x)`` and ``initial_state(x)`` are
     vectorised over x and return (..., D); ``t`` may be an array that
     broadcasts against x, e.g. (nt, 1, 1) times against an (nt, M, ns) x.
+    ``hessian_pattern`` is the D x D structural mask of ``hess_s``: entries
+    outside it are zero for every z, and the slab Jacobian stores none of
+    them.  It defaults to the full mask.
     """
 
     label: str
@@ -48,11 +51,15 @@ class MultisymplecticProblem:
     component_names: Sequence[str]
     initial_state: Callable
     exact_solution: Optional[Callable] = None
+    hessian_pattern: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "K", np.asarray(self.K, dtype=float))
         object.__setattr__(self, "L", np.asarray(self.L, dtype=float))
-        for name in ("K", "L"):
+        pattern = np.ones((self.D, self.D)) if self.hessian_pattern is None \
+            else self.hessian_pattern
+        object.__setattr__(self, "hessian_pattern", np.asarray(pattern, dtype=bool))
+        for name in ("K", "L", "hessian_pattern"):
             mat = getattr(self, name)
             if mat.shape != (self.D, self.D):
                 raise ValueError(f"{name} must be {self.D}x{self.D}")
@@ -101,6 +108,7 @@ def linear_wave() -> MultisymplecticProblem:
         component_names=("u", "v", "w"),
         initial_state=lambda x: exact(0.0, x),
         exact_solution=exact,
+        hessian_pattern=np.diag([False, True, True]),
     )
 
 
@@ -141,6 +149,7 @@ def nonlinear_wave() -> MultisymplecticProblem:
         component_names=("u", "v", "w"),
         initial_state=base.initial_state,
         exact_solution=None,
+        hessian_pattern=np.eye(3, dtype=bool),
     )
 
 
@@ -190,6 +199,8 @@ def nls() -> MultisymplecticProblem:
         h[..., 3, 3] = -1.0
         return h
 
+    pattern = np.eye(4, dtype=bool)
+    pattern[0, 1] = pattern[1, 0] = True  # (u, v) couple through |xi|^2
     length = 40.0
 
     def exact(t, x):
@@ -219,6 +230,7 @@ def nls() -> MultisymplecticProblem:
         component_names=("u", "v", "p", "q"),
         initial_state=lambda x: exact(0.0, x),
         exact_solution=exact,
+        hessian_pattern=pattern,
     )
 
 
@@ -247,6 +259,7 @@ class ValidationReport:
     gradient_residual: float
     hessian_residual: float
     hessian_asymmetry: float
+    hessian_outside_pattern: float
     pde_residual: float | None
 
     @property
@@ -257,6 +270,7 @@ class ValidationReport:
             self.gradient_residual <= 1e-6,
             self.hessian_residual <= 1e-6,
             self.hessian_asymmetry <= 1e-12,
+            self.hessian_outside_pattern == 0.0,
         ]
         if self.pde_residual is not None:
             checks.append(self.pde_residual <= 1e-8)
@@ -274,7 +288,7 @@ def _finite_difference_gradient(f, z, step):
 
 
 def validate(problem: MultisymplecticProblem, seed: int = 0, samples: int = 100) -> ValidationReport:
-    """Check skew-symmetry, derivative consistency, and the exact solution."""
+    """Check skew-symmetry, derivative consistency, the Hessian pattern, and the exact solution."""
     rng = np.random.default_rng(seed)
     skew_k = float(np.max(np.abs(problem.K + problem.K.T)))
     skew_l = float(np.max(np.abs(problem.L + problem.L.T)))
@@ -294,6 +308,7 @@ def validate(problem: MultisymplecticProblem, seed: int = 0, samples: int = 100)
     )
     hess_res = float(np.max(np.abs(hess - fd_hess))) / hess_scale
     hess_asym = float(np.max(np.abs(hess - np.swapaxes(hess, -1, -2)))) / hess_scale
+    outside = float(np.max(np.abs(hess[..., ~problem.hessian_pattern]), initial=0.0))
 
     pde_res = None
     if problem.exact_solution is not None:
@@ -319,5 +334,6 @@ def validate(problem: MultisymplecticProblem, seed: int = 0, samples: int = 100)
         gradient_residual=grad_res,
         hessian_residual=hess_res,
         hessian_asymmetry=hess_asym,
+        hessian_outside_pattern=outside,
         pde_residual=pde_res,
     )

@@ -23,7 +23,7 @@ import scipy.sparse.linalg
 
 from .mesh import QuadratureRule, gauss_legendre, quadrature_order_policy, uniform_partition
 from .problems import MultisymplecticProblem
-from .spaces import SlabCoefficients, SlabGrid, SpatialSpace, TemporalSlab, assemble
+from .spaces import SlabCoefficients, SlabGrid, SpatialSpace, TemporalSlab
 from .spatial_ops import apply_g, weak_g_matrix
 
 __all__ = [
@@ -173,13 +173,16 @@ class SlabAssembler(SlabGrid):
         ta1 = np.einsum("ag,bg,g->ab", self.Ts, self.dTt, self.rule_t.weights)
         self.ta0 = dt * np.einsum("ag,bg,g->ab", self.Ts, self.Tt, self.rule_t.weights)
 
+        # Unknowns are ordered (spatial dof, component, time), so the
+        # Jacobian is block-banded with periodic corner blocks.
         deriv = weak_g_matrix(space) if variant is SchemeVariant.DG_PRIMARY \
             else space.derivative_operator()
         kron = scipy.sparse.kron
-        linear = (kron(problem.K, kron(space.mass_operator(), ta1[:, 1:]))
-                  + kron(problem.L, kron(deriv, self.ta0[:, 1:])))
+        linear = (kron(space.mass_operator(), kron(problem.K, ta1[:, 1:]))
+                  + kron(deriv, kron(problem.L, self.ta0[:, 1:])))
         self.linear_jacobian = linear.tocsc()
         self.jacobian_is_constant = problem.s_degree <= 2
+        self._pattern = None  # (CSC linear part on the full pattern, Hessian index map)
         self._lu = None
 
         # Broken space of the cg-momentum auxiliary field.
@@ -187,15 +190,19 @@ class SlabAssembler(SlabGrid):
         if variant is SchemeVariant.CG_MOMENTUM:
             self.aux_space = SpatialSpace(space.partition, p, "dg")
 
-        # Sum-factorisation tables of the Hessian block: (row x column basis
-        # x space weight) products and (test x unknown trial x time weight)
-        # products, plus the flat unknown indices of each element block.
+        # Sum-factorisation tables of the Hessian block: the component pairs
+        # of the problem's Hessian pattern, (row x column basis x space
+        # weight) products and (test x unknown trial x time weight) products.
+        self._hessian_pairs = np.nonzero(problem.hessian_pattern)
         ns, nt = len(self.rule_x), len(self.rule_t)
         self._space_products = np.einsum(
             "kh,lh,h->hkl", self.B, self.B, self.rule_x.weights).reshape(ns, -1)
         self._time_products = np.einsum(
             "ag,bg,g->abg", self.Ts, self.Tt[1:], self.wt).reshape(-1, nt)
-        self._hess_dofs = self._flat_dofs()
+
+    def as_nodes(self, flat: np.ndarray) -> np.ndarray:
+        """View (D, dofs, q+1) of a flat vector over the unknowns or the test rows."""
+        return np.swapaxes(flat.reshape(self.n, self.problem.D, self.q + 1), 0, 1)
 
     def _pointwise_grad(self, zgrid: np.ndarray) -> np.ndarray:
         pts = np.moveaxis(zgrid, 0, -1)
@@ -204,47 +211,66 @@ class SlabAssembler(SlabGrid):
     # -- residual and jacobian -------------------------------------------------
 
     def residual(self, z_nodes: np.ndarray) -> np.ndarray:
-        """Flat residual over all test rows."""
+        """Flat residual over all test rows, ordered like the unknowns."""
         z, dz = field_on_grid(self.variant, self, z_nodes, self.Tt)
         zt = self.eval(z_nodes, self.dTt / self.dt)
         k_zt = np.einsum("cd,dgmh->cgmh", self.problem.K, zt)
         l_dz = np.einsum("cd,dgmh->cgmh", self.problem.L, dz)
-        return self.test(k_zt + l_dz - self._pointwise_grad(z)).ravel()
+        return np.swapaxes(self.test(k_zt + l_dz - self._pointwise_grad(z)), 0, 1).ravel()
 
     def jacobian(self, z_nodes: np.ndarray) -> scipy.sparse.csc_matrix:
         """Exact sparse derivative of the flat residual w.r.t. the unknown nodes.
 
-        The constant linear part less the state-dependent Hessian block; the
-        sparse difference stores no entry that is exactly zero.
+        The constant linear part less the state-dependent Hessian block,
+        written into a fixed pattern; the returned matrix owns its arrays.
         """
-        z = self.eval(z_nodes, self.Tt)
-        return self.linear_jacobian - self._hessian_block(z)
+        if self._pattern is None:
+            self._pattern = self._jacobian_pattern()
+        linear, hessian_map = self._pattern
+        jac = linear.copy()
+        jac.data -= np.bincount(hessian_map, weights=self._hessian_values(z_nodes),
+                                minlength=jac.nnz)
+        return jac
 
-    def _hessian_block(self, zgrid: np.ndarray) -> scipy.sparse.csr_matrix:
-        """Gradient-term derivative, (size, size).
+    def _hessian_values(self, z_nodes: np.ndarray) -> np.ndarray:
+        """Gradient-term derivative values, ordered (a, b, M, P, k, l) for the
+        P pairs of the problem's Hessian pattern.
 
         Sum-factorised: the pointwise Hessian is contracted over space
         quadrature first, then over time quadrature.
         """
-        hess = self.problem.hess_s(np.moveaxis(zgrid, 0, -1))  # (nt, M, ns, D, D)
-        nt, m, ns, d, _ = hess.shape
+        zgrid = self.eval(z_nodes, self.Tt)
+        hess = self.problem.hess_s(np.moveaxis(zgrid, 0, -1))[(...,) + self._hessian_pairs]
+        nt, m, ns, _ = hess.shape
         in_space = np.moveaxis(hess, 2, -1).reshape(-1, ns) @ self._space_products
         vals = self._time_products @ in_space.reshape(nt, -1)
-        q1 = self.q + 1
-        vals = vals.reshape(q1, q1, m, d, d, -1, len(self.B)) \
-            * self.space.partition.widths[:, None, None, None, None]  # (a, b, M, c, d, k, l)
-        vals = vals.transpose(2, 3, 5, 0, 4, 6, 1)           # (M, c, k, a, d, l, b)
-        dofs = self._hess_dofs
-        return assemble(dofs, dofs, vals.reshape(m, dofs.shape[1], dofs.shape[1]),
-                        (self.size, self.size))
+        return (vals.reshape(len(vals), m, -1) * self.space.partition.widths[:, None]).ravel()
 
-    def _flat_dofs(self) -> np.ndarray:
-        """Flat unknown indices (M, D*(p+1)*(q+1)) of each element, ordered (c, k, a)."""
-        q1 = self.q + 1
-        comp = np.arange(self.problem.D)[None, :, None, None] * self.n
-        flat = (comp + self.space.element_dofs[:, None, :, None]) * q1 \
-            + np.arange(q1)[None, None, None, :]
-        return flat.reshape(len(flat), -1)
+    def _jacobian_pattern(self) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
+        """The linear part on the CSC pattern of the whole Jacobian, and the
+        position in its ``data`` of each :meth:`_hessian_values` entry.
+
+        The pattern is the linear part's plus every element's Hessian block
+        on the pairs of the problem's Hessian pattern.
+        """
+        size = self.size
+        first, second = self._hessian_pairs
+        index = self.as_nodes(np.arange(size))[:, self.space.element_dofs]  # (D, M, p+1, q+1)
+        row = index[first].transpose(3, 1, 0, 2)                            # (a, M, P, k)
+        col = index[second].transpose(3, 1, 0, 2)                           # (b, M, P, l)
+        hessian_keys = (col[None, :, :, :, None, :] * size
+                        + row[:, None, :, :, :, None]).ravel()              # (a, b, M, P, k, l)
+
+        linear = self.linear_jacobian.tocoo()
+        linear_keys = linear.col.astype(np.int64) * size + linear.row
+        # Entry keys column * size + row, sorted and unique, are in CSC order.
+        keys = np.sort(np.concatenate([linear_keys, hessian_keys]))
+        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+        data = np.zeros(len(keys))
+        data[np.searchsorted(keys, linear_keys)] = linear.data
+        indptr = np.searchsorted(keys // size, np.arange(size + 1))
+        pattern = scipy.sparse.csc_matrix((data, keys % size, indptr), shape=(size, size))
+        return pattern, np.searchsorted(keys, hessian_keys)
 
     # -- newton ----------------------------------------------------------------
 
@@ -267,7 +293,7 @@ class SlabAssembler(SlabGrid):
             if iterations >= max_iterations:
                 break
             step = self._newton_step(z_nodes, r)
-            z_nodes[:, :, 1:] += step.reshape(self.problem.D, self.n, self.q + 1)
+            z_nodes[:, :, 1:] += self.as_nodes(step)
             iterations += 1
             scale = max(1.0, float(np.max(np.abs(z_nodes))))
             if float(np.max(np.abs(step))) <= 1e-14 * scale:
@@ -284,10 +310,20 @@ class SlabAssembler(SlabGrid):
             aux_nodes = self._project_auxiliary(z_nodes, aux_start)
         return z_nodes, aux_nodes, iterations, norm
 
+    def factorise(self, z_nodes: np.ndarray) -> scipy.sparse.linalg.SuperLU:
+        """Sparse LU of the Jacobian at z_nodes, columns ordered by COLAMD.
+
+        Without a column ordering (NATURAL) the banded nonlinear systems
+        factorise faster, but the linear wave's u rows have a structurally
+        zero diagonal, so row pivoting leaves the band and its many
+        back-solves slow down more than the nonlinear runs gain.
+        """
+        return scipy.sparse.linalg.splu(self.jacobian(z_nodes), permc_spec="COLAMD")
+
     def _newton_step(self, z_nodes, r):
         lu = self._lu
         if lu is None:
-            lu = scipy.sparse.linalg.splu(self.jacobian(z_nodes))
+            lu = self.factorise(z_nodes)
             if self.jacobian_is_constant:
                 self._lu = lu
         return lu.solve(-r)
@@ -317,7 +353,10 @@ class Trajectory:
     """Solved slabs plus the projected initial state.
 
     Consecutive slabs share their interface values exactly: node 0 of slab
-    n+1 is copied from node q+1 of slab n.
+    n+1 is copied from node q+1 of slab n.  ``newton_iterations`` and
+    ``final_residuals`` hold each slab's Newton iteration count and the
+    residual norm it was accepted at, which exceeds the Newton tolerance
+    only for a stalled slab accepted under the 10x rule.
     """
 
     problem: MultisymplecticProblem
@@ -328,6 +367,7 @@ class Trajectory:
     initial_coeffs: np.ndarray
     slabs: list[SlabCoefficients] = field(default_factory=list)
     newton_iterations: list[int] = field(default_factory=list)
+    final_residuals: list[float] = field(default_factory=list)
 
     @property
     def node_count(self) -> int:
@@ -378,6 +418,7 @@ def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
         traj.slabs.append(SlabCoefficients(slab, space, z_nodes, aux=aux_nodes,
                                            aux_space=assembler.aux_space))
         traj.newton_iterations.append(iters)
+        traj.final_residuals.append(norm)
         z_prev = z_nodes[:, :, -1]
         if aux_nodes is not None:
             aux_prev = aux_nodes[:, :, -1]

@@ -457,7 +457,7 @@ def test_criterion_11_oracle_suite():
 
 def _shift(asm, z, delta):
     zz = z.copy()
-    zz[:, :, 1:] += delta.reshape(z.shape[0], asm.space.dof_count, asm.q + 1)
+    zz[:, :, 1:] += asm.as_nodes(delta)
     return zz
 
 

@@ -87,10 +87,10 @@ def reference_derivative_matrix(space, b, db, weights):
 
 
 def flat_unknowns(space, d, q1):
-    """Flat (c, dof, a) unknown indices of each element, shape (M, D*(p+1)*q1)."""
-    comp = np.arange(d)[None, :, None, None] * space.dof_count
-    local = space.element_dofs[:, None, :, None]
-    flat = (comp + local) * q1 + np.arange(q1)[None, None, None, :]
+    """Flat (dof, c, a) unknown indices of each element, shape (M, (p+1)*D*q1)."""
+    local = space.element_dofs[:, :, None, None]
+    comp = np.arange(d)[None, None, :, None]
+    flat = (local * d + comp) * q1 + np.arange(q1)[None, None, None, :]
     return flat.reshape(len(flat), -1)
 
 
@@ -140,14 +140,14 @@ def test_hessian_block_matches_einsum(variant, q, p):
 
     hess = asm.problem.hess_s(np.moveaxis(zgrid, 0, -1))
     wx = space.partition.widths[:, None] * asm.rule_x.weights[None, :]
-    vals = np.einsum("gmhcd,kh,lh,ag,bg,g,mh->mckadlb", hess, asm.B, asm.B,
+    vals = np.einsum("gmhcd,kh,lh,ag,bg,g,mh->mkcaldb", hess, asm.B, asm.B,
                      asm.Ts, asm.Tt[1:], asm.wt, wx)
     dofs = flat_unknowns(space, d, q1)
     expected = np.zeros((asm.size, asm.size))
     np.add.at(expected, (dofs[:, :, None], dofs[:, None, :]),
               vals.reshape(len(dofs), dofs.shape[1], dofs.shape[1]))
 
-    assert_close(asm._hessian_block(zgrid).toarray(), expected)
+    assert_close(asm.linear_jacobian.toarray() - asm.jacobian(nodes).toarray(), expected)
 
 
 @pytest.mark.parametrize("variant,q,p", CASES)
@@ -230,8 +230,8 @@ def test_linear_jacobian_matches_dense_kron(variant, q, p):
     deriv = reference_derivative_matrix(space, asm.B, asm.dB, weights)
     ta1 = np.einsum("ag,bg,g->ab", asm.Ts, asm.dTt, asm.rule_t.weights)
     ta0 = asm.dt * np.einsum("ag,bg,g->ab", asm.Ts, asm.Tt, asm.rule_t.weights)
-    expected = np.kron(asm.problem.K, np.kron(mass, ta1[:, 1:])) \
-        + np.kron(asm.problem.L, np.kron(deriv, ta0[:, 1:]))
+    expected = np.kron(mass, np.kron(asm.problem.K, ta1[:, 1:])) \
+        + np.kron(deriv, np.kron(asm.problem.L, ta0[:, 1:]))
     assert_close(asm.linear_jacobian.toarray(), expected)
 
 

@@ -90,6 +90,28 @@ def test_validation_flags_broken_skew_symmetry():
     assert not report.passed
 
 
+def test_validation_flags_a_hessian_outside_its_pattern():
+    # NLS couples u and v in its Hessian; a diagonal mask would drop that
+    # block from the slab Jacobian.
+    import dataclasses
+
+    problem = nls()
+    assert validate(problem, seed=0).hessian_outside_pattern == 0.0
+    wrong = dataclasses.replace(problem, hessian_pattern=np.eye(4, dtype=bool))
+    report = validate(wrong, seed=0)
+    assert report.hessian_outside_pattern > 0.1
+    assert not report.passed
+
+
+def test_hessian_pattern_defaults_to_full_and_checks_its_shape():
+    import dataclasses
+
+    problem = linear_wave()
+    assert dataclasses.replace(problem, hessian_pattern=None).hessian_pattern.all()
+    with pytest.raises(ValueError):
+        dataclasses.replace(problem, hessian_pattern=np.ones((2, 2), dtype=bool))
+
+
 def test_problem_lookup():
     assert problem_by_label("nls").D == 4
     with pytest.raises(ValueError):
