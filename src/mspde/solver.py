@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -32,6 +33,8 @@ __all__ = [
     "SolverFailure",
     "Trajectory",
     "SlabAssembler",
+    "SlabFactor",
+    "SlabSolution",
     "run_simulation",
     "build_space",
     "slab_rules",
@@ -97,6 +100,48 @@ class SolverFailure(RuntimeError):
         self.residual_norm = residual_norm
         self.slab_index = slab_index
         self.partial: "Trajectory | None" = None
+
+
+@dataclass(frozen=True)
+class SlabFactor:
+    """Sparse LU of a slab Jacobian that solves in the unknown order.
+
+    ``lu`` factorises the Jacobian with its columns taken in the order
+    ``columns`` (unpermuted when None); :meth:`solve` maps the solution back.
+    """
+
+    lu: scipy.sparse.linalg.SuperLU
+    columns: np.ndarray | None = None
+
+    L = property(lambda self: self.lu.L)
+    U = property(lambda self: self.lu.U)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        solution = self.lu.solve(rhs)
+        if self.columns is None:
+            return solution
+        unpermuted = np.empty_like(solution)
+        unpermuted[self.columns] = solution
+        return unpermuted
+
+
+class SlabSolution(NamedTuple):
+    """One solved slab and the Newton work it took.
+
+    ``iterations`` and ``factorisations`` include those abandoned when a
+    predicted start was ``restarted`` from the constant extension.
+    """
+
+    z_nodes: np.ndarray
+    aux_nodes: np.ndarray | None
+    iterations: int
+    residual: float
+    factorisations: int
+    restarted: bool
+
+
+def _max_norm(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values))) if values.size else 0.0
 
 
 def build_space(problem: MultisymplecticProblem, config: SolverConfig,
@@ -183,7 +228,10 @@ class SlabAssembler(SlabGrid):
         self.linear_jacobian = linear.tocsc()
         self.jacobian_is_constant = problem.s_degree <= 2
         self._pattern = None  # (CSC linear part on the full pattern, Hessian index map)
+        self._columns = None  # the Jacobian's columns in COLAMD's order
+        self._ordering = None  # (data index, Jacobian) with the columns in that order
         self._lu = None
+        self._extrapolations = {}  # previous slab length -> trial table at this slab's nodes
 
         # Broken space of the cg-momentum auxiliary field.
         self.aux_space: SpatialSpace | None = None
@@ -274,30 +322,66 @@ class SlabAssembler(SlabGrid):
 
     # -- newton ----------------------------------------------------------------
 
+    def predict(self, previous: np.ndarray, dt_previous: float) -> np.ndarray:
+        """Nodes (D, dofs, q+2) of the previous slab's trial polynomial,
+        of length dt_previous, extrapolated to this slab's nodes.
+
+        The table is built once per previous slab length.
+        """
+        table = self._extrapolations.get(dt_previous)
+        if table is None:
+            basis = TemporalSlab(0.0, self.dt, self.q).trial_basis
+            table = basis.tabulate(1.0 + (self.dt / dt_previous) * basis.nodes)
+            self._extrapolations[dt_previous] = table
+        return previous @ table
+
     def solve_slab(self, z_start: np.ndarray, aux_start: np.ndarray | None,
-                   tolerance: float, max_iterations: int):
-        """Newton iteration from the constant-in-time extension of z_start.
+                   tolerance: float, max_iterations: int,
+                   guess: np.ndarray | None = None) -> SlabSolution:
+        """Newton iteration from z_start followed by nodes 1..q+1 of ``guess``,
+        or from the constant-in-time extension of z_start when there is no
+        guess (or no iteration allowed).
+
+        A guessed start takes at least one Newton step even when it already
+        meets the tolerance: accepting an extrapolation unstepped is an
+        explicit method and amplifies roundoff from slab to slab.  While the
+        iterates come from the guess, a step that leaves the residual's
+        max-norm above the tolerance and not below the previous one restarts
+        the slab from the constant extension; the abandoned iterations count
+        towards ``max_iterations`` and the totals.
 
         For ``cg-momentum`` the auxiliary field, starting from aux_start (or,
         when that is None, from the projection of grad S(z_start)), is
         projected from the converged slab; otherwise it is None.
         """
         z_nodes = np.repeat(z_start[:, :, None], self.q + 2, axis=2)
-        iterations, accepted = 0, False
-        for _ in range(max_iterations + 1):
-            r = self.residual(z_nodes)
-            norm = float(np.max(np.abs(r))) if r.size else 0.0
-            if norm <= tolerance:
+        guessed = guess is not None and max_iterations > 0
+        if guessed:
+            z_nodes[:, :, 1:] = guess[:, :, 1:]
+        iterations = factorisations = 0
+        restarted = accepted = False
+        r = self.residual(z_nodes)
+        norm = _max_norm(r)
+        while True:
+            if norm <= tolerance and not (guessed and iterations == 0):
                 accepted = True
                 break
             if iterations >= max_iterations:
                 break
-            step = self._newton_step(z_nodes, r)
+            step, factorised = self._newton_step(z_nodes, r)
             z_nodes[:, :, 1:] += self.as_nodes(step)
             iterations += 1
+            factorisations += factorised
+            r = self.residual(z_nodes)
+            previous, norm = norm, _max_norm(r)
+            if guessed and not (norm <= tolerance or norm < previous):
+                guessed, restarted = False, True
+                z_nodes[:, :, 1:] = z_start[:, :, None]
+                r = self.residual(z_nodes)
+                norm = _max_norm(r)
+                continue
             scale = max(1.0, float(np.max(np.abs(z_nodes))))
             if float(np.max(np.abs(step))) <= 1e-14 * scale:
-                norm = float(np.max(np.abs(self.residual(z_nodes))))
                 accepted = norm <= 10.0 * tolerance
                 break
         if not accepted:
@@ -308,25 +392,59 @@ class SlabAssembler(SlabGrid):
         aux_nodes = None
         if self.aux_space is not None:
             aux_nodes = self._project_auxiliary(z_nodes, aux_start)
-        return z_nodes, aux_nodes, iterations, norm
+        return SlabSolution(z_nodes, aux_nodes, iterations, norm, factorisations, restarted)
 
-    def factorise(self, z_nodes: np.ndarray) -> scipy.sparse.linalg.SuperLU:
+    def factorise(self, z_nodes: np.ndarray) -> SlabFactor:
         """Sparse LU of the Jacobian at z_nodes, columns ordered by COLAMD.
 
-        Without a column ordering (NATURAL) the banded nonlinear systems
-        factorise faster, but the linear wave's u rows have a structurally
-        zero diagonal, so row pivoting leaves the band and its many
-        back-solves slow down more than the nonlinear runs gain.
-        """
-        return scipy.sparse.linalg.splu(self.jacobian(z_nodes), permc_spec="COLAMD")
+        The pattern is fixed, so only the first call runs COLAMD; it keeps the
+        column order next to the pattern.  Later calls take the Jacobian's
+        entries in that column order through an index built on the second
+        call (so an assembler factorised once, as for a constant Jacobian,
+        holds no permuted copy) and factorise with ``NATURAL``: SuperLU gets
+        the matrix that COLAMD would give it and returns the same factors,
+        and :meth:`SlabFactor.solve` maps the solution back to the unknowns.
 
-    def _newton_step(self, z_nodes, r):
-        lu = self._lu
-        if lu is None:
-            lu = self.factorise(z_nodes)
-            if self.jacobian_is_constant:
-                self._lu = lu
-        return lu.solve(-r)
+        Without a column ordering the banded nonlinear systems factorise
+        faster, but the linear wave's u rows have a structurally zero
+        diagonal, so row pivoting leaves the band and its many back-solves
+        slow down more than the nonlinear runs gain.
+        """
+        if self._columns is None:
+            lu = scipy.sparse.linalg.splu(self.jacobian(z_nodes), permc_spec="COLAMD")
+            # SuperLU factorises the Jacobian times Pc, whose column perm_c[i]
+            # is the Jacobian's column i.  (The argsort is also a copy: perm_c
+            # is a view that would keep the whole factor alive.)
+            self._columns = np.argsort(lu.perm_c)
+            return SlabFactor(lu)
+        if self._ordering is None:
+            self._ordering = self._permuted_pattern(self._pattern[0], self._columns)
+        index, permuted = self._ordering
+        np.take(self.jacobian(z_nodes).data, index, out=permuted.data)
+        return SlabFactor(scipy.sparse.linalg.splu(permuted, permc_spec="NATURAL"), self._columns)
+
+    @staticmethod
+    def _permuted_pattern(matrix: scipy.sparse.csc_matrix,
+                          columns: np.ndarray) -> tuple[np.ndarray, scipy.sparse.csc_matrix]:
+        """``matrix`` with its columns taken in the order ``columns``, and the
+        position in ``matrix.data`` of each of its entries."""
+        counts = np.diff(matrix.indptr)[columns]
+        indptr = np.zeros_like(matrix.indptr)
+        np.cumsum(counts, out=indptr[1:])
+        index = np.repeat(matrix.indptr[columns] - indptr[:-1], counts) \
+            + np.arange(matrix.nnz, dtype=indptr.dtype)
+        permuted = scipy.sparse.csc_matrix((matrix.data[index], matrix.indices[index], indptr),
+                                           shape=matrix.shape)
+        return index, permuted
+
+    def _newton_step(self, z_nodes: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, int]:
+        """Newton step for residual r at z_nodes and the factorisations it took."""
+        if self._lu is not None:
+            return self._lu.solve(-r), 0
+        lu = self.factorise(z_nodes)
+        if self.jacobian_is_constant:
+            self._lu = lu
+        return lu.solve(-r), 1
 
     def _project_auxiliary(self, z_nodes: np.ndarray,
                            aux_start: np.ndarray | None) -> np.ndarray:
@@ -353,8 +471,10 @@ class Trajectory:
     """Solved slabs plus the projected initial state.
 
     Consecutive slabs share their interface values exactly: node 0 of slab
-    n+1 is copied from node q+1 of slab n.  ``newton_iterations`` and
-    ``final_residuals`` hold each slab's Newton iteration count and the
+    n+1 is copied from node q+1 of slab n.  Per slab, ``newton_iterations``
+    and ``factorisations`` count the Newton iterations and Jacobian
+    factorisations, ``restarted`` says whether its predicted start was
+    abandoned for the constant extension, and ``final_residuals`` holds the
     residual norm it was accepted at, which exceeds the Newton tolerance
     only for a stalled slab accepted under the 10x rule.
     """
@@ -368,6 +488,8 @@ class Trajectory:
     slabs: list[SlabCoefficients] = field(default_factory=list)
     newton_iterations: list[int] = field(default_factory=list)
     final_residuals: list[float] = field(default_factory=list)
+    factorisations: list[int] = field(default_factory=list)
+    restarted: list[bool] = field(default_factory=list)
 
     @property
     def node_count(self) -> int:
@@ -381,7 +503,14 @@ class Trajectory:
 
 def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
                    config: SolverConfig) -> Trajectory:
-    """Project the initial state, then advance slab by slab to t_final."""
+    """Project the initial state, then advance slab by slab to t_final.
+
+    On a nonlinear problem every slab after the first starts Newton from the
+    previous slab's trial polynomial extrapolated to its nodes (see
+    :meth:`SlabAssembler.predict`).  A linear problem's Newton iteration
+    takes one step from any start, so there the prediction would only cost
+    time and add the step's roundoff to steady states.
+    """
     space = build_space(problem, config, variant)
     z0 = space.project(lambda x: problem.initial_state(x))
 
@@ -396,30 +525,34 @@ def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
     traj = Trajectory(problem, variant, space, config.q, times, z0)
 
     assemblers = {config.dt: SlabAssembler(variant, problem, space, config.q, config.dt)}
-    z_prev, aux_prev = z0, None
+    z_prev, aux_prev, previous = z0, None, None
 
     for index, dt in enumerate(slab_lengths):
         assembler = assemblers.get(dt)
         if assembler is None:
             assembler = SlabAssembler(variant, problem, space, config.q, dt)
             assemblers[dt] = assembler
+        predicted = previous is not None and not assembler.jacobian_is_constant
+        guess = assembler.predict(*previous) if predicted else None
         try:
-            z_nodes, aux_nodes, iters, norm = assembler.solve_slab(
-                z_prev, aux_prev, config.newton_tolerance, config.max_newton_iterations)
+            solved = assembler.solve_slab(z_prev, aux_prev, config.newton_tolerance,
+                                          config.max_newton_iterations, guess)
         except SolverFailure as failure:
             traj.times = traj.times[: index + 1]
             error = SolverFailure(f"slab {index}: {failure}", failure.residual_norm, index)
             error.partial = traj
             raise error from failure
-        if norm > config.newton_tolerance:
+        if solved.residual > config.newton_tolerance:
             logger.warning("slab %d accepted at residual %.3e, above newton_tolerance %.3e",
-                           index, norm, config.newton_tolerance)
+                           index, solved.residual, config.newton_tolerance)
         slab = TemporalSlab(times[index], times[index + 1], config.q)
-        traj.slabs.append(SlabCoefficients(slab, space, z_nodes, aux=aux_nodes,
+        traj.slabs.append(SlabCoefficients(slab, space, solved.z_nodes, aux=solved.aux_nodes,
                                            aux_space=assembler.aux_space))
-        traj.newton_iterations.append(iters)
-        traj.final_residuals.append(norm)
-        z_prev = z_nodes[:, :, -1]
-        if aux_nodes is not None:
-            aux_prev = aux_nodes[:, :, -1]
+        traj.newton_iterations.append(solved.iterations)
+        traj.final_residuals.append(solved.residual)
+        traj.factorisations.append(solved.factorisations)
+        traj.restarted.append(solved.restarted)
+        z_prev, previous = solved.z_nodes[:, :, -1], (solved.z_nodes, dt)
+        if solved.aux_nodes is not None:
+            aux_prev = solved.aux_nodes[:, :, -1]
     return traj

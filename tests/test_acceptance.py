@@ -286,6 +286,28 @@ def test_criterion_06_nls_broken_odd_degree_momentum_defect():
     )
 
 
+def test_nls_stall_rule_accepts_no_slab_with_the_predictor():
+    # Counts the slabs that the 10x stall rule accepted above the default
+    # newton_tolerance (1e-12) on the eight runs of criteria 5 and 6.  With
+    # every slab started from the constant extension the count was 0 on each
+    # run; the predicted starts must not reach the rule more often.
+    accepted = {}
+    for variant in ("cg", "dg"):
+        for q in (0, 1):
+            for p in (1, 2):
+                _, _, traj = cached_run("nls", variant, q, p, 0.1, 0.4, 2.0 * np.pi)
+                accepted[(variant, q, p)] = sum(norm > 1e-12 for norm in traj.final_residuals)
+    assert accepted == dict.fromkeys(accepted, 0)
+
+
+def test_predictor_cuts_nls_dg_acceptance_iterations():
+    # 63 slabs: 189 iterations from the constant extension, 127 with the
+    # predictor, one factorisation each.
+    _, _, traj = cached_run("nls", "dg", 1, 2, 0.1, 0.4, 2.0 * np.pi)
+    assert sum(traj.newton_iterations) <= 130
+    assert traj.factorisations == traj.newton_iterations
+
+
 def test_odd_degree_momentum_instability_is_real():
     # Qualitative companion to the failing clause above: seeding the
     # derivative operator's null mode grows the momentum deviation for p=1

@@ -146,7 +146,7 @@ def test_local_laws_on_nonuniform_meshes(variant, factory):
     nodes[-1] = prob.domain_length
     space = SpatialSpace(Partition1D(nodes, periodic=True), 2, variant.spatial_continuity)
     asm = SlabAssembler(variant, prob, space, 1, 0.1)
-    z_nodes, _, _, _ = asm.solve_slab(space.project(prob.initial_state), None, 1e-12, 50)
+    z_nodes = asm.solve_slab(space.project(prob.initial_state), None, 1e-12, 50).z_nodes
     coeffs = SlabCoefficients(TemporalSlab(0.0, 0.1, 1), space, z_nodes)
     res = local_conservation_residuals(variant, prob, coeffs)
     assert np.max(np.abs(res.momentum)) <= 1e-10
@@ -186,8 +186,8 @@ def test_pointwise_densities_integrate_to_the_invariant_series(variant):
     nodes[-1] = prob.domain_length
     space = SpatialSpace(Partition1D(nodes, periodic=True), 2, variant.spatial_continuity)
     z0 = space.project(prob.initial_state)
-    z_nodes, _, _, _ = SlabAssembler(variant, prob, space, 1, 0.1).solve_slab(
-        z0, None, 1e-12, 50)
+    z_nodes = SlabAssembler(variant, prob, space, 1, 0.1).solve_slab(
+        z0, None, 1e-12, 50).z_nodes
     coeffs = SlabCoefficients(TemporalSlab(0.0, 0.1, 1), space, z_nodes)
     traj = Trajectory(prob, variant, space, 1, np.array([0.0, 0.1]), z0, [coeffs])
     series = global_invariants(variant, prob, traj)

@@ -3,6 +3,7 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from mspde.problems import linear_wave, nls, nonlinear_wave
 from mspde.solver import (
@@ -148,6 +149,29 @@ def test_nls_slab_factor_fill_stays_banded():
     assert lu.L.nnz + lu.U.nnz <= 150_000
 
 
+@pytest.mark.parametrize("factory,variant,dx", [
+    (nls, SchemeVariant.DG_PRIMARY, 0.4),
+    (nonlinear_wave, SchemeVariant.CG_PRIMARY, 0.05),
+    (linear_wave, SchemeVariant.DG_PRIMARY, 0.125),
+])
+def test_reused_ordering_steps_equal_fresh_colamd_steps(factory, variant, dx):
+    # Only an assembler's first factorisation runs COLAMD; later ones
+    # factorise the Jacobian's columns in that order with NATURAL.  Their
+    # Newton steps and fill must be a fresh COLAMD factorisation's.
+    asm, z = acceptance_assembler(factory, variant, dx)
+    assert asm.factorise(z).columns is None
+    assert asm._ordering is None
+    rng = np.random.default_rng(5)
+    for _ in range(2):
+        z = z + 0.01 * rng.standard_normal(z.shape)
+        r = asm.residual(z)
+        reused = asm.factorise(z)
+        fresh = scipy.sparse.linalg.splu(asm.jacobian(z), permc_spec="COLAMD")
+        assert reused.columns is not None
+        assert np.array_equal(reused.solve(-r), fresh.solve(-r))
+        assert reused.L.nnz + reused.U.nnz == fresh.L.nnz + fresh.U.nnz
+
+
 @pytest.mark.parametrize("variant,factory", [
     (SchemeVariant.CG_PRIMARY, nonlinear_wave),
     (SchemeVariant.DG_PRIMARY, nonlinear_wave),
@@ -182,8 +206,105 @@ def test_linear_problem_converges_in_one_iteration():
     assert all(n == 1 for n in traj.newton_iterations)
 
 
+def test_linear_problem_factorises_once_per_assembler(monkeypatch):
+    # dt does not divide t_final: six slabs of 0.15 and one of 0.1, two
+    # assemblers, one factorisation each, kept for every later slab.  One
+    # Newton step solves a linear slab from any start, so no slab is
+    # predicted.
+    monkeypatch.setattr(SlabAssembler, "predict", None)
+    prob = linear_wave()
+    config = SolverConfig(q=1, p=2, dt=0.15, dx=0.125, t_final=1.0)
+    traj = run_simulation(SchemeVariant.DG_PRIMARY, prob, config)
+    assert traj.factorisations == [1, 0, 0, 0, 0, 0, 1]
+    assert traj.newton_iterations == [1] * 7
+
+
+def test_nls_dg_predicted_slabs_take_fewer_factorisations():
+    # The NLS dg workload: 3 iterations from the constant extension on the
+    # first slab (9 for the run without the predictor), 2 from each
+    # predicted start; one factorisation per iteration.
+    config = SolverConfig(q=1, p=2, dt=0.1, dx=0.4, t_final=0.3)
+    traj = run_simulation(SchemeVariant.DG_PRIMARY, nls(), config)
+    assert traj.newton_iterations == [3, 2, 2]
+    assert traj.factorisations == traj.newton_iterations
+    assert traj.restarted == [False] * 3
+
+
+def test_predicted_slab_takes_at_least_one_step():
+    # A guess that already meets the tolerance (the solved slab itself, or
+    # the extrapolation of the zero steady state) still takes a Newton step.
+    prob = nonlinear_wave()
+    config = SolverConfig(q=1, p=2, dt=0.1, dx=0.25, t_final=0.1)
+    space = build_space(prob, config, SchemeVariant.CG_PRIMARY)
+    asm = SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, config.q, config.dt)
+    z0 = space.project(prob.initial_state)
+    solved = asm.solve_slab(z0, None, 1e-12, 50)
+    assert np.max(np.abs(asm.residual(solved.z_nodes))) <= 1e-12
+    again = asm.solve_slab(z0, None, 1e-12, 50, guess=solved.z_nodes)
+    assert (again.iterations, again.factorisations, again.restarted) == (1, 1, False)
+    assert again.residual <= 1e-12
+
+    zero = dataclasses.replace(prob, initial_state=lambda x: np.zeros(np.shape(x) + (3,)),
+                               exact_solution=None)
+    steady = run_simulation(SchemeVariant.CG_PRIMARY, zero,
+                            dataclasses.replace(config, t_final=1.0))
+    assert steady.newton_iterations[0] == 0
+    assert min(steady.newton_iterations[1:]) >= 1
+    assert not np.any(steady.state_at_node(steady.node_count - 1))
+
+
+def test_nls_coarse_dg_converges_through_the_restart():
+    # Criterion 7's coarsest dg run: Newton from the extrapolated start of
+    # slab 1 diverges, so the slab restarts from the constant extension and
+    # then repeats the constant-start solve exactly; the abandoned
+    # iterations stay in its count.
+    prob = nls()
+    config = SolverConfig(q=0, p=1, dt=1.6, dx=1.6, t_final=3.2)
+    traj = run_simulation(SchemeVariant.DG_PRIMARY, prob, config)
+    assert traj.restarted == [False, True]
+    assert max(traj.final_residuals) <= config.newton_tolerance
+    asm = SlabAssembler(SchemeVariant.DG_PRIMARY, prob, traj.space, config.q, config.dt)
+    fresh = asm.solve_slab(traj.state_at_node(1), None, config.newton_tolerance,
+                           config.max_newton_iterations)
+    assert traj.newton_iterations[1] > fresh.iterations
+    assert traj.factorisations[1] == traj.newton_iterations[1]
+    assert np.array_equal(traj.slabs[1].values, fresh.z_nodes)
+
+
+def test_short_final_slab_extrapolates_with_the_step_ratio(monkeypatch):
+    # The predictor of a 0.1 slab after 0.15 slabs evaluates the previous
+    # trial polynomial at 1 + (0.1 / 0.15) s: exact for a polynomial of
+    # the trial degree in time.
+    prob = nonlinear_wave()
+    config = SolverConfig(q=1, p=2, dt=0.15, dx=0.25, t_final=1.0)
+    calls = []
+    predict = SlabAssembler.predict
+
+    def recorded(self, previous, dt_previous):
+        calls.append((self.dt, dt_previous))
+        return predict(self, previous, dt_previous)
+
+    monkeypatch.setattr(SlabAssembler, "predict", recorded)
+    run_simulation(SchemeVariant.CG_PRIMARY, prob, config)
+    assert np.allclose(calls, [(0.15, 0.15)] * 5 + [(0.1, 0.15)], rtol=0.0, atol=1e-12)
+
+    space = build_space(prob, config, SchemeVariant.CG_PRIMARY)
+    asm = SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, config.q, 0.1)
+    rng = np.random.default_rng(2)
+    coeffs = rng.standard_normal((3, prob.D, space.dof_count))
+
+    def at(t):
+        return coeffs[0] + coeffs[1] * t + coeffs[2] * t**2
+
+    previous = np.stack([at(t) for t in (0.0, 0.075, 0.15)], axis=-1)
+    expected = np.stack([at(t) for t in (0.15, 0.2, 0.25)], axis=-1)
+    assert np.max(np.abs(asm.predict(previous, 0.15) - expected)) <= 1e-13
+
+
 def test_nonlinear_newton_iteration_count():
-    # Regression baseline: three iterations from the constant-extension guess.
+    # Regression baseline: three iterations on the first slab, from the
+    # constant-extension guess; the predicted starts of later slabs take
+    # no more.
     prob = nonlinear_wave()
     config = SolverConfig(q=1, p=2, dt=0.1, dx=0.1, t_final=1.0)
     traj = run_simulation(SchemeVariant.CG_PRIMARY, prob, config)
@@ -213,10 +334,9 @@ def test_slab_accepted_above_tolerance_is_logged(monkeypatch, caplog):
 
     solve = SlabAssembler.solve_slab
 
-    def stalled(self, z_start, aux_start, tolerance, max_iterations):
-        z_nodes, aux_nodes, iterations, _ = solve(self, z_start, aux_start, tolerance,
-                                                  max_iterations)
-        return z_nodes, aux_nodes, iterations, 5.0 * tolerance
+    def stalled(self, z_start, aux_start, tolerance, max_iterations, guess=None):
+        solved = solve(self, z_start, aux_start, tolerance, max_iterations, guess)
+        return solved._replace(residual=5.0 * tolerance)
 
     monkeypatch.setattr(SlabAssembler, "solve_slab", stalled)
     with caplog.at_level(logging.WARNING, logger="mspde.solver"):
@@ -270,7 +390,7 @@ def test_newton_solve_public_entrypoint():
     space = build_space(prob, config, SchemeVariant.CG_PRIMARY)
     asm = SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, 1, 0.1)
     z0 = space.project(lambda x: prob.initial_state(x))
-    z_nodes, _, _, _ = asm.solve_slab(z0, None, 1e-12, 50)
+    z_nodes = asm.solve_slab(z0, None, 1e-12, 50).z_nodes
     r = asm.residual(z_nodes)
     assert np.max(np.abs(r)) < 1e-12
 
@@ -330,8 +450,8 @@ def test_momentum_variant_projects_the_initial_auxiliary_field():
     traj = run_simulation(SchemeVariant.CG_MOMENTUM, prob, config)
     asm = SlabAssembler(SchemeVariant.CG_MOMENTUM, prob, traj.space, config.q, config.dt)
     z0 = traj.initial_coeffs
-    _, aux_nodes, _, _ = asm.solve_slab(z0, None, config.newton_tolerance,
-                                        config.max_newton_iterations)
+    aux_nodes = asm.solve_slab(z0, None, config.newton_tolerance,
+                               config.max_newton_iterations).aux_nodes
     zgrid = traj.space.eval_on_rule(z0, asm.rule_x)
     grad = np.moveaxis(prob.grad_s(np.moveaxis(zgrid, 0, -1)), -1, 0)
     expected = asm.aux_space.project_grid(grad, asm.rule_x)
