@@ -7,6 +7,7 @@ reached by affine maps, so jacobians are plain element widths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,12 +42,18 @@ class QuadratureRule:
         return self.points.size
 
 
+@lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [0, 1]; exact for degree <= 2n - 1."""
+    """n-point Gauss-Legendre rule on [0, 1]; exact for degree <= 2n - 1.
+
+    Computed once per n and shared, so its arrays are read-only.
+    """
     if n < 1:
         raise ValueError(f"quadrature rule needs at least one point, got n={n}")
     pts, wts = np.polynomial.legendre.leggauss(n)
-    return QuadratureRule(points=(pts + 1.0) / 2.0, weights=wts / 2.0)
+    rule = QuadratureRule(points=(pts + 1.0) / 2.0, weights=wts / 2.0)
+    rule.points.flags.writeable = rule.weights.flags.writeable = False
+    return rule
 
 
 def quadrature_order_policy(max_integrand_degree: int) -> int:

@@ -78,6 +78,9 @@ class SolverConfig:
     max_newton_iterations: int = 50
 
     def __post_init__(self):
+        for name in ("dt", "dx", "t_final", "newton_tolerance"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.newton_tolerance <= 0.0:
             raise ValueError("newton_tolerance must be positive")
         if self.q < 0 or self.p < 1:
@@ -129,7 +132,9 @@ class SlabSolution(NamedTuple):
     """One solved slab and the Newton work it took.
 
     ``iterations`` and ``factorisations`` include those abandoned when a
-    predicted start was ``restarted`` from the constant extension.
+    predicted start was ``restarted`` from the constant extension;
+    ``stalled`` says that the slab was accepted above the tolerance under
+    the 10x rule of :meth:`SlabAssembler.solve_slab`.
     """
 
     z_nodes: np.ndarray
@@ -138,6 +143,7 @@ class SlabSolution(NamedTuple):
     residual: float
     factorisations: int
     restarted: bool
+    stalled: bool
 
 
 def _max_norm(values: np.ndarray) -> float:
@@ -214,19 +220,27 @@ class SlabAssembler(SlabGrid):
         self.n = space.dof_count
         self.size = d * self.n * (q + 1)
 
-        # Temporal coupling blocks (test x trial); node-0 columns are knowns.
+        # Temporal coupling blocks (test x trial, all q+2 trial nodes).
         ta1 = np.einsum("ag,bg,g->ab", self.Ts, self.dTt, self.rule_t.weights)
         self.ta0 = dt * np.einsum("ag,bg,g->ab", self.Ts, self.Tt, self.rule_t.weights)
 
-        # Unknowns are ordered (spatial dof, component, time), so the
-        # Jacobian is block-banded with periodic corner blocks.
+        # The slab operator: the residual's linear part over every trial
+        # node, node 0 included, with rows ordered (spatial dof, component,
+        # test) and columns (spatial dof, component, node).  A quadratic S
+        # has a constant Hessian, which joins the K block; the residual of
+        # such a problem is affine in the nodes.
+        self.jacobian_is_constant = problem.s_degree <= 2
+        time_k = np.kron(problem.K, ta1)
+        if self.jacobian_is_constant:
+            time_k -= np.kron(problem.hess_s(np.zeros(d)), self.ta0)
+            shape = (d, len(self.rule_t), space.partition.element_count, len(self.rule_x))
+            grad_zero = np.broadcast_to(problem.grad_s(np.zeros(d))[:, None, None, None], shape)
+            self._grad_zero_rows = np.swapaxes(self.test(grad_zero), 0, 1).ravel()
         deriv = weak_g_matrix(space) if variant is SchemeVariant.DG_PRIMARY \
             else space.derivative_operator()
         kron = scipy.sparse.kron
-        linear = (kron(space.mass_operator(), kron(problem.K, ta1[:, 1:]))
-                  + kron(deriv, kron(problem.L, self.ta0[:, 1:])))
-        self.linear_jacobian = linear.tocsc()
-        self.jacobian_is_constant = problem.s_degree <= 2
+        self.operator = (kron(space.mass_operator(), time_k)
+                         + kron(deriv, np.kron(problem.L, self.ta0))).tocsr()
         self._pattern = None  # (CSC linear part on the full pattern, Hessian index map)
         self._columns = None  # the Jacobian's columns in COLAMD's order
         self._ordering = None  # (data index, Jacobian) with the columns in that order
@@ -239,9 +253,10 @@ class SlabAssembler(SlabGrid):
             self.aux_space = SpatialSpace(space.partition, p, "dg")
 
         # Sum-factorisation tables of the Hessian block: the component pairs
-        # of the problem's Hessian pattern, (row x column basis x space
-        # weight) products and (test x unknown trial x time weight) products.
-        self._hessian_pairs = np.nonzero(problem.hessian_pattern)
+        # of the problem's Hessian pattern (none when the Hessian is constant
+        # and in the operator), (row x column basis x space weight) products
+        # and (test x unknown trial x time weight) products.
+        self._hessian_pairs = np.nonzero(problem.hessian_pattern & (not self.jacobian_is_constant))
         ns, nt = len(self.rule_x), len(self.rule_t)
         self._space_products = np.einsum(
             "kh,lh,h->hkl", self.B, self.B, self.rule_x.weights).reshape(ns, -1)
@@ -252,6 +267,13 @@ class SlabAssembler(SlabGrid):
         """View (D, dofs, q+1) of a flat vector over the unknowns or the test rows."""
         return np.swapaxes(flat.reshape(self.n, self.problem.D, self.q + 1), 0, 1)
 
+    @property
+    def linear_jacobian(self) -> scipy.sparse.csc_matrix:
+        """The slab operator's columns of the unknown nodes 1..q+1: the
+        state-independent part of the Jacobian, and all of it when the
+        Hessian is constant.  It is block-banded with periodic corner blocks."""
+        return self.operator.tocsc()[:, np.arange(self.operator.shape[1]) % (self.q + 2) != 0]
+
     def _pointwise_grad(self, zgrid: np.ndarray) -> np.ndarray:
         pts = np.moveaxis(zgrid, 0, -1)
         return np.moveaxis(self.problem.grad_s(pts), -1, 0)
@@ -259,25 +281,29 @@ class SlabAssembler(SlabGrid):
     # -- residual and jacobian -------------------------------------------------
 
     def residual(self, z_nodes: np.ndarray) -> np.ndarray:
-        """Flat residual over all test rows, ordered like the unknowns."""
-        z, dz = field_on_grid(self.variant, self, z_nodes, self.Tt)
-        zt = self.eval(z_nodes, self.dTt / self.dt)
-        k_zt = np.einsum("cd,dgmh->cgmh", self.problem.K, zt)
-        l_dz = np.einsum("cd,dgmh->cgmh", self.problem.L, dz)
-        return np.swapaxes(self.test(k_zt + l_dz - self._pointwise_grad(z)), 0, 1).ravel()
+        """Flat residual over all test rows, ordered like the unknowns: the
+        slab operator's product with the nodes, less the tested gradient
+        term (a constant vector when the Hessian is constant)."""
+        linear = self.operator @ np.swapaxes(z_nodes, 0, 1).ravel()
+        if self.jacobian_is_constant:
+            return linear - self._grad_zero_rows
+        grad = self._pointwise_grad(self.eval(z_nodes, self.Tt))
+        return linear - np.swapaxes(self.test(grad), 0, 1).ravel()
 
     def jacobian(self, z_nodes: np.ndarray) -> scipy.sparse.csc_matrix:
         """Exact sparse derivative of the flat residual w.r.t. the unknown nodes.
 
-        The constant linear part less the state-dependent Hessian block,
-        written into a fixed pattern; the returned matrix owns its arrays.
+        The slab operator's unknown columns less the state-dependent Hessian
+        block (none when the Hessian is constant), written into a fixed
+        pattern; the returned matrix owns its arrays.
         """
         if self._pattern is None:
             self._pattern = self._jacobian_pattern()
         linear, hessian_map = self._pattern
         jac = linear.copy()
-        jac.data -= np.bincount(hessian_map, weights=self._hessian_values(z_nodes),
-                                minlength=jac.nnz)
+        if not self.jacobian_is_constant:
+            jac.data -= np.bincount(hessian_map, weights=self._hessian_values(z_nodes),
+                                    minlength=jac.nnz)
         return jac
 
     def _hessian_values(self, z_nodes: np.ndarray) -> np.ndarray:
@@ -350,6 +376,11 @@ class SlabAssembler(SlabGrid):
         the slab from the constant extension; the abandoned iterations count
         towards ``max_iterations`` and the totals.
 
+        A step at roundoff scale (1e-14 times the largest node value) that
+        leaves the residual above the tolerance ends the iteration: the slab
+        is accepted as ``stalled`` when the residual is within 10x the
+        tolerance, and a :class:`SolverFailure` is raised otherwise.
+
         For ``cg-momentum`` the auxiliary field, starting from aux_start (or,
         when that is None, from the projection of grad S(z_start)), is
         projected from the converged slab; otherwise it is None.
@@ -359,7 +390,7 @@ class SlabAssembler(SlabGrid):
         if guessed:
             z_nodes[:, :, 1:] = guess[:, :, 1:]
         iterations = factorisations = 0
-        restarted = accepted = False
+        restarted = accepted = stalled = False
         r = self.residual(z_nodes)
         norm = _max_norm(r)
         while True:
@@ -381,8 +412,8 @@ class SlabAssembler(SlabGrid):
                 norm = _max_norm(r)
                 continue
             scale = max(1.0, float(np.max(np.abs(z_nodes))))
-            if float(np.max(np.abs(step))) <= 1e-14 * scale:
-                accepted = norm <= 10.0 * tolerance
+            if norm > tolerance and float(np.max(np.abs(step))) <= 1e-14 * scale:
+                accepted = stalled = norm <= 10.0 * tolerance
                 break
         if not accepted:
             raise SolverFailure(
@@ -392,7 +423,8 @@ class SlabAssembler(SlabGrid):
         aux_nodes = None
         if self.aux_space is not None:
             aux_nodes = self._project_auxiliary(z_nodes, aux_start)
-        return SlabSolution(z_nodes, aux_nodes, iterations, norm, factorisations, restarted)
+        return SlabSolution(z_nodes, aux_nodes, iterations, norm, factorisations, restarted,
+                            stalled)
 
     def factorise(self, z_nodes: np.ndarray) -> SlabFactor:
         """Sparse LU of the Jacobian at z_nodes, columns ordered by COLAMD.
@@ -474,9 +506,9 @@ class Trajectory:
     n+1 is copied from node q+1 of slab n.  Per slab, ``newton_iterations``
     and ``factorisations`` count the Newton iterations and Jacobian
     factorisations, ``restarted`` says whether its predicted start was
-    abandoned for the constant extension, and ``final_residuals`` holds the
-    residual norm it was accepted at, which exceeds the Newton tolerance
-    only for a stalled slab accepted under the 10x rule.
+    abandoned for the constant extension, ``final_residuals`` holds the
+    residual norm it was accepted at, and ``stalled`` says whether that norm
+    exceeds the Newton tolerance: a slab accepted under the 10x rule.
     """
 
     problem: MultisymplecticProblem
@@ -490,6 +522,7 @@ class Trajectory:
     final_residuals: list[float] = field(default_factory=list)
     factorisations: list[int] = field(default_factory=list)
     restarted: list[bool] = field(default_factory=list)
+    stalled: list[bool] = field(default_factory=list)
 
     @property
     def node_count(self) -> int:
@@ -552,6 +585,7 @@ def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
         traj.final_residuals.append(solved.residual)
         traj.factorisations.append(solved.factorisations)
         traj.restarted.append(solved.restarted)
+        traj.stalled.append(solved.stalled)
         z_prev, previous = solved.z_nodes[:, :, -1], (solved.z_nodes, dt)
         if solved.aux_nodes is not None:
             aux_prev = solved.aux_nodes[:, :, -1]

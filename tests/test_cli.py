@@ -93,6 +93,10 @@ def test_invalid_config_exit_code(tmp_path):
                  "--out", str(tmp_path)]) == 2
     assert main(["converge", "--newton-tol", "0", "--out", str(tmp_path)]) == 2
     assert main(["converge", "--hscale", "-1", "--out", str(tmp_path)]) == 2
+    assert main(["run", "--newton-tol", "nan", "--out", str(tmp_path)]) == 2
+    assert main(["run", "--T", "nan", "--out", str(tmp_path)]) == 2
+    assert main(["run", "--dt", "inf", "--out", str(tmp_path)]) == 2
+    assert main(["converge", "--hscale", "nan", "--out", str(tmp_path)]) == 2
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -8,12 +8,14 @@ with elements of unequal width, so a width applied along the wrong axis
 shows; the tolerance is relative to the largest reference entry.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mspde.diagnostics import bochner_error
 from mspde.mesh import Partition1D, gauss_legendre
-from mspde.problems import linear_wave, nls
+from mspde.problems import linear_wave, nls, nonlinear_wave
 from mspde.solver import SchemeVariant, SlabAssembler, Trajectory, field_on_grid
 from mspde.spaces import (
     SlabCoefficients,
@@ -129,6 +131,41 @@ def test_spacetime_test_matches_einsum(variant, q, p):
                                 space.partition.element_count, len(asm.rule_x)))
     assert_close(spacetime_test(grid, space, asm.B, asm.Ts, weights, asm.wt),
                  reference_test(grid, space, asm.B, asm.Ts, weights, asm.wt))
+
+
+def forced_linear_wave():
+    """The linear wave with S(z) + f . z: a quadratic S whose gradient does
+    not vanish at zero."""
+    base, force = linear_wave(), np.array([0.3, -0.7, 1.1])
+    return dataclasses.replace(base, s=lambda z: base.s(z) + np.asarray(z) @ force,
+                               grad_s=lambda z: base.grad_s(z) + force)
+
+
+@pytest.mark.parametrize("factory", [linear_wave, forced_linear_wave, nonlinear_wave, nls])
+@pytest.mark.parametrize("variant,q,p", CASES)
+def test_residual_matches_einsum_quadrature(factory, variant, q, p):
+    # The residual's rows int (K z_t + L Dz - grad S(z)) . phi_i tau_a as
+    # one plain quadrature over the slab grid.
+    rng = np.random.default_rng(200 + 10 * q + p)
+    problem = factory()
+    space = nonuniform_space(rng, problem.domain_length, 5, p, variant.spatial_continuity)
+    asm = SlabAssembler(variant, problem, space, q, 0.1)
+    nodes = rng.uniform(-1.0, 1.0, (problem.D, space.dof_count, q + 2))
+
+    z = reference_eval(nodes, space, asm.B, asm.Tt)
+    zt = reference_eval(nodes, space, asm.B, asm.dTt) / asm.dt
+    if variant is SchemeVariant.DG_PRIMARY:
+        dz = reference_eval(np.einsum("ij,cjt->cit", g_matrix(space), nodes),
+                            space, asm.B, asm.Tt)
+    else:
+        dz = reference_eval(nodes, space, asm.dB, asm.Tt) \
+            / space.partition.widths[None, None, :, None]
+    grad = np.moveaxis(problem.grad_s(np.moveaxis(z, 0, -1)), -1, 0)
+    integrand = np.einsum("cd,dgmh->cgmh", problem.K, zt) \
+        + np.einsum("cd,dgmh->cgmh", problem.L, dz) - grad
+    rows = reference_test(integrand, space, asm.B, asm.Ts, asm.rule_x.weights, asm.wt)
+
+    assert_close(asm.residual(nodes), np.swapaxes(rows, 0, 1).ravel())
 
 
 @pytest.mark.parametrize("variant,q,p", CASES)

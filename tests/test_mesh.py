@@ -44,6 +44,15 @@ def test_weights_sum_to_interval_length():
         assert np.sum(gauss_legendre(n).weights) == pytest.approx(1.0)
 
 
+def test_rules_are_shared_and_read_only():
+    rule = gauss_legendre(4)
+    assert gauss_legendre(4) is rule
+    with pytest.raises(ValueError):
+        rule.points[0] = 0.0
+    with pytest.raises(ValueError):
+        rule.weights *= 2.0
+
+
 def test_zero_point_rule_rejected():
     with pytest.raises(ValueError):
         gauss_legendre(0)

@@ -42,6 +42,11 @@ def test_config_validation():
         SolverConfig(q=0, p=0, dt=0.1, dx=0.1, t_final=1.0)
     with pytest.raises(ValueError):
         SolverConfig(q=0, p=1, dt=0.1, dx=0.1, t_final=1.0, max_newton_iterations=-1)
+    valid = dict(q=0, p=1, dt=0.1, dx=0.1, t_final=1.0, newton_tolerance=1e-12)
+    for name in ("dt", "dx", "t_final", "newton_tolerance"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                SolverConfig(**{**valid, name: value})
 
 
 def test_space_matches_requested_width():
@@ -173,6 +178,7 @@ def test_reused_ordering_steps_equal_fresh_colamd_steps(factory, variant, dx):
 
 
 @pytest.mark.parametrize("variant,factory", [
+    (SchemeVariant.DG_PRIMARY, linear_wave),
     (SchemeVariant.CG_PRIMARY, nonlinear_wave),
     (SchemeVariant.DG_PRIMARY, nonlinear_wave),
     (SchemeVariant.CG_PRIMARY, nls),
@@ -217,6 +223,44 @@ def test_linear_problem_factorises_once_per_assembler(monkeypatch):
     traj = run_simulation(SchemeVariant.DG_PRIMARY, prob, config)
     assert traj.factorisations == [1, 0, 0, 0, 0, 0, 1]
     assert traj.newton_iterations == [1] * 7
+
+
+@pytest.mark.parametrize("variant", [SchemeVariant.CG_PRIMARY, SchemeVariant.DG_PRIMARY])
+def test_linear_slabs_evaluate_no_gradient_after_set_up(variant, monkeypatch):
+    # A quadratic S enters the slab operator and one constant vector when
+    # the assembler is set up; solving a slab is then two residual
+    # evaluations (the start and the one step) and no grad S or Hessian call.
+    base = linear_wave()
+    calls = {"set_up": 0, "other": 0}
+    phase = ["other"]
+
+    def counted(fn):
+        def wrapped(z):
+            calls[phase[0]] += 1
+            return fn(z)
+        return wrapped
+
+    prob = dataclasses.replace(base, grad_s=counted(base.grad_s), hess_s=counted(base.hess_s))
+    init, residual = SlabAssembler.__init__, SlabAssembler.residual
+    residual_calls = []
+
+    def set_up(self, *args):
+        phase[0] = "set_up"
+        init(self, *args)
+        phase[0] = "other"
+
+    def counted_residual(self, z_nodes):
+        residual_calls.append(self.dt)
+        return residual(self, z_nodes)
+
+    monkeypatch.setattr(SlabAssembler, "__init__", set_up)
+    monkeypatch.setattr(SlabAssembler, "residual", counted_residual)
+    config = SolverConfig(q=1, p=2, dt=0.15, dx=0.125, t_final=1.0)
+    traj = run_simulation(variant, prob, config)
+    assert len(traj.slabs) == 7
+    assert calls["set_up"] > 0
+    assert calls["other"] == 0
+    assert len(residual_calls) == 2 * len(traj.slabs)
 
 
 def test_nls_dg_predicted_slabs_take_fewer_factorisations():
@@ -346,6 +390,33 @@ def test_slab_accepted_above_tolerance_is_logged(monkeypatch, caplog):
     assert len(messages) == 2
     assert "slab 0 " in messages[0] and "slab 1 " in messages[1]
     assert all("5.000e-12" in message for message in messages)
+
+
+def test_normal_run_records_no_stalled_slab():
+    config = SolverConfig(q=1, p=2, dt=0.1, dx=0.25, t_final=0.5)
+    traj = run_simulation(SchemeVariant.CG_PRIMARY, nonlinear_wave(), config)
+    assert traj.stalled == [False] * 5
+    assert max(traj.final_residuals) <= config.newton_tolerance
+
+
+def test_slab_below_the_roundoff_floor_is_recorded_as_stalled(caplog):
+    # At amplitude 1e4 the converged residual settles between about 3e-13
+    # and 5e-13, so a tolerance of 1e-13 is out of reach: every slab ends on
+    # a roundoff-size step and is accepted under the 10x rule.
+    base = linear_wave()
+    prob = dataclasses.replace(base, initial_state=lambda x: 1e4 * base.initial_state(x))
+    config = SolverConfig(q=1, p=2, dt=0.1, dx=0.125, t_final=0.3, newton_tolerance=1e-13)
+    with caplog.at_level(logging.WARNING, logger="mspde.solver"):
+        traj = run_simulation(SchemeVariant.DG_PRIMARY, prob, config)
+    assert traj.stalled == [True] * 3
+    assert all(1e-13 < norm <= 1e-12 for norm in traj.final_residuals)
+    assert len(caplog.records) == 3
+
+    space = build_space(prob, config, SchemeVariant.DG_PRIMARY)
+    asm = SlabAssembler(SchemeVariant.DG_PRIMARY, prob, space, config.q, config.dt)
+    solved = asm.solve_slab(space.project(prob.initial_state), None, 1e-13, 50)
+    assert solved.stalled and solved.iterations >= 2
+    assert not asm.solve_slab(space.project(prob.initial_state), None, 1e-12, 50).stalled
 
 
 def test_steady_state_trajectory_constant():
