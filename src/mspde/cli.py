@@ -41,8 +41,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\r\n".join(lines) + "\r\n", encoding="ascii")
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
+def _config_tokens(path: str) -> list[str]:
+    """The entries of a key=value config file as ``--key=value`` flags."""
+    tokens = []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -50,8 +51,8 @@ def _load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"malformed config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = value
-    return values
+        tokens.append(f"--{key.replace('_', '-')}={value}")
+    return tokens
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,33 +93,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_TYPES = {
-    "q": int, "p": int, "dt": float, "dx": float, "T": float, "imin": int,
-    "imax": int, "snapshots": int, "hscale": float,
-    "newton_tol": float,
-}
-
-
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Config-file values act as defaults; explicit flags override them."""
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv with a config file's entries as flags ahead of the explicit
+    ones: the parser checks their types and choices, and explicit flags,
+    coming later, override them."""
     args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
     try:
-        overrides = _load_config_file(args.config)
+        tokens = _config_tokens(args.config)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    for key, raw in overrides.items():
-        if not hasattr(args, key):
-            parser.error(f"unknown config key {key!r}")
-        flag = "--" + (key if key == "T" else key.replace("_", "-"))
-        if any(a == flag or a.startswith(flag + "=") for a in argv):
-            continue
-        try:
-            setattr(args, key, _CONFIG_TYPES.get(key, str)(raw))
-        except ValueError:
-            parser.error(f"bad value for config key {key!r}: {raw!r}")
-    return args
+    return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 
 def _invariant_rows(series):
@@ -244,7 +230,7 @@ def cmd_verify(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = _apply_config_file(parser, list(sys.argv[1:] if argv is None else argv))
+    args = _parse_args(parser, list(sys.argv[1:] if argv is None else argv))
     if args.command == "run":
         return cmd_run(args)
     if args.command == "converge":

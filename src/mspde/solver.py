@@ -33,7 +33,6 @@ __all__ = [
     "SolverFailure",
     "Trajectory",
     "SlabAssembler",
-    "SlabFactor",
     "SlabSolution",
     "run_simulation",
     "build_space",
@@ -103,29 +102,6 @@ class SolverFailure(RuntimeError):
         self.residual_norm = residual_norm
         self.slab_index = slab_index
         self.partial: "Trajectory | None" = None
-
-
-@dataclass(frozen=True)
-class SlabFactor:
-    """Sparse LU of a slab Jacobian that solves in the unknown order.
-
-    ``lu`` factorises the Jacobian with its columns taken in the order
-    ``columns`` (unpermuted when None); :meth:`solve` maps the solution back.
-    """
-
-    lu: scipy.sparse.linalg.SuperLU
-    columns: np.ndarray | None = None
-
-    L = property(lambda self: self.lu.L)
-    U = property(lambda self: self.lu.U)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        solution = self.lu.solve(rhs)
-        if self.columns is None:
-            return solution
-        unpermuted = np.empty_like(solution)
-        unpermuted[self.columns] = solution
-        return unpermuted
 
 
 class SlabSolution(NamedTuple):
@@ -242,8 +218,6 @@ class SlabAssembler(SlabGrid):
         self.operator = (kron(space.mass_operator(), time_k)
                          + kron(deriv, np.kron(problem.L, self.ta0))).tocsr()
         self._pattern = None  # (CSC linear part on the full pattern, Hessian index map)
-        self._columns = None  # the Jacobian's columns in COLAMD's order
-        self._ordering = None  # (data index, Jacobian) with the columns in that order
         self._lu = None
         self._extrapolations = {}  # previous slab length -> trial table at this slab's nodes
 
@@ -253,10 +227,9 @@ class SlabAssembler(SlabGrid):
             self.aux_space = SpatialSpace(space.partition, p, "dg")
 
         # Sum-factorisation tables of the Hessian block: the component pairs
-        # of the problem's Hessian pattern (none when the Hessian is constant
-        # and in the operator), (row x column basis x space weight) products
-        # and (test x unknown trial x time weight) products.
-        self._hessian_pairs = np.nonzero(problem.hessian_pattern & (not self.jacobian_is_constant))
+        # of the problem's Hessian pattern, (row x column basis x space
+        # weight) products and (test x unknown trial x time weight) products.
+        self._hessian_pairs = np.nonzero(problem.hessian_pattern)
         ns, nt = len(self.rule_x), len(self.rule_t)
         self._space_products = np.einsum(
             "kh,lh,h->hkl", self.B, self.B, self.rule_x.weights).reshape(ns, -1)
@@ -293,17 +266,19 @@ class SlabAssembler(SlabGrid):
     def jacobian(self, z_nodes: np.ndarray) -> scipy.sparse.csc_matrix:
         """Exact sparse derivative of the flat residual w.r.t. the unknown nodes.
 
-        The slab operator's unknown columns less the state-dependent Hessian
-        block (none when the Hessian is constant), written into a fixed
-        pattern; the returned matrix owns its arrays.
+        With a constant Hessian this is :attr:`linear_jacobian`; otherwise the
+        slab operator's unknown columns less the state-dependent Hessian
+        block, written into a fixed pattern.  The returned matrix owns its
+        arrays.
         """
+        if self.jacobian_is_constant:
+            return self.linear_jacobian
         if self._pattern is None:
             self._pattern = self._jacobian_pattern()
         linear, hessian_map = self._pattern
         jac = linear.copy()
-        if not self.jacobian_is_constant:
-            jac.data -= np.bincount(hessian_map, weights=self._hessian_values(z_nodes),
-                                    minlength=jac.nnz)
+        jac.data -= np.bincount(hessian_map, weights=self._hessian_values(z_nodes),
+                                minlength=jac.nnz)
         return jac
 
     def _hessian_values(self, z_nodes: np.ndarray) -> np.ndarray:
@@ -321,8 +296,9 @@ class SlabAssembler(SlabGrid):
         return (vals.reshape(len(vals), m, -1) * self.space.partition.widths[:, None]).ravel()
 
     def _jacobian_pattern(self) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
-        """The linear part on the CSC pattern of the whole Jacobian, and the
-        position in its ``data`` of each :meth:`_hessian_values` entry.
+        """The linear part on the CSC pattern of a nonlinear problem's whole
+        Jacobian, and the position in its ``data`` of each
+        :meth:`_hessian_values` entry.
 
         The pattern is the linear part's plus every element's Hessian block
         on the pairs of the problem's Hessian pattern.
@@ -426,48 +402,22 @@ class SlabAssembler(SlabGrid):
         return SlabSolution(z_nodes, aux_nodes, iterations, norm, factorisations, restarted,
                             stalled)
 
-    def factorise(self, z_nodes: np.ndarray) -> SlabFactor:
-        """Sparse LU of the Jacobian at z_nodes, columns ordered by COLAMD.
+    def factorise(self, z_nodes: np.ndarray) -> scipy.sparse.linalg.SuperLU:
+        """Sparse LU of the Jacobian at z_nodes, its column order chosen by
+        whether the Jacobian is constant.
 
-        The pattern is fixed, so only the first call runs COLAMD; it keeps the
-        column order next to the pattern.  Later calls take the Jacobian's
-        entries in that column order through an index built on the second
-        call (so an assembler factorised once, as for a constant Jacobian,
-        holds no permuted copy) and factorise with ``NATURAL``: SuperLU gets
-        the matrix that COLAMD would give it and returns the same factors,
-        and :meth:`SlabFactor.solve` maps the solution back to the unknowns.
-
-        Without a column ordering the banded nonlinear systems factorise
-        faster, but the linear wave's u rows have a structurally zero
-        diagonal, so row pivoting leaves the band and its many back-solves
-        slow down more than the nonlinear runs gain.
+        A constant Jacobian is factorised once per assembler and back-solved
+        on every slab, so its fill matters most: COLAMD keeps the linear
+        wave's factor small, whose u rows have a structurally zero diagonal
+        that row pivoting would otherwise carry out of the band.  A
+        state-dependent Jacobian is refactorised on every Newton step, so
+        factorisation time matters most: the unknowns' own (dof, component,
+        time) order is banded already, and ``NATURAL`` factorises the NLS
+        and nonlinear-wave benchmark slabs faster in it than in COLAMD's.
         """
-        if self._columns is None:
-            lu = scipy.sparse.linalg.splu(self.jacobian(z_nodes), permc_spec="COLAMD")
-            # SuperLU factorises the Jacobian times Pc, whose column perm_c[i]
-            # is the Jacobian's column i.  (The argsort is also a copy: perm_c
-            # is a view that would keep the whole factor alive.)
-            self._columns = np.argsort(lu.perm_c)
-            return SlabFactor(lu)
-        if self._ordering is None:
-            self._ordering = self._permuted_pattern(self._pattern[0], self._columns)
-        index, permuted = self._ordering
-        np.take(self.jacobian(z_nodes).data, index, out=permuted.data)
-        return SlabFactor(scipy.sparse.linalg.splu(permuted, permc_spec="NATURAL"), self._columns)
-
-    @staticmethod
-    def _permuted_pattern(matrix: scipy.sparse.csc_matrix,
-                          columns: np.ndarray) -> tuple[np.ndarray, scipy.sparse.csc_matrix]:
-        """``matrix`` with its columns taken in the order ``columns``, and the
-        position in ``matrix.data`` of each of its entries."""
-        counts = np.diff(matrix.indptr)[columns]
-        indptr = np.zeros_like(matrix.indptr)
-        np.cumsum(counts, out=indptr[1:])
-        index = np.repeat(matrix.indptr[columns] - indptr[:-1], counts) \
-            + np.arange(matrix.nnz, dtype=indptr.dtype)
-        permuted = scipy.sparse.csc_matrix((matrix.data[index], matrix.indices[index], indptr),
-                                           shape=matrix.shape)
-        return index, permuted
+        return scipy.sparse.linalg.splu(
+            self.jacobian(z_nodes),
+            permc_spec="COLAMD" if self.jacobian_is_constant else "NATURAL")
 
     def _newton_step(self, z_nodes: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, int]:
         """Newton step for residual r at z_nodes and the factorisations it took."""

@@ -205,3 +205,26 @@ def test_solver_failure_flushes_partial_series(tmp_path, monkeypatch):
     assert len(rows) == 4  # nodes t=0, 0.125, 0.25, then the failure row
     assert rows[-1][1] == "nan"
     assert float(rows[-1][0]) == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("entry", ["problem = nope", "variant = dgx", "command = verify"])
+def test_config_file_entries_are_checked_by_the_parser(tmp_path, entry):
+    # A file entry is parsed like the flag it names: an invalid choice or a
+    # key that is no option of the subcommand is an invalid configuration.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(entry + "\n")
+    with pytest.raises(SystemExit) as bad:
+        main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert bad.value.code == 2
+
+
+def test_abbreviated_explicit_flag_overrides_the_config_file(tmp_path, monkeypatch):
+    import mspde.cli
+
+    seen = []
+    monkeypatch.setattr(mspde.cli, "cmd_run", lambda args: seen.append(args) or 0)
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("newton_tol = 1e-10\nq = 2\n")
+    assert main(["run", "--config", str(cfg), "--newton", "1e-9"]) == 0
+    assert seen[0].newton_tol == 1e-9
+    assert seen[0].q == 2

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,9 +105,10 @@ def test_linear_jacobian_state_independent():
     space = build_space(prob, config, SchemeVariant.CG_PRIMARY)
     asm = SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, 1, 0.1)
     rng = np.random.default_rng(1)
-    j1 = asm.jacobian(rng.standard_normal((3, space.dof_count, 3))).toarray()
-    j2 = asm.jacobian(rng.standard_normal((3, space.dof_count, 3))).toarray()
-    assert np.max(np.abs(j1 - j2)) < 1e-13
+    j1 = asm.jacobian(rng.standard_normal((3, space.dof_count, 3)))
+    j2 = asm.jacobian(rng.standard_normal((3, space.dof_count, 3)))
+    assert not np.shares_memory(j1.data, j2.data)
+    assert np.max(np.abs(j1.toarray() - j2.toarray())) < 1e-13
 
 
 def acceptance_assembler(factory, variant, dx):
@@ -154,27 +156,39 @@ def test_nls_slab_factor_fill_stays_banded():
     assert lu.L.nnz + lu.U.nnz <= 150_000
 
 
-@pytest.mark.parametrize("factory,variant,dx", [
-    (nls, SchemeVariant.DG_PRIMARY, 0.4),
-    (nonlinear_wave, SchemeVariant.CG_PRIMARY, 0.05),
-    (linear_wave, SchemeVariant.DG_PRIMARY, 0.125),
+@pytest.mark.parametrize("factory,variant,dx,order", [
+    (nls, SchemeVariant.DG_PRIMARY, 0.4, "NATURAL"),
+    (nonlinear_wave, SchemeVariant.CG_PRIMARY, 0.05, "NATURAL"),
+    (linear_wave, SchemeVariant.DG_PRIMARY, 0.125, "COLAMD"),
 ])
-def test_reused_ordering_steps_equal_fresh_colamd_steps(factory, variant, dx):
-    # Only an assembler's first factorisation runs COLAMD; later ones
-    # factorise the Jacobian's columns in that order with NATURAL.  Their
-    # Newton steps and fill must be a fresh COLAMD factorisation's.
+def test_factor_order_follows_whether_the_jacobian_is_constant(factory, variant, dx, order):
+    # A state-dependent Jacobian is refactorised on every Newton step in the
+    # unknowns' own banded order; a constant one is factorised once with
+    # COLAMD, which keeps the fill of its many back-solves down.  Newton
+    # steps and fill must be those of a fresh factor in that order.
     asm, z = acceptance_assembler(factory, variant, dx)
-    assert asm.factorise(z).columns is None
-    assert asm._ordering is None
-    rng = np.random.default_rng(5)
-    for _ in range(2):
-        z = z + 0.01 * rng.standard_normal(z.shape)
-        r = asm.residual(z)
-        reused = asm.factorise(z)
-        fresh = scipy.sparse.linalg.splu(asm.jacobian(z), permc_spec="COLAMD")
-        assert reused.columns is not None
-        assert np.array_equal(reused.solve(-r), fresh.solve(-r))
-        assert reused.L.nnz + reused.U.nnz == fresh.L.nnz + fresh.U.nnz
+    z = z + 0.01 * np.random.default_rng(5).standard_normal(z.shape)
+    r = asm.residual(z)
+    lu = asm.factorise(z)
+    fresh = scipy.sparse.linalg.splu(asm.jacobian(z), permc_spec=order)
+    assert np.array_equal(lu.solve(-r), fresh.solve(-r))
+    assert lu.L.nnz + lu.U.nnz == fresh.L.nnz + fresh.U.nnz
+
+
+def test_slab_memory_grows_linearly_with_the_elements():
+    # Four times the elements of an NLS dg slab (dx 0.4 -> 0.1) must take
+    # less than six times the peak traced memory; a dense Jacobian would
+    # take about sixteen times.
+    peaks = []
+    for dx in (0.4, 0.1):
+        config = SolverConfig(q=1, p=2, dt=0.1, dx=dx, t_final=0.1)
+        tracemalloc.start()
+        try:
+            run_simulation(SchemeVariant.DG_PRIMARY, nls(), config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] / peaks[0] < 6.0
 
 
 @pytest.mark.parametrize("variant,factory", [
