@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import run_property_checks
-from .diagnostics import bochner_error, eoc, global_invariants
+from .diagnostics import bochner_error, eoc, global_invariants, node_states
 from .problems import PROBLEM_LABELS, problem_by_label
 from .solver import (
     SchemeVariant,
@@ -108,14 +108,8 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
 
 
 def _invariant_rows(series):
-    rows = []
-    for n in range(series.times.size):
-        row = [series.times[n], *series.mass[n], series.momentum[n], series.energy[n]]
-        row += list(np.abs(series.mass[n] - series.mass[0]))
-        row += [abs(series.momentum[n] - series.momentum[0]),
-                abs(series.energy[n] - series.energy[0])]
-        rows.append(row)
-    return rows
+    return np.column_stack([series.times, series.mass, series.momentum, series.energy,
+                            *series.deviations()]).tolist()
 
 
 def cmd_run(args) -> int:
@@ -163,12 +157,10 @@ def _write_snapshots(path: Path, trajectory, samples_per_element: int) -> None:
     xs = (space.partition.node_coords[:-1, None]
           + space.partition.widths[:, None] * offsets[None, :]).ravel()
     header = ["t", "x"] + list(names)
-    rows = []
-    for n in range(trajectory.node_count):
-        state = trajectory.state_at_node(n)
-        vals = np.stack([space.evaluate(state[c], xs) for c in range(len(names))])
-        for j, x in enumerate(xs):
-            rows.append([trajectory.times[n], x, *vals[:, j]])
+    vals = space.evaluate(node_states(trajectory), xs)                # (nodes, D, len(xs))
+    rows = np.column_stack([np.repeat(trajectory.times, xs.size),
+                            np.tile(xs, trajectory.node_count),
+                            np.swapaxes(vals, 1, 2).reshape(-1, len(names))]).tolist()
     _write_csv(path, header, rows)
 
 
@@ -205,8 +197,7 @@ def cmd_converge(args) -> int:
     errors = np.array(errors)
     hs = np.array(hs)
     rates = np.full_like(errors, np.nan)
-    for c in range(errors.shape[1]):
-        rates[1:, c] = eoc(errors[:, c], hs)
+    rates[1:] = eoc(errors, hs)
 
     header = (["i", "h"] + [f"e_{c}" for c in names] + [f"eoc_{c}" for c in names])
     rows = []

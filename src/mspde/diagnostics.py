@@ -26,6 +26,7 @@ from .spatial_ops import node_traces
 
 __all__ = [
     "InvariantSeries",
+    "node_states",
     "ConvergenceRecord",
     "densities_fluxes",
     "global_invariants",
@@ -94,30 +95,28 @@ class InvariantSeries:
         )
 
 
-def _node_rule(problem: MultisymplecticProblem, space: SpatialSpace):
-    degree = max(problem.s_degree * space.degree, 2 * space.degree)
-    return gauss_legendre(quadrature_order_policy(degree))
-
-
-def _nodal_quantities(variant, problem, space, state, rule):
-    vals = space.eval_on_rule(state, rule)
-    dcoeffs, order = scheme_derivative(variant, space, state)
-    momentum, _, energy, _ = _densities(problem, vals, space.eval_on_rule(dcoeffs, rule, order))
-    mass = np.array([space.integrate(vals[c], rule) for c in range(problem.D)])
-    return mass, space.integrate(momentum, rule), space.integrate(energy, rule)
+def node_states(trajectory: Trajectory) -> np.ndarray:
+    """Coefficients (nodes, D, dofs) of every temporal node: the initial
+    state, then each slab's last node."""
+    return np.stack([trajectory.initial_coeffs]
+                    + [coeffs.values[:, :, -1] for coeffs in trajectory.slabs])
 
 
 def global_invariants(variant: SchemeVariant, problem: MultisymplecticProblem,
                       trajectory: Trajectory) -> InvariantSeries:
-    """Spatial integrals of mass, momentum and energy at each temporal node."""
+    """Spatial integrals of mass, momentum and energy at each temporal node.
+
+    The slab space rule is exact for the densities: its degree is max(deg S p, 2p).
+    """
     space = trajectory.space
-    rule = _node_rule(problem, space)
-    rows = [_nodal_quantities(variant, problem, space, trajectory.state_at_node(n), rule)
-            for n in range(trajectory.node_count)]
-    mass = np.array([r[0] for r in rows])
-    momentum = np.array([r[1] for r in rows])
-    energy = np.array([r[2] for r in rows])
-    return InvariantSeries(trajectory.times.copy(), mass, momentum, energy,
+    rule = slab_rules(problem, space.degree, trajectory.q)[1]
+    states = node_states(trajectory)
+    vals = space.eval_on_rule(states, rule)                            # (nodes, D, M, ns)
+    dcoeffs, order = scheme_derivative(variant, space, states)
+    dz = space.eval_on_rule(dcoeffs, rule, order)
+    momentum, _, energy, _ = _densities(problem, np.swapaxes(vals, 0, 1), np.swapaxes(dz, 0, 1))
+    return InvariantSeries(trajectory.times.copy(), space.integrate(vals, rule),
+                           space.integrate(momentum, rule), space.integrate(energy, rule),
                            tuple(problem.component_names))
 
 
@@ -228,27 +227,26 @@ class ConvergenceRecord:
 
     @property
     def rates(self) -> np.ndarray:
-        return np.stack([eoc(self.errors[:, c], self.hs)
-                         for c in range(self.errors.shape[1])], axis=1)
+        return eoc(self.errors, self.hs)
 
 
 def eoc(errors, hs) -> np.ndarray:
     """Log-log slopes between consecutive refinement levels.
 
-    Non-positive errors (possible at machine precision) yield NaN entries
-    rather than raising.
+    ``errors`` is (levels,) or (levels, D), one column per component; the
+    slopes have one row fewer.  Non-positive errors (possible at machine
+    precision) yield NaN entries rather than raising.
     """
     errors = np.asarray(errors, dtype=float)
     hs = np.asarray(hs, dtype=float)
-    if errors.shape != hs.shape or errors.size < 2:
+    if errors.ndim not in (1, 2) or errors.shape[:1] != hs.shape or hs.size < 2:
         raise ValueError("need matching error/h sequences of length >= 2")
     if np.any(hs <= 0.0) or np.any(np.diff(hs) >= 0.0):
         raise ValueError("h sequence must be positive and strictly decreasing")
-    out = np.full(errors.size - 1, np.nan)
-    for i in range(errors.size - 1):
-        if errors[i] > 0.0 and errors[i + 1] > 0.0:
-            out[i] = np.log(errors[i + 1] / errors[i]) / np.log(hs[i + 1] / hs[i])
-    return out
+    log_h = np.log(hs[1:] / hs[:-1]).reshape((-1,) + (1,) * (errors.ndim - 1))
+    positive = (errors[:-1] > 0.0) & (errors[1:] > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(positive, np.log(errors[1:] / errors[:-1]) / log_h, np.nan)
 
 
 # -- stability monitor and auxiliary identity -------------------------------------
@@ -274,38 +272,32 @@ class StabilityMonitor:
         return worst - self.bound
 
 
+def _slope(variant: SchemeVariant, space: SpatialSpace, u: np.ndarray, rule):
+    """Slope coefficients of a scalar field u (..., dofs) and the grid values of
+    its scheme derivative on ``rule``: the slope is G(u) on broken spaces and
+    the L2 projection of u_x otherwise."""
+    dcoeffs, order = scheme_derivative(variant, space, u)
+    du = space.eval_on_rule(dcoeffs, rule, order)
+    return (space.project_grid(du, rule) if order else dcoeffs), du
+
+
 def energy_stability_monitor(variant: SchemeVariant, problem: MultisymplecticProblem,
                              trajectory: Trajectory) -> StabilityMonitor:
     """Track the three stability quantities of wave runs against their bound."""
     if problem.D != 3:
         raise ValueError("the stability bound is formulated for wave systems")
     space = trajectory.space
-    rule = _node_rule(problem, space)
-
-    def potential(u_grid):
-        # V(u) = S(u, 0, 0) for the wave family's density.
-        z = np.zeros(u_grid.shape + (3,))
-        z[..., 0] = u_grid
-        return problem.s(z)
-
-    v2, w2, pot = [], [], []
-    ux0_norm2 = None
-    for n in range(trajectory.node_count):
-        state = trajectory.state_at_node(n)
-        vals = space.eval_on_rule(state, rule)
-        v2.append(space.integrate(vals[1] ** 2, rule))
-        pot.append(space.integrate(potential(vals[0]), rule))
-        # The slope is G(U) on broken spaces, the projection of U_x otherwise.
-        dcoeffs, order = scheme_derivative(variant, space, state[0])
-        du = space.eval_on_rule(dcoeffs, rule, order)
-        slope = space.eval_on_rule(space.project_grid(du, rule), rule) if order else du
-        w2.append(space.integrate(slope**2, rule))
-        if n == 0:
-            ux0_norm2 = space.integrate(du**2, rule)
-
-    bound = v2[0] + ux0_norm2 + pot[0]
-    return StabilityMonitor(trajectory.times.copy(), np.array(v2), np.array(w2),
-                            np.array(pot), float(bound))
+    rule = slab_rules(problem, space.degree, trajectory.q)[1]
+    states = node_states(trajectory)
+    vals = space.eval_on_rule(states, rule)                            # (nodes, 3, M, ns)
+    # V(u) = S(u, 0, 0) for the wave family's density.
+    potential = space.integrate(problem.s(np.moveaxis(vals, 1, -1) * [1.0, 0.0, 0.0]), rule)
+    velocity = space.integrate(vals[:, 1] ** 2, rule)
+    slope, du = _slope(variant, space, states[:, 0], rule)
+    bound = velocity[0] + space.integrate(du[0] ** 2, rule) + potential[0]
+    return StabilityMonitor(trajectory.times.copy(), velocity,
+                            space.integrate(space.eval_on_rule(slope, rule) ** 2, rule),
+                            potential, float(bound))
 
 
 def auxiliary_identity_residual(trajectory: Trajectory) -> float:
@@ -318,15 +310,12 @@ def auxiliary_identity_residual(trajectory: Trajectory) -> float:
     problem, space = trajectory.problem, trajectory.space
     if problem.D != 3:
         raise ValueError("the auxiliary identity is formulated for wave systems")
+    if not trajectory.slabs:
+        return 0.0
     gauss = gauss_legendre(trajectory.q + 1)
+    trial = trajectory.slabs[0].slab.trial_basis.tabulate(gauss.points)    # (q+2, q+1)
+    nodes = np.stack([coeffs.values for coeffs in trajectory.slabs])   # (slabs, 3, dofs, q+2)
+    spatial = np.swapaxes(nodes @ trial, -1, -2)                       # (slabs, 3, q+1, dofs)
     rule = gauss_legendre(quadrature_order_policy(2 * space.degree))
-
-    worst = 0.0
-    for coeffs in trajectory.slabs:
-        for s in gauss.points:
-            spatial = coeffs.temporal_values(coeffs.slab.times(s))
-            target, order = scheme_derivative(trajectory.variant, space, spatial[0])
-            if order:
-                target = space.project_grid(space.eval_on_rule(target, rule, order), rule)
-            worst = max(worst, float(np.max(np.abs(spatial[2] - target))))
-    return worst
+    target, _ = _slope(trajectory.variant, space, spatial[:, 0], rule)
+    return float(np.max(np.abs(spatial[:, 2] - target)))

@@ -90,10 +90,8 @@ def linear_wave() -> MultisymplecticProblem:
 
     def exact(t, x):
         phase = 2.0 * np.pi * (np.asarray(x) + t)
-        return np.stack(
-            [0.5 * np.sin(phase), np.pi * np.cos(phase), np.pi * np.cos(phase)],
-            axis=-1,
-        )
+        slope = np.pi * np.cos(phase)
+        return np.stack([0.5 * np.sin(phase), slope, slope], axis=-1)
 
     return MultisymplecticProblem(
         label="linear-wave",

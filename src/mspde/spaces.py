@@ -31,7 +31,6 @@ __all__ = [
     "l2_project_spatial",
     "l2_project_spacetime",
     "eval_field",
-    "spacetime_eval",
     "spacetime_test",
     "SlabGrid",
 ]
@@ -168,9 +167,14 @@ class SpatialSpace:
         return left[:, None] + self.partition.widths[:, None] * rule.points[None, :]
 
     def eval_on_rule(self, coeffs, rule: QuadratureRule, derivative_order: int = 0):
-        """Evaluate a coefficient field on the rule grid, shape (..., M, len(rule))."""
+        """Evaluate coefficients (..., dofs) on the rule grid, shape (..., M, len(rule)).
+
+        The one spatial evaluation kernel: a gather to element-local values,
+        then one matrix product with the reference basis table.
+        """
         b = self.tabulate(rule.points, derivative_order)
-        vals = np.einsum("...mk,kg->...mg", self.gather(coeffs), b)
+        local = self.gather(coeffs)                                     # (..., M, p+1)
+        vals = (local.reshape(-1, local.shape[-1]) @ b).reshape(local.shape[:-1] + b.shape[-1:])
         if derivative_order == 1:
             vals = vals / self.partition.widths[:, None]
         return vals
@@ -317,21 +321,6 @@ def eval_field(coeffs: SlabCoefficients, t, x, dt_order: int = 0, dx_order: int 
     return coeffs.space.evaluate(spatial, x, dx_order)
 
 
-def spacetime_eval(nodes: np.ndarray, space: SpatialSpace, basis_table: np.ndarray,
-                   time_table: np.ndarray) -> np.ndarray:
-    """Grid values (D, nt, M, ns) of node coefficients (D, dofs, T).
-
-    ``time_table`` (T, nt) and ``basis_table`` (p+1, ns) tabulate the
-    temporal and reference spatial basis on the grid.  The time table is
-    applied first, on global dofs, then the basis table on element-local
-    values, each as one matrix product.
-    """
-    in_time = np.swapaxes(np.asarray(nodes) @ time_table, 1, 2)   # (D, nt, dofs)
-    local = in_time[..., space.element_dofs]                       # (D, nt, M, p+1)
-    return (local.reshape(-1, local.shape[-1]) @ basis_table).reshape(
-        local.shape[:-1] + basis_table.shape[-1:])
-
-
 def spacetime_test(grid: np.ndarray, space: SpatialSpace, basis_table: np.ndarray,
                    time_table: np.ndarray, space_weights: np.ndarray,
                    time_weights: np.ndarray) -> np.ndarray:
@@ -356,8 +345,8 @@ class SlabGrid:
     """Space-time quadrature grid of one slab of length ``dt`` on ``space``.
 
     Holds the rules, the trial table ``Tt`` and its reference derivative
-    ``dTt``, the test table ``Ts``, the spatial basis table ``B`` and its
-    derivative ``dB``, and the physical time weights ``wt``.  Every integral
+    ``dTt``, the test table ``Ts``, the spatial basis table ``B`` and the
+    physical time weights ``wt``.  Every integral
     over a slab (the scheme's rows, the local conservation laws, the
     space-time projection, error norms) goes through one of these grids.
     """
@@ -371,17 +360,15 @@ class SlabGrid:
         self.dTt = slab.trial_basis.tabulate(rule_t.points, 1)         # reference derivative
         self.Ts = slab.test_basis.tabulate(rule_t.points)              # (q+1, nt)
         self.B = space.tabulate(rule_x.points)
-        self.dB = space.tabulate(rule_x.points, 1)
         self.wt = dt * rule_t.weights
 
     def eval(self, nodes: np.ndarray, time_table: np.ndarray,
              derivative_order: int = 0) -> np.ndarray:
         """Grid values (D, nt, M, ns) of node coefficients (D, dofs, T), or of
-        their x-derivative at order 1."""
-        if derivative_order:
-            return spacetime_eval(nodes, self.space, self.dB, time_table) \
-                / self.space.partition.widths[:, None]
-        return spacetime_eval(nodes, self.space, self.B, time_table)
+        their x-derivative at order 1: the time table (T, nt) is applied on
+        global dofs, then the spatial evaluation."""
+        return self.space.eval_on_rule(np.swapaxes(np.asarray(nodes) @ time_table, 1, 2),
+                                       self.rule_x, derivative_order)
 
     def test(self, grid: np.ndarray, space: SpatialSpace | None = None) -> np.ndarray:
         """Test-space rows (D, dofs, q+1) of a grid field (D, nt, M, ns) on ``space``

@@ -228,3 +228,13 @@ def test_abbreviated_explicit_flag_overrides_the_config_file(tmp_path, monkeypat
     assert main(["run", "--config", str(cfg), "--newton", "1e-9"]) == 0
     assert seen[0].newton_tol == 1e-9
     assert seen[0].q == 2
+
+
+def test_config_file_is_a_run_and_converge_option_only(tmp_path):
+    # verify takes only --seed; a config file names the options of a run or
+    # a convergence study, so verify rejects --config like any unknown flag.
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("seed = 1\n")
+    with pytest.raises(SystemExit) as rejected:
+        main(["verify", "--config", str(cfg)])
+    assert rejected.value.code == 2

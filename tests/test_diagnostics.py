@@ -6,7 +6,6 @@ import pytest
 
 from mspde import diagnostics
 from mspde.diagnostics import (
-    _node_rule,
     auxiliary_identity_residual,
     bochner_error,
     densities_fluxes,
@@ -15,7 +14,7 @@ from mspde.diagnostics import (
     global_invariants,
     local_conservation_residuals,
 )
-from mspde.mesh import Partition1D, gauss_legendre
+from mspde.mesh import Partition1D, gauss_legendre, quadrature_order_policy
 from mspde.problems import linear_wave, nls, nonlinear_wave
 from mspde.solver import (
     SchemeVariant,
@@ -23,6 +22,7 @@ from mspde.solver import (
     SolverConfig,
     Trajectory,
     run_simulation,
+    scheme_derivative,
     slab_rules,
 )
 from mspde.spaces import SlabCoefficients, SpatialSpace, TemporalSlab
@@ -191,7 +191,7 @@ def test_pointwise_densities_integrate_to_the_invariant_series(variant):
     coeffs = SlabCoefficients(TemporalSlab(0.0, 0.1, 1), space, z_nodes)
     traj = Trajectory(prob, variant, space, 1, np.array([0.0, 0.1]), z0, [coeffs])
     series = global_invariants(variant, prob, traj)
-    rule = _node_rule(prob, space)
+    rule = slab_rules(prob, space.degree, 1)[1]
     xs = space.quad_points(rule)
     for node, t in enumerate(series.times):
         g, _, e, _ = densities_fluxes(variant, prob, coeffs, t, xs.ravel())
@@ -339,3 +339,126 @@ def test_run_and_diagnostics_need_no_dense_operator(variant, monkeypatch):
     auxiliary_identity_residual(traj)
     _, linear = short_run(variant, factory=linear_wave, dx=0.25, t_final=0.2)
     bochner_error(linear)
+
+
+# -- the one-pass diagnostics against their per-node loops -------------------------
+#
+# The references below evaluate the trajectory one temporal node or one Gauss
+# time at a time, through ``state_at_node`` and ``temporal_values``.
+
+
+def reference_invariants(variant, problem, trajectory):
+    """The mass, momentum and energy series, and the largest integral of an
+    integrand's magnitude as their scale: mass and momentum are cancelling
+    integrals, so their roundoff is measured against that."""
+    space = trajectory.space
+    rule = slab_rules(problem, space.degree, trajectory.q)[1]
+    mass, momentum, energy, scale = [], [], [], 0.0
+    for n in range(trajectory.node_count):
+        state = trajectory.state_at_node(n)
+        vals = space.eval_on_rule(state, rule)
+        dcoeffs, order = scheme_derivative(variant, space, state)
+        g, _, e, _ = diagnostics._densities(problem, vals,
+                                            space.eval_on_rule(dcoeffs, rule, order))
+        mass.append([space.integrate(vals[c], rule) for c in range(problem.D)])
+        momentum.append(space.integrate(g, rule))
+        energy.append(space.integrate(e, rule))
+        magnitudes = space.integrate(np.abs(np.stack([*vals, g, e])), rule)
+        scale = max(scale, float(np.max(magnitudes)))
+    return (np.array(mass), np.array(momentum), np.array(energy)), scale
+
+
+def reference_monitor(variant, problem, trajectory):
+    space = trajectory.space
+    rule = slab_rules(problem, space.degree, trajectory.q)[1]
+    v2, w2, pot = [], [], []
+    for n in range(trajectory.node_count):
+        state = trajectory.state_at_node(n)
+        vals = space.eval_on_rule(state, rule)
+        z = np.zeros(vals[0].shape + (3,))
+        z[..., 0] = vals[0]
+        v2.append(space.integrate(vals[1] ** 2, rule))
+        pot.append(space.integrate(problem.s(z), rule))
+        dcoeffs, order = scheme_derivative(variant, space, state[0])
+        du = space.eval_on_rule(dcoeffs, rule, order)
+        slope = space.eval_on_rule(space.project_grid(du, rule), rule) if order else du
+        w2.append(space.integrate(slope**2, rule))
+        if n == 0:
+            bound = v2[0] + space.integrate(du**2, rule) + pot[0]
+    return np.array(v2), np.array(w2), np.array(pot), bound
+
+
+def reference_auxiliary_residual(trajectory):
+    """The largest mismatch, and the largest slope coefficient as its scale."""
+    space = trajectory.space
+    rule = gauss_legendre(quadrature_order_policy(2 * space.degree))
+    worst, scale = 0.0, 0.0
+    for coeffs in trajectory.slabs:
+        for s in gauss_legendre(trajectory.q + 1).points:
+            spatial = coeffs.temporal_values(coeffs.slab.times(s))
+            target, order = scheme_derivative(trajectory.variant, space, spatial[0])
+            if order:
+                target = space.project_grid(space.eval_on_rule(target, rule, order), rule)
+            worst = max(worst, float(np.max(np.abs(spatial[2] - target))))
+            scale = max(scale, float(np.max(np.abs(spatial[2]))))
+    return worst, scale
+
+
+def nonuniform_run(variant, monkeypatch, t_final):
+    """A nonlinear wave run, q=1, p=2, dt=0.1, on a fixed-seed nonuniform
+    periodic mesh of 9 elements."""
+    prob = nonlinear_wave()
+    widths = np.random.default_rng(13).uniform(0.5, 1.5, 9)
+    nodes = np.concatenate([[0.0], np.cumsum(widths)]) * (prob.domain_length / widths.sum())
+    nodes[-1] = prob.domain_length
+    space = SpatialSpace(Partition1D(nodes, periodic=True), 2, variant.spatial_continuity)
+    monkeypatch.setattr("mspde.solver.build_space", lambda *args: space)
+    config = SolverConfig(q=1, p=2, dt=0.1, dx=0.1, t_final=t_final)
+    return prob, run_simulation(variant, prob, config)
+
+
+def assert_series_close(actual, reference, scale=None):
+    """Equal shapes, and entries within 1e-13 of ``scale`` (default: the
+    largest reference entry)."""
+    scale = float(np.max(np.abs(reference))) if scale is None else scale
+    assert np.shape(actual) == np.shape(reference)
+    assert np.max(np.abs(np.asarray(actual) - reference)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("variant", list(SchemeVariant))
+def test_one_pass_diagnostics_match_the_per_node_loops(variant, monkeypatch):
+    # Three slabs, the last a remainder of half the step: four nodes.
+    prob, traj = nonuniform_run(variant, monkeypatch, t_final=0.25)
+    assert traj.node_count == 4 and traj.slabs[-1].slab.dt == pytest.approx(0.05)
+
+    series = global_invariants(variant, prob, traj)
+    references, scale = reference_invariants(variant, prob, traj)
+    for actual, reference in zip((series.mass, series.momentum, series.energy), references):
+        assert_series_close(actual, reference, scale)
+
+    monitor = energy_stability_monitor(variant, prob, traj)
+    v2, w2, pot, bound = reference_monitor(variant, prob, traj)
+    assert_series_close(monitor.velocity_norm2, v2)
+    assert_series_close(monitor.projected_slope_norm2, w2)
+    assert_series_close(monitor.potential_integral, pot)
+    assert monitor.bound == pytest.approx(bound, rel=1e-13)
+
+    # The residual is a difference of O(1) coefficients, so its roundoff is
+    # measured against their size.
+    worst, scale = reference_auxiliary_residual(traj)
+    assert abs(auxiliary_identity_residual(traj) - worst) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("variant", list(SchemeVariant))
+def test_diagnostics_of_a_trajectory_without_slabs(variant, monkeypatch):
+    prob, traj = nonuniform_run(variant, monkeypatch, t_final=0.1)
+    empty = Trajectory(prob, variant, traj.space, traj.q, traj.times[:1], traj.initial_coeffs)
+    series = global_invariants(variant, prob, empty)
+    assert series.mass.shape == (1, prob.D)
+    assert series.momentum.shape == series.energy.shape == (1,)
+    (mass, momentum, energy), scale = reference_invariants(variant, prob, traj)
+    for actual, reference in ((series.mass, mass), (series.momentum, momentum),
+                              (series.energy, energy)):
+        assert_series_close(actual, reference[:1], scale)
+    assert energy_stability_monitor(variant, prob, empty).velocity_norm2.shape == (1,)
+    assert auxiliary_identity_residual(empty) == 0.0

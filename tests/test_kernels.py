@@ -22,7 +22,6 @@ from mspde.spaces import (
     SlabGrid,
     SpatialSpace,
     TemporalSlab,
-    spacetime_eval,
     spacetime_test,
 )
 from mspde.spatial_ops import g_matrix, node_traces, weak_g_from_samples
@@ -106,7 +105,7 @@ def test_spacetime_eval_matches_einsum(variant, q, p):
         if variant is SchemeVariant.DG_PRIMARY:
             g_nodes = np.einsum("ij,cjt->cit", g_matrix(space), nodes)
             return reference_eval(g_nodes, space, asm.B, time_table)
-        return reference_eval(nodes, space, asm.dB, time_table) \
+        return reference_eval(nodes, space, space.tabulate(asm.rule_x.points, 1), time_table) \
             / space.partition.widths[None, None, :, None]
 
     z, dz = field_on_grid(variant, asm, nodes, asm.Tt)
@@ -119,7 +118,7 @@ def test_spacetime_eval_matches_einsum(variant, q, p):
     assert_close(dz_t, reference_derivative(asm.dTt))
 
     test_nodes = rng.standard_normal((d, space.dof_count, q + 1))
-    assert_close(spacetime_eval(test_nodes, space, asm.B, asm.Ts),
+    assert_close(asm.eval(test_nodes, asm.Ts),
                  reference_eval(test_nodes, space, asm.B, asm.Ts))
 
 
@@ -158,7 +157,7 @@ def test_residual_matches_einsum_quadrature(factory, variant, q, p):
         dz = reference_eval(np.einsum("ij,cjt->cit", g_matrix(space), nodes),
                             space, asm.B, asm.Tt)
     else:
-        dz = reference_eval(nodes, space, asm.dB, asm.Tt) \
+        dz = reference_eval(nodes, space, space.tabulate(asm.rule_x.points, 1), asm.Tt) \
             / space.partition.widths[None, None, :, None]
     grad = np.moveaxis(problem.grad_s(np.moveaxis(z, 0, -1)), -1, 0)
     integrand = np.einsum("cd,dgmh->cgmh", problem.K, zt) \
@@ -264,7 +263,8 @@ def test_linear_jacobian_matches_dense_kron(variant, q, p):
     mass = reference_assembly(
         space, space.partition.widths[:, None, None]
         * np.einsum("kg,lg,g->kl", asm.B, asm.B, weights))
-    deriv = reference_derivative_matrix(space, asm.B, asm.dB, weights)
+    deriv = reference_derivative_matrix(space, asm.B, space.tabulate(asm.rule_x.points, 1),
+                                        weights)
     ta1 = np.einsum("ag,bg,g->ab", asm.Ts, asm.dTt, asm.rule_t.weights)
     ta0 = asm.dt * np.einsum("ag,bg,g->ab", asm.Ts, asm.Tt, asm.rule_t.weights)
     expected = np.kron(mass, np.kron(asm.problem.K, ta1[:, 1:])) \

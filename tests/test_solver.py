@@ -15,7 +15,7 @@ from mspde.solver import (
     build_space,
     run_simulation,
 )
-from mspde.spaces import spacetime_eval, spacetime_test
+from mspde.spaces import spacetime_test
 
 
 def constant_wave_problem(value=0.7):
@@ -511,11 +511,10 @@ def test_momentum_variant_auxiliary_field_solves_the_coupled_system():
     for coeffs in traj.slabs:
         assert np.array_equal(coeffs.aux[:, :, 0], aux_prev)
         aux_prev = coeffs.aux[:, :, -1]
-        z = spacetime_eval(coeffs.values, asm.space, asm.B, asm.Tt)
-        zt = spacetime_eval(coeffs.values, asm.space, asm.B, asm.dTt / config.dt)
-        zx = spacetime_eval(coeffs.values, asm.space, asm.dB, asm.Tt) \
-            / asm.space.partition.widths[:, None]
-        a = spacetime_eval(coeffs.aux, aux_space, aux_table, asm.Tt)
+        z = asm.eval(coeffs.values, asm.Tt)
+        zt = asm.eval(coeffs.values, asm.dTt / config.dt)
+        zx = asm.eval(coeffs.values, asm.Tt, derivative_order=1)
+        a = aux_space.eval_on_rule(np.swapaxes(coeffs.aux @ asm.Tt, 1, 2), asm.rule_x)
         grad = np.moveaxis(prob.grad_s(np.moveaxis(z, 0, -1)), -1, 0)
         scheme = (np.einsum("cd,dgmh->cgmh", prob.K, zt)
                   + np.einsum("cd,dgmh->cgmh", prob.L, zx) - a)
