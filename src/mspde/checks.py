@@ -211,19 +211,27 @@ def _broken_derivative_exactness() -> float:
     return worst
 
 
-def _jacobian_fd(rng) -> float:
-    worst = 0.0
-    cases = [
-        (solver.SchemeVariant.CG_PRIMARY, problems.nonlinear_wave()),
-        (solver.SchemeVariant.DG_PRIMARY, problems.nls()),
-        (solver.SchemeVariant.CG_MOMENTUM, problems.nonlinear_wave()),
-    ]
-    for variant, prob in cases:
+_SLAB_CASES = [
+    (solver.SchemeVariant.CG_PRIMARY, problems.nonlinear_wave),
+    (solver.SchemeVariant.DG_PRIMARY, problems.nls),
+    (solver.SchemeVariant.CG_MOMENTUM, problems.nonlinear_wave),
+]
+
+
+def _random_slabs(rng, cases):
+    """Assembler of a q=1, p=1 slab on four elements and a random state, per case."""
+    for variant, factory in cases:
+        prob = factory()
         config = solver.SolverConfig(q=1, p=1, dt=0.1, dx=prob.domain_length / 4,
                                      t_final=0.1)
         space = solver.build_space(prob, config, variant)
         asm = solver.SlabAssembler(variant, prob, space, config.q, config.dt)
-        z = rng.uniform(-0.5, 0.5, (prob.D, space.dof_count, config.q + 2))
+        yield asm, rng.uniform(-0.5, 0.5, (prob.D, space.dof_count, config.q + 2))
+
+
+def _jacobian_fd(rng) -> float:
+    worst = 0.0
+    for asm, z in _random_slabs(rng, _SLAB_CASES):
         jac = asm.jacobian(z).toarray()
         step = 1e-6
         fd = np.zeros((asm.size, asm.size))
@@ -234,6 +242,19 @@ def _jacobian_fd(rng) -> float:
                         - asm.residual(_perturb(asm, z, -delta))) / (2 * step)
         scale = np.maximum(1.0, np.abs(jac))
         worst = max(worst, float(np.max(np.abs(jac - fd) / scale)))
+    return worst
+
+
+def _factor_solve(rng) -> float:
+    """Largest relative gap between the slab factor's solve and a dense solve."""
+    worst = 0.0
+    cases = _SLAB_CASES + [(solver.SchemeVariant.DG_PRIMARY, problems.linear_wave)]
+    for asm, z in _random_slabs(rng, cases):
+        b = rng.standard_normal(asm.size)
+        expected = np.linalg.solve(asm.jacobian(z).toarray(), b)
+        actual = asm.factorise(z).solve(b)
+        worst = max(worst, float(np.max(np.abs(actual - expected))
+                                 / np.max(np.abs(expected))))
     return worst
 
 
@@ -335,4 +356,5 @@ def run_property_checks(seed: int = 0) -> list[CheckResult]:
         CheckResult("trajectory-temporal-continuity", _temporal_continuity(), 1e-13),
         CheckResult("wave-auxiliary-identity", _auxiliary_identity(), 1e-10),
         CheckResult("local-conservation-laws", _local_conservation(), 1e-10),
+        CheckResult("slab-factor-solve", _factor_solve(rng), 1e-12),
     ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import gauss_legendre, quadrature_order_policy
+from .mesh import gauss_legendre
 from .problems import MultisymplecticProblem
 from .spaces import SlabCoefficients, SlabGrid, SpatialSpace
 from .solver import SchemeVariant, Trajectory, field_on_grid, scheme_derivative, slab_rules
@@ -316,6 +316,6 @@ def auxiliary_identity_residual(trajectory: Trajectory) -> float:
     trial = trajectory.slabs[0].slab.trial_basis.tabulate(gauss.points)    # (q+2, q+1)
     nodes = np.stack([coeffs.values for coeffs in trajectory.slabs])   # (slabs, 3, dofs, q+2)
     spatial = np.swapaxes(nodes @ trial, -1, -2)                       # (slabs, 3, q+1, dofs)
-    rule = gauss_legendre(quadrature_order_policy(2 * space.degree))
+    rule = slab_rules(problem, space.degree, trajectory.q)[1]
     target, _ = _slope(trajectory.variant, space, spatial[:, 0], rule)
     return float(np.max(np.abs(spatial[:, 2] - target)))

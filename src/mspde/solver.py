@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .mesh import QuadratureRule, gauss_legendre, quadrature_order_policy, uniform_partition
 from .problems import MultisymplecticProblem
@@ -34,6 +34,7 @@ __all__ = [
     "Trajectory",
     "SlabAssembler",
     "SlabSolution",
+    "BandFactor",
     "run_simulation",
     "build_space",
     "slab_rules",
@@ -120,6 +121,29 @@ class SlabSolution(NamedTuple):
     factorisations: int
     restarted: bool
     stalled: bool
+
+
+class BandFactor(NamedTuple):
+    """LAPACK band LU (``dgbtrf``) of a slab Jacobian in the folded unknown order.
+
+    ``order[k]`` is the unknown at folded position k; ``lu`` is the
+    Fortran-ordered band storage of the factor, with ``kl`` sub- and ``ku``
+    superdiagonals of the folded Jacobian and kl more rows of pivoting fill.
+    """
+
+    lu: np.ndarray
+    ipiv: np.ndarray
+    kl: int
+    ku: int
+    order: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solution x of J x = b for the factorised Jacobian J."""
+        folded, _ = dgbtrs(self.lu, self.kl, self.ku, b[self.order], self.ipiv,
+                           overwrite_b=True)
+        x = np.empty_like(folded)
+        x[self.order] = folded
+        return x
 
 
 def _max_norm(values: np.ndarray) -> float:
@@ -218,7 +242,8 @@ class SlabAssembler(SlabGrid):
         self.operator = (kron(space.mass_operator(), time_k)
                          + kron(deriv, np.kron(problem.L, self.ta0))).tocsr()
         self._pattern = None  # (CSC linear part on the full pattern, Hessian index map)
-        self._lu = None
+        self._band = None     # (band index of each Jacobian entry, kl, ku, fold order)
+        self._factor = None   # the constant Jacobian's factor
         self._extrapolations = {}  # previous slab length -> trial table at this slab's nodes
 
         # Broken space of the cg-momentum auxiliary field.
@@ -402,31 +427,60 @@ class SlabAssembler(SlabGrid):
         return SlabSolution(z_nodes, aux_nodes, iterations, norm, factorisations, restarted,
                             stalled)
 
-    def factorise(self, z_nodes: np.ndarray) -> scipy.sparse.linalg.SuperLU:
-        """Sparse LU of the Jacobian at z_nodes, its column order chosen by
-        whether the Jacobian is constant.
+    def factorise(self, z_nodes: np.ndarray) -> BandFactor:
+        """Band LU of the Jacobian at z_nodes, in the folded unknown order.
 
-        A constant Jacobian is factorised once per assembler and back-solved
-        on every slab, so its fill matters most: COLAMD keeps the linear
-        wave's factor small, whose u rows have a structurally zero diagonal
-        that row pivoting would otherwise carry out of the band.  A
-        state-dependent Jacobian is refactorised on every Newton step, so
-        factorisation time matters most: the unknowns' own (dof, component,
-        time) order is banded already, and ``NATURAL`` factorises the NLS
-        and nonlinear-wave benchmark slabs faster in it than in COLAMD's.
+        Folding the periodic dof numbering (0, n-1, 1, n-2, ...; each dof's
+        D(q+1) unknowns kept together) brings the Jacobian's periodic corner
+        blocks next to the diagonal, so it is a plain band whose widths are
+        read off the pattern.  :meth:`jacobian`'s values are scattered into
+        LAPACK band storage through an index map built on the first call and
+        factorised by partial-pivoting ``dgbtrf``.  A singular Jacobian
+        raises :class:`SolverFailure` with the residual norm at z_nodes.
         """
-        return scipy.sparse.linalg.splu(
-            self.jacobian(z_nodes),
-            permc_spec="COLAMD" if self.jacobian_is_constant else "NATURAL")
+        jac = self.jacobian(z_nodes)
+        if self._band is None:
+            self._band = self._band_layout(jac)
+        index, kl, ku, order = self._band
+        rows = 2 * kl + ku + 1
+        band = np.zeros(rows * self.size)
+        band[index] = jac.data
+        lu, ipiv, info = dgbtrf(band.reshape((rows, self.size), order="F"), kl, ku,
+                                overwrite_ab=True)
+        if info > 0:
+            norm = _max_norm(self.residual(z_nodes))
+            raise SolverFailure(f"singular slab Jacobian at residual {norm:.3e}",
+                                residual_norm=norm)
+        if info < 0:
+            raise ValueError(f"dgbtrf rejected argument {-info}")
+        return BandFactor(lu, ipiv, kl, ku, order)
+
+    def _band_layout(self, jac: scipy.sparse.csc_matrix):
+        """Position in the flat Fortran band array of each stored Jacobian
+        entry, the band's kl and ku, and the folded unknown order."""
+        n, block = self.n, self.size // self.n
+        dofs = np.empty(n, dtype=np.int64)
+        dofs[0::2] = np.arange((n + 1) // 2)
+        dofs[1::2] = n - 1 - np.arange(n // 2)
+        order = (dofs[:, None] * block + np.arange(block)).ravel()
+        position = np.empty_like(order)
+        position[order] = np.arange(self.size)
+        row = position[jac.indices]
+        col = position[np.repeat(np.arange(self.size), np.diff(jac.indptr))]
+        kl, ku = int(np.max(row - col)), int(np.max(col - row))
+        rows = 2 * kl + ku + 1
+        index = kl + ku + row - col + rows * col
+        dtype = np.int32 if rows * self.size <= np.iinfo(np.int32).max else np.int64
+        return index.astype(dtype), kl, ku, order.astype(dtype)
 
     def _newton_step(self, z_nodes: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, int]:
         """Newton step for residual r at z_nodes and the factorisations it took."""
-        if self._lu is not None:
-            return self._lu.solve(-r), 0
-        lu = self.factorise(z_nodes)
+        if self._factor is not None:
+            return self._factor.solve(-r), 0
+        factor = self.factorise(z_nodes)
         if self.jacobian_is_constant:
-            self._lu = lu
-        return lu.solve(-r), 1
+            self._factor = factor
+        return factor.solve(-r), 1
 
     def _project_auxiliary(self, z_nodes: np.ndarray,
                            aux_start: np.ndarray | None) -> np.ndarray:

@@ -27,10 +27,7 @@ __all__ = [
     "SpatialSpace",
     "TemporalSlab",
     "SlabCoefficients",
-    "mass_matrix",
-    "l2_project_spatial",
     "l2_project_spacetime",
-    "eval_field",
     "spacetime_test",
     "SlabGrid",
 ]
@@ -221,15 +218,6 @@ class SpatialSpace:
 QUADRATURE_NONPOLY = 10**6
 
 
-def mass_matrix(space: SpatialSpace) -> np.ndarray:
-    return space.mass_matrix()
-
-
-def l2_project_spatial(f, space: SpatialSpace) -> np.ndarray:
-    """Coefficients of the L2 projection of ``f`` (componentwise)."""
-    return space.project(f)
-
-
 @dataclass(frozen=True, eq=False)
 class TemporalSlab:
     """One time slab: continuous degree-(q+1) trial, broken degree-q test."""
@@ -302,23 +290,6 @@ class SlabCoefficients:
         if np.asarray(t).ndim == 0:
             return vals[:, :, 0]
         return vals
-
-
-def eval_field(coeffs: SlabCoefficients, t, x, dt_order: int = 0, dx_order: int = 0):
-    """Evaluate the slab field (or a first derivative) at (t, x).
-
-    Returns an array of shape (D,) for scalar inputs, (D, len(x)) otherwise.
-    Raises if t lies outside the slab.
-    """
-    spatial = coeffs.temporal_values(t, dt_order)
-    if spatial.ndim == 3:
-        if np.asarray(x).ndim == 0:
-            return np.stack(
-                [coeffs.space.evaluate(spatial[:, :, g], x, dx_order) for g in range(spatial.shape[2])],
-                axis=-1,
-            )
-        raise ValueError("pass a scalar t with array x, or scalar x with array t")
-    return coeffs.space.evaluate(spatial, x, dx_order)
 
 
 def spacetime_test(grid: np.ndarray, space: SpatialSpace, basis_table: np.ndarray,

@@ -207,6 +207,38 @@ def test_solver_failure_flushes_partial_series(tmp_path, monkeypatch):
     assert float(rows[-1][0]) == pytest.approx(0.25)
 
 
+def test_singular_slab_jacobian_is_a_solver_failure(tmp_path, monkeypatch):
+    # A singular Jacobian ends the run like any other Newton failure: the
+    # failure names the slab, and the CLI writes the partial series and
+    # exits 1.
+    from mspde.problems import nls
+    from mspde.solver import (SchemeVariant, SlabAssembler, SolverConfig, SolverFailure,
+                              run_simulation)
+
+    jacobian = SlabAssembler.jacobian
+
+    def singular(self, z_nodes):
+        jac = jacobian(self, z_nodes)
+        jac.data[jac.indptr[3]:jac.indptr[4]] = 0.0
+        return jac
+
+    monkeypatch.setattr(SlabAssembler, "jacobian", singular)
+    config = SolverConfig(q=1, p=2, dt=0.1, dx=0.4, t_final=0.3)
+    with pytest.raises(SolverFailure) as excinfo:
+        run_simulation(SchemeVariant.DG_PRIMARY, nls(), config)
+    assert excinfo.value.slab_index == 0
+    assert "slab 0" in str(excinfo.value)
+    assert excinfo.value.residual_norm > config.newton_tolerance
+
+    out = tmp_path / "singular"
+    code = main(["run", "--problem", "nls", "--variant", "dg", "--q", "1", "--p", "2",
+                 "--dt", "0.1", "--dx", "0.4", "--T", "0.3", "--out", str(out)])
+    assert code == 1
+    _, rows = read_csv(out / "invariants.csv")
+    assert len(rows) == 1  # the failure row at t=0
+    assert float(rows[0][0]) == 0.0 and rows[0][1] == "nan"
+
+
 @pytest.mark.parametrize("entry", ["problem = nope", "variant = dgx", "command = verify"])
 def test_config_file_entries_are_checked_by_the_parser(tmp_path, entry):
     # A file entry is parsed like the flag it names: an invalid choice or a

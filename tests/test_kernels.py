@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mspde.diagnostics import bochner_error
-from mspde.mesh import Partition1D, gauss_legendre
+from mspde.mesh import Partition1D, gauss_legendre, uniform_partition
 from mspde.problems import linear_wave, nls, nonlinear_wave
 from mspde.solver import SchemeVariant, SlabAssembler, Trajectory, field_on_grid
 from mspde.spaces import (
@@ -284,3 +284,25 @@ def test_weak_g_from_samples_matches_g_on_the_space(p):
     sampled = weak_g_from_samples(space, space.eval_on_rule(u, rule),
                                   space.eval_on_rule(u, rule, 1), left, right, rule)
     assert_close(sampled, np.einsum("ij,cj->ci", g_matrix(space), u))
+
+
+@pytest.mark.parametrize("mesh", ["two-element", "nonuniform"])
+@pytest.mark.parametrize("factory", [linear_wave, nonlinear_wave, nls])
+@pytest.mark.parametrize("variant,q,p", CASES)
+def test_band_factor_solves_like_a_dense_solve(variant, q, p, factory, mesh):
+    # The band LU works in the folded dof order; on two elements the fold
+    # wraps at once.  A wrong fold, a band too narrow or a band array read in
+    # the wrong memory order all miss the dense solve.
+    rng = np.random.default_rng(180 + 10 * q + p)
+    problem = factory()
+    if mesh == "two-element":
+        space = SpatialSpace(uniform_partition(problem.domain_length, 2), p,
+                             variant.spatial_continuity)
+    else:
+        space = nonuniform_space(rng, problem.domain_length, 5, p, variant.spatial_continuity)
+    asm = SlabAssembler(variant, problem, space, q, 0.1)
+    nodes = rng.uniform(-1.0, 1.0, (problem.D, space.dof_count, q + 2))
+    b = rng.standard_normal(asm.size)
+    expected = np.linalg.solve(asm.jacobian(nodes).toarray(), b)
+    actual = asm.factorise(nodes).solve(b)
+    assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected))

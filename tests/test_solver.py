@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 from mspde.problems import linear_wave, nls, nonlinear_wave
 from mspde.solver import (
@@ -135,7 +134,7 @@ def test_jacobian_stores_only_the_declared_hessian_pattern(factory, variant, dx,
 
 def test_jacobian_pattern_is_built_lazily_and_results_own_their_data():
     asm, z = acceptance_assembler(nonlinear_wave, SchemeVariant.CG_PRIMARY, 0.25)
-    assert asm._pattern is None
+    assert asm._pattern is None and asm._band is None
     j1 = asm.jacobian(z)
     j2 = asm.jacobian(2.0 * z)
     assert asm._pattern is not None
@@ -147,32 +146,33 @@ def test_jacobian_pattern_is_built_lazily_and_results_own_their_data():
 
 
 def test_nls_slab_factor_fill_stays_banded():
-    # On the NLS acceptance mesh (2,400 unknowns) the (dof, component, time)
-    # order keeps the LU fill near 118k; the (component, dof, time) order
-    # filled 227k under the same ordering.
+    # In the folded (dof, component, time) order the NLS slab Jacobian is a
+    # band whose widths do not depend on the mesh, so the factor's storage
+    # grows linearly with the elements.  On the acceptance mesh (2,400
+    # unknowns) the band factor holds about 118k nonzeros.
     asm, z = acceptance_assembler(nls, SchemeVariant.DG_PRIMARY, 0.4)
     assert asm.size == 2400
-    lu = asm.factorise(z)
-    assert lu.L.nnz + lu.U.nnz <= 150_000
+    factor = asm.factorise(z)
+    assert np.count_nonzero(factor.lu) <= 150_000
+    fine, z_fine = acceptance_assembler(nls, SchemeVariant.DG_PRIMARY, 0.1)
+    fine_factor = fine.factorise(z_fine)
+    assert (fine_factor.kl, fine_factor.ku) == (factor.kl, factor.ku)
 
 
-@pytest.mark.parametrize("factory,variant,dx,order", [
-    (nls, SchemeVariant.DG_PRIMARY, 0.4, "NATURAL"),
-    (nonlinear_wave, SchemeVariant.CG_PRIMARY, 0.05, "NATURAL"),
-    (linear_wave, SchemeVariant.DG_PRIMARY, 0.125, "COLAMD"),
+@pytest.mark.parametrize("factory,variant,dx", [
+    (nls, SchemeVariant.DG_PRIMARY, 0.4),
+    (nonlinear_wave, SchemeVariant.CG_PRIMARY, 0.05),
+    (linear_wave, SchemeVariant.DG_PRIMARY, 0.125),
 ])
-def test_factor_order_follows_whether_the_jacobian_is_constant(factory, variant, dx, order):
-    # A state-dependent Jacobian is refactorised on every Newton step in the
-    # unknowns' own banded order; a constant one is factorised once with
-    # COLAMD, which keeps the fill of its many back-solves down.  Newton
-    # steps and fill must be those of a fresh factor in that order.
+def test_band_factor_step_matches_a_dense_solve(factory, variant, dx):
+    # State-dependent and constant Jacobians alike are factorised as one band
+    # LU in the folded dof order; its Newton step is a dense solve's.
     asm, z = acceptance_assembler(factory, variant, dx)
     z = z + 0.01 * np.random.default_rng(5).standard_normal(z.shape)
     r = asm.residual(z)
-    lu = asm.factorise(z)
-    fresh = scipy.sparse.linalg.splu(asm.jacobian(z), permc_spec=order)
-    assert np.array_equal(lu.solve(-r), fresh.solve(-r))
-    assert lu.L.nnz + lu.U.nnz == fresh.L.nnz + fresh.U.nnz
+    dense = np.linalg.solve(asm.jacobian(z).toarray(), -r)
+    step = asm.factorise(z).solve(-r)
+    assert np.max(np.abs(step - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_slab_memory_grows_linearly_with_the_elements():

@@ -8,10 +8,7 @@ from mspde.spaces import (
     SlabCoefficients,
     SpatialSpace,
     TemporalSlab,
-    eval_field,
     l2_project_spacetime,
-    l2_project_spatial,
-    mass_matrix,
 )
 
 
@@ -38,7 +35,7 @@ def test_cg_interface_dofs_shared():
 
 def test_piecewise_constant_mass_is_diagonal():
     space = SpatialSpace(uniform_partition(1.0, 4), 0, "dg")
-    assert mass_matrix(space) == pytest.approx(np.diag([0.25] * 4))
+    assert space.mass_matrix() == pytest.approx(np.diag([0.25] * 4))
 
 
 def test_cg_p1_mass_is_circulant():
@@ -51,12 +48,12 @@ def test_cg_p1_mass_is_circulant():
             [h / 6, h / 6, 2 * h / 3],
         ]
     )
-    assert mass_matrix(space) == pytest.approx(expected, abs=1e-15)
+    assert space.mass_matrix() == pytest.approx(expected, abs=1e-15)
 
 
 @pytest.mark.parametrize("space", [cg(6, 2), dg(5, 3), cg(4, 1)])
 def test_mass_symmetric_positive_definite(space):
-    m = mass_matrix(space)
+    m = space.mass_matrix()
     assert np.max(np.abs(m - m.T)) <= 1e-15
     assert np.min(np.linalg.eigvalsh(m)) > 0.0
 
@@ -64,10 +61,8 @@ def test_mass_symmetric_positive_definite(space):
 @pytest.mark.parametrize("continuity", ["cg", "dg"])
 def test_project_constant_vector_is_nodal(continuity):
     space = SpatialSpace(uniform_partition(1.0, 5), 2, continuity)
-    coeffs = l2_project_spatial(
-        lambda x: np.stack([np.ones_like(x), np.zeros_like(x), np.zeros_like(x)], axis=-1),
-        space,
-    )
+    coeffs = space.project(
+        lambda x: np.stack([np.ones_like(x), np.zeros_like(x), np.zeros_like(x)], axis=-1))
     assert coeffs[0] == pytest.approx(np.ones(space.dof_count), abs=1e-13)
     assert np.max(np.abs(coeffs[1:])) < 1e-13
 
@@ -75,7 +70,7 @@ def test_project_constant_vector_is_nodal(continuity):
 def test_project_harmonic_wave_accuracy():
     space = cg(32, 3)
     f = lambda x: 0.5 * np.sin(2 * np.pi * x)
-    coeffs = l2_project_spatial(f, space)
+    coeffs = space.project(f)
     rule = gauss_legendre(12)
     vals = space.eval_on_rule(coeffs, rule)
     exact = f(space.quad_points(rule))
@@ -86,15 +81,15 @@ def test_project_harmonic_wave_accuracy():
 def test_projection_idempotent():
     space = cg(8, 2)
     f = lambda x: np.cos(2 * np.pi * x)
-    c1 = l2_project_spatial(f, space)
-    c2 = space.mass_solve(mass_matrix(space) @ c1)
+    c1 = space.project(f)
+    c2 = space.mass_solve(space.mass_matrix() @ c1)
     assert c2 == pytest.approx(c1, abs=1e-13)
 
 
 def test_galerkin_orthogonality_of_projection():
     space = dg(6, 2)
     f = lambda x: np.exp(np.sin(2 * np.pi * x))
-    coeffs = l2_project_spatial(f, space)
+    coeffs = space.project(f)
     rule = gauss_legendre(16)
     resid = space.eval_on_rule(coeffs, rule) - f(space.quad_points(rule))
     b = space.tabulate(rule.points)
@@ -136,6 +131,11 @@ def test_temporal_slab_shapes():
     assert slab.test_basis.size == 2
     with pytest.raises(ValueError):
         TemporalSlab(1.0, 1.0, 0)
+
+
+def eval_field(coeffs, t, x):
+    """Slab field at time t and points x: its spatial coefficients at t, evaluated at x."""
+    return coeffs.space.evaluate(coeffs.temporal_values(t), x)
 
 
 def test_eval_field_matches_nodal_values():

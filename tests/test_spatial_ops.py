@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mspde.mesh import Partition1D, gauss_legendre, uniform_partition
-from mspde.spaces import SpatialSpace, mass_matrix
+from mspde.spaces import SpatialSpace
 from mspde.spatial_ops import (
     TraceValues,
     apply_g,
@@ -79,7 +79,7 @@ def test_g_orthogonal_to_constants(p, m):
     space = dg(m, p)
     fields = _random_fields(space, 50, seed=p * 10 + m)
     gu = apply_g(space, fields)
-    mass = mass_matrix(space)
+    mass = space.mass_matrix()
     integrals = gu @ mass @ np.ones(space.dof_count)
     assert np.max(np.abs(integrals)) < 1e-12
 
@@ -90,7 +90,7 @@ def test_g_skew_symmetry(p, m):
     space = dg(m, p)
     u = _random_fields(space, 50, seed=p + m)
     v = _random_fields(space, 50, seed=p + m + 99)
-    mass = mass_matrix(space)
+    mass = space.mass_matrix()
     lhs = np.einsum("ni,ij,nj->n", apply_g(space, u), mass, v)
     rhs = -np.einsum("ni,ij,nj->n", u, mass, apply_g(space, v))
     scale = np.maximum(1.0, np.abs(lhs))
@@ -114,7 +114,7 @@ def test_g_product_rule_global(p, m):
     vl, vr = node_traces(space, v)
     g_uv = weak_g_from_samples(space, uv_grid, duv_grid, ul * vl, ur * vr, rule)
 
-    mass = mass_matrix(space)
+    mass = space.mass_matrix()
     ones = np.ones(space.dof_count)
     lhs = g_uv @ mass @ ones
     rhs = np.einsum("ni,ij,nj->n", apply_g(space, u), mass, v) + np.einsum(
@@ -255,7 +255,7 @@ def test_g_skew_symmetry_detects_sign_flip():
     # guards the checker itself.
     space = dg(4, 1)
     g = g_matrix(space).copy()
-    mass = mass_matrix(space)
+    mass = space.mass_matrix()
     rng = np.random.default_rng(0)
     u, v = rng.standard_normal((2, space.dof_count))
     bad = g + 2.0 * np.linalg.solve(mass, np.eye(space.dof_count))  # deliberate corruption
@@ -289,7 +289,7 @@ def test_g_identities_on_nonuniform_meshes(widths, p, seed):
     # elements all differ in width.
     nodes = np.concatenate([[0.0], np.cumsum(widths)])
     space = SpatialSpace(Partition1D(nodes, periodic=True), p, "dg")
-    g, mass = g_matrix(space), mass_matrix(space)
+    g, mass = g_matrix(space), space.mass_matrix()
     rng = np.random.default_rng(seed)
     u, v = rng.uniform(-1.0, 1.0, size=(2, 20, space.dof_count))
     gu, gv = u @ g.T, v @ g.T
