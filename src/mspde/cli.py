@@ -4,7 +4,8 @@ Everything is emitted as CSV (RFC-4180 style, '.' decimal separator, 17
 significant digits) so outputs are diffable and byte-reproducible for a
 given configuration.
 
-Exit codes: 0 success, 1 solver failure, 2 invalid configuration.
+Exit codes: 0 success, 1 solver failure, 2 invalid configuration; any other
+error propagates.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .checks import run_property_checks
 from .diagnostics import bochner_error, eoc, global_invariants, node_states
 from .problems import PROBLEM_LABELS, problem_by_label
 from .solver import (
+    ConfigurationError,
     SchemeVariant,
     SolverConfig,
     SolverFailure,
@@ -122,13 +124,8 @@ def cmd_run(args) -> int:
     try:
         config = SolverConfig(q=args.q, p=args.p, dt=args.dt, dx=args.dx,
                               t_final=args.T, newton_tolerance=args.newton_tol)
-    except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         trajectory = run_simulation(variant, problem, config)
-    except ValueError as exc:
+    except ConfigurationError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     except SolverFailure as failure:
@@ -184,7 +181,7 @@ def cmd_converge(args) -> int:
             config = SolverConfig(q=args.q, p=args.p, dt=h, dx=h, t_final=args.T,
                                   newton_tolerance=args.newton_tol)
             trajectory = run_simulation(variant, problem, config)
-        except ValueError as exc:
+        except ConfigurationError as exc:
             print(f"invalid configuration at level {i}: {exc}", file=sys.stderr)
             return 2
         except SolverFailure as failure:

@@ -14,6 +14,7 @@ projects its auxiliary field once the slab has converged.
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -30,10 +31,12 @@ from .spatial_ops import apply_g, weak_g_matrix
 __all__ = [
     "SchemeVariant",
     "SolverConfig",
+    "ConfigurationError",
     "SolverFailure",
     "Trajectory",
     "SlabAssembler",
     "SlabSolution",
+    "SlabIterate",
     "BandFactor",
     "run_simulation",
     "build_space",
@@ -65,6 +68,11 @@ class SchemeVariant(enum.Enum):
                          f"{[v.value for v in cls]}")
 
 
+class ConfigurationError(ValueError):
+    """A simulation configuration that no run can satisfy: an invalid
+    :class:`SolverConfig` or an element size that does not tile the domain."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Numerical parameters of a simulation."""
@@ -80,15 +88,15 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("dt", "dx", "t_final", "newton_tolerance"):
             if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.newton_tolerance <= 0.0:
-            raise ValueError("newton_tolerance must be positive")
+            raise ConfigurationError("newton_tolerance must be positive")
         if self.q < 0 or self.p < 1:
-            raise ValueError("need q >= 0 and p >= 1")
+            raise ConfigurationError("need q >= 0 and p >= 1")
         if self.max_newton_iterations < 0:
-            raise ValueError("max_newton_iterations must be nonnegative")
+            raise ConfigurationError("max_newton_iterations must be nonnegative")
         if min(self.dt, self.dx, self.t_final) <= 0.0:
-            raise ValueError("dt, dx and t_final must be positive")
+            raise ConfigurationError("dt, dx and t_final must be positive")
 
 
 class SolverFailure(RuntimeError):
@@ -146,6 +154,29 @@ class BandFactor(NamedTuple):
         return x
 
 
+class SlabIterate:
+    """One Newton iterate: its nodes (D, dofs, q+2) and, each evaluated on
+    first use and then kept, its state on the slab grid (D, nt, M, ns) and
+    the pointwise grad S there.
+
+    The residual, the next factorisation and the auxiliary projection of an
+    iterate share these values, so each is computed once per iterate.  The
+    nodes must not change while the iterate is in use.
+    """
+
+    def __init__(self, assembler: "SlabAssembler", z_nodes: np.ndarray):
+        self.assembler = assembler
+        self.z_nodes = z_nodes
+
+    @functools.cached_property
+    def state(self) -> np.ndarray:
+        return self.assembler.eval(self.z_nodes, self.assembler.Tt)
+
+    @functools.cached_property
+    def grad(self) -> np.ndarray:
+        return self.assembler._pointwise_grad(self.state)
+
+
 def _max_norm(values: np.ndarray) -> float:
     return float(np.max(np.abs(values))) if values.size else 0.0
 
@@ -155,7 +186,7 @@ def build_space(problem: MultisymplecticProblem, config: SolverConfig,
     """Uniform periodic space matching the configured element size."""
     m = int(round(problem.domain_length / config.dx))
     if m < 2 or abs(m * config.dx - problem.domain_length) > 1e-9 * problem.domain_length:
-        raise ValueError(
+        raise ConfigurationError(
             f"dx={config.dx} does not tile a domain of length {problem.domain_length}"
         )
     partition = uniform_partition(problem.domain_length, m, periodic=True)
@@ -278,56 +309,72 @@ class SlabAssembler(SlabGrid):
 
     # -- residual and jacobian -------------------------------------------------
 
-    def residual(self, z_nodes: np.ndarray) -> np.ndarray:
+    def residual(self, z_nodes: np.ndarray, iterate: SlabIterate | None = None) -> np.ndarray:
         """Flat residual over all test rows, ordered like the unknowns: the
         slab operator's product with the nodes, less the tested gradient
-        term (a constant vector when the Hessian is constant)."""
+        term (a constant vector when the Hessian is constant).
+
+        ``iterate``, the :class:`SlabIterate` of z_nodes, keeps the grid
+        values evaluated here for the Jacobian and the auxiliary projection.
+        """
         linear = self.operator @ np.swapaxes(z_nodes, 0, 1).ravel()
         if self.jacobian_is_constant:
             return linear - self._grad_zero_rows
-        grad = self._pointwise_grad(self.eval(z_nodes, self.Tt))
+        grad = (iterate or SlabIterate(self, z_nodes)).grad
         return linear - np.swapaxes(self.test(grad), 0, 1).ravel()
 
     def jacobian(self, z_nodes: np.ndarray) -> scipy.sparse.csc_matrix:
         """Exact sparse derivative of the flat residual w.r.t. the unknown nodes.
 
-        With a constant Hessian this is :attr:`linear_jacobian`; otherwise the
-        slab operator's unknown columns less the state-dependent Hessian
-        block, written into a fixed pattern.  The returned matrix owns its
-        arrays.
+        The CSC matrix of :meth:`_jacobian_values` on the fixed pattern: the
+        values :meth:`factorise` scatters into band storage.  The returned
+        matrix owns its arrays.
         """
-        if self.jacobian_is_constant:
-            return self.linear_jacobian
-        if self._pattern is None:
-            self._pattern = self._jacobian_pattern()
-        linear, hessian_map = self._pattern
-        jac = linear.copy()
-        jac.data -= np.bincount(hessian_map, weights=self._hessian_values(z_nodes),
-                                minlength=jac.nnz)
-        return jac
+        pattern, _ = self._jacobian_pattern()
+        values = self._jacobian_values(SlabIterate(self, z_nodes))
+        return scipy.sparse.csc_matrix(
+            (values, pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape)
 
-    def _hessian_values(self, z_nodes: np.ndarray) -> np.ndarray:
-        """Gradient-term derivative values, ordered (a, b, M, P, k, l) for the
-        P pairs of the problem's Hessian pattern.
+    def _jacobian_values(self, iterate: SlabIterate) -> np.ndarray:
+        """The Jacobian at the iterate as one flat array, in the order of the
+        fixed pattern's entries: :attr:`linear_jacobian`'s values with a
+        constant Hessian, otherwise the linear part less the state-dependent
+        Hessian block at the iterate's grid state."""
+        linear, hessian_map = self._jacobian_pattern()
+        if hessian_map is None:
+            return linear.data.copy()
+        return linear.data - np.bincount(
+            hessian_map, weights=self._hessian_values(iterate.state), minlength=linear.nnz)
+
+    def _hessian_values(self, zgrid: np.ndarray) -> np.ndarray:
+        """Gradient-term derivative values at the grid state zgrid (D, nt, M,
+        ns), ordered (a, b, M, P, k, l) for the P pairs of the problem's
+        Hessian pattern.
 
         Sum-factorised: the pointwise Hessian is contracted over space
         quadrature first, then over time quadrature.
         """
-        zgrid = self.eval(z_nodes, self.Tt)
         hess = self.problem.hess_s(np.moveaxis(zgrid, 0, -1))[(...,) + self._hessian_pairs]
         nt, m, ns, _ = hess.shape
         in_space = np.moveaxis(hess, 2, -1).reshape(-1, ns) @ self._space_products
         vals = self._time_products @ in_space.reshape(nt, -1)
         return (vals.reshape(len(vals), m, -1) * self.space.partition.widths[:, None]).ravel()
 
-    def _jacobian_pattern(self) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
-        """The linear part on the CSC pattern of a nonlinear problem's whole
-        Jacobian, and the position in its ``data`` of each
-        :meth:`_hessian_values` entry.
+    def _jacobian_pattern(self) -> tuple[scipy.sparse.csc_matrix, np.ndarray | None]:
+        """The linear part on the CSC pattern of the whole Jacobian, and the
+        position in its ``data`` of each :meth:`_hessian_values` entry (None
+        with a constant Hessian, whose pattern is :attr:`linear_jacobian`'s).
 
-        The pattern is the linear part's plus every element's Hessian block
-        on the pairs of the problem's Hessian pattern.
+        A nonlinear problem's pattern is the linear part's plus every
+        element's Hessian block on the pairs of the problem's Hessian
+        pattern.  Built on the first call and kept.
         """
+        if self._pattern is None:
+            self._pattern = (self.linear_jacobian, None) if self.jacobian_is_constant \
+                else self._nonlinear_pattern()
+        return self._pattern
+
+    def _nonlinear_pattern(self) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
         size = self.size
         first, second = self._hessian_pairs
         index = self.as_nodes(np.arange(size))[:, self.space.element_dofs]  # (D, M, p+1, q+1)
@@ -385,6 +432,11 @@ class SlabAssembler(SlabGrid):
         For ``cg-momentum`` the auxiliary field, starting from aux_start (or,
         when that is None, from the projection of grad S(z_start)), is
         projected from the converged slab; otherwise it is None.
+
+        Each iterate is a :class:`SlabIterate`: its grid state and grad S
+        are evaluated once, by :meth:`residual`, and reused by the
+        factorisation at that iterate and, for the accepted one, by the
+        auxiliary projection.
         """
         z_nodes = np.repeat(z_start[:, :, None], self.q + 2, axis=2)
         guessed = guess is not None and max_iterations > 0
@@ -392,7 +444,7 @@ class SlabAssembler(SlabGrid):
             z_nodes[:, :, 1:] = guess[:, :, 1:]
         iterations = factorisations = 0
         restarted = accepted = stalled = False
-        r = self.residual(z_nodes)
+        iterate, r = self._evaluate(z_nodes)
         norm = _max_norm(r)
         while True:
             if norm <= tolerance and not (guessed and iterations == 0):
@@ -400,16 +452,16 @@ class SlabAssembler(SlabGrid):
                 break
             if iterations >= max_iterations:
                 break
-            step, factorised = self._newton_step(z_nodes, r)
+            step, factorised = self._newton_step(iterate, r)
             z_nodes[:, :, 1:] += self.as_nodes(step)
             iterations += 1
             factorisations += factorised
-            r = self.residual(z_nodes)
+            iterate, r = self._evaluate(z_nodes)
             previous, norm = norm, _max_norm(r)
             if guessed and not (norm <= tolerance or norm < previous):
                 guessed, restarted = False, True
                 z_nodes[:, :, 1:] = z_start[:, :, None]
-                r = self.residual(z_nodes)
+                iterate, r = self._evaluate(z_nodes)
                 norm = _max_norm(r)
                 continue
             scale = max(1.0, float(np.max(np.abs(z_nodes))))
@@ -423,41 +475,50 @@ class SlabAssembler(SlabGrid):
             )
         aux_nodes = None
         if self.aux_space is not None:
-            aux_nodes = self._project_auxiliary(z_nodes, aux_start)
+            aux_nodes = self._project_auxiliary(iterate, aux_start)
         return SlabSolution(z_nodes, aux_nodes, iterations, norm, factorisations, restarted,
                             stalled)
 
-    def factorise(self, z_nodes: np.ndarray) -> BandFactor:
+    def _evaluate(self, z_nodes: np.ndarray) -> tuple[SlabIterate, np.ndarray]:
+        """A new iterate of z_nodes and its residual."""
+        iterate = SlabIterate(self, z_nodes)
+        return iterate, self.residual(z_nodes, iterate)
+
+    def factorise(self, z_nodes: np.ndarray, iterate: SlabIterate | None = None) -> BandFactor:
         """Band LU of the Jacobian at z_nodes, in the folded unknown order.
 
         Folding the periodic dof numbering (0, n-1, 1, n-2, ...; each dof's
         D(q+1) unknowns kept together) brings the Jacobian's periodic corner
         blocks next to the diagonal, so it is a plain band whose widths are
-        read off the pattern.  :meth:`jacobian`'s values are scattered into
-        LAPACK band storage through an index map built on the first call and
-        factorised by partial-pivoting ``dgbtrf``.  A singular Jacobian
-        raises :class:`SolverFailure` with the residual norm at z_nodes.
+        read off the fixed pattern.  The flat array of
+        :meth:`_jacobian_values`, at ``iterate`` (the :class:`SlabIterate`
+        of z_nodes, whose grid state is then not evaluated again), is
+        scattered into zeroed LAPACK band storage through an index map built
+        on the first call, and factorised by partial-pivoting ``dgbtrf``.  A
+        singular Jacobian raises :class:`SolverFailure` with the residual
+        norm at z_nodes.
         """
-        jac = self.jacobian(z_nodes)
+        iterate = iterate or SlabIterate(self, z_nodes)
         if self._band is None:
-            self._band = self._band_layout(jac)
+            self._band = self._band_layout(self._jacobian_pattern()[0])
         index, kl, ku, order = self._band
         rows = 2 * kl + ku + 1
         band = np.zeros(rows * self.size)
-        band[index] = jac.data
+        band[index] = self._jacobian_values(iterate)
         lu, ipiv, info = dgbtrf(band.reshape((rows, self.size), order="F"), kl, ku,
                                 overwrite_ab=True)
         if info > 0:
-            norm = _max_norm(self.residual(z_nodes))
+            norm = _max_norm(self.residual(z_nodes, iterate))
             raise SolverFailure(f"singular slab Jacobian at residual {norm:.3e}",
                                 residual_norm=norm)
         if info < 0:
             raise ValueError(f"dgbtrf rejected argument {-info}")
         return BandFactor(lu, ipiv, kl, ku, order)
 
-    def _band_layout(self, jac: scipy.sparse.csc_matrix):
-        """Position in the flat Fortran band array of each stored Jacobian
-        entry, the band's kl and ku, and the folded unknown order."""
+    def _band_layout(self, pattern: scipy.sparse.csc_matrix):
+        """Position in the flat Fortran band array of each entry of the
+        Jacobian's CSC pattern, the band's kl and ku, and the folded unknown
+        order."""
         n, block = self.n, self.size // self.n
         dofs = np.empty(n, dtype=np.int64)
         dofs[0::2] = np.arange((n + 1) // 2)
@@ -465,26 +526,27 @@ class SlabAssembler(SlabGrid):
         order = (dofs[:, None] * block + np.arange(block)).ravel()
         position = np.empty_like(order)
         position[order] = np.arange(self.size)
-        row = position[jac.indices]
-        col = position[np.repeat(np.arange(self.size), np.diff(jac.indptr))]
+        row = position[pattern.indices]
+        col = position[np.repeat(np.arange(self.size), np.diff(pattern.indptr))]
         kl, ku = int(np.max(row - col)), int(np.max(col - row))
         rows = 2 * kl + ku + 1
         index = kl + ku + row - col + rows * col
         dtype = np.int32 if rows * self.size <= np.iinfo(np.int32).max else np.int64
         return index.astype(dtype), kl, ku, order.astype(dtype)
 
-    def _newton_step(self, z_nodes: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, int]:
-        """Newton step for residual r at z_nodes and the factorisations it took."""
+    def _newton_step(self, iterate: SlabIterate, r: np.ndarray) -> tuple[np.ndarray, int]:
+        """Newton step for the iterate's residual r and the factorisations it took."""
         if self._factor is not None:
             return self._factor.solve(-r), 0
-        factor = self.factorise(z_nodes)
+        factor = self.factorise(iterate.z_nodes, iterate)
         if self.jacobian_is_constant:
             self._factor = factor
         return factor.solve(-r), 1
 
-    def _project_auxiliary(self, z_nodes: np.ndarray,
+    def _project_auxiliary(self, iterate: SlabIterate,
                            aux_start: np.ndarray | None) -> np.ndarray:
-        """Auxiliary nodes (D, broken dofs, q+2) of a solved slab.
+        """Auxiliary nodes (D, broken dofs, q+2) of a solved slab, the
+        accepted iterate, whose grid grad S is reused.
 
         Node 0 is aux_start, or the broken-space projection of grad S(z) at
         node 0 when aux_start is None; nodes 1..q+1 solve the projection rows
@@ -493,9 +555,9 @@ class SlabAssembler(SlabGrid):
         then one (q+1)-square temporal solve.
         """
         if aux_start is None:
-            grad = self._pointwise_grad(self.space.eval_on_rule(z_nodes[:, :, 0], self.rule_x))
-            aux_start = self.aux_space.project_grid(grad, self.rule_x)
-        rows = self.test(self._pointwise_grad(self.eval(z_nodes, self.Tt)), self.aux_space)
+            start = self.space.eval_on_rule(iterate.z_nodes[:, :, 0], self.rule_x)
+            aux_start = self.aux_space.project_grid(self._pointwise_grad(start), self.rule_x)
+        rows = self.test(iterate.grad, self.aux_space)
         rhs = self.aux_space.mass_solve(np.swapaxes(rows, 1, 2)) \
             - self.ta0[:, :1] * aux_start[:, None, :]                  # (D, q+1, dofs)
         unknown = np.linalg.solve(self.ta0[:, 1:], rhs)

@@ -303,12 +303,18 @@ def spacetime_test(grid: np.ndarray, space: SpatialSpace, basis_table: np.ndarra
     ``time_weights`` the physical time weights; each is folded into its
     table, and the grid is contracted over space, then over time.
     """
-    grid = np.asarray(grid)
+    return _weighted_test(np.asarray(grid), space, (basis_table * space_weights).T,
+                          time_table * time_weights)
+
+
+def _weighted_test(grid: np.ndarray, space: SpatialSpace, weighted_basis: np.ndarray,
+                   weighted_time: np.ndarray) -> np.ndarray:
+    """:func:`spacetime_test` with the weights folded into the tables:
+    ``weighted_basis`` (ns, p+1) and ``weighted_time`` (T, nt)."""
     d, nt, m, ns = grid.shape
-    weighted_basis = (basis_table * space_weights).T                # (ns, p+1)
     in_space = grid.reshape(-1, ns) @ weighted_basis                # (D*nt*M, p+1)
-    rows = (time_table * time_weights) @ in_space.reshape(d, nt, -1)
-    rows = rows.reshape(d, len(time_table), m, -1) * space.partition.widths[:, None]
+    rows = weighted_time @ in_space.reshape(d, nt, -1)
+    rows = rows.reshape(d, len(weighted_time), m, -1) * space.partition.widths[:, None]
     return np.swapaxes(space.scatter_add(rows), 1, 2)
 
 
@@ -316,8 +322,9 @@ class SlabGrid:
     """Space-time quadrature grid of one slab of length ``dt`` on ``space``.
 
     Holds the rules, the trial table ``Tt`` and its reference derivative
-    ``dTt``, the test table ``Ts``, the spatial basis table ``B`` and the
-    physical time weights ``wt``.  Every integral
+    ``dTt``, the test table ``Ts``, the spatial basis table ``B``, the
+    physical time weights ``wt``, and the weighted test tables of
+    :meth:`test`, built once per spatial space.  Every integral
     over a slab (the scheme's rows, the local conservation laws, the
     space-time projection, error norms) goes through one of these grids.
     """
@@ -332,6 +339,8 @@ class SlabGrid:
         self.Ts = slab.test_basis.tabulate(rule_t.points)              # (q+1, nt)
         self.B = space.tabulate(rule_x.points)
         self.wt = dt * rule_t.weights
+        self._weighted_time = self.Ts * self.wt                        # (q+1, nt)
+        self._weighted_bases: dict[SpatialSpace, np.ndarray] = {}
 
     def eval(self, nodes: np.ndarray, time_table: np.ndarray,
              derivative_order: int = 0) -> np.ndarray:
@@ -345,14 +354,17 @@ class SlabGrid:
         """Test-space rows (D, dofs, q+1) of a grid field (D, nt, M, ns) on ``space``
         (default: the grid's; any space on the grid's partition)."""
         space = space or self.space
-        return spacetime_test(grid, space, space.tabulate(self.rule_x.points), self.Ts,
-                              self.rule_x.weights, self.wt)
+        weighted_basis = self._weighted_bases.get(space)
+        if weighted_basis is None:
+            weighted_basis = (space.tabulate(self.rule_x.points) * self.rule_x.weights).T
+            self._weighted_bases[space] = weighted_basis
+        return _weighted_test(np.asarray(grid), space, weighted_basis, self._weighted_time)
 
     def project(self, grid: np.ndarray) -> np.ndarray:
         """Test-space L2 projection (D, dofs, q+1) of a grid field (D, nt, M, ns):
         the test rows, one spatial mass solve, then one temporal mass solve."""
         rhs = self.space.mass_solve(np.swapaxes(self.test(grid), 1, 2))  # (D, q+1, dofs)
-        tmass = (self.Ts * self.wt) @ self.Ts.T
+        tmass = self._weighted_time @ self.Ts.T
         return np.swapaxes(np.linalg.solve(tmass, rhs), 1, 2)
 
     def integrate(self, grid: np.ndarray, per_element: bool = False) -> np.ndarray:

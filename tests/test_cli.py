@@ -99,6 +99,23 @@ def test_invalid_config_exit_code(tmp_path):
     assert main(["converge", "--hscale", "nan", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "nonlinear-wave", "--dx", "0.25", "--T", "0.1"],
+    ["converge", "--imin", "2", "--imax", "2", "--T", "0.25"],
+])
+def test_internal_errors_are_not_invalid_configuration(tmp_path, monkeypatch, argv):
+    # Only a configuration that no run can satisfy exits 2; an error raised
+    # inside the solver propagates, whatever its type.
+    from mspde.solver import SlabAssembler
+
+    def broken(self, *args, **kwargs):
+        raise ValueError("not enough values to unpack (expected 4, got 3)")
+
+    monkeypatch.setattr(SlabAssembler, "solve_slab", broken)
+    with pytest.raises(ValueError, match="not enough values to unpack"):
+        main(argv + ["--out", str(tmp_path)])
+
+
 def test_solver_failure_exit_code(tmp_path):
     out = tmp_path / "fail"
     code = main(["run", "--problem", "nonlinear-wave", "--q", "1", "--p", "1",
@@ -215,14 +232,15 @@ def test_singular_slab_jacobian_is_a_solver_failure(tmp_path, monkeypatch):
     from mspde.solver import (SchemeVariant, SlabAssembler, SolverConfig, SolverFailure,
                               run_simulation)
 
-    jacobian = SlabAssembler.jacobian
+    jacobian_values = SlabAssembler._jacobian_values
 
-    def singular(self, z_nodes):
-        jac = jacobian(self, z_nodes)
-        jac.data[jac.indptr[3]:jac.indptr[4]] = 0.0
-        return jac
+    def singular(self, iterate):
+        values = jacobian_values(self, iterate)
+        indptr = self._jacobian_pattern()[0].indptr
+        values[indptr[3]:indptr[4]] = 0.0
+        return values
 
-    monkeypatch.setattr(SlabAssembler, "jacobian", singular)
+    monkeypatch.setattr(SlabAssembler, "_jacobian_values", singular)
     config = SolverConfig(q=1, p=2, dt=0.1, dx=0.4, t_final=0.3)
     with pytest.raises(SolverFailure) as excinfo:
         run_simulation(SchemeVariant.DG_PRIMARY, nls(), config)

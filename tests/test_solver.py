@@ -4,11 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from mspde.problems import linear_wave, nls, nonlinear_wave
 from mspde.solver import (
     SchemeVariant,
     SlabAssembler,
+    SlabIterate,
     SolverConfig,
     SolverFailure,
     build_space,
@@ -263,9 +265,9 @@ def test_linear_slabs_evaluate_no_gradient_after_set_up(variant, monkeypatch):
         init(self, *args)
         phase[0] = "other"
 
-    def counted_residual(self, z_nodes):
+    def counted_residual(self, z_nodes, iterate=None):
         residual_calls.append(self.dt)
-        return residual(self, z_nodes)
+        return residual(self, z_nodes, iterate)
 
     monkeypatch.setattr(SlabAssembler, "__init__", set_up)
     monkeypatch.setattr(SlabAssembler, "residual", counted_residual)
@@ -275,6 +277,87 @@ def test_linear_slabs_evaluate_no_gradient_after_set_up(variant, monkeypatch):
     assert calls["set_up"] > 0
     assert calls["other"] == 0
     assert len(residual_calls) == 2 * len(traj.slabs)
+
+
+@pytest.mark.parametrize("factory,variant,dx,t_final,aux_starts", [
+    (nonlinear_wave, SchemeVariant.CG_MOMENTUM, 0.05, 0.5, 1),
+    (nls, SchemeVariant.DG_PRIMARY, 0.4, 0.2, 0),
+])
+def test_nonlinear_newton_evaluates_each_iterate_once(factory, variant, dx, t_final,
+                                                      aux_starts, monkeypatch):
+    # Each Newton iterate's grid state and grad S are evaluated once, by the
+    # residual, and shared with the factorisation at that iterate and the
+    # accepted iterate's auxiliary projection: the slab grid is evaluated
+    # and grad S runs once per residual evaluation (grad S once more for the
+    # first slab's auxiliary start on cg-momentum), the Hessian once per
+    # factorisation, and after its first call factorise builds no sparse
+    # matrix.
+    base = factory()
+    calls = {"grad_s": 0, "hess_s": 0, "residual": 0, "grid": 0, "sparse": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    prob = dataclasses.replace(base, grad_s=counted("grad_s", base.grad_s),
+                               hess_s=counted("hess_s", base.hess_s))
+    sparse_per_factorise = []
+    factorise = SlabAssembler.factorise
+
+    def watched_factorise(self, *args):
+        before = calls["sparse"]
+        factor = factorise(self, *args)
+        sparse_per_factorise.append(calls["sparse"] - before)
+        return factor
+
+    monkeypatch.setattr(SlabAssembler, "residual",
+                        counted("residual", SlabAssembler.residual))
+    monkeypatch.setattr(SlabAssembler, "factorise", watched_factorise)
+    monkeypatch.setattr(SlabAssembler, "eval", counted("grid", SlabAssembler.eval))
+    monkeypatch.setattr(scipy.sparse._base._spbase, "__init__",
+                        counted("sparse", scipy.sparse._base._spbase.__init__))
+    config = SolverConfig(q=1, p=2, dt=0.1, dx=dx, t_final=t_final)
+    traj = run_simulation(variant, prob, config)
+    assert sum(traj.newton_iterations) >= 2 * len(traj.slabs)
+    assert calls["grid"] == calls["residual"]
+    assert calls["grad_s"] == calls["residual"] + aux_starts
+    assert calls["hess_s"] == sum(traj.factorisations) == len(sparse_per_factorise)
+    assert sparse_per_factorise[0] > 0
+    assert sparse_per_factorise[1:] == [0] * (len(sparse_per_factorise) - 1)
+
+
+@pytest.mark.parametrize("factory,variant,dx", [
+    (nonlinear_wave, SchemeVariant.CG_PRIMARY, 0.05),
+    (nonlinear_wave, SchemeVariant.CG_MOMENTUM, 0.05),
+    (nls, SchemeVariant.DG_PRIMARY, 0.4),
+    (nls, SchemeVariant.CG_PRIMARY, 0.4),
+])
+def test_factor_from_the_shared_iterate_grid_is_bit_identical(factory, variant, dx,
+                                                              monkeypatch):
+    # The Newton loop factorises on the grid state its residual evaluated;
+    # that factor equals one built from the nodes alone, bit for bit, and
+    # the values factorise scatters are jacobian()'s.
+    asm, z = acceptance_assembler(factory, variant, dx)
+    z = z + 0.01 * np.random.default_rng(7).standard_normal(z.shape)
+    scattered = []
+    jacobian_values = SlabAssembler._jacobian_values
+
+    def recorded(self, iterate):
+        scattered.append(jacobian_values(self, iterate))
+        return scattered[-1]
+
+    monkeypatch.setattr(SlabAssembler, "_jacobian_values", recorded)
+    iterate = SlabIterate(asm, z)
+    asm.residual(z, iterate)
+    shared = asm.factorise(z, iterate)
+    alone = asm.factorise(z)
+    assert np.array_equal(shared.lu, alone.lu)
+    assert np.array_equal(shared.ipiv, alone.ipiv)
+    assert len(scattered) == 2
+    data = asm.jacobian(z).data
+    assert np.array_equal(data, scattered[0]) and np.array_equal(data, scattered[1])
 
 
 def test_nls_dg_predicted_slabs_take_fewer_factorisations():
