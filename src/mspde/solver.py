@@ -36,7 +36,6 @@ __all__ = [
     "Trajectory",
     "SlabAssembler",
     "SlabSolution",
-    "SlabIterate",
     "BandFactor",
     "run_simulation",
     "build_space",
@@ -154,7 +153,7 @@ class BandFactor(NamedTuple):
         return x
 
 
-class SlabIterate:
+class _SlabIterate:
     """One Newton iterate: its nodes (D, dofs, q+2) and, each evaluated on
     first use and then kept, its state on the slab grid (D, nt, M, ns) and
     the pointwise grad S there.
@@ -309,42 +308,50 @@ class SlabAssembler(SlabGrid):
 
     # -- residual and jacobian -------------------------------------------------
 
-    def residual(self, z_nodes: np.ndarray, iterate: SlabIterate | None = None) -> np.ndarray:
+    def residual(self, z_nodes: np.ndarray, iterate: _SlabIterate | None = None) -> np.ndarray:
         """Flat residual over all test rows, ordered like the unknowns: the
         slab operator's product with the nodes, less the tested gradient
         term (a constant vector when the Hessian is constant).
 
-        ``iterate``, the :class:`SlabIterate` of z_nodes, keeps the grid
+        ``iterate``, the Newton loop's iterate of z_nodes, keeps the grid
         values evaluated here for the Jacobian and the auxiliary projection.
         """
         linear = self.operator @ np.swapaxes(z_nodes, 0, 1).ravel()
         if self.jacobian_is_constant:
             return linear - self._grad_zero_rows
-        grad = (iterate or SlabIterate(self, z_nodes)).grad
+        grad = self._iterate_of(z_nodes, iterate).grad
         return linear - np.swapaxes(self.test(grad), 0, 1).ravel()
 
-    def jacobian(self, z_nodes: np.ndarray) -> scipy.sparse.csc_matrix:
+    def jacobian(self, z_nodes: np.ndarray,
+                 iterate: _SlabIterate | None = None) -> scipy.sparse.csc_matrix:
         """Exact sparse derivative of the flat residual w.r.t. the unknown nodes.
 
-        The CSC matrix of :meth:`_jacobian_values` on the fixed pattern: the
-        values :meth:`factorise` scatters into band storage.  The returned
-        matrix owns its arrays.
+        With a constant Hessian this is :attr:`linear_jacobian`; otherwise the
+        slab operator's unknown columns less the state-dependent Hessian
+        block, written into a fixed pattern.  The Hessian block is taken at
+        the grid state of ``iterate``, the Newton loop's iterate of z_nodes
+        (a new one when None), so a state the residual has evaluated is not
+        evaluated again.  The returned matrix owns its arrays;
+        :meth:`factorise` scatters its values into band storage.
         """
-        pattern, _ = self._jacobian_pattern()
-        values = self._jacobian_values(SlabIterate(self, z_nodes))
-        return scipy.sparse.csc_matrix(
-            (values, pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape)
+        if self.jacobian_is_constant:
+            return self.linear_jacobian
+        if self._pattern is None:
+            self._pattern = self._jacobian_pattern()
+        linear, hessian_map = self._pattern
+        state = self._iterate_of(z_nodes, iterate).state
+        jac = linear.copy()
+        jac.data -= np.bincount(hessian_map, weights=self._hessian_values(state),
+                                minlength=jac.nnz)
+        return jac
 
-    def _jacobian_values(self, iterate: SlabIterate) -> np.ndarray:
-        """The Jacobian at the iterate as one flat array, in the order of the
-        fixed pattern's entries: :attr:`linear_jacobian`'s values with a
-        constant Hessian, otherwise the linear part less the state-dependent
-        Hessian block at the iterate's grid state."""
-        linear, hessian_map = self._jacobian_pattern()
-        if hessian_map is None:
-            return linear.data.copy()
-        return linear.data - np.bincount(
-            hessian_map, weights=self._hessian_values(iterate.state), minlength=linear.nnz)
+    def _iterate_of(self, z_nodes: np.ndarray, iterate: _SlabIterate | None) -> _SlabIterate:
+        """``iterate`` when it is the iterate of z_nodes, a new one when None."""
+        if iterate is None:
+            return _SlabIterate(self, z_nodes)
+        if iterate.assembler is not self or iterate.z_nodes is not z_nodes:
+            raise ValueError("iterate is not this assembler's iterate of z_nodes")
+        return iterate
 
     def _hessian_values(self, zgrid: np.ndarray) -> np.ndarray:
         """Gradient-term derivative values at the grid state zgrid (D, nt, M,
@@ -360,21 +367,14 @@ class SlabAssembler(SlabGrid):
         vals = self._time_products @ in_space.reshape(nt, -1)
         return (vals.reshape(len(vals), m, -1) * self.space.partition.widths[:, None]).ravel()
 
-    def _jacobian_pattern(self) -> tuple[scipy.sparse.csc_matrix, np.ndarray | None]:
-        """The linear part on the CSC pattern of the whole Jacobian, and the
-        position in its ``data`` of each :meth:`_hessian_values` entry (None
-        with a constant Hessian, whose pattern is :attr:`linear_jacobian`'s).
+    def _jacobian_pattern(self) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
+        """The linear part on the CSC pattern of a nonlinear problem's whole
+        Jacobian, and the position in its ``data`` of each
+        :meth:`_hessian_values` entry.
 
-        A nonlinear problem's pattern is the linear part's plus every
-        element's Hessian block on the pairs of the problem's Hessian
-        pattern.  Built on the first call and kept.
+        The pattern is the linear part's plus every element's Hessian block
+        on the pairs of the problem's Hessian pattern.
         """
-        if self._pattern is None:
-            self._pattern = (self.linear_jacobian, None) if self.jacobian_is_constant \
-                else self._nonlinear_pattern()
-        return self._pattern
-
-    def _nonlinear_pattern(self) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
         size = self.size
         first, second = self._hessian_pairs
         index = self.as_nodes(np.arange(size))[:, self.space.element_dofs]  # (D, M, p+1, q+1)
@@ -433,7 +433,7 @@ class SlabAssembler(SlabGrid):
         when that is None, from the projection of grad S(z_start)), is
         projected from the converged slab; otherwise it is None.
 
-        Each iterate is a :class:`SlabIterate`: its grid state and grad S
+        Each iterate is a :class:`_SlabIterate`: its grid state and grad S
         are evaluated once, by :meth:`residual`, and reused by the
         factorisation at that iterate and, for the accepted one, by the
         auxiliary projection.
@@ -479,46 +479,48 @@ class SlabAssembler(SlabGrid):
         return SlabSolution(z_nodes, aux_nodes, iterations, norm, factorisations, restarted,
                             stalled)
 
-    def _evaluate(self, z_nodes: np.ndarray) -> tuple[SlabIterate, np.ndarray]:
+    def _evaluate(self, z_nodes: np.ndarray) -> tuple[_SlabIterate, np.ndarray]:
         """A new iterate of z_nodes and its residual."""
-        iterate = SlabIterate(self, z_nodes)
+        iterate = _SlabIterate(self, z_nodes)
         return iterate, self.residual(z_nodes, iterate)
 
-    def factorise(self, z_nodes: np.ndarray, iterate: SlabIterate | None = None) -> BandFactor:
+    def factorise(self, z_nodes: np.ndarray) -> BandFactor:
         """Band LU of the Jacobian at z_nodes, in the folded unknown order.
 
         Folding the periodic dof numbering (0, n-1, 1, n-2, ...; each dof's
         D(q+1) unknowns kept together) brings the Jacobian's periodic corner
         blocks next to the diagonal, so it is a plain band whose widths are
-        read off the fixed pattern.  The flat array of
-        :meth:`_jacobian_values`, at ``iterate`` (the :class:`SlabIterate`
-        of z_nodes, whose grid state is then not evaluated again), is
-        scattered into zeroed LAPACK band storage through an index map built
-        on the first call, and factorised by partial-pivoting ``dgbtrf``.  A
-        singular Jacobian raises :class:`SolverFailure` with the residual
-        norm at z_nodes.
+        read off the fixed pattern.  :meth:`jacobian`'s flat array of values
+        is scattered into zeroed LAPACK band storage through an index map
+        built on the first call, and factorised by partial-pivoting
+        ``dgbtrf``.  A singular Jacobian raises :class:`SolverFailure` with
+        the residual norm at z_nodes.
         """
-        iterate = iterate or SlabIterate(self, z_nodes)
+        return self._factorise(_SlabIterate(self, z_nodes))
+
+    def _factorise(self, iterate: _SlabIterate) -> BandFactor:
+        """:meth:`factorise` at an iterate, whose grid state is not evaluated
+        again when the residual has evaluated it."""
+        jac = self.jacobian(iterate.z_nodes, iterate)
         if self._band is None:
-            self._band = self._band_layout(self._jacobian_pattern()[0])
+            self._band = self._band_layout(jac)
         index, kl, ku, order = self._band
         rows = 2 * kl + ku + 1
         band = np.zeros(rows * self.size)
-        band[index] = self._jacobian_values(iterate)
+        band[index] = jac.data
         lu, ipiv, info = dgbtrf(band.reshape((rows, self.size), order="F"), kl, ku,
                                 overwrite_ab=True)
         if info > 0:
-            norm = _max_norm(self.residual(z_nodes, iterate))
+            norm = _max_norm(self.residual(iterate.z_nodes, iterate))
             raise SolverFailure(f"singular slab Jacobian at residual {norm:.3e}",
                                 residual_norm=norm)
         if info < 0:
             raise ValueError(f"dgbtrf rejected argument {-info}")
         return BandFactor(lu, ipiv, kl, ku, order)
 
-    def _band_layout(self, pattern: scipy.sparse.csc_matrix):
-        """Position in the flat Fortran band array of each entry of the
-        Jacobian's CSC pattern, the band's kl and ku, and the folded unknown
-        order."""
+    def _band_layout(self, jac: scipy.sparse.csc_matrix):
+        """Position in the flat Fortran band array of each stored Jacobian
+        entry, the band's kl and ku, and the folded unknown order."""
         n, block = self.n, self.size // self.n
         dofs = np.empty(n, dtype=np.int64)
         dofs[0::2] = np.arange((n + 1) // 2)
@@ -526,24 +528,24 @@ class SlabAssembler(SlabGrid):
         order = (dofs[:, None] * block + np.arange(block)).ravel()
         position = np.empty_like(order)
         position[order] = np.arange(self.size)
-        row = position[pattern.indices]
-        col = position[np.repeat(np.arange(self.size), np.diff(pattern.indptr))]
+        row = position[jac.indices]
+        col = position[np.repeat(np.arange(self.size), np.diff(jac.indptr))]
         kl, ku = int(np.max(row - col)), int(np.max(col - row))
         rows = 2 * kl + ku + 1
         index = kl + ku + row - col + rows * col
         dtype = np.int32 if rows * self.size <= np.iinfo(np.int32).max else np.int64
         return index.astype(dtype), kl, ku, order.astype(dtype)
 
-    def _newton_step(self, iterate: SlabIterate, r: np.ndarray) -> tuple[np.ndarray, int]:
+    def _newton_step(self, iterate: _SlabIterate, r: np.ndarray) -> tuple[np.ndarray, int]:
         """Newton step for the iterate's residual r and the factorisations it took."""
         if self._factor is not None:
             return self._factor.solve(-r), 0
-        factor = self.factorise(iterate.z_nodes, iterate)
+        factor = self._factorise(iterate)
         if self.jacobian_is_constant:
             self._factor = factor
         return factor.solve(-r), 1
 
-    def _project_auxiliary(self, iterate: SlabIterate,
+    def _project_auxiliary(self, iterate: _SlabIterate,
                            aux_start: np.ndarray | None) -> np.ndarray:
         """Auxiliary nodes (D, broken dofs, q+2) of a solved slab, the
         accepted iterate, whose grid grad S is reused.

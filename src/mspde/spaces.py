@@ -28,7 +28,6 @@ __all__ = [
     "TemporalSlab",
     "SlabCoefficients",
     "l2_project_spacetime",
-    "spacetime_test",
     "SlabGrid",
 ]
 
@@ -292,32 +291,6 @@ class SlabCoefficients:
         return vals
 
 
-def spacetime_test(grid: np.ndarray, space: SpatialSpace, basis_table: np.ndarray,
-                   time_table: np.ndarray, space_weights: np.ndarray,
-                   time_weights: np.ndarray) -> np.ndarray:
-    """Test-space rows (D, dofs, T) of a grid field (D, nt, M, ns).
-
-    Row (c, i, a) is the quadrature sum of component c times spatial basis
-    function i times temporal basis function a.  ``space_weights`` are the
-    reference rule weights (element widths are applied here) and
-    ``time_weights`` the physical time weights; each is folded into its
-    table, and the grid is contracted over space, then over time.
-    """
-    return _weighted_test(np.asarray(grid), space, (basis_table * space_weights).T,
-                          time_table * time_weights)
-
-
-def _weighted_test(grid: np.ndarray, space: SpatialSpace, weighted_basis: np.ndarray,
-                   weighted_time: np.ndarray) -> np.ndarray:
-    """:func:`spacetime_test` with the weights folded into the tables:
-    ``weighted_basis`` (ns, p+1) and ``weighted_time`` (T, nt)."""
-    d, nt, m, ns = grid.shape
-    in_space = grid.reshape(-1, ns) @ weighted_basis                # (D*nt*M, p+1)
-    rows = weighted_time @ in_space.reshape(d, nt, -1)
-    rows = rows.reshape(d, len(weighted_time), m, -1) * space.partition.widths[:, None]
-    return np.swapaxes(space.scatter_add(rows), 1, 2)
-
-
 class SlabGrid:
     """Space-time quadrature grid of one slab of length ``dt`` on ``space``.
 
@@ -352,13 +325,24 @@ class SlabGrid:
 
     def test(self, grid: np.ndarray, space: SpatialSpace | None = None) -> np.ndarray:
         """Test-space rows (D, dofs, q+1) of a grid field (D, nt, M, ns) on ``space``
-        (default: the grid's; any space on the grid's partition)."""
+        (default: the grid's; any space on the grid's partition).
+
+        Row (c, i, a) is the quadrature sum of component c times spatial basis
+        function i times temporal basis function a.  The grid is contracted
+        over space with the weighted basis table of ``space`` (built on its
+        first use), then over time with the weighted test table.
+        """
         space = space or self.space
         weighted_basis = self._weighted_bases.get(space)
         if weighted_basis is None:
             weighted_basis = (space.tabulate(self.rule_x.points) * self.rule_x.weights).T
-            self._weighted_bases[space] = weighted_basis
-        return _weighted_test(np.asarray(grid), space, weighted_basis, self._weighted_time)
+            self._weighted_bases[space] = weighted_basis                # (ns, p+1)
+        grid = np.asarray(grid)
+        d, nt, m, ns = grid.shape
+        in_space = grid.reshape(-1, ns) @ weighted_basis                # (D*nt*M, p+1)
+        rows = self._weighted_time @ in_space.reshape(d, nt, -1)
+        rows = rows.reshape(d, self.q + 1, m, -1) * space.partition.widths[:, None]
+        return np.swapaxes(space.scatter_add(rows), 1, 2)
 
     def project(self, grid: np.ndarray) -> np.ndarray:
         """Test-space L2 projection (D, dofs, q+1) of a grid field (D, nt, M, ns):

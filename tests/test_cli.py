@@ -232,15 +232,14 @@ def test_singular_slab_jacobian_is_a_solver_failure(tmp_path, monkeypatch):
     from mspde.solver import (SchemeVariant, SlabAssembler, SolverConfig, SolverFailure,
                               run_simulation)
 
-    jacobian_values = SlabAssembler._jacobian_values
+    jacobian = SlabAssembler.jacobian
 
-    def singular(self, iterate):
-        values = jacobian_values(self, iterate)
-        indptr = self._jacobian_pattern()[0].indptr
-        values[indptr[3]:indptr[4]] = 0.0
-        return values
+    def singular(self, z_nodes, iterate=None):
+        jac = jacobian(self, z_nodes, iterate)
+        jac.data[jac.indptr[3]:jac.indptr[4]] = 0.0
+        return jac
 
-    monkeypatch.setattr(SlabAssembler, "_jacobian_values", singular)
+    monkeypatch.setattr(SlabAssembler, "jacobian", singular)
     config = SolverConfig(q=1, p=2, dt=0.1, dx=0.4, t_final=0.3)
     with pytest.raises(SolverFailure) as excinfo:
         run_simulation(SchemeVariant.DG_PRIMARY, nls(), config)

@@ -22,7 +22,6 @@ from mspde.spaces import (
     SlabGrid,
     SpatialSpace,
     TemporalSlab,
-    spacetime_test,
 )
 from mspde.spatial_ops import g_matrix, node_traces, weak_g_from_samples
 
@@ -123,13 +122,20 @@ def test_spacetime_eval_matches_einsum(variant, q, p):
 
 
 @pytest.mark.parametrize("variant,q,p", CASES)
-def test_spacetime_test_matches_einsum(variant, q, p):
+def test_slab_grid_test_matches_einsum(variant, q, p):
     asm, rng = assembler(variant, q, p, seed=20 + 10 * q + p)
     space, weights = asm.space, asm.rule_x.weights
     grid = rng.standard_normal((asm.problem.D, len(asm.rule_t),
                                 space.partition.element_count, len(asm.rule_x)))
-    assert_close(spacetime_test(grid, space, asm.B, asm.Ts, weights, asm.wt),
+    assert_close(asm.test(grid, space),
                  reference_test(grid, space, asm.B, asm.Ts, weights, asm.wt))
+    # Any space on the grid's partition: the broken space of degree p,
+    # whose weighted table the grid builds on first use.
+    broken = SpatialSpace(space.partition, p, "dg")
+    for _ in range(2):
+        assert_close(asm.test(grid, broken),
+                     reference_test(grid, broken, broken.tabulate(asm.rule_x.points), asm.Ts,
+                                    weights, asm.wt))
 
 
 def forced_linear_wave():

@@ -10,13 +10,11 @@ from mspde.problems import linear_wave, nls, nonlinear_wave
 from mspde.solver import (
     SchemeVariant,
     SlabAssembler,
-    SlabIterate,
     SolverConfig,
     SolverFailure,
     build_space,
     run_simulation,
 )
-from mspde.spaces import spacetime_test
 
 
 def constant_wave_problem(value=0.7):
@@ -289,11 +287,10 @@ def test_nonlinear_newton_evaluates_each_iterate_once(factory, variant, dx, t_fi
     # residual, and shared with the factorisation at that iterate and the
     # accepted iterate's auxiliary projection: the slab grid is evaluated
     # and grad S runs once per residual evaluation (grad S once more for the
-    # first slab's auxiliary start on cg-momentum), the Hessian once per
-    # factorisation, and after its first call factorise builds no sparse
-    # matrix.
+    # first slab's auxiliary start on cg-momentum), and the Hessian and
+    # jacobian() once per factorisation.
     base = factory()
-    calls = {"grad_s": 0, "hess_s": 0, "residual": 0, "grid": 0, "sparse": 0}
+    calls = {"grad_s": 0, "hess_s": 0, "residual": 0, "grid": 0, "jacobian": 0}
 
     def counted(name, fn):
         def wrapped(*args, **kwargs):
@@ -303,29 +300,16 @@ def test_nonlinear_newton_evaluates_each_iterate_once(factory, variant, dx, t_fi
 
     prob = dataclasses.replace(base, grad_s=counted("grad_s", base.grad_s),
                                hess_s=counted("hess_s", base.hess_s))
-    sparse_per_factorise = []
-    factorise = SlabAssembler.factorise
-
-    def watched_factorise(self, *args):
-        before = calls["sparse"]
-        factor = factorise(self, *args)
-        sparse_per_factorise.append(calls["sparse"] - before)
-        return factor
-
-    monkeypatch.setattr(SlabAssembler, "residual",
-                        counted("residual", SlabAssembler.residual))
-    monkeypatch.setattr(SlabAssembler, "factorise", watched_factorise)
-    monkeypatch.setattr(SlabAssembler, "eval", counted("grid", SlabAssembler.eval))
-    monkeypatch.setattr(scipy.sparse._base._spbase, "__init__",
-                        counted("sparse", scipy.sparse._base._spbase.__init__))
+    for name in ("residual", "jacobian", "eval"):
+        monkeypatch.setattr(SlabAssembler, name,
+                            counted("grid" if name == "eval" else name,
+                                    getattr(SlabAssembler, name)))
     config = SolverConfig(q=1, p=2, dt=0.1, dx=dx, t_final=t_final)
     traj = run_simulation(variant, prob, config)
     assert sum(traj.newton_iterations) >= 2 * len(traj.slabs)
     assert calls["grid"] == calls["residual"]
     assert calls["grad_s"] == calls["residual"] + aux_starts
-    assert calls["hess_s"] == sum(traj.factorisations) == len(sparse_per_factorise)
-    assert sparse_per_factorise[0] > 0
-    assert sparse_per_factorise[1:] == [0] * (len(sparse_per_factorise) - 1)
+    assert calls["hess_s"] == calls["jacobian"] == sum(traj.factorisations)
 
 
 @pytest.mark.parametrize("factory,variant,dx", [
@@ -338,26 +322,34 @@ def test_factor_from_the_shared_iterate_grid_is_bit_identical(factory, variant, 
                                                               monkeypatch):
     # The Newton loop factorises on the grid state its residual evaluated;
     # that factor equals one built from the nodes alone, bit for bit, and
-    # the values factorise scatters are jacobian()'s.
+    # the values factorise scatters are jacobian()'s at the nodes alone.
     asm, z = acceptance_assembler(factory, variant, dx)
     z = z + 0.01 * np.random.default_rng(7).standard_normal(z.shape)
     scattered = []
-    jacobian_values = SlabAssembler._jacobian_values
+    jacobian = SlabAssembler.jacobian
 
-    def recorded(self, iterate):
-        scattered.append(jacobian_values(self, iterate))
-        return scattered[-1]
+    def recorded(self, z_nodes, iterate=None):
+        jac = jacobian(self, z_nodes, iterate)
+        scattered.append(jac.data.copy())
+        return jac
 
-    monkeypatch.setattr(SlabAssembler, "_jacobian_values", recorded)
-    iterate = SlabIterate(asm, z)
-    asm.residual(z, iterate)
-    shared = asm.factorise(z, iterate)
+    monkeypatch.setattr(SlabAssembler, "jacobian", recorded)
+    iterate, _ = asm._evaluate(z)
+    shared = asm._factorise(iterate)
     alone = asm.factorise(z)
     assert np.array_equal(shared.lu, alone.lu)
     assert np.array_equal(shared.ipiv, alone.ipiv)
     assert len(scattered) == 2
-    data = asm.jacobian(z).data
+    data = jacobian(asm, z).data
     assert np.array_equal(data, scattered[0]) and np.array_equal(data, scattered[1])
+
+
+def test_an_iterate_of_other_nodes_is_rejected():
+    asm, z = acceptance_assembler(nls, SchemeVariant.DG_PRIMARY, 0.4)
+    stale, _ = asm._evaluate(z.copy())
+    for method in (asm.residual, asm.jacobian):
+        with pytest.raises(ValueError, match="iterate"):
+            method(z, stale)
 
 
 def test_nls_dg_predicted_slabs_take_fewer_factorisations():
@@ -587,9 +579,7 @@ def test_momentum_variant_auxiliary_field_solves_the_coupled_system():
     config = SolverConfig(q=1, p=2, dt=0.1, dx=0.125, t_final=0.5)
     traj = run_simulation(SchemeVariant.CG_MOMENTUM, prob, config)
     asm = SlabAssembler(SchemeVariant.CG_MOMENTUM, prob, traj.space, config.q, config.dt)
-    weights = asm.rule_x.weights
     aux_space = traj.slabs[0].aux_space
-    aux_table = aux_space.tabulate(asm.rule_x.points)
     aux_prev = traj.slabs[0].aux[:, :, 0]
     for coeffs in traj.slabs:
         assert np.array_equal(coeffs.aux[:, :, 0], aux_prev)
@@ -601,9 +591,8 @@ def test_momentum_variant_auxiliary_field_solves_the_coupled_system():
         grad = np.moveaxis(prob.grad_s(np.moveaxis(z, 0, -1)), -1, 0)
         scheme = (np.einsum("cd,dgmh->cgmh", prob.K, zt)
                   + np.einsum("cd,dgmh->cgmh", prob.L, zx) - a)
-        scheme_rows = spacetime_test(scheme, asm.space, asm.B, asm.Ts, weights, asm.wt)
-        projection_rows = spacetime_test(a - grad, aux_space, aux_table, asm.Ts, weights,
-                                         asm.wt)
+        scheme_rows = asm.test(scheme)
+        projection_rows = asm.test(a - grad, aux_space)
         assert np.max(np.abs(projection_rows)) <= 1e-12
         assert np.max(np.abs(scheme_rows)) <= 1e-12
 
