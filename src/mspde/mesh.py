@@ -85,8 +85,11 @@ class Partition1D:
         object.__setattr__(self, "node_coords", coords)
         if coords.ndim != 1 or coords.size < 2:
             raise ValueError("a partition needs at least two node coordinates")
-        if np.any(np.diff(coords) <= 0.0):
+        widths = np.diff(coords)
+        if np.any(widths <= 0.0):
             raise ValueError("node coordinates must be strictly increasing")
+        widths.flags.writeable = False
+        object.__setattr__(self, "_widths", widths)
 
     @property
     def element_count(self) -> int:
@@ -98,7 +101,9 @@ class Partition1D:
 
     @property
     def widths(self) -> np.ndarray:
-        return np.diff(self.node_coords)
+        """Element widths (read-only), computed once: the slab kernels read
+        them on every call."""
+        return self._widths
 
     def locate(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Map physical coordinates to (element index, reference coordinate).

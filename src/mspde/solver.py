@@ -303,8 +303,12 @@ class SlabAssembler(SlabGrid):
         return self.operator.tocsc()[:, np.arange(self.operator.shape[1]) % (self.q + 2) != 0]
 
     def _pointwise_grad(self, zgrid: np.ndarray) -> np.ndarray:
-        pts = np.moveaxis(zgrid, 0, -1)
-        return np.moveaxis(self.problem.grad_s(pts), -1, 0)
+        """grad S at grid values (D, ...), components first.  Transposes stand
+        in for ``np.moveaxis``, whose axis checks cost more than the call on
+        a slab grid; a Newton iteration makes several such calls."""
+        axes = tuple(range(1, zgrid.ndim))
+        grad = self.problem.grad_s(zgrid.transpose(axes + (0,)))
+        return grad.transpose((-1,) + tuple(range(grad.ndim - 1)))
 
     # -- residual and jacobian -------------------------------------------------
 
@@ -361,9 +365,9 @@ class SlabAssembler(SlabGrid):
         Sum-factorised: the pointwise Hessian is contracted over space
         quadrature first, then over time quadrature.
         """
-        hess = self.problem.hess_s(np.moveaxis(zgrid, 0, -1))[(...,) + self._hessian_pairs]
+        hess = self.problem.hess_s(zgrid.transpose(1, 2, 3, 0))[(...,) + self._hessian_pairs]
         nt, m, ns, _ = hess.shape
-        in_space = np.moveaxis(hess, 2, -1).reshape(-1, ns) @ self._space_products
+        in_space = hess.transpose(0, 1, 3, 2).reshape(-1, ns) @ self._space_products
         vals = self._time_products @ in_space.reshape(nt, -1)
         return (vals.reshape(len(vals), m, -1) * self.space.partition.widths[:, None]).ravel()
 
