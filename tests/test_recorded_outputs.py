@@ -1,0 +1,123 @@
+"""The benchmark workloads' outputs against their recorded values.
+
+Each workload is rerun through the command line and its CSV compared with
+``tests/data/<workload>/``: byte identity is reported on its own line, and
+the test passes when every value lies within the bounds below, which are
+the largest moves that reordered floating-point arithmetic has produced on
+these runs.  The per-slab Newton iterations, restarts and stall flags must
+match exactly.
+
+A change that moves the outputs beyond the bounds (a different Newton
+iterate within the Newton tolerance, say) records new data with
+
+    PYTHONPATH=src python tests/test_recorded_outputs.py
+
+and says why in CHANGES.md.
+"""
+
+import json
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mspde.cli
+from mspde.cli import main
+
+DATA = Path(__file__).resolve().parent / "data"
+
+_COMMON = ["--q", "1", "--p", "2", "--dt", "0.1"]
+WORKLOADS = {
+    "nls-dg": ["run", "--problem", "nls", "--variant", "dg", *_COMMON,
+               "--dx", "0.4", "--T", "0.3"],
+    "nlwave-cgm": ["run", "--problem", "nonlinear-wave", "--variant", "cg-momentum",
+                   *_COMMON, "--dx", "0.05", "--T", "10"],
+    "lwave-converge": ["converge", "--problem", "linear-wave", "--variant", "dg",
+                       "--q", "1", "--p", "3", "--imin", "2", "--imax", "6", "--T", "2"],
+}
+# Largest move of each column group: the convergence levels i and h none,
+# invariant values 8.9e-15 absolute, convergence errors 1.3e-10 relative and
+# EOCs 4.7e-10 absolute.
+BOUNDS = {"level": 0.0, "invariant": 8.9e-15, "error": 1.3e-10, "eoc": 4.7e-10}
+NEWTON_RECORDS = ("newton_iterations", "restarted", "stalled")
+
+
+def rerun(workload: str, out_dir: Path) -> tuple[Path, dict]:
+    """Run a workload through the command line into out_dir: its CSV and the
+    Newton records of every trajectory it solved (one per convergence level)."""
+    trajectories = []
+    run_simulation = mspde.cli.run_simulation
+
+    def recorded(*args):
+        trajectories.append(run_simulation(*args))
+        return trajectories[-1]
+
+    mspde.cli.run_simulation = recorded
+    try:
+        assert main([*WORKLOADS[workload], "--out", str(out_dir)]) == 0
+    finally:
+        mspde.cli.run_simulation = run_simulation
+    name = "convergence.csv" if WORKLOADS[workload][0] == "converge" else "invariants.csv"
+    records = {key: [list(getattr(traj, key)) for traj in trajectories]
+               for key in NEWTON_RECORDS}
+    return out_dir / name, records
+
+
+def _table(path: Path) -> tuple[list[str], np.ndarray]:
+    lines = path.read_text().splitlines()
+    return lines[0].split(","), np.array([line.split(",") for line in lines[1:]], dtype=float)
+
+
+def _worst_moves(header: list[str], got: np.ndarray, want: np.ndarray) -> dict[str, float]:
+    """Largest move of each column group of BOUNDS between two tables."""
+    moves = {}
+    for column, name in enumerate(header):
+        a, b = got[:, column], want[:, column]
+        both_nan = np.isnan(a) & np.isnan(b)
+        if name in ("i", "h"):
+            group, move = "level", np.abs(a - b)
+        elif name.startswith("e_"):
+            group, move = "error", np.abs(a - b) / np.abs(b)
+        elif name.startswith("eoc_"):
+            group, move = "eoc", np.abs(a - b)
+        else:
+            group, move = "invariant", np.abs(a - b)
+        move = np.where(both_nan, 0.0, move)
+        moves[group] = max(moves.get(group, 0.0), float(np.max(move, initial=0.0)))
+    return moves
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_workload_outputs_match_the_recorded_data(workload, tmp_path):
+    csv_path, records = rerun(workload, tmp_path)
+    recorded = DATA / workload / csv_path.name
+    identical = csv_path.read_bytes() == recorded.read_bytes()
+    header, got = _table(csv_path)
+    want_header, want = _table(recorded)
+    assert header == want_header and got.shape == want.shape
+    moves = _worst_moves(header, got, want)
+    print(f"{workload} {csv_path.name}: "
+          f"{'byte-identical' if identical else 'bytes differ'}; largest moves "
+          + ", ".join(f"{group} {move:.2e}" for group, move in sorted(moves.items())))
+    assert records == json.loads((DATA / workload / "newton.json").read_text())
+    for group, move in moves.items():
+        assert move <= BOUNDS[group], f"{workload}: {group} moved by {move:.3e}"
+
+
+def write_recorded_data() -> None:
+    """Rerun every workload and store its CSV and Newton records under DATA."""
+    for workload in WORKLOADS:
+        target = DATA / workload
+        target.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory() as scratch:
+            csv_path, records = rerun(workload, Path(scratch))
+            shutil.copyfile(csv_path, target / csv_path.name)
+        (target / "newton.json").write_text(json.dumps(records) + "\n")
+        print(f"wrote {target}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    write_recorded_data()
