@@ -101,15 +101,21 @@ class SpatialSpace:
         return np.asarray(coeffs)[..., self.element_dofs]
 
     def scatter_add(self, element_values: np.ndarray) -> np.ndarray:
-        """Accumulate element-local contributions (..., M, p+1) into dofs."""
+        """Accumulate element-local contributions (..., M, p+1) into dofs.
+
+        A broken space's element dofs are a permutation of its dofs, so the
+        values are assigned.  On a continuous space the first p local dofs
+        of the elements are a permutation too, and the last local dof adds
+        the one shared neighbour term: no dof sums more than two values.
+        """
         element_values = np.asarray(element_values)
-        lead = element_values.shape[:-2]
-        out = np.zeros(lead + (self.dof_count,))
-        np.add.at(
-            out.reshape(-1, self.dof_count),
-            (slice(None), self.element_dofs.ravel()),
-            element_values.reshape(-1, self.element_dofs.size),
-        )
+        out = np.empty(element_values.shape[:-2] + (self.dof_count,))
+        if self.continuity == "dg":
+            out[..., self.element_dofs] = element_values
+            return out
+        p = self.degree
+        out[..., self.element_dofs[:, :p]] = element_values[..., :p]
+        out[..., self.element_dofs[:, p]] += element_values[..., p]
         return out
 
     # -- mass matrix and projections ----------------------------------------

@@ -312,3 +312,16 @@ def test_band_factor_solves_like_a_dense_solve(variant, q, p, factory, mesh):
     expected = np.linalg.solve(asm.jacobian(nodes).toarray(), b)
     actual = asm.factorise(nodes).solve(b)
     assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("continuity,p", [("cg", p) for p in (1, 2, 3)]
+                         + [("dg", p) for p in (0, 1, 2, 3)])
+def test_scatter_add_equals_an_unbuffered_accumulation(continuity, p):
+    # No dof sums more than two element values, so the permutation
+    # assignments of scatter_add add exactly what np.add.at adds.
+    rng = np.random.default_rng(230 + p)
+    space = nonuniform_space(rng, 2.0, 6, p, continuity)
+    values = rng.standard_normal((3, 2) + space.element_dofs.shape)
+    expected = np.zeros((3, 2, space.dof_count))
+    np.add.at(expected, (slice(None), slice(None), space.element_dofs), values)
+    assert np.array_equal(space.scatter_add(values), expected)
