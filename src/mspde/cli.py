@@ -131,7 +131,7 @@ def cmd_run(args) -> int:
     except SolverFailure as failure:
         rows = []
         if failure.partial is not None and failure.partial.slabs:
-            rows = _invariant_rows(global_invariants(variant, problem, failure.partial))
+            rows = _invariant_rows(global_invariants(failure.partial))
         failed_time = (failure.slab_index or 0) * config.dt
         rows.append([failed_time, *(["nan"] * (len(header) - 1))])
         _write_csv(out_dir / "invariants.csv", header, rows)
@@ -139,7 +139,7 @@ def cmd_run(args) -> int:
               f"residual {failure.residual_norm:.3e}", file=sys.stderr)
         return 1
 
-    series = global_invariants(variant, problem, trajectory)
+    series = global_invariants(trajectory)
     _write_csv(out_dir / "invariants.csv", header, _invariant_rows(series))
 
     if args.snapshots > 0:

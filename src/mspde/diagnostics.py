@@ -102,13 +102,13 @@ def node_states(trajectory: Trajectory) -> np.ndarray:
                     + [coeffs.values[:, :, -1] for coeffs in trajectory.slabs])
 
 
-def global_invariants(variant: SchemeVariant, problem: MultisymplecticProblem,
-                      trajectory: Trajectory) -> InvariantSeries:
-    """Spatial integrals of mass, momentum and energy at each temporal node.
+def global_invariants(trajectory: Trajectory) -> InvariantSeries:
+    """Spatial integrals of mass, momentum and energy at each temporal node,
+    with the trajectory's problem and scheme derivative.
 
     The slab space rule is exact for the densities: its degree is max(deg S p, 2p).
     """
-    space = trajectory.space
+    problem, variant, space = trajectory.problem, trajectory.variant, trajectory.space
     rule = slab_rules(problem, space.degree, trajectory.q)[1]
     states = node_states(trajectory)
     vals = space.eval_on_rule(states, rule)                            # (nodes, D, M, ns)
@@ -281,12 +281,11 @@ def _slope(variant: SchemeVariant, space: SpatialSpace, u: np.ndarray, rule):
     return (space.project_grid(du, rule) if order else dcoeffs), du
 
 
-def energy_stability_monitor(variant: SchemeVariant, problem: MultisymplecticProblem,
-                             trajectory: Trajectory) -> StabilityMonitor:
+def energy_stability_monitor(trajectory: Trajectory) -> StabilityMonitor:
     """Track the three stability quantities of wave runs against their bound."""
+    problem, variant, space = trajectory.problem, trajectory.variant, trajectory.space
     if problem.D != 3:
         raise ValueError("the stability bound is formulated for wave systems")
-    space = trajectory.space
     rule = slab_rules(problem, space.degree, trajectory.q)[1]
     states = node_states(trajectory)
     vals = space.eval_on_rule(states, rule)                            # (nodes, 3, M, ns)

@@ -52,8 +52,8 @@ def cached_run(problem_label, variant_label, q, p, dt, dx, t_final):
     return problem, variant, trajectory
 
 
-def deviations(problem, variant, trajectory):
-    return global_invariants(variant, problem, trajectory).deviations()
+def deviations(trajectory):
+    return global_invariants(trajectory).deviations()
 
 
 def report(criterion, passed, detail):
@@ -154,8 +154,8 @@ def test_criterion_02_linear_wave_conservation_and_orders():
                 errors, hs = [], []
                 for i in range(2, 6):
                     h = 2.0**-i
-                    problem, var, traj = cached_run("linear-wave", variant, q, p, h, h, 1.0)
-                    _, dev_p, dev_e = deviations(problem, var, traj)
+                    _, _, traj = cached_run("linear-wave", variant, q, p, h, h, 1.0)
+                    _, dev_p, dev_e = deviations(traj)
                     worst_dev = max(worst_dev, dev_p.max(), dev_e.max())
                     errors.append(bochner_error(traj)[-1][0])
                     hs.append(h)
@@ -185,8 +185,8 @@ def test_criterion_03_nonlinear_wave_primary_conservation():
     worst_energy, worst_mass_ratio, worst_momentum = 0.0, 0.0, 0.0
     monotone = False
     for q, p in ((0, 1), (1, 2)):
-        problem, variant, traj = cached_run("nonlinear-wave", "cg", q, p, 0.1, 0.05, 10.0)
-        dev_m, dev_p, dev_e = deviations(problem, variant, traj)
+        _, _, traj = cached_run("nonlinear-wave", "cg", q, p, 0.1, 0.05, 10.0)
+        dev_m, dev_p, dev_e = deviations(traj)
         worst_energy = max(worst_energy, dev_e.max())
         mass_dev = dev_m[:, 0]
         floor = max(10.0 * mass_dev[1], 1e-11)
@@ -211,9 +211,8 @@ def test_criterion_04_momentum_variant_reverses_conservation_roles():
     # every test function, so the variant reproduces the primary scheme and
     # cannot trade energy conservation for exact momentum conservation.
     start = time.time()
-    problem, variant, traj = cached_run("nonlinear-wave", "cg-momentum", 1, 2,
-                                        0.1, 0.05, 10.0)
-    _, dev_p, dev_e = deviations(problem, variant, traj)
+    _, _, traj = cached_run("nonlinear-wave", "cg-momentum", 1, 2, 0.1, 0.05, 10.0)
+    _, dev_p, dev_e = deviations(traj)
     elapsed = time.time() - start
     passed = dev_p.max() <= 1e-9 and dev_e.max() >= 1e-4 and elapsed < 120.0
     report(4, passed, f"momentum {dev_p.max():.2e} (want <=1e-9), "
@@ -234,9 +233,8 @@ def test_criterion_05_nls_continuous_conserves_both():
     worst_p, worst_e = 0.0, 0.0
     for q in (0, 1):
         for p in (1, 2):
-            problem, variant, traj = cached_run("nls", "cg", q, p, 0.1, 0.4,
-                                                2.0 * np.pi)
-            _, dev_p, dev_e = deviations(problem, variant, traj)
+            _, _, traj = cached_run("nls", "cg", q, p, 0.1, 0.4, 2.0 * np.pi)
+            _, dev_p, dev_e = deviations(traj)
             worst_p = max(worst_p, dev_p.max())
             worst_e = max(worst_e, dev_e.max())
     elapsed = time.time() - start
@@ -252,9 +250,8 @@ def test_criterion_06_nls_broken_energy_and_even_degree_momentum():
     worst_e, momentum = 0.0, {}
     for q in (0, 1):
         for p in (1, 2):
-            problem, variant, traj = cached_run("nls", "dg", q, p, 0.1, 0.4,
-                                                2.0 * np.pi)
-            _, dev_p, dev_e = deviations(problem, variant, traj)
+            _, _, traj = cached_run("nls", "dg", q, p, 0.1, 0.4, 2.0 * np.pi)
+            _, dev_p, dev_e = deviations(traj)
             worst_e = max(worst_e, dev_e.max())
             momentum[(q, p)] = dev_p.max()
     worst_p2 = max(momentum[(0, 2)], momentum[(1, 2)])
@@ -275,8 +272,8 @@ def test_criterion_06_nls_broken_odd_degree_momentum_defect():
     # test_odd_degree_momentum_instability_is_real below).
     worst_p1 = 0.0
     for q in (0, 1):
-        problem, variant, traj = cached_run("nls", "dg", q, 1, 0.1, 0.4, 2.0 * np.pi)
-        _, dev_p, _ = deviations(problem, variant, traj)
+        _, _, traj = cached_run("nls", "dg", q, 1, 0.1, 0.4, 2.0 * np.pi)
+        _, dev_p, _ = deviations(traj)
         worst_p1 = max(worst_p1, dev_p.max())
     passed = worst_p1 > 1e-6
     report(6, passed, f"p=1 momentum deviation {worst_p1:.2e} (want > 1e-6)")
@@ -335,7 +332,7 @@ def test_odd_degree_momentum_instability_is_real():
         traj = run_simulation(SchemeVariant.DG_PRIMARY, prob,
                               SolverConfig(q=0, p=p, dt=0.1, dx=0.4,
                                            t_final=2.0 * np.pi))
-        inv = global_invariants(SchemeVariant.DG_PRIMARY, prob, traj)
+        inv = global_invariants(traj)
         growth[p] = np.abs(inv.momentum - inv.momentum[0]).max()
     assert growth[1] > 5.0 * growth[2]
 
@@ -397,8 +394,8 @@ def test_criterion_09_energy_stability_bound():
         cached_run("nonlinear-wave", "cg", 0, 1, 0.1, 0.05, 10.0),
         cached_run("nonlinear-wave", "cg", 1, 2, 0.1, 0.05, 10.0),
     ]
-    for problem, variant, traj in basket:
-        mon = energy_stability_monitor(variant, problem, traj)
+    for _, _, traj in basket:
+        mon = energy_stability_monitor(traj)
         worst_slack = max(worst_slack, mon.slack())
     passed = worst_slack <= 1e-8
     report(9, passed, f"worst bound slack {worst_slack:.2e}")

@@ -41,7 +41,7 @@ def test_initial_energy_of_harmonic_wave():
     # state reproduces that integral up to its own approximation error.
     prob, traj = short_run(factory=linear_wave, q=0, p=3, dt=1 / 32, dx=1 / 32,
                            t_final=2 / 32)
-    inv = global_invariants(SchemeVariant.CG_PRIMARY, prob, traj)
+    inv = global_invariants(traj)
     assert inv.energy[0] == pytest.approx(-np.pi**2 / 2, abs=1e-6)
     assert inv.momentum[0] == pytest.approx(-np.pi**2 / 2, abs=1e-6)
 
@@ -82,7 +82,7 @@ def test_constant_trajectory_invariants_flat():
     )
     traj = run_simulation(SchemeVariant.CG_PRIMARY, prob,
                           SolverConfig(q=0, p=1, dt=0.1, dx=0.25, t_final=1.0))
-    inv = global_invariants(SchemeVariant.CG_PRIMARY, prob, traj)
+    inv = global_invariants(traj)
     dm, dp, de = inv.deviations()
     assert dm.max() < 1e-14
     assert dp.max() < 1e-14
@@ -91,7 +91,7 @@ def test_constant_trajectory_invariants_flat():
 
 def test_nonlinear_wave_energy_conserved_momentum_bounded():
     prob, traj = short_run(t_final=2.0)
-    inv = global_invariants(SchemeVariant.CG_PRIMARY, prob, traj)
+    inv = global_invariants(traj)
     _, dp, de = inv.deviations()
     assert de.max() < 1e-9
     assert 1e-9 < dp.max() < 1e-3
@@ -190,7 +190,7 @@ def test_pointwise_densities_integrate_to_the_invariant_series(variant):
         z0, None, 1e-12, 50).z_nodes
     coeffs = SlabCoefficients(TemporalSlab(0.0, 0.1, 1), space, z_nodes)
     traj = Trajectory(prob, variant, space, 1, np.array([0.0, 0.1]), z0, [coeffs])
-    series = global_invariants(variant, prob, traj)
+    series = global_invariants(traj)
     rule = slab_rules(prob, space.degree, 1)[1]
     xs = space.quad_points(rule)
     for node, t in enumerate(series.times):
@@ -252,7 +252,7 @@ def test_eoc_input_validation():
 def test_stability_monitor_bounds_hold():
     for variant in (SchemeVariant.CG_PRIMARY, SchemeVariant.DG_PRIMARY):
         prob, traj = short_run(variant=variant, t_final=2.0, dx=0.125, p=2)
-        mon = energy_stability_monitor(variant, prob, traj)
+        mon = energy_stability_monitor(traj)
         assert mon.slack() <= 1e-8
         assert mon.bound > 0.0
 
@@ -262,7 +262,7 @@ def test_stability_monitor_rejects_non_wave():
     traj = run_simulation(SchemeVariant.CG_PRIMARY, prob,
                           SolverConfig(q=0, p=1, dt=0.1, dx=0.4, t_final=0.2))
     with pytest.raises(ValueError):
-        energy_stability_monitor(SchemeVariant.CG_PRIMARY, prob, traj)
+        energy_stability_monitor(traj)
 
 
 def test_auxiliary_identity_at_gauss_times():
@@ -312,7 +312,7 @@ def test_energy_law_across_degree_grid(variant, factory):
         for p in (1, 2, 3):
             config = SolverConfig(q=q, p=p, dt=0.1, dx=dx, t_final=0.2)
             traj = run_simulation(variant, prob, config)
-            inv = global_invariants(variant, prob, traj)
+            inv = global_invariants(traj)
             _, _, de = inv.deviations()
             assert de.max() < 1e-9, (variant, prob.label, q, p, de.max())
             if variant is SchemeVariant.CG_PRIMARY:
@@ -332,10 +332,10 @@ def test_run_and_diagnostics_need_no_dense_operator(variant, monkeypatch):
             monkeypatch.setattr(module, "g_matrix", dense)
 
     prob, traj = short_run(variant, dx=0.25, t_final=0.2)
-    global_invariants(variant, prob, traj)
+    global_invariants(traj)
     for coeffs in traj.slabs:
         local_conservation_residuals(variant, prob, coeffs)
-    energy_stability_monitor(variant, prob, traj)
+    energy_stability_monitor(traj)
     auxiliary_identity_residual(traj)
     _, linear = short_run(variant, factory=linear_wave, dx=0.25, t_final=0.2)
     bochner_error(linear)
@@ -431,12 +431,12 @@ def test_one_pass_diagnostics_match_the_per_node_loops(variant, monkeypatch):
     prob, traj = nonuniform_run(variant, monkeypatch, t_final=0.25)
     assert traj.node_count == 4 and traj.slabs[-1].slab.dt == pytest.approx(0.05)
 
-    series = global_invariants(variant, prob, traj)
+    series = global_invariants(traj)
     references, scale = reference_invariants(variant, prob, traj)
     for actual, reference in zip((series.mass, series.momentum, series.energy), references):
         assert_series_close(actual, reference, scale)
 
-    monitor = energy_stability_monitor(variant, prob, traj)
+    monitor = energy_stability_monitor(traj)
     v2, w2, pot, bound = reference_monitor(variant, prob, traj)
     assert_series_close(monitor.velocity_norm2, v2)
     assert_series_close(monitor.projected_slope_norm2, w2)
@@ -453,12 +453,12 @@ def test_one_pass_diagnostics_match_the_per_node_loops(variant, monkeypatch):
 def test_diagnostics_of_a_trajectory_without_slabs(variant, monkeypatch):
     prob, traj = nonuniform_run(variant, monkeypatch, t_final=0.1)
     empty = Trajectory(prob, variant, traj.space, traj.q, traj.times[:1], traj.initial_coeffs)
-    series = global_invariants(variant, prob, empty)
+    series = global_invariants(empty)
     assert series.mass.shape == (1, prob.D)
     assert series.momentum.shape == series.energy.shape == (1,)
     (mass, momentum, energy), scale = reference_invariants(variant, prob, traj)
     for actual, reference in ((series.mass, mass), (series.momentum, momentum),
                               (series.energy, energy)):
         assert_series_close(actual, reference[:1], scale)
-    assert energy_stability_monitor(variant, prob, empty).velocity_norm2.shape == (1,)
+    assert energy_stability_monitor(empty).velocity_norm2.shape == (1,)
     assert auxiliary_identity_residual(empty) == 0.0
