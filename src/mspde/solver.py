@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -115,7 +116,8 @@ class SolverFailure(RuntimeError):
 class SlabSolution(NamedTuple):
     """One solved slab and the Newton work it took.
 
-    ``iterations`` and ``factorisations`` include those abandoned when a
+    ``iterations``, ``factorisations`` and ``krylov_iterations`` (the GMRES
+    iterations of the Newton steps) include those abandoned when a
     predicted start was ``restarted`` from the constant extension;
     ``stalled`` says that the slab was accepted above the tolerance under
     the 10x rule of :meth:`SlabAssembler.solve_slab`.
@@ -128,14 +130,16 @@ class SlabSolution(NamedTuple):
     factorisations: int
     restarted: bool
     stalled: bool
+    krylov_iterations: int
 
 
 class BandFactor(NamedTuple):
     """LAPACK band LU (``dgbtrf``) of a slab Jacobian in the folded unknown order.
 
-    ``order[k]`` is the unknown at folded position k; ``lu`` is the
-    Fortran-ordered band storage of the factor, with ``kl`` sub- and ``ku``
-    superdiagonals of the folded Jacobian and kl more rows of pivoting fill.
+    ``order[k]`` is the unknown at folded position k and ``position`` its
+    inverse; ``lu`` is the Fortran-ordered band storage of the factor, with
+    ``kl`` sub- and ``ku`` superdiagonals of the folded Jacobian and kl more
+    rows of pivoting fill.
     """
 
     lu: np.ndarray
@@ -143,14 +147,13 @@ class BandFactor(NamedTuple):
     kl: int
     ku: int
     order: np.ndarray
+    position: np.ndarray
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solution x of J x = b for the factorised Jacobian J."""
-        folded, _ = dgbtrs(self.lu, self.kl, self.ku, b[self.order], self.ipiv,
+        folded, _ = dgbtrs(self.lu, self.kl, self.ku, b.take(self.order), self.ipiv,
                            overwrite_b=True)
-        x = np.empty_like(folded)
-        x[self.order] = folded
-        return x
+        return folded.take(self.position)
 
 
 class _SlabIterate:
@@ -178,6 +181,73 @@ class _SlabIterate:
 
 def _max_norm(values: np.ndarray) -> float:
     return float(np.max(np.abs(values))) if values.size else 0.0
+
+
+_GMRES_CAP = 6
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, as ``np.linalg.norm`` computes it."""
+    return math.sqrt(v @ v)
+
+
+def _gmres(jac: scipy.sparse.csc_matrix, factor: BandFactor,
+           r: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """Solution s of J s = -r by GMRES right-preconditioned with a band
+    factor of another Jacobian, and the iterations it took; None in place
+    of s when GMRES has not converged within ``_GMRES_CAP`` iterations.
+
+    GMRES (Saad & Schultz, 1986) starts from the factor's solve and stops
+    when the true residual ||J s + r||_2 is at most max(1e-12 ||r||_2,
+    1e-15).  The Krylov basis V is orthogonalised by classical Gram-Schmidt
+    with one reorthogonalisation, and Z = M^-1 V (``preconditioned``) is
+    kept, so the solution x0 + Z y takes no further back-solve.  The Givens rotations of the
+    Hessenberg columns and the triangular solve for y run on Python floats.
+    """
+    b = -r
+    x = factor.solve(b)
+    residual = b - jac @ x
+    tolerance = max(1e-12 * _norm(r), 1e-15)
+    beta = _norm(residual)
+    if beta <= tolerance:
+        return x, 0
+    basis = np.empty((_GMRES_CAP + 1, len(r)))
+    preconditioned = np.empty((_GMRES_CAP, len(r)))
+    basis[0] = residual / beta
+    columns, rotations, g = [], [], [beta]  # R's columns, Givens (c, s), rotated rhs
+    for j in range(_GMRES_CAP):
+        preconditioned[j] = factor.solve(basis[j])
+        w = jac @ preconditioned[j]
+        h = basis[: j + 1] @ w
+        w -= h @ basis[: j + 1]
+        again = basis[: j + 1] @ w
+        w -= again @ basis[: j + 1]
+        h_next = _norm(w)
+        column = (h + again).tolist()
+        for i, (c, s) in enumerate(rotations):
+            top, bottom = column[i], column[i + 1]
+            column[i], column[i + 1] = c * top + s * bottom, c * bottom - s * top
+        diagonal = math.hypot(column[j], h_next)
+        if not 0.0 < diagonal < math.inf:
+            return None, j + 1
+        c, s = column[j] / diagonal, h_next / diagonal
+        column[j] = diagonal
+        columns.append(column)
+        rotations.append((c, s))
+        g.append(-s * g[j])
+        g[j] *= c
+        if abs(g[j + 1]) <= tolerance or h_next == 0.0:
+            y = [0.0] * (j + 1)
+            for i in range(j, -1, -1):
+                tail = sum(columns[k][i] * y[k] for k in range(i + 1, j + 1))
+                y[i] = (g[i] - tail) / columns[i][i]
+            solution = x + np.asarray(y) @ preconditioned[: j + 1]
+            if _norm(b - jac @ solution) <= tolerance:
+                return solution, j + 1
+            if h_next == 0.0:
+                return None, j + 1
+        basis[j + 1] = w / h_next
+    return None, _GMRES_CAP
 
 
 def build_space(problem: MultisymplecticProblem, config: SolverConfig,
@@ -272,8 +342,8 @@ class SlabAssembler(SlabGrid):
         self.operator = (kron(space.mass_operator(), time_k)
                          + kron(deriv, np.kron(problem.L, self.ta0))).tocsr()
         self._pattern = None  # (CSC linear part on the full pattern, Hessian index map)
-        self._band = None     # (band index of each Jacobian entry, kl, ku, fold order)
-        self._factor = None   # the constant Jacobian's factor
+        self._band = None     # (band index of each entry, kl, ku, fold order, its inverse)
+        self._factor = None   # the last band factor, kept across iterations and slabs
         self._extrapolations = {}  # previous slab length -> trial table at this slab's nodes
 
         # Broken space of the cg-momentum auxiliary field.
@@ -335,8 +405,10 @@ class SlabAssembler(SlabGrid):
         block, written into a fixed pattern.  The Hessian block is taken at
         the grid state of ``iterate``, the Newton loop's iterate of z_nodes
         (a new one when None), so a state the residual has evaluated is not
-        evaluated again.  The returned matrix owns its arrays;
-        :meth:`factorise` scatters its values into band storage.
+        evaluated again.  The returned matrix owns its arrays.  The Newton
+        step of a nonlinear problem calls it once per iteration: GMRES
+        multiplies by it, and a refactorisation scatters its values into
+        band storage.
         """
         if self.jacobian_is_constant:
             return self.linear_jacobian
@@ -438,15 +510,21 @@ class SlabAssembler(SlabGrid):
         projected from the converged slab; otherwise it is None.
 
         Each iterate is a :class:`_SlabIterate`: its grid state and grad S
-        are evaluated once, by :meth:`residual`, and reused by the
-        factorisation at that iterate and, for the accepted one, by the
+        are evaluated once, by :meth:`residual`, and reused by the Jacobian
+        of the Newton step at that iterate and, for the accepted one, by the
         auxiliary projection.
+
+        Each step solves the iterate's exact Newton system (see
+        :meth:`_newton_step`), by GMRES preconditioned with the band factor
+        that the assembler kept from an earlier iterate or slab, or by a new
+        factorisation.  A restart discards the kept factor, so the restarted
+        solve repeats a new assembler's arithmetic.
         """
         z_nodes = np.repeat(z_start[:, :, None], self.q + 2, axis=2)
         guessed = guess is not None and max_iterations > 0
         if guessed:
             z_nodes[:, :, 1:] = guess[:, :, 1:]
-        iterations = factorisations = 0
+        iterations = factorisations = krylov = 0
         restarted = accepted = stalled = False
         iterate, r = self._evaluate(z_nodes)
         norm = _max_norm(r)
@@ -456,14 +534,16 @@ class SlabAssembler(SlabGrid):
                 break
             if iterations >= max_iterations:
                 break
-            step, factorised = self._newton_step(iterate, r)
+            step, factorised, krylov_step = self._newton_step(iterate, r)
             z_nodes[:, :, 1:] += self.as_nodes(step)
             iterations += 1
             factorisations += factorised
+            krylov += krylov_step
             iterate, r = self._evaluate(z_nodes)
             previous, norm = norm, _max_norm(r)
             if guessed and not (norm <= tolerance or norm < previous):
                 guessed, restarted = False, True
+                self._factor = None
                 z_nodes[:, :, 1:] = z_start[:, :, None]
                 iterate, r = self._evaluate(z_nodes)
                 norm = _max_norm(r)
@@ -481,7 +561,7 @@ class SlabAssembler(SlabGrid):
         if self.aux_space is not None:
             aux_nodes = self._project_auxiliary(iterate, aux_start)
         return SlabSolution(z_nodes, aux_nodes, iterations, norm, factorisations, restarted,
-                            stalled)
+                            stalled, krylov)
 
     def _evaluate(self, z_nodes: np.ndarray) -> tuple[_SlabIterate, np.ndarray]:
         """A new iterate of z_nodes and its residual."""
@@ -499,16 +579,23 @@ class SlabAssembler(SlabGrid):
         built on the first call, and factorised by partial-pivoting
         ``dgbtrf``.  A singular Jacobian raises :class:`SolverFailure` with
         the residual norm at z_nodes.
+
+        The Newton loop keeps the factor it last built: exact for a
+        constant Jacobian, and the GMRES preconditioner of the later steps
+        of a nonlinear one (see :meth:`_newton_step`).
         """
         return self._factorise(_SlabIterate(self, z_nodes))
 
-    def _factorise(self, iterate: _SlabIterate) -> BandFactor:
+    def _factorise(self, iterate: _SlabIterate,
+                   jac: scipy.sparse.csc_matrix | None = None) -> BandFactor:
         """:meth:`factorise` at an iterate, whose grid state is not evaluated
-        again when the residual has evaluated it."""
-        jac = self.jacobian(iterate.z_nodes, iterate)
+        again when the residual has evaluated it, from the iterate's
+        :meth:`jacobian` ``jac`` when given."""
+        if jac is None:
+            jac = self.jacobian(iterate.z_nodes, iterate)
         if self._band is None:
             self._band = self._band_layout(jac)
-        index, kl, ku, order = self._band
+        index, kl, ku, order, position = self._band
         rows = 2 * kl + ku + 1
         band = np.zeros(rows * self.size)
         band[index] = jac.data
@@ -520,11 +607,12 @@ class SlabAssembler(SlabGrid):
                                 residual_norm=norm)
         if info < 0:
             raise ValueError(f"dgbtrf rejected argument {-info}")
-        return BandFactor(lu, ipiv, kl, ku, order)
+        return BandFactor(lu, ipiv, kl, ku, order, position)
 
     def _band_layout(self, jac: scipy.sparse.csc_matrix):
         """Position in the flat Fortran band array of each stored Jacobian
-        entry, the band's kl and ku, and the folded unknown order."""
+        entry, the band's kl and ku, the folded unknown order and its
+        inverse, the folded position of each unknown."""
         n, block = self.n, self.size // self.n
         dofs = np.empty(n, dtype=np.int64)
         dofs[0::2] = np.arange((n + 1) // 2)
@@ -538,16 +626,36 @@ class SlabAssembler(SlabGrid):
         rows = 2 * kl + ku + 1
         index = kl + ku + row - col + rows * col
         dtype = np.int32 if rows * self.size <= np.iinfo(np.int32).max else np.int64
-        return index.astype(dtype), kl, ku, order.astype(dtype)
+        return index.astype(dtype), kl, ku, order.astype(dtype), position.astype(dtype)
 
-    def _newton_step(self, iterate: _SlabIterate, r: np.ndarray) -> tuple[np.ndarray, int]:
-        """Newton step for the iterate's residual r and the factorisations it took."""
+    def _newton_step(self, iterate: _SlabIterate,
+                     r: np.ndarray) -> tuple[np.ndarray, int, int]:
+        """Newton step s, with J s = -r at the iterate's Jacobian J, for its
+        residual r, and the factorisations and GMRES iterations it took.
+
+        The assembler keeps the last band factor it built, across Newton
+        iterations and slabs.  A constant Jacobian's kept factor is exact,
+        so its step is the factor's solve, with no Krylov check: the check
+        would add an operator-sized matvec to every slab of a linear run.
+
+        On a nonlinear problem J is evaluated on every step, and with a kept
+        factor of an earlier Jacobian the step is solved by GMRES,
+        right-preconditioned with that factor and started from its solve,
+        to ||J s + r||_2 <= max(1e-12 ||r||_2, 1e-15) on the true residual.
+        When there is no kept factor, or GMRES has not converged within
+        ``_GMRES_CAP`` iterations, J is factorised, that factor is kept and
+        its solve is the step: no step comes from an unconverged solve.
+        """
+        if self.jacobian_is_constant and self._factor is not None:
+            return self._factor.solve(-r), 0, 0
+        jac = self.jacobian(iterate.z_nodes, iterate)
+        krylov = 0
         if self._factor is not None:
-            return self._factor.solve(-r), 0
-        factor = self._factorise(iterate)
-        if self.jacobian_is_constant:
-            self._factor = factor
-        return factor.solve(-r), 1
+            step, krylov = _gmres(jac, self._factor, r)
+            if step is not None:
+                return step, 0, krylov
+        self._factor = self._factorise(iterate, jac)
+        return self._factor.solve(-r), 1, krylov
 
     def _project_auxiliary(self, iterate: _SlabIterate,
                            aux_start: np.ndarray | None) -> np.ndarray:
@@ -577,10 +685,13 @@ class Trajectory:
     Consecutive slabs share their interface values exactly: node 0 of slab
     n+1 is copied from node q+1 of slab n.  Per slab, ``newton_iterations``
     and ``factorisations`` count the Newton iterations and Jacobian
-    factorisations, ``restarted`` says whether its predicted start was
-    abandoned for the constant extension, ``final_residuals`` holds the
-    residual norm it was accepted at, and ``stalled`` says whether that norm
-    exceeds the Newton tolerance: a slab accepted under the 10x rule.
+    factorisations, ``krylov_iterations`` the GMRES iterations of the Newton
+    steps solved on a band factor kept from an earlier iterate or slab (0
+    on a linear problem, whose kept factor is exact), ``restarted`` says
+    whether its predicted start was abandoned for the constant extension,
+    ``final_residuals`` holds the residual norm it was accepted at, and
+    ``stalled`` says whether that norm exceeds the Newton tolerance: a slab
+    accepted under the 10x rule.
     """
 
     problem: MultisymplecticProblem
@@ -595,6 +706,7 @@ class Trajectory:
     factorisations: list[int] = field(default_factory=list)
     restarted: list[bool] = field(default_factory=list)
     stalled: list[bool] = field(default_factory=list)
+    krylov_iterations: list[int] = field(default_factory=list)
 
     @property
     def node_count(self) -> int:
@@ -658,6 +770,7 @@ def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
         traj.factorisations.append(solved.factorisations)
         traj.restarted.append(solved.restarted)
         traj.stalled.append(solved.stalled)
+        traj.krylov_iterations.append(solved.krylov_iterations)
         z_prev, previous = solved.z_nodes[:, :, -1], (solved.z_nodes, dt)
         if solved.aux_nodes is not None:
             aux_prev = solved.aux_nodes[:, :, -1]

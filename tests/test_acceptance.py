@@ -299,10 +299,11 @@ def test_nls_stall_rule_accepts_no_slab_with_the_predictor():
 
 def test_predictor_cuts_nls_dg_acceptance_iterations():
     # 63 slabs: 189 iterations from the constant extension, 127 with the
-    # predictor, one factorisation each.
+    # predictor; the kept band factor preconditions the GMRES solves of the
+    # Newton steps and is rebuilt 14 times.
     _, _, traj = cached_run("nls", "dg", 1, 2, 0.1, 0.4, 2.0 * np.pi)
     assert sum(traj.newton_iterations) <= 130
-    assert traj.factorisations == traj.newton_iterations
+    assert sum(traj.factorisations) == 14
 
 
 def test_odd_degree_momentum_instability_is_real():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from mspde import solver
 from mspde.problems import linear_wave, nls, nonlinear_wave
 from mspde.solver import (
     SchemeVariant,
@@ -288,7 +289,7 @@ def test_nonlinear_newton_evaluates_each_iterate_once(factory, variant, dx, t_fi
     # accepted iterate's auxiliary projection: the slab grid is evaluated
     # and grad S runs once per residual evaluation (grad S once more for the
     # first slab's auxiliary start on cg-momentum), and the Hessian and
-    # jacobian() once per factorisation.
+    # jacobian() once per Newton step, whose GMRES solve multiplies by it.
     base = factory()
     calls = {"grad_s": 0, "hess_s": 0, "residual": 0, "grid": 0, "jacobian": 0}
 
@@ -309,7 +310,7 @@ def test_nonlinear_newton_evaluates_each_iterate_once(factory, variant, dx, t_fi
     assert sum(traj.newton_iterations) >= 2 * len(traj.slabs)
     assert calls["grid"] == calls["residual"]
     assert calls["grad_s"] == calls["residual"] + aux_starts
-    assert calls["hess_s"] == calls["jacobian"] == sum(traj.factorisations)
+    assert calls["hess_s"] == calls["jacobian"] == sum(traj.newton_iterations)
 
 
 @pytest.mark.parametrize("factory,variant,dx", [
@@ -355,11 +356,12 @@ def test_an_iterate_of_other_nodes_is_rejected():
 def test_nls_dg_predicted_slabs_take_fewer_factorisations():
     # The NLS dg workload: 3 iterations from the constant extension on the
     # first slab (9 for the run without the predictor), 2 from each
-    # predicted start; one factorisation per iteration.
+    # predicted start; one factorisation, kept for the GMRES solves of all
+    # later steps.
     config = SolverConfig(q=1, p=2, dt=0.1, dx=0.4, t_final=0.3)
     traj = run_simulation(SchemeVariant.DG_PRIMARY, nls(), config)
     assert traj.newton_iterations == [3, 2, 2]
-    assert traj.factorisations == traj.newton_iterations
+    assert traj.factorisations == [1, 0, 0]
     assert traj.restarted == [False] * 3
 
 
@@ -374,7 +376,7 @@ def test_predicted_slab_takes_at_least_one_step():
     solved = asm.solve_slab(z0, None, 1e-12, 50)
     assert np.max(np.abs(asm.residual(solved.z_nodes))) <= 1e-12
     again = asm.solve_slab(z0, None, 1e-12, 50, guess=solved.z_nodes)
-    assert (again.iterations, again.factorisations, again.restarted) == (1, 1, False)
+    assert (again.iterations, again.factorisations, again.restarted) == (1, 0, False)
     assert again.residual <= 1e-12
 
     zero = dataclasses.replace(prob, initial_state=lambda x: np.zeros(np.shape(x) + (3,)),
@@ -388,9 +390,10 @@ def test_predicted_slab_takes_at_least_one_step():
 
 def test_nls_coarse_dg_converges_through_the_restart():
     # Criterion 7's coarsest dg run: Newton from the extrapolated start of
-    # slab 1 diverges, so the slab restarts from the constant extension and
-    # then repeats the constant-start solve exactly; the abandoned
-    # iterations stay in its count.
+    # slab 1 diverges, so the slab restarts from the constant extension,
+    # without the kept factor, and then repeats the constant-start solve
+    # exactly; the abandoned iterations and factorisations stay in its
+    # counts.
     prob = nls()
     config = SolverConfig(q=0, p=1, dt=1.6, dx=1.6, t_final=3.2)
     traj = run_simulation(SchemeVariant.DG_PRIMARY, prob, config)
@@ -400,8 +403,102 @@ def test_nls_coarse_dg_converges_through_the_restart():
     fresh = asm.solve_slab(traj.state_at_node(1), None, config.newton_tolerance,
                            config.max_newton_iterations)
     assert traj.newton_iterations[1] > fresh.iterations
-    assert traj.factorisations[1] == traj.newton_iterations[1]
+    assert traj.factorisations == [3, 5] and fresh.factorisations == 3
     assert np.array_equal(traj.slabs[1].values, fresh.z_nodes)
+
+
+def test_a_restart_discards_the_kept_factor(monkeypatch):
+    # After the restart of the coarse dg run's slab 1, each Newton step
+    # takes the factorisations and GMRES iterations of a fresh assembler's
+    # solve: the first factorises at the constant extension without trying
+    # the factor kept from the abandoned iterations.
+    steps = []
+    newton_step = SlabAssembler._newton_step
+
+    def recorded(self, iterate, r):
+        result = newton_step(self, iterate, r)
+        steps.append(result[1:])
+        return result
+
+    monkeypatch.setattr(SlabAssembler, "_newton_step", recorded)
+    prob = nls()
+    config = SolverConfig(q=0, p=1, dt=1.6, dx=1.6, t_final=3.2)
+    traj = run_simulation(SchemeVariant.DG_PRIMARY, prob, config)
+    assert traj.restarted == [False, True]
+    slab_steps = steps[traj.newton_iterations[0]:]
+    steps.clear()
+    asm = SlabAssembler(SchemeVariant.DG_PRIMARY, prob, traj.space, config.q, config.dt)
+    fresh = asm.solve_slab(traj.state_at_node(1), None, config.newton_tolerance,
+                           config.max_newton_iterations)
+    assert steps[0] == (1, 0)
+    assert slab_steps[-fresh.iterations:] == steps
+
+
+def kept_factor_step(factory, variant, dx, kept_at):
+    """The Newton step at nodes z of an assembler that keeps the factor of
+    the nodes kept_at(z): the assembler, z's iterate and residual r, z's own
+    factor, and the step, its factorisations and its GMRES iterations."""
+    asm, z = acceptance_assembler(factory, variant, dx)
+    z = z + 0.01 * np.random.default_rng(11).standard_normal(z.shape)
+    iterate, r = asm._evaluate(z)
+    own = asm.factorise(z)
+    asm._factor = asm.factorise(kept_at(z))
+    return asm, iterate, r, own, asm._newton_step(iterate, r)
+
+
+def nearby(z):
+    return z + 0.01 * np.random.default_rng(12).standard_normal(z.shape)
+
+
+@pytest.mark.parametrize("factory,variant,dx", [
+    (nls, SchemeVariant.DG_PRIMARY, 0.4),
+    (nonlinear_wave, SchemeVariant.CG_PRIMARY, 0.05),
+])
+def test_a_stale_kept_factor_is_replaced(factory, variant, dx):
+    # With the factor of ten times the nodes GMRES reaches its cap, so the
+    # step refactorises at the iterate, keeps that factor and is its solve.
+    asm, _, r, own, (step, factorised, krylov) = kept_factor_step(
+        factory, variant, dx, lambda z: 10.0 * z)
+    assert (factorised, krylov) == (1, solver._GMRES_CAP)
+    expected = own.solve(-r)
+    assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.array_equal(asm._factor.lu, own.lu)
+
+
+def test_a_gmres_step_meets_the_linear_tolerance():
+    # A nearby factor serves the step in 3 GMRES iterations and is kept.
+    asm, iterate, r, _, (step, factorised, krylov) = kept_factor_step(
+        nls, SchemeVariant.DG_PRIMARY, 0.4, nearby)
+    kept = asm._factor
+    assert (factorised, krylov) == (0, 3)
+    assert asm._factor is kept
+    linear = asm.jacobian(iterate.z_nodes, iterate) @ step + r
+    assert np.linalg.norm(linear) <= max(1e-12 * np.linalg.norm(r), 1e-15)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2])
+def test_a_step_never_comes_from_an_unconverged_gmres_solve(cap, monkeypatch):
+    # Capped below the 3 iterations that the nearby factor needs, GMRES
+    # stops unconverged and the step is the solve of the iterate's factor.
+    monkeypatch.setattr(solver, "_GMRES_CAP", cap)
+    _, _, r, own, (step, factorised, krylov) = kept_factor_step(
+        nls, SchemeVariant.DG_PRIMARY, 0.4, nearby)
+    assert (factorised, krylov) == (1, cap)
+    assert np.array_equal(step, own.solve(-r))
+
+
+def test_krylov_iterations_are_recorded_per_slab():
+    # A linear problem's kept factor is exact, so no slab runs GMRES; the
+    # predicted slabs of the NLS dg workload solve every step by GMRES on
+    # the first slab's factor.
+    config = SolverConfig(q=1, p=2, dt=0.15, dx=0.125, t_final=1.0)
+    for variant in (SchemeVariant.CG_PRIMARY, SchemeVariant.DG_PRIMARY):
+        traj = run_simulation(variant, linear_wave(), config)
+        assert traj.krylov_iterations == [0] * len(traj.slabs)
+    config = SolverConfig(q=1, p=2, dt=0.1, dx=0.4, t_final=0.3)
+    traj = run_simulation(SchemeVariant.DG_PRIMARY, nls(), config)
+    assert len(traj.krylov_iterations) == 3
+    assert min(traj.krylov_iterations[1:]) > 0
 
 
 def test_short_final_slab_extrapolates_with_the_step_ratio(monkeypatch):
