@@ -388,36 +388,19 @@ def test_predicted_slab_takes_at_least_one_step():
     assert not np.any(steady.state_at_node(steady.node_count - 1))
 
 
-def test_nls_coarse_dg_converges_through_the_restart():
+def test_nls_coarse_dg_converges_through_the_restart(monkeypatch):
     # Criterion 7's coarsest dg run: Newton from the extrapolated start of
     # slab 1 diverges, so the slab restarts from the constant extension,
     # without the kept factor, and then repeats the constant-start solve
-    # exactly; the abandoned iterations and factorisations stay in its
-    # counts.
-    prob = nls()
-    config = SolverConfig(q=0, p=1, dt=1.6, dx=1.6, t_final=3.2)
-    traj = run_simulation(SchemeVariant.DG_PRIMARY, prob, config)
-    assert traj.restarted == [False, True]
-    assert max(traj.final_residuals) <= config.newton_tolerance
-    asm = SlabAssembler(SchemeVariant.DG_PRIMARY, prob, traj.space, config.q, config.dt)
-    fresh = asm.solve_slab(traj.state_at_node(1), None, config.newton_tolerance,
-                           config.max_newton_iterations)
-    assert traj.newton_iterations[1] > fresh.iterations
-    assert traj.factorisations == [3, 5] and fresh.factorisations == 3
-    assert np.array_equal(traj.slabs[1].values, fresh.z_nodes)
-
-
-def test_a_restart_discards_the_kept_factor(monkeypatch):
-    # After the restart of the coarse dg run's slab 1, each Newton step
-    # takes the factorisations and GMRES iterations of a fresh assembler's
-    # solve: the first factorises at the constant extension without trying
-    # the factor kept from the abandoned iterations.
+    # exactly, step by step: the first step after the restart factorises
+    # without trying the factor kept from the abandoned iterations.  The
+    # abandoned iterations and factorisations stay in its counts.
     steps = []
     newton_step = SlabAssembler._newton_step
 
     def recorded(self, iterate, r):
         result = newton_step(self, iterate, r)
-        steps.append(result[1:])
+        steps.append(result[1:])  # (factorisations, GMRES iterations)
         return result
 
     monkeypatch.setattr(SlabAssembler, "_newton_step", recorded)
@@ -425,13 +408,17 @@ def test_a_restart_discards_the_kept_factor(monkeypatch):
     config = SolverConfig(q=0, p=1, dt=1.6, dx=1.6, t_final=3.2)
     traj = run_simulation(SchemeVariant.DG_PRIMARY, prob, config)
     assert traj.restarted == [False, True]
+    assert max(traj.final_residuals) <= config.newton_tolerance
     slab_steps = steps[traj.newton_iterations[0]:]
     steps.clear()
     asm = SlabAssembler(SchemeVariant.DG_PRIMARY, prob, traj.space, config.q, config.dt)
     fresh = asm.solve_slab(traj.state_at_node(1), None, config.newton_tolerance,
                            config.max_newton_iterations)
+    assert traj.newton_iterations[1] > fresh.iterations
+    assert traj.factorisations == [3, 5] and fresh.factorisations == 3
     assert steps[0] == (1, 0)
     assert slab_steps[-fresh.iterations:] == steps
+    assert np.array_equal(traj.slabs[1].values, fresh.z_nodes)
 
 
 def kept_factor_step(factory, variant, dx, kept_at):
@@ -469,9 +456,8 @@ def test_a_gmres_step_meets_the_linear_tolerance():
     # A nearby factor serves the step in 3 GMRES iterations and is kept.
     asm, iterate, r, _, (step, factorised, krylov) = kept_factor_step(
         nls, SchemeVariant.DG_PRIMARY, 0.4, nearby)
-    kept = asm._factor
     assert (factorised, krylov) == (0, 3)
-    assert asm._factor is kept
+    assert np.array_equal(asm._factor.lu, asm.factorise(nearby(iterate.z_nodes)).lu)
     linear = asm.jacobian(iterate.z_nodes, iterate) @ step + r
     assert np.linalg.norm(linear) <= max(1e-12 * np.linalg.norm(r), 1e-15)
 
