@@ -291,7 +291,7 @@ def _steady_states() -> float:
         config = solver.SolverConfig(q=1, p=2, dt=0.1,
                                      dx=prob.domain_length / 8, t_final=2.0)
         traj = solver.run_simulation(variant, prob, config)
-        final = traj.state_at_node(traj.node_count - 1)
+        final = traj.node_states()[-1]
         expected = np.zeros_like(final)
         expected[0] = value
         worst = max(worst, float(np.max(np.abs(final - expected))))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import run_property_checks
-from .diagnostics import bochner_error, eoc, global_invariants, node_states
+from .diagnostics import bochner_error, eoc, global_invariants
 from .problems import PROBLEM_LABELS, problem_by_label
 from .solver import (
     ConfigurationError,
@@ -154,7 +154,7 @@ def _write_snapshots(path: Path, trajectory, samples_per_element: int) -> None:
     xs = (space.partition.node_coords[:-1, None]
           + space.partition.widths[:, None] * offsets[None, :]).ravel()
     header = ["t", "x"] + list(names)
-    vals = space.evaluate(node_states(trajectory), xs)                # (nodes, D, len(xs))
+    vals = space.evaluate(trajectory.node_states(), xs)               # (nodes, D, len(xs))
     rows = np.column_stack([np.repeat(trajectory.times, xs.size),
                             np.tile(xs, trajectory.node_count),
                             np.swapaxes(vals, 1, 2).reshape(-1, len(names))]).tolist()

@@ -26,7 +26,6 @@ from .spatial_ops import node_traces
 
 __all__ = [
     "InvariantSeries",
-    "node_states",
     "ConvergenceRecord",
     "densities_fluxes",
     "global_invariants",
@@ -37,6 +36,7 @@ __all__ = [
     "energy_stability_monitor",
     "StabilityMonitor",
     "auxiliary_identity_residual",
+    "auxiliary_field",
 ]
 
 
@@ -46,6 +46,11 @@ __all__ = [
 def _form(a: np.ndarray, matrix: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise bilinear form a . matrix b over the leading component axis."""
     return np.einsum("c...,cd,d...->...", a, matrix, b)
+
+
+def _grad_s(problem: MultisymplecticProblem, z: np.ndarray) -> np.ndarray:
+    """grad S at field values with the component axis first."""
+    return np.moveaxis(problem.grad_s(np.moveaxis(z, 0, -1)), -1, 0)
 
 
 def _densities(problem: MultisymplecticProblem, z, dz, zt=None):
@@ -95,13 +100,6 @@ class InvariantSeries:
         )
 
 
-def node_states(trajectory: Trajectory) -> np.ndarray:
-    """Coefficients (nodes, D, dofs) of every temporal node: the initial
-    state, then each slab's last node."""
-    return np.stack([trajectory.initial_coeffs]
-                    + [coeffs.values[:, :, -1] for coeffs in trajectory.slabs])
-
-
 def global_invariants(trajectory: Trajectory) -> InvariantSeries:
     """Spatial integrals of mass, momentum and energy at each temporal node,
     with the trajectory's problem and scheme derivative.
@@ -110,7 +108,7 @@ def global_invariants(trajectory: Trajectory) -> InvariantSeries:
     """
     problem, variant, space = trajectory.problem, trajectory.variant, trajectory.space
     rule = slab_rules(problem, space.degree, trajectory.q)[1]
-    states = node_states(trajectory)
+    states = trajectory.node_states()
     vals = space.eval_on_rule(states, rule)                            # (nodes, D, M, ns)
     dcoeffs, order = scheme_derivative(variant, space, states)
     dz = space.eval_on_rule(dcoeffs, rule, order)
@@ -146,7 +144,7 @@ def local_conservation_residuals(variant: SchemeVariant,
     dtt = grid.dTt / slab.dt
     z, dz = field_on_grid(variant, grid, values, grid.Tt)
     zt, dz_t = field_on_grid(variant, grid, values, dtt)
-    grad = np.moveaxis(problem.grad_s(np.moveaxis(z, 0, -1)), -1, 0)
+    grad = _grad_s(problem, z)
 
     # d/dt of momentum and energy densities, pointwise on the grid; W pairs
     # grad S with the test-space projection of Dz.
@@ -249,7 +247,7 @@ def eoc(errors, hs) -> np.ndarray:
         return np.where(positive, np.log(errors[1:] / errors[:-1]) / log_h, np.nan)
 
 
-# -- stability monitor and auxiliary identity -------------------------------------
+# -- stability monitor, auxiliary identity and auxiliary field ---------------------
 
 
 @dataclass(eq=False)
@@ -287,7 +285,7 @@ def energy_stability_monitor(trajectory: Trajectory) -> StabilityMonitor:
     if problem.D != 3:
         raise ValueError("the stability bound is formulated for wave systems")
     rule = slab_rules(problem, space.degree, trajectory.q)[1]
-    states = node_states(trajectory)
+    states = trajectory.node_states()
     vals = space.eval_on_rule(states, rule)                            # (nodes, 3, M, ns)
     # V(u) = S(u, 0, 0) for the wave family's density.
     potential = space.integrate(problem.s(np.moveaxis(vals, 1, -1) * [1.0, 0.0, 0.0]), rule)
@@ -318,3 +316,35 @@ def auxiliary_identity_residual(trajectory: Trajectory) -> float:
     rule = slab_rules(problem, space.degree, trajectory.q)[1]
     target, _ = _slope(trajectory.variant, space, spatial[:, 0], rule)
     return float(np.max(np.abs(spatial[:, 2] - target)))
+
+
+def auxiliary_field(trajectory: Trajectory) -> tuple[SpatialSpace, np.ndarray]:
+    """The ``cg-momentum`` auxiliary field of a trajectory: its broken space
+    and its nodes (slabs, D, broken dofs, q+2).
+
+    The field a is the broken-space projection of grad S(z).  Node 0 of the
+    first slab is the projection of grad S at the initial state, and every
+    later slab starts from its predecessor's last node.  Nodes 1..q+1 solve
+    the projection rows int (a - grad S(z)) . psi tau = 0 for broken-space
+    psi and degree-q tau, i.e. (mass x ta0) a = rows(grad S(z)): one broken
+    mass solve, then one (q+1)-square temporal solve.  The time rows and
+    ta0 both scale with the slab length, so one unit-length grid serves
+    every slab.
+    """
+    if trajectory.variant is not SchemeVariant.CG_MOMENTUM:
+        raise ValueError("the auxiliary field belongs to the cg-momentum variant")
+    problem, space, q = trajectory.problem, trajectory.space, trajectory.q
+    aux_space = SpatialSpace(space.partition, space.degree, "dg")
+    grid = SlabGrid(space, q, 1.0, *slab_rules(problem, space.degree, q))
+    ta0 = np.einsum("ag,bg,g->ab", grid.Ts, grid.Tt, grid.wt)          # (q+1, q+2)
+    initial = space.eval_on_rule(trajectory.initial_coeffs, grid.rule_x)
+    start = aux_space.project_grid(_grad_s(problem, initial), grid.rule_x)
+    nodes = np.empty((len(trajectory.slabs), problem.D, aux_space.dof_count, q + 2))
+    for n, coeffs in enumerate(trajectory.slabs):
+        rows = grid.test(_grad_s(problem, grid.eval(coeffs.values, grid.Tt)), aux_space)
+        rhs = aux_space.mass_solve(np.swapaxes(rows, 1, 2)) \
+            - ta0[:, :1] * start[:, None, :]                               # (D, q+1, dofs)
+        nodes[n, :, :, 0] = start
+        nodes[n, :, :, 1:] = np.swapaxes(np.linalg.solve(ta0[:, 1:], rhs), 1, 2)
+        start = nodes[n, :, :, -1]
+    return aux_space, nodes

@@ -3,12 +3,12 @@
 One slab couples the whole spatial mesh with a single temporal element:
 trial functions are continuous degree q+1 in time (node 0 pinned by the
 incoming state) times the spatial space; tests are discontinuous degree q in
-time times the same spatial space.  The three scheme variants differ only in
-the spatial derivative (elementwise vs average-flux) and in whether an
-auxiliary field, the broken-space projection of the gradient term, is
-carried along.  That projection acts on every continuous test function like
-the gradient itself, so ``cg-momentum`` solves the ``cg`` Newton system and
-projects its auxiliary field once the slab has converged.
+time times the same spatial space.  The scheme variants differ only in the
+spatial derivative (elementwise vs average-flux).  ``cg-momentum`` adds an
+auxiliary field, the broken-space projection of the gradient term, which
+acts on every continuous test function like the gradient itself: its slab
+system is the ``cg`` one, and its field is computed from the finished
+trajectory by :func:`mspde.diagnostics.auxiliary_field`.
 """
 
 from __future__ import annotations
@@ -116,17 +116,18 @@ class SolverFailure(RuntimeError):
 class SlabSolution(NamedTuple):
     """One solved slab and the Newton work it took.
 
-    ``iterations``, ``factorisations`` and ``krylov_iterations`` (the GMRES
-    iterations of the Newton steps) include those abandoned when a
-    predicted start was ``restarted`` from the constant extension;
-    ``stalled`` says that the slab was accepted above the tolerance under
-    the 10x rule of :meth:`SlabAssembler.solve_slab`.
+    ``z_nodes`` (D, dofs, q+2) are the slab's trial nodes and ``residual``
+    the residual max-norm they were accepted at.  ``iterations``,
+    ``factorisations`` and ``krylov_iterations`` (the GMRES iterations of
+    the Newton steps) include those abandoned when a predicted start was
+    ``restarted`` from the constant extension; ``stalled`` says that the
+    slab was accepted above the tolerance under the 10x rule of
+    :meth:`SlabAssembler.solve_slab`.
     """
 
     z_nodes: np.ndarray
-    aux_nodes: np.ndarray | None
-    iterations: int
     residual: float
+    iterations: int
     factorisations: int
     restarted: bool
     stalled: bool
@@ -157,13 +158,12 @@ class BandFactor(NamedTuple):
 
 
 class _SlabIterate:
-    """One Newton iterate: its nodes (D, dofs, q+2) and, each evaluated on
-    first use and then kept, its state on the slab grid (D, nt, M, ns) and
-    the pointwise grad S there.
+    """One Newton iterate: its nodes (D, dofs, q+2) and its state on the
+    slab grid (D, nt, M, ns), evaluated on first use and then kept.
 
-    The residual, the next factorisation and the auxiliary projection of an
-    iterate share these values, so each is computed once per iterate.  The
-    nodes must not change while the iterate is in use.
+    The residual and the Jacobian of the Newton step at an iterate share
+    this state, so it is evaluated once per iterate.  The nodes must not
+    change while the iterate is in use.
     """
 
     def __init__(self, assembler: "SlabAssembler", z_nodes: np.ndarray):
@@ -173,10 +173,6 @@ class _SlabIterate:
     @functools.cached_property
     def state(self) -> np.ndarray:
         return self.assembler.eval(self.z_nodes, self.assembler.Tt)
-
-    @functools.cached_property
-    def grad(self) -> np.ndarray:
-        return self.assembler._pointwise_grad(self.state)
 
 
 def _max_norm(values: np.ndarray) -> float:
@@ -315,14 +311,14 @@ class SlabAssembler(SlabGrid):
         super().__init__(space, q, dt, *slab_rules(problem, space.degree, q))
         self.variant = variant
         self.problem = problem
-        d, p = problem.D, space.degree
+        d = problem.D
 
         self.n = space.dof_count
         self.size = d * self.n * (q + 1)
 
         # Temporal coupling blocks (test x trial, all q+2 trial nodes).
         ta1 = np.einsum("ag,bg,g->ab", self.Ts, self.dTt, self.rule_t.weights)
-        self.ta0 = dt * np.einsum("ag,bg,g->ab", self.Ts, self.Tt, self.rule_t.weights)
+        ta0 = dt * np.einsum("ag,bg,g->ab", self.Ts, self.Tt, self.rule_t.weights)
 
         # The slab operator: the residual's linear part over every trial
         # node, node 0 included, with rows ordered (spatial dof, component,
@@ -332,7 +328,7 @@ class SlabAssembler(SlabGrid):
         self.jacobian_is_constant = problem.s_degree <= 2
         time_k = np.kron(problem.K, ta1)
         if self.jacobian_is_constant:
-            time_k -= np.kron(problem.hess_s(np.zeros(d)), self.ta0)
+            time_k -= np.kron(problem.hess_s(np.zeros(d)), ta0)
             shape = (d, len(self.rule_t), space.partition.element_count, len(self.rule_x))
             grad_zero = np.broadcast_to(problem.grad_s(np.zeros(d))[:, None, None, None], shape)
             self._grad_zero_rows = np.swapaxes(self.test(grad_zero), 0, 1).ravel()
@@ -340,16 +336,11 @@ class SlabAssembler(SlabGrid):
             else space.derivative_operator()
         kron = scipy.sparse.kron
         self.operator = (kron(space.mass_operator(), time_k)
-                         + kron(deriv, np.kron(problem.L, self.ta0))).tocsr()
+                         + kron(deriv, np.kron(problem.L, ta0))).tocsr()
         self._pattern = None  # (CSC linear part on the full pattern, Hessian index map)
         self._band = None     # (band index of each entry, kl, ku, fold order, its inverse)
         self._factor = None   # the last band factor, kept across iterations and slabs
         self._extrapolations = {}  # previous slab length -> trial table at this slab's nodes
-
-        # Broken space of the cg-momentum auxiliary field.
-        self.aux_space: SpatialSpace | None = None
-        if variant is SchemeVariant.CG_MOMENTUM:
-            self.aux_space = SpatialSpace(space.partition, p, "dg")
 
         # Sum-factorisation tables of the Hessian block: the component pairs
         # of the problem's Hessian pattern, (row x column basis x space
@@ -388,12 +379,12 @@ class SlabAssembler(SlabGrid):
         term (a constant vector when the Hessian is constant).
 
         ``iterate``, the Newton loop's iterate of z_nodes, keeps the grid
-        values evaluated here for the Jacobian and the auxiliary projection.
+        state evaluated here for the Jacobian.
         """
         linear = self.operator @ np.swapaxes(z_nodes, 0, 1).ravel()
         if self.jacobian_is_constant:
             return linear - self._grad_zero_rows
-        grad = self._iterate_of(z_nodes, iterate).grad
+        grad = self._pointwise_grad(self._iterate_of(z_nodes, iterate).state)
         return linear - np.swapaxes(self.test(grad), 0, 1).ravel()
 
     def jacobian(self, z_nodes: np.ndarray,
@@ -485,8 +476,7 @@ class SlabAssembler(SlabGrid):
             self._extrapolations[dt_previous] = table
         return previous @ table
 
-    def solve_slab(self, z_start: np.ndarray, aux_start: np.ndarray | None,
-                   tolerance: float, max_iterations: int,
+    def solve_slab(self, z_start: np.ndarray, tolerance: float, max_iterations: int,
                    guess: np.ndarray | None = None) -> SlabSolution:
         """Newton iteration from z_start followed by nodes 1..q+1 of ``guess``,
         or from the constant-in-time extension of z_start when there is no
@@ -505,14 +495,9 @@ class SlabAssembler(SlabGrid):
         is accepted as ``stalled`` when the residual is within 10x the
         tolerance, and a :class:`SolverFailure` is raised otherwise.
 
-        For ``cg-momentum`` the auxiliary field, starting from aux_start (or,
-        when that is None, from the projection of grad S(z_start)), is
-        projected from the converged slab; otherwise it is None.
-
-        Each iterate is a :class:`_SlabIterate`: its grid state and grad S
-        are evaluated once, by :meth:`residual`, and reused by the Jacobian
-        of the Newton step at that iterate and, for the accepted one, by the
-        auxiliary projection.
+        Each iterate is a :class:`_SlabIterate`: its grid state is
+        evaluated once, by :meth:`residual`, and reused by the Jacobian of
+        the Newton step at that iterate.
 
         Each step solves the iterate's exact Newton system (see
         :meth:`_newton_step`), by GMRES preconditioned with the band factor
@@ -557,11 +542,8 @@ class SlabAssembler(SlabGrid):
                 f"Newton stalled at residual {norm:.3e} after {iterations} iterations",
                 residual_norm=norm,
             )
-        aux_nodes = None
-        if self.aux_space is not None:
-            aux_nodes = self._project_auxiliary(iterate, aux_start)
-        return SlabSolution(z_nodes, aux_nodes, iterations, norm, factorisations, restarted,
-                            stalled, krylov)
+        return SlabSolution(z_nodes, norm, iterations, factorisations, restarted, stalled,
+                            krylov)
 
     def _evaluate(self, z_nodes: np.ndarray) -> tuple[_SlabIterate, np.ndarray]:
         """A new iterate of z_nodes and its residual."""
@@ -657,26 +639,6 @@ class SlabAssembler(SlabGrid):
         self._factor = self._factorise(iterate, jac)
         return self._factor.solve(-r), 1, krylov
 
-    def _project_auxiliary(self, iterate: _SlabIterate,
-                           aux_start: np.ndarray | None) -> np.ndarray:
-        """Auxiliary nodes (D, broken dofs, q+2) of a solved slab, the
-        accepted iterate, whose grid grad S is reused.
-
-        Node 0 is aux_start, or the broken-space projection of grad S(z) at
-        node 0 when aux_start is None; nodes 1..q+1 solve the projection rows
-        int (a - grad S(z)) . psi tau = 0 for broken-space psi and degree-q
-        tau, i.e. (mass x ta0) a = rows(grad S(z)): one broken mass solve,
-        then one (q+1)-square temporal solve.
-        """
-        if aux_start is None:
-            start = self.space.eval_on_rule(iterate.z_nodes[:, :, 0], self.rule_x)
-            aux_start = self.aux_space.project_grid(self._pointwise_grad(start), self.rule_x)
-        rows = self.test(iterate.grad, self.aux_space)
-        rhs = self.aux_space.mass_solve(np.swapaxes(rows, 1, 2)) \
-            - self.ta0[:, :1] * aux_start[:, None, :]                  # (D, q+1, dofs)
-        unknown = np.linalg.solve(self.ta0[:, 1:], rhs)
-        return np.concatenate([aux_start[:, :, None], np.swapaxes(unknown, 1, 2)], axis=2)
-
 
 @dataclass(eq=False)
 class Trajectory:
@@ -712,10 +674,11 @@ class Trajectory:
     def node_count(self) -> int:
         return len(self.slabs) + 1
 
-    def state_at_node(self, n: int) -> np.ndarray:
-        if n == 0:
-            return self.initial_coeffs
-        return self.slabs[n - 1].state_at_node(self.slabs[n - 1].slab.q + 1)
+    def node_states(self) -> np.ndarray:
+        """Coefficients (nodes, D, dofs) of every temporal node: the initial
+        state, then each slab's last node."""
+        return np.stack([self.initial_coeffs]
+                        + [coeffs.values[:, :, -1] for coeffs in self.slabs])
 
 
 def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
@@ -742,7 +705,7 @@ def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
     traj = Trajectory(problem, variant, space, config.q, times, z0)
 
     assemblers = {config.dt: SlabAssembler(variant, problem, space, config.q, config.dt)}
-    z_prev, aux_prev, previous = z0, None, None
+    z_prev, previous = z0, None
 
     for index, dt in enumerate(slab_lengths):
         assembler = assemblers.get(dt)
@@ -752,7 +715,7 @@ def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
         predicted = previous is not None and not assembler.jacobian_is_constant
         guess = assembler.predict(*previous) if predicted else None
         try:
-            solved = assembler.solve_slab(z_prev, aux_prev, config.newton_tolerance,
+            solved = assembler.solve_slab(z_prev, config.newton_tolerance,
                                           config.max_newton_iterations, guess)
         except SolverFailure as failure:
             traj.times = traj.times[: index + 1]
@@ -763,8 +726,7 @@ def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
             logger.warning("slab %d accepted at residual %.3e, above newton_tolerance %.3e",
                            index, solved.residual, config.newton_tolerance)
         slab = TemporalSlab(times[index], times[index + 1], config.q)
-        traj.slabs.append(SlabCoefficients(slab, space, solved.z_nodes, aux=solved.aux_nodes,
-                                           aux_space=assembler.aux_space))
+        traj.slabs.append(SlabCoefficients(slab, space, solved.z_nodes))
         traj.newton_iterations.append(solved.iterations)
         traj.final_residuals.append(solved.residual)
         traj.factorisations.append(solved.factorisations)
@@ -772,6 +734,4 @@ def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
         traj.stalled.append(solved.stalled)
         traj.krylov_iterations.append(solved.krylov_iterations)
         z_prev, previous = solved.z_nodes[:, :, -1], (solved.z_nodes, dt)
-        if solved.aux_nodes is not None:
-            aux_prev = solved.aux_nodes[:, :, -1]
     return traj

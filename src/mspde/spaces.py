@@ -264,16 +264,12 @@ class SlabCoefficients:
     """Coefficient tensor of a D-component space-time field on one slab.
 
     ``values`` has shape (D, spatial dofs, q+2); temporal node 0 carries the
-    incoming state (global continuity), node q+1 the outgoing one.  ``aux``
-    optionally stores a companion field on ``aux_space`` with the same
-    temporal layout (used by the momentum-projecting scheme variant).
+    incoming state (global continuity), node q+1 the outgoing one.
     """
 
     slab: TemporalSlab
     space: SpatialSpace
     values: np.ndarray
-    aux: np.ndarray | None = None
-    aux_space: SpatialSpace | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -281,9 +277,6 @@ class SlabCoefficients:
             raise ValueError("values must have shape (D, spatial dofs, q+2)")
         if self.values.shape[1] != self.space.dof_count:
             raise ValueError("spatial dof count mismatch")
-
-    def state_at_node(self, node: int) -> np.ndarray:
-        return self.values[:, :, node]
 
     def temporal_values(self, t, derivative_order: int = 0) -> np.ndarray:
         """Spatial coefficient vectors at time t, shape (D, dofs[, len(t)])."""

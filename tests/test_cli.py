@@ -40,8 +40,8 @@ def test_run_is_deterministic(tmp_path):
 
 
 def test_momentum_variant_writes_the_cg_series(tmp_path):
-    # cg-momentum solves the cg slab system and only adds the auxiliary
-    # field, so its invariant series is the cg one, byte for byte.
+    # cg-momentum solves the cg slab system, so its invariant series is the
+    # cg one, byte for byte.
     args = ["run", "--problem", "nonlinear-wave", "--q", "1", "--p", "2",
             "--dt", "0.1", "--dx", "0.25", "--T", "0.5"]
     assert main(args + ["--variant", "cg", "--out", str(tmp_path / "cg")]) == 0

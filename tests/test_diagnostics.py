@@ -146,7 +146,7 @@ def test_local_laws_on_nonuniform_meshes(variant, factory):
     nodes[-1] = prob.domain_length
     space = SpatialSpace(Partition1D(nodes, periodic=True), 2, variant.spatial_continuity)
     asm = SlabAssembler(variant, prob, space, 1, 0.1)
-    z_nodes = asm.solve_slab(space.project(prob.initial_state), None, 1e-12, 50).z_nodes
+    z_nodes = asm.solve_slab(space.project(prob.initial_state), 1e-12, 50).z_nodes
     coeffs = SlabCoefficients(TemporalSlab(0.0, 0.1, 1), space, z_nodes)
     res = local_conservation_residuals(variant, prob, coeffs)
     assert np.max(np.abs(res.momentum)) <= 1e-10
@@ -186,8 +186,7 @@ def test_pointwise_densities_integrate_to_the_invariant_series(variant):
     nodes[-1] = prob.domain_length
     space = SpatialSpace(Partition1D(nodes, periodic=True), 2, variant.spatial_continuity)
     z0 = space.project(prob.initial_state)
-    z_nodes = SlabAssembler(variant, prob, space, 1, 0.1).solve_slab(
-        z0, None, 1e-12, 50).z_nodes
+    z_nodes = SlabAssembler(variant, prob, space, 1, 0.1).solve_slab(z0, 1e-12, 50).z_nodes
     coeffs = SlabCoefficients(TemporalSlab(0.0, 0.1, 1), space, z_nodes)
     traj = Trajectory(prob, variant, space, 1, np.array([0.0, 0.1]), z0, [coeffs])
     series = global_invariants(traj)
@@ -344,7 +343,12 @@ def test_run_and_diagnostics_need_no_dense_operator(variant, monkeypatch):
 # -- the one-pass diagnostics against their per-node loops -------------------------
 #
 # The references below evaluate the trajectory one temporal node or one Gauss
-# time at a time, through ``state_at_node`` and ``temporal_values``.
+# time at a time, through ``node_state`` and ``temporal_values``.
+
+
+def node_state(trajectory, n):
+    """Coefficients (D, dofs) of temporal node n, read off the slabs."""
+    return trajectory.initial_coeffs if n == 0 else trajectory.slabs[n - 1].values[:, :, -1]
 
 
 def reference_invariants(variant, problem, trajectory):
@@ -355,7 +359,7 @@ def reference_invariants(variant, problem, trajectory):
     rule = slab_rules(problem, space.degree, trajectory.q)[1]
     mass, momentum, energy, scale = [], [], [], 0.0
     for n in range(trajectory.node_count):
-        state = trajectory.state_at_node(n)
+        state = node_state(trajectory, n)
         vals = space.eval_on_rule(state, rule)
         dcoeffs, order = scheme_derivative(variant, space, state)
         g, _, e, _ = diagnostics._densities(problem, vals,
@@ -373,7 +377,7 @@ def reference_monitor(variant, problem, trajectory):
     rule = slab_rules(problem, space.degree, trajectory.q)[1]
     v2, w2, pot = [], [], []
     for n in range(trajectory.node_count):
-        state = trajectory.state_at_node(n)
+        state = node_state(trajectory, n)
         vals = space.eval_on_rule(state, rule)
         z = np.zeros(vals[0].shape + (3,))
         z[..., 0] = vals[0]

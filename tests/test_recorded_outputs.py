@@ -4,8 +4,8 @@ Each workload is rerun through the command line and its CSV compared with
 ``tests/data/<workload>/``: byte identity is reported on its own line, and
 the test passes when every value lies within the bounds below, which are
 the largest moves that reordered floating-point arithmetic has produced on
-these runs.  The per-slab Newton iterations, restarts and stall flags must
-match exactly.
+these runs.  The per-slab Newton iterations, factorisations, GMRES
+iterations, restarts and stall flags must match exactly.
 
 A change that moves the outputs beyond the bounds (a different Newton
 iterate within the Newton tolerance, say) records new data with
@@ -42,7 +42,8 @@ WORKLOADS = {
 # invariant values 8.9e-15 absolute, convergence errors 1.3e-10 relative and
 # EOCs 4.7e-10 absolute.
 BOUNDS = {"level": 0.0, "invariant": 8.9e-15, "error": 1.3e-10, "eoc": 4.7e-10}
-NEWTON_RECORDS = ("newton_iterations", "restarted", "stalled")
+NEWTON_RECORDS = ("newton_iterations", "factorisations", "krylov_iterations", "restarted",
+                  "stalled")
 
 
 def rerun(workload: str, out_dir: Path) -> tuple[Path, dict]:

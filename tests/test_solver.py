@@ -7,15 +7,19 @@ import pytest
 import scipy.sparse
 
 from mspde import solver
+from mspde.diagnostics import auxiliary_field
 from mspde.problems import linear_wave, nls, nonlinear_wave
 from mspde.solver import (
     SchemeVariant,
     SlabAssembler,
     SolverConfig,
     SolverFailure,
+    Trajectory,
     build_space,
     run_simulation,
+    slab_rules,
 )
+from mspde.spaces import SlabGrid
 
 
 def constant_wave_problem(value=0.7):
@@ -240,7 +244,7 @@ def test_linear_problem_factorises_once_per_assembler(monkeypatch):
     assert traj.newton_iterations == [1] * 7
 
 
-@pytest.mark.parametrize("variant", [SchemeVariant.CG_PRIMARY, SchemeVariant.DG_PRIMARY])
+@pytest.mark.parametrize("variant", list(SchemeVariant))
 def test_linear_slabs_evaluate_no_gradient_after_set_up(variant, monkeypatch):
     # A quadratic S enters the slab operator and one constant vector when
     # the assembler is set up; solving a slab is then two residual
@@ -278,18 +282,17 @@ def test_linear_slabs_evaluate_no_gradient_after_set_up(variant, monkeypatch):
     assert len(residual_calls) == 2 * len(traj.slabs)
 
 
-@pytest.mark.parametrize("factory,variant,dx,t_final,aux_starts", [
-    (nonlinear_wave, SchemeVariant.CG_MOMENTUM, 0.05, 0.5, 1),
-    (nls, SchemeVariant.DG_PRIMARY, 0.4, 0.2, 0),
+@pytest.mark.parametrize("factory,variant,dx,t_final", [
+    (nonlinear_wave, SchemeVariant.CG_MOMENTUM, 0.05, 0.5),
+    (nls, SchemeVariant.DG_PRIMARY, 0.4, 0.2),
 ])
 def test_nonlinear_newton_evaluates_each_iterate_once(factory, variant, dx, t_final,
-                                                      aux_starts, monkeypatch):
-    # Each Newton iterate's grid state and grad S are evaluated once, by the
-    # residual, and shared with the factorisation at that iterate and the
-    # accepted iterate's auxiliary projection: the slab grid is evaluated
-    # and grad S runs once per residual evaluation (grad S once more for the
-    # first slab's auxiliary start on cg-momentum), and the Hessian and
-    # jacobian() once per Newton step, whose GMRES solve multiplies by it.
+                                                      monkeypatch):
+    # Each Newton iterate's grid state is evaluated once, by the residual,
+    # and shared with the Jacobian at that iterate: the slab grid is
+    # evaluated and grad S runs once per residual evaluation, and the
+    # Hessian and jacobian() once per Newton step, whose GMRES solve
+    # multiplies by it.
     base = factory()
     calls = {"grad_s": 0, "hess_s": 0, "residual": 0, "grid": 0, "jacobian": 0}
 
@@ -309,7 +312,7 @@ def test_nonlinear_newton_evaluates_each_iterate_once(factory, variant, dx, t_fi
     traj = run_simulation(variant, prob, config)
     assert sum(traj.newton_iterations) >= 2 * len(traj.slabs)
     assert calls["grid"] == calls["residual"]
-    assert calls["grad_s"] == calls["residual"] + aux_starts
+    assert calls["grad_s"] == calls["residual"]
     assert calls["hess_s"] == calls["jacobian"] == sum(traj.newton_iterations)
 
 
@@ -373,9 +376,9 @@ def test_predicted_slab_takes_at_least_one_step():
     space = build_space(prob, config, SchemeVariant.CG_PRIMARY)
     asm = SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, config.q, config.dt)
     z0 = space.project(prob.initial_state)
-    solved = asm.solve_slab(z0, None, 1e-12, 50)
+    solved = asm.solve_slab(z0, 1e-12, 50)
     assert np.max(np.abs(asm.residual(solved.z_nodes))) <= 1e-12
-    again = asm.solve_slab(z0, None, 1e-12, 50, guess=solved.z_nodes)
+    again = asm.solve_slab(z0, 1e-12, 50, guess=solved.z_nodes)
     assert (again.iterations, again.factorisations, again.restarted) == (1, 0, False)
     assert again.residual <= 1e-12
 
@@ -385,7 +388,7 @@ def test_predicted_slab_takes_at_least_one_step():
                             dataclasses.replace(config, t_final=1.0))
     assert steady.newton_iterations[0] == 0
     assert min(steady.newton_iterations[1:]) >= 1
-    assert not np.any(steady.state_at_node(steady.node_count - 1))
+    assert not np.any(steady.node_states()[-1])
 
 
 def test_nls_coarse_dg_converges_through_the_restart(monkeypatch):
@@ -412,7 +415,7 @@ def test_nls_coarse_dg_converges_through_the_restart(monkeypatch):
     slab_steps = steps[traj.newton_iterations[0]:]
     steps.clear()
     asm = SlabAssembler(SchemeVariant.DG_PRIMARY, prob, traj.space, config.q, config.dt)
-    fresh = asm.solve_slab(traj.state_at_node(1), None, config.newton_tolerance,
+    fresh = asm.solve_slab(traj.node_states()[1], config.newton_tolerance,
                            config.max_newton_iterations)
     assert traj.newton_iterations[1] > fresh.iterations
     assert traj.factorisations == [3, 5] and fresh.factorisations == 3
@@ -550,8 +553,8 @@ def test_slab_accepted_above_tolerance_is_logged(monkeypatch, caplog):
 
     solve = SlabAssembler.solve_slab
 
-    def stalled(self, z_start, aux_start, tolerance, max_iterations, guess=None):
-        solved = solve(self, z_start, aux_start, tolerance, max_iterations, guess)
+    def stalled(self, z_start, tolerance, max_iterations, guess=None):
+        solved = solve(self, z_start, tolerance, max_iterations, guess)
         return solved._replace(residual=5.0 * tolerance)
 
     monkeypatch.setattr(SlabAssembler, "solve_slab", stalled)
@@ -586,9 +589,9 @@ def test_slab_below_the_roundoff_floor_is_recorded_as_stalled(caplog):
 
     space = build_space(prob, config, SchemeVariant.DG_PRIMARY)
     asm = SlabAssembler(SchemeVariant.DG_PRIMARY, prob, space, config.q, config.dt)
-    solved = asm.solve_slab(space.project(prob.initial_state), None, 1e-13, 50)
+    solved = asm.solve_slab(space.project(prob.initial_state), 1e-13, 50)
     assert solved.stalled and solved.iterations >= 2
-    assert not asm.solve_slab(space.project(prob.initial_state), None, 1e-12, 50).stalled
+    assert not asm.solve_slab(space.project(prob.initial_state), 1e-12, 50).stalled
 
 
 def test_steady_state_trajectory_constant():
@@ -596,7 +599,7 @@ def test_steady_state_trajectory_constant():
     config = SolverConfig(q=0, p=1, dt=0.1, dx=0.25, t_final=2.0)
     for variant in SchemeVariant:
         traj = run_simulation(variant, prob, config)
-        final = traj.state_at_node(traj.node_count - 1)
+        final = traj.node_states()[-1]
         assert abs(final[0] - 0.7).max() < 1e-12
         assert np.max(np.abs(final[1:])) < 1e-12
 
@@ -621,10 +624,12 @@ def test_consecutive_slabs_share_interface_values():
     prob = nonlinear_wave()
     config = SolverConfig(q=2, p=2, dt=0.1, dx=0.125, t_final=1.0)
     traj = run_simulation(SchemeVariant.CG_PRIMARY, prob, config)
-    prev = traj.initial_coeffs
-    for coeffs in traj.slabs:
-        assert np.array_equal(coeffs.values[:, :, 0], prev)
-        prev = coeffs.values[:, :, -1]
+    states = traj.node_states()
+    assert np.array_equal(states[0], traj.initial_coeffs)
+    for n, coeffs in enumerate(traj.slabs):
+        assert np.array_equal(coeffs.values[:, :, 0], states[n])
+        assert np.array_equal(coeffs.values[:, :, -1], states[n + 1])
+    assert len(states) == traj.node_count
 
 
 def test_newton_solve_public_entrypoint():
@@ -633,69 +638,84 @@ def test_newton_solve_public_entrypoint():
     space = build_space(prob, config, SchemeVariant.CG_PRIMARY)
     asm = SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, 1, 0.1)
     z0 = space.project(lambda x: prob.initial_state(x))
-    z_nodes = asm.solve_slab(z0, None, 1e-12, 50).z_nodes
+    z_nodes = asm.solve_slab(z0, 1e-12, 50).z_nodes
     r = asm.residual(z_nodes)
     assert np.max(np.abs(r)) < 1e-12
 
 
 def test_momentum_variant_reproduces_primary_dynamics():
     # The slab-local projection of the gradient term agrees with the plain
-    # gradient on every test function, so the two variants produce the same
-    # field; this pins that equivalence down numerically.
+    # gradient on every test function, so cg-momentum solves the cg slab
+    # system: the same nodes, bit for bit, from the same Newton work.
     prob = nonlinear_wave()
     config = SolverConfig(q=1, p=2, dt=0.1, dx=0.125, t_final=0.5)
     t1 = run_simulation(SchemeVariant.CG_PRIMARY, prob, config)
     t2 = run_simulation(SchemeVariant.CG_MOMENTUM, prob, config)
-    worst = max(
-        float(np.max(np.abs(a.values - b.values)))
-        for a, b in zip(t1.slabs, t2.slabs)
-    )
-    assert worst < 1e-10
+    assert len(t1.slabs) == len(t2.slabs) == 5
+    for a, b in zip(t1.slabs, t2.slabs):
+        assert np.array_equal(a.values, b.values)
+    for record in ("newton_iterations", "factorisations", "krylov_iterations", "restarted"):
+        assert getattr(t1, record) == getattr(t2, record), record
 
 
 def test_momentum_variant_auxiliary_field_solves_the_coupled_system():
     # The coupled momentum scheme: scheme rows int (K z_t + L z_x - a) . phi tau
     # on the continuous space and projection rows int (a - grad S(z)) . psi tau
     # on the broken space.  The cg field with the projected auxiliary field
-    # must satisfy both on every slab.
+    # must satisfy both on every slab, the short last one included.
     prob = nonlinear_wave()
-    config = SolverConfig(q=1, p=2, dt=0.1, dx=0.125, t_final=0.5)
+    config = SolverConfig(q=1, p=2, dt=0.1, dx=0.125, t_final=0.45)
     traj = run_simulation(SchemeVariant.CG_MOMENTUM, prob, config)
-    asm = SlabAssembler(SchemeVariant.CG_MOMENTUM, prob, traj.space, config.q, config.dt)
-    aux_space = traj.slabs[0].aux_space
-    aux_prev = traj.slabs[0].aux[:, :, 0]
-    for coeffs in traj.slabs:
-        assert np.array_equal(coeffs.aux[:, :, 0], aux_prev)
-        aux_prev = coeffs.aux[:, :, -1]
-        z = asm.eval(coeffs.values, asm.Tt)
-        zt = asm.eval(coeffs.values, asm.dTt / config.dt)
-        zx = asm.eval(coeffs.values, asm.Tt, derivative_order=1)
-        a = aux_space.eval_on_rule(np.swapaxes(coeffs.aux @ asm.Tt, 1, 2), asm.rule_x)
+    aux_space, aux = auxiliary_field(traj)
+    assert aux.shape == (5, 3, aux_space.dof_count, config.q + 2)
+    assert aux_space.continuity == "dg" and aux_space.degree == config.p
+    assert traj.slabs[-1].slab.dt == pytest.approx(0.05)
+    aux_prev = aux[0, :, :, 0]
+    for coeffs, aux_nodes in zip(traj.slabs, aux):
+        assert np.array_equal(aux_nodes[:, :, 0], aux_prev)
+        aux_prev = aux_nodes[:, :, -1]
+        grid = SlabGrid(traj.space, config.q, coeffs.slab.dt,
+                        *slab_rules(prob, config.p, config.q))
+        z = grid.eval(coeffs.values, grid.Tt)
+        zt = grid.eval(coeffs.values, grid.dTt / coeffs.slab.dt)
+        zx = grid.eval(coeffs.values, grid.Tt, derivative_order=1)
+        a = aux_space.eval_on_rule(np.swapaxes(aux_nodes @ grid.Tt, 1, 2), grid.rule_x)
         grad = np.moveaxis(prob.grad_s(np.moveaxis(z, 0, -1)), -1, 0)
         scheme = (np.einsum("cd,dgmh->cgmh", prob.K, zt)
                   + np.einsum("cd,dgmh->cgmh", prob.L, zx) - a)
-        scheme_rows = asm.test(scheme)
-        projection_rows = asm.test(a - grad, aux_space)
+        scheme_rows = grid.test(scheme)
+        projection_rows = grid.test(a - grad, aux_space)
         assert np.max(np.abs(projection_rows)) <= 1e-12
         assert np.max(np.abs(scheme_rows)) <= 1e-12
 
 
 def test_momentum_variant_projects_the_initial_auxiliary_field():
-    # Without an incoming auxiliary state, solve_slab starts the auxiliary
-    # field from the broken-space projection of grad S(z_start), as the
-    # first slab of a run does.
+    # The auxiliary field starts from the broken-space projection of
+    # grad S at the initial state.
     prob = nonlinear_wave()
     config = SolverConfig(q=1, p=2, dt=0.1, dx=0.25, t_final=0.1)
     traj = run_simulation(SchemeVariant.CG_MOMENTUM, prob, config)
-    asm = SlabAssembler(SchemeVariant.CG_MOMENTUM, prob, traj.space, config.q, config.dt)
-    z0 = traj.initial_coeffs
-    aux_nodes = asm.solve_slab(z0, None, config.newton_tolerance,
-                               config.max_newton_iterations).aux_nodes
-    zgrid = traj.space.eval_on_rule(z0, asm.rule_x)
+    aux_space, aux = auxiliary_field(traj)
+    rule_x = slab_rules(prob, config.p, config.q)[1]
+    zgrid = traj.space.eval_on_rule(traj.initial_coeffs, rule_x)
     grad = np.moveaxis(prob.grad_s(np.moveaxis(zgrid, 0, -1)), -1, 0)
-    expected = asm.aux_space.project_grid(grad, asm.rule_x)
-    assert np.array_equal(aux_nodes[:, :, 0], expected)
-    assert np.array_equal(traj.slabs[0].aux[:, :, 0], expected)
+    expected = aux_space.project_grid(grad, rule_x)
+    assert np.array_equal(aux[0, :, :, 0], expected)
+
+
+def test_auxiliary_field_of_other_variants_and_of_no_slabs():
+    # Only cg-momentum carries an auxiliary field; a trajectory without
+    # slabs, as a failure's partial one can be, has no auxiliary nodes.
+    prob = nonlinear_wave()
+    config = SolverConfig(q=1, p=2, dt=0.1, dx=0.25, t_final=0.1)
+    for variant in (SchemeVariant.CG_PRIMARY, SchemeVariant.DG_PRIMARY):
+        with pytest.raises(ValueError, match="cg-momentum"):
+            auxiliary_field(run_simulation(variant, prob, config))
+    traj = run_simulation(SchemeVariant.CG_MOMENTUM, prob, config)
+    empty = Trajectory(prob, traj.variant, traj.space, traj.q, traj.times[:1],
+                       traj.initial_coeffs)
+    aux_space, aux = auxiliary_field(empty)
+    assert aux.shape == (0, 3, aux_space.dof_count, config.q + 2)
 
 
 def test_variant_space_mismatch_rejected():
