@@ -114,14 +114,19 @@ def nonlinear_wave() -> MultisymplecticProblem:
     """Wave equation with quartic potential u^4/4; harmonic initial data."""
     base = linear_wave()
 
+    # Products and squares, not ``pow``: numpy's ``power`` takes a SIMD path
+    # for some bases and libm for others, so a cube or a fourth power by
+    # ``**`` need not be odd or even to the bit.
     def s(z):
         z = np.asarray(z)
-        return 0.5 * z[..., 1] ** 2 - 0.5 * z[..., 2] ** 2 + 0.25 * z[..., 0] ** 4
+        u = z[..., 0]
+        return 0.5 * z[..., 1] ** 2 - 0.5 * z[..., 2] ** 2 + 0.25 * (u * u) ** 2
 
     def grad_s(z):
         z = np.asarray(z)
+        u = z[..., 0]
         g = np.empty_like(z)
-        g[..., 0] = z[..., 0] ** 3
+        g[..., 0] = u * u * u
         g[..., 1] = z[..., 1]
         g[..., 2] = -z[..., 2]
         return g

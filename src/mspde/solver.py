@@ -13,6 +13,7 @@ trajectory by :func:`mspde.diagnostics.auxiliary_field`.
 
 from __future__ import annotations
 
+import copy
 import enum
 import functools
 import logging
@@ -309,7 +310,6 @@ class SlabAssembler(SlabGrid):
         if variant.spatial_continuity != space.continuity:
             raise ValueError(f"{variant.value} requires a {variant.spatial_continuity} space")
         super().__init__(space, q, dt, *slab_rules(problem, space.degree, q))
-        self.variant = variant
         self.problem = problem
         d = problem.D
 
@@ -407,9 +407,12 @@ class SlabAssembler(SlabGrid):
             self._pattern = self._jacobian_pattern()
         linear, hessian_map = self._pattern
         state = self._iterate_of(z_nodes, iterate).state
-        jac = linear.copy()
-        jac.data -= np.bincount(hessian_map, weights=self._hessian_values(state),
-                                minlength=jac.nnz)
+        # A shallow copy with fresh arrays: the pattern is valid by
+        # construction, so scipy's constructor checks would only cost time.
+        jac = copy.copy(linear)
+        jac.indices, jac.indptr = linear.indices.copy(), linear.indptr.copy()
+        jac.data = linear.data - np.bincount(hessian_map, weights=self._hessian_values(state),
+                                             minlength=linear.nnz)
         return jac
 
     def _iterate_of(self, z_nodes: np.ndarray, iterate: _SlabIterate | None) -> _SlabIterate:
@@ -533,8 +536,7 @@ class SlabAssembler(SlabGrid):
                 iterate, r = self._evaluate(z_nodes)
                 norm = _max_norm(r)
                 continue
-            scale = max(1.0, float(np.max(np.abs(z_nodes))))
-            if norm > tolerance and float(np.max(np.abs(step))) <= 1e-14 * scale:
+            if norm > tolerance and _max_norm(step) <= 1e-14 * max(1.0, _max_norm(z_nodes)):
                 accepted = stalled = norm <= 10.0 * tolerance
                 break
         if not accepted:

@@ -103,19 +103,21 @@ class SpatialSpace:
     def scatter_add(self, element_values: np.ndarray) -> np.ndarray:
         """Accumulate element-local contributions (..., M, p+1) into dofs.
 
-        A broken space's element dofs are a permutation of its dofs, so the
-        values are assigned.  On a continuous space the first p local dofs
-        of the elements are a permutation too, and the last local dof adds
-        the one shared neighbour term: no dof sums more than two values.
+        A broken space's element dofs are the identity order, so the values
+        are copied in that order.  On a continuous space element m's first p
+        local dofs are dofs pm..pm+p-1, copied likewise, and its last local
+        dof adds the one shared term to dof p(m+1), which wraps to dof 0: no
+        dof sums more than two values.  The result never shares memory with
+        the input.
         """
-        element_values = np.asarray(element_values)
-        out = np.empty(element_values.shape[:-2] + (self.dof_count,))
+        element_values = np.asarray(element_values, dtype=float)
+        shape = element_values.shape[:-2] + (self.dof_count,)
         if self.continuity == "dg":
-            out[..., self.element_dofs] = element_values
-            return out
+            return element_values.copy().reshape(shape)
         p = self.degree
-        out[..., self.element_dofs[:, :p]] = element_values[..., :p]
-        out[..., self.element_dofs[:, p]] += element_values[..., p]
+        out = element_values[..., :p].copy().reshape(shape)
+        out[..., p::p] += element_values[..., :-1, p]
+        out[..., 0] += element_values[..., -1, p]
         return out
 
     # -- mass matrix and projections ----------------------------------------

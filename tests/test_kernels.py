@@ -317,11 +317,16 @@ def test_band_factor_solves_like_a_dense_solve(variant, q, p, factory, mesh):
 @pytest.mark.parametrize("continuity,p", [("cg", p) for p in (1, 2, 3)]
                          + [("dg", p) for p in (0, 1, 2, 3)])
 def test_scatter_add_equals_an_unbuffered_accumulation(continuity, p):
-    # No dof sums more than two element values, so the permutation
-    # assignments of scatter_add add exactly what np.add.at adds.
+    # No dof sums more than two element values, so the reshaped copies and
+    # strided adds of scatter_add add exactly what np.add.at adds, with no,
+    # two or three leading axes, and the result is a new array, never a view
+    # of the values.
     rng = np.random.default_rng(230 + p)
     space = nonuniform_space(rng, 2.0, 6, p, continuity)
-    values = rng.standard_normal((3, 2) + space.element_dofs.shape)
-    expected = np.zeros((3, 2, space.dof_count))
-    np.add.at(expected, (slice(None), slice(None), space.element_dofs), values)
-    assert np.array_equal(space.scatter_add(values), expected)
+    for lead in [(), (3, 2), (2, 3, 2)]:
+        values = rng.standard_normal(lead + space.element_dofs.shape)
+        expected = np.zeros(lead + (space.dof_count,))
+        np.add.at(expected, (Ellipsis, space.element_dofs), values)
+        scattered = space.scatter_add(values)
+        assert np.array_equal(scattered, expected)
+        assert not np.shares_memory(scattered, values)

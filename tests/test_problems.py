@@ -32,6 +32,29 @@ def test_nonlinear_wave_gradient_and_hessian():
     assert hess == pytest.approx(np.diag([3.0, 1.0, -1.0]))
 
 
+def test_nonlinear_wave_kernels_are_sign_symmetric_to_the_bit():
+    # The layout the solver passes in: a components-last transpose of a
+    # (D, time, element, space) grid.  S is even and grad S odd in z, and
+    # the kernels keep that bit for bit, whichever sign a value has.
+    problem = nonlinear_wave()
+    z = np.random.default_rng(7).uniform(-2.0, 2.0, (3, 2, 20, 3)).transpose(1, 2, 3, 0)
+    assert not z.flags.c_contiguous
+    assert np.array_equal(problem.grad_s(-z), -problem.grad_s(z))
+    assert np.array_equal(problem.s(-z), problem.s(z))
+    assert np.array_equal(problem.hess_s(-z), problem.hess_s(z))
+
+    u, v, w = z[..., 0], z[..., 1], z[..., 2]
+    np.testing.assert_allclose(problem.grad_s(z), np.stack([u**3, v, -w], axis=-1),
+                               rtol=1e-15, atol=0.0)
+    terms = np.stack([0.5 * v**2, -0.5 * w**2, 0.25 * u**4])
+    # S is a sum with cancellation, so its error is relative to its terms.
+    assert np.all(np.abs(problem.s(z) - terms.sum(axis=0))
+                  <= 1e-15 * np.abs(terms).sum(axis=0))
+    hess = np.zeros(z.shape + (3,))
+    hess[..., 0, 0], hess[..., 1, 1], hess[..., 2, 2] = 3.0 * u**2, 1.0, -1.0
+    np.testing.assert_allclose(problem.hess_s(z), hess, rtol=1e-15, atol=0.0)
+
+
 def test_nls_point_values():
     problem = nls()
     z = problem.exact_solution(0.0, 0.0)

@@ -102,7 +102,8 @@ def test_workload_outputs_match_the_recorded_data(workload, tmp_path):
     moves = _worst_moves(header, got, want)
     print(f"{workload} {csv_path.name}: "
           f"{'byte-identical' if identical else 'bytes differ'}; largest moves "
-          + ", ".join(f"{group} {move:.2e}" for group, move in sorted(moves.items())))
+          + ", ".join(f"{group} {move:.2e} of {BOUNDS[group]:.2g}"
+                      for group, move in sorted(moves.items())))
     assert records == json.loads((DATA / workload / "newton.json").read_text())
     for group, move in moves.items():
         assert move <= BOUNDS[group], f"{workload}: {group} moved by {move:.3e}"

@@ -146,6 +146,12 @@ def test_jacobian_pattern_is_built_lazily_and_results_own_their_data():
     for a, b in [(j1.data, j2.data), (j1.indices, j2.indices), (j1.indptr, j2.indptr)]:
         assert not np.shares_memory(a, b)
     assert np.max(np.abs(j1.toarray() - j2.toarray())) > 0.0
+    for jac in (j1, j2):
+        jac.check_format(full_check=True)
+        assert jac.has_sorted_indices
+        # The flag may be carried over from the pattern, so read the indices too.
+        assert all(np.all(np.diff(jac.indices[start:end]) > 0)
+                   for start, end in zip(jac.indptr[:-1], jac.indptr[1:]))
     j1.data[:] = 0.0
     assert np.array_equal(asm.jacobian(2.0 * z).toarray(), j2.toarray())
 
