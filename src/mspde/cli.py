@@ -185,8 +185,8 @@ def cmd_converge(args) -> int:
             print(f"invalid configuration at level {i}: {exc}", file=sys.stderr)
             return 2
         except SolverFailure as failure:
-            print(f"solver failure at level {i}, slab {failure.slab_index}",
-                  file=sys.stderr)
+            print(f"solver failure at level {i}, slab {failure.slab_index}: "
+                  f"residual {failure.residual_norm:.3e}", file=sys.stderr)
             return 1
         errors.append(bochner_error(trajectory)[-1])
         hs.append(h)

@@ -201,10 +201,11 @@ def bochner_error(trajectory: Trajectory) -> np.ndarray:
     space = trajectory.space
     # A unit-length grid: each slab's integral is scaled by its own dt.
     grid = SlabGrid(space, trajectory.q, 1.0, gauss_legendre(9), gauss_legendre(9))
-    # x at the full (nt, M, ns) grid shape, so that an exact solution that
-    # ignores t still returns one value per grid point.
-    xs = space.quad_points(grid.rule_x)
-    xs = np.broadcast_to(xs, (len(grid.rule_t),) + xs.shape)
+    # The slab's tensor grid: (nt, 1, 1) times against (1, M, ns) points, so a
+    # closed form can evaluate its x and t factors once each.  The exact values
+    # broadcast against the trajectory's, so one that ignores t still counts
+    # once per grid point.
+    xs = space.quad_points(grid.rule_x)[None]
 
     errors = np.zeros((trajectory.node_count, problem.D))
     for n, coeffs in enumerate(trajectory.slabs, start=1):

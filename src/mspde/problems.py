@@ -33,7 +33,9 @@ class MultisymplecticProblem:
     ``s_degree`` is the polynomial degree of S in z (drives quadrature
     orders).  ``exact_solution(t, x)`` and ``initial_state(x)`` are
     vectorised over x and return (..., D); ``t`` may be an array that
-    broadcasts against x, e.g. (nt, 1, 1) times against an (nt, M, ns) x.
+    broadcasts against x, e.g. (nt, 1, 1) times against (1, M, ns) points,
+    a slab's tensor grid, giving (nt, M, ns, D).  A closed form that ignores
+    t may return the points' shape alone: callers broadcast the result.
     ``hessian_pattern`` is the D x D structural mask of ``hess_s``: entries
     outside it are zero for every z, and the slab Jacobian stores none of
     them.  It defaults to the full mask.
@@ -88,10 +90,16 @@ def linear_wave() -> MultisymplecticProblem:
         h[..., 2, 2] = -1.0
         return h
 
+    # sin(2pi(x + t)) and cos(2pi(x + t)) by the addition formulas, so that
+    # on a tensor grid of times and points the sines and cosines are taken
+    # per time and per point, not per pair.  At t = 0 this is the direct
+    # form bit for bit (cos 0 = 1, sin 0 = 0), so initial states do not move.
     def exact(t, x):
-        phase = 2.0 * np.pi * (np.asarray(x) + t)
-        slope = np.pi * np.cos(phase)
-        return np.stack([0.5 * np.sin(phase), slope, slope], axis=-1)
+        px = 2.0 * np.pi * np.asarray(x)
+        pt = 2.0 * np.pi * np.asarray(t)
+        sx, cx, st, ct = np.sin(px), np.cos(px), np.sin(pt), np.cos(pt)
+        slope = np.pi * (cx * ct - sx * st)
+        return np.stack([0.5 * (sx * ct + cx * st), slope, slope], axis=-1)
 
     return MultisymplecticProblem(
         label="linear-wave",

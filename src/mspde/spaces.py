@@ -97,8 +97,16 @@ class SpatialSpace:
         return self._tabulations[cache_key]
 
     def gather(self, coeffs: np.ndarray) -> np.ndarray:
-        """Element-local view of global coefficients, shape (..., M, p+1)."""
-        return np.asarray(coeffs)[..., self.element_dofs]
+        """Element-local values of global coefficients, shape (..., M, p+1).
+
+        A broken space's element dofs are the identity order, so the values
+        are a reshape, and a view of the input where numpy can make one;
+        callers must not write into the result.
+        """
+        coeffs = np.asarray(coeffs)
+        if self.continuity == "dg":
+            return coeffs.reshape(coeffs.shape[:-1] + self.element_dofs.shape)
+        return coeffs[..., self.element_dofs]
 
     def scatter_add(self, element_values: np.ndarray) -> np.ndarray:
         """Accumulate element-local contributions (..., M, p+1) into dofs.

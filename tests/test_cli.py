@@ -139,6 +139,26 @@ def test_converge_table(tmp_path):
     assert float(rows[-1][5]) > 1.5
 
 
+def test_converge_solver_failure_names_level_slab_and_residual(tmp_path, monkeypatch, capsys):
+    import mspde.cli
+    from mspde.solver import SolverFailure, run_simulation
+
+    levels = []
+
+    def fail_at_second_level(variant, problem, config):
+        levels.append(config.dx)
+        if len(levels) == 2:
+            raise SolverFailure("stalled", residual_norm=1.0, slab_index=2)
+        return run_simulation(variant, problem, config)
+
+    monkeypatch.setattr(mspde.cli, "run_simulation", fail_at_second_level)
+    code = main(["converge", "--problem", "linear-wave", "--q", "0", "--p", "1",
+                 "--imin", "2", "--imax", "4", "--T", "0.25", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "level 3" in err and "slab 2" in err and "residual 1.000e+00" in err
+
+
 def test_converge_requires_exact_solution(tmp_path):
     code = main(["converge", "--problem", "nonlinear-wave",
                  "--out", str(tmp_path)])

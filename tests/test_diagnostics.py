@@ -218,6 +218,23 @@ def test_bochner_error_zero_for_reproduced_state():
     assert np.max(err) < 1e-13
 
 
+def test_bochner_error_passes_the_tensor_factors():
+    # The error norm hands the exact solution each slab's (nt, 1, 1) times
+    # and (1, M, ns) points, not their (nt, M, ns) broadcast, so a closed
+    # form can take its x and t factors once each.
+    prob, traj = short_run(factory=linear_wave, q=1, p=2, dt=0.125, dx=0.125, t_final=0.5)
+    shapes = []
+
+    def recording(t, x):
+        shapes.append((np.shape(t), np.shape(x)))
+        return prob.exact_solution(t, x)
+
+    wrapped = dataclasses.replace(traj, problem=dataclasses.replace(prob, exact_solution=recording))
+    assert np.array_equal(bochner_error(wrapped), bochner_error(traj))
+    elements = traj.space.partition.element_count
+    assert shapes == [((9, 1, 1), (1, elements, 9))] * len(traj.slabs)
+
+
 def test_bochner_error_nondecreasing():
     prob, traj = short_run(factory=linear_wave, q=0, p=1, dt=0.125, dx=0.125)
     err = bochner_error(traj)

@@ -330,3 +330,20 @@ def test_scatter_add_equals_an_unbuffered_accumulation(continuity, p):
         scattered = space.scatter_add(values)
         assert np.array_equal(scattered, expected)
         assert not np.shares_memory(scattered, values)
+
+
+@pytest.mark.parametrize("continuity,p", [("cg", p) for p in (1, 2, 3)]
+                         + [("dg", p) for p in (0, 1, 2, 3)])
+def test_gather_equals_fancy_indexing(continuity, p):
+    # On a broken space gather is a reshape, on a continuous one an indexed
+    # copy; either way it gives exactly the element dofs' values, with zero,
+    # one or two leading axes, for contiguous and swapped-axis inputs.
+    rng = np.random.default_rng(250 + p)
+    space = nonuniform_space(rng, 2.0, 6, p, continuity)
+    for lead in [(), (3,), (2, 3)]:
+        coeffs = rng.standard_normal(lead + (space.dof_count,))
+        swapped = np.swapaxes(rng.standard_normal((space.dof_count,) + lead[::-1]), 0, -1)
+        for values in (coeffs, swapped):
+            gathered = space.gather(values)
+            assert gathered.shape == lead + space.element_dofs.shape
+            assert np.array_equal(gathered, values[..., space.element_dofs])

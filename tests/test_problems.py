@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mspde.mesh import gauss_legendre, uniform_partition
 from mspde.problems import (
     linear_wave,
     nls,
@@ -8,6 +9,7 @@ from mspde.problems import (
     problem_by_label,
     validate,
 )
+from mspde.spaces import SpatialSpace, TemporalSlab
 
 ALL_PROBLEMS = [linear_wave, nonlinear_wave, nls]
 
@@ -18,6 +20,53 @@ def test_linear_wave_exact_pointwise():
     assert z[0] == pytest.approx(0.5)
     z0 = problem.exact_solution(0.0, 0.0)
     assert z0[1] == pytest.approx(np.pi)
+
+
+def _direct_linear_wave(t, x, pi=np.pi):
+    """The linear wave's closed form with the phase 2 pi (x + t) taken whole."""
+    phase = 2 * pi * (x + t)
+    slope = pi * np.cos(phase)
+    return np.stack([0.5 * np.sin(phase), slope, slope], axis=-1)
+
+
+def test_linear_wave_initial_state_is_the_direct_form_to_the_bit():
+    # At t = 0 the addition formulas reduce to sin(2 pi x) and cos(2 pi x),
+    # so initial states (and every trajectory) do not depend on the form.
+    problem = linear_wave()
+    x = np.concatenate([np.linspace(0.0, 1.0, 101),
+                        np.random.default_rng(3).uniform(0.0, 1.0, 200), [-0.0]])
+    assert np.array_equal(problem.exact_solution(0.0, x), _direct_linear_wave(0.0, x))
+    assert np.array_equal(problem.initial_state(x), _direct_linear_wave(0.0, x))
+
+
+def test_linear_wave_on_a_slab_tensor_grid():
+    # The error norm's grid at a convergence level: (9, 1, 1) times of every
+    # slab up to T = 2 against (1, M, 9) points.  The closed form keeps the
+    # broadcast shape and, against an extended-precision evaluation of the
+    # same function (the same double pi, so only rounding counts), is never
+    # less accurate than the direct form.  Errors are relative to each
+    # component's amplitude, 1/2 for u and pi for v and w.
+    problem = linear_wave()
+    h = 2.0**-4
+    rule = gauss_legendre(9)
+    space = SpatialSpace(uniform_partition(1.0, 16), 3, "dg")
+    xs = space.quad_points(rule)[None]
+    times = [TemporalSlab(n * h, (n + 1) * h, 1).times(rule.points)[:, None, None]
+             for n in range(int(round(2.0 / h)))]
+    values = [problem.exact_solution(t, xs) for t in times]
+    assert all(v.shape == (9, 16, 9, 3) for v in values)
+    if np.finfo(np.longdouble).eps >= 1e-18:
+        pytest.skip("no extended-precision long double on this platform")
+    amplitude = np.array([0.5, np.pi, np.pi])
+    errors, direct_errors = [], []
+    for t, value in zip(times, values):
+        reference = _direct_linear_wave(t.astype(np.longdouble), xs.astype(np.longdouble),
+                                        np.longdouble(np.pi))
+        errors.append(float(np.max(np.abs(value - reference) / amplitude)))
+        direct_errors.append(float(np.max(np.abs(_direct_linear_wave(t, xs) - reference)
+                                          / amplitude)))
+    assert max(errors) <= 2.5e-15
+    assert max(errors) <= max(direct_errors)
 
 
 def test_linear_wave_gradient():

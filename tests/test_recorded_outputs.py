@@ -15,6 +15,7 @@ iterate within the Newton tolerance, say) records new data with
 and says why in CHANGES.md.
 """
 
+import importlib.util
 import json
 import shutil
 import sys
@@ -28,6 +29,7 @@ import mspde.cli
 from mspde.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench" / "bench.py"
 
 _COMMON = ["--q", "1", "--p", "2", "--dt", "0.1"]
 WORKLOADS = {
@@ -107,6 +109,17 @@ def test_workload_outputs_match_the_recorded_data(workload, tmp_path):
     assert records == json.loads((DATA / workload / "newton.json").read_text())
     for group, move in moves.items():
         assert move <= BOUNDS[group], f"{workload}: {group} moved by {move:.3e}"
+
+
+def test_recorded_workloads_follow_the_benchmark():
+    # Each recorded workload runs the benchmark's command line; the benchmark
+    # may add a workload before it is recorded here.  Loading bench.py runs
+    # only the standard library and reads its reference.json.
+    spec = importlib.util.spec_from_file_location("perfbench_bench", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for name, argv in WORKLOADS.items():
+        assert argv == bench.WORKLOADS[name]["argv"], name
 
 
 def write_recorded_data() -> None:
