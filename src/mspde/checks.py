@@ -225,7 +225,7 @@ def _random_slabs(rng, cases):
         config = solver.SolverConfig(q=1, p=1, dt=0.1, dx=prob.domain_length / 4,
                                      t_final=0.1)
         space = solver.build_space(prob, config, variant)
-        asm = solver.SlabAssembler(variant, prob, space, config.q, config.dt)
+        asm = solver.SlabAssembler(prob, space, config.q, config.dt)
         yield asm, rng.uniform(-0.5, 0.5, (prob.D, space.dof_count, config.q + 2))
 
 
@@ -327,7 +327,7 @@ def _local_conservation() -> float:
                                      dx=prob.domain_length / 8, t_final=0.5)
         traj = solver.run_simulation(variant, prob, config)
         for coeffs in traj.slabs:
-            res = diagnostics.local_conservation_residuals(variant, prob, coeffs)
+            res = diagnostics.local_conservation_residuals(prob, coeffs)
             worst = max(worst, float(np.max(np.abs(res.momentum))),
                         float(np.max(np.abs(res.energy))))
     return worst

@@ -116,7 +116,7 @@ def _invariant_rows(series):
 
 def cmd_run(args) -> int:
     problem = problem_by_label(args.problem)
-    variant = SchemeVariant.from_label(args.variant)
+    variant = SchemeVariant(args.variant)
     out_dir = Path(args.out)
     names = problem.component_names
     header = (["t"] + [f"mass_{c}" for c in names] + ["momentum", "energy"]
@@ -163,7 +163,7 @@ def _write_snapshots(path: Path, trajectory, samples_per_element: int) -> None:
 
 def cmd_converge(args) -> int:
     problem = problem_by_label(args.problem)
-    variant = SchemeVariant.from_label(args.variant)
+    variant = SchemeVariant(args.variant)
     if problem.exact_solution is None:
         print(f"problem {problem.label!r} has no exact solution; "
               "a convergence study needs one", file=sys.stderr)
@@ -173,9 +173,8 @@ def cmd_converge(args) -> int:
         return 2
 
     names = problem.component_names
-    levels = list(range(args.imin, args.imax + 1))
-    errors, hs = [], []
-    for i in levels:
+    errors, hs, failed = [], [], None
+    for i in range(args.imin, args.imax + 1):
         h = args.hscale * 2.0**-i
         try:
             config = SolverConfig(q=args.q, p=args.p, dt=h, dx=h, t_final=args.T,
@@ -187,21 +186,23 @@ def cmd_converge(args) -> int:
         except SolverFailure as failure:
             print(f"solver failure at level {i}, slab {failure.slab_index}: "
                   f"residual {failure.residual_norm:.3e}", file=sys.stderr)
-            return 1
+            failed = [float(i), h, *(["nan"] * (2 * len(names)))]
+            break
         errors.append(bochner_error(trajectory)[-1])
         hs.append(h)
 
-    errors = np.array(errors)
-    hs = np.array(hs)
+    # The levels solved, with their EOCs (NaN below two levels), then the
+    # failed level's row.
+    errors = np.reshape(errors, (len(hs), len(names)))
     rates = np.full_like(errors, np.nan)
-    rates[1:] = eoc(errors, hs)
-
+    if len(hs) >= 2:
+        rates[1:] = eoc(errors, hs)
     header = (["i", "h"] + [f"e_{c}" for c in names] + [f"eoc_{c}" for c in names])
-    rows = []
-    for row_idx, i in enumerate(levels):
-        rows.append([float(i), hs[row_idx], *errors[row_idx], *rates[row_idx]])
+    rows = [[float(args.imin + k), hs[k], *errors[k], *rates[k]] for k in range(len(hs))]
+    if failed:
+        rows.append(failed)
     _write_csv(Path(args.out) / "convergence.csv", header, rows)
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_verify(args) -> int:

@@ -21,7 +21,8 @@ import numpy as np
 from .mesh import gauss_legendre
 from .problems import MultisymplecticProblem
 from .spaces import SlabCoefficients, SlabGrid, SpatialSpace
-from .solver import SchemeVariant, Trajectory, field_on_grid, scheme_derivative, slab_rules
+from .solver import (SchemeVariant, Trajectory, field_on_grid, pointwise_grad,
+                     scheme_derivative, slab_rules)
 from .spatial_ops import node_traces
 
 __all__ = [
@@ -48,11 +49,6 @@ def _form(a: np.ndarray, matrix: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("c...,cd,d...->...", a, matrix, b)
 
 
-def _grad_s(problem: MultisymplecticProblem, z: np.ndarray) -> np.ndarray:
-    """grad S at field values with the component axis first."""
-    return np.moveaxis(problem.grad_s(np.moveaxis(z, 0, -1)), -1, 0)
-
-
 def _densities(problem: MultisymplecticProblem, z, dz, zt=None):
     """(momentum density, momentum flux, energy density, energy flux) of fields
     with the component axis first; the fluxes need z_t and are None without it."""
@@ -65,15 +61,15 @@ def _densities(problem: MultisymplecticProblem, z, dz, zt=None):
             energy_density, 0.5 * _form(zt, problem.L, z))
 
 
-def densities_fluxes(variant: SchemeVariant, problem: MultisymplecticProblem,
-                     coeffs: SlabCoefficients, t: float, x):
-    """Pointwise (momentum density, momentum flux, energy density, energy flux).
+def densities_fluxes(problem: MultisymplecticProblem, coeffs: SlabCoefficients, t: float, x):
+    """Pointwise (momentum density, momentum flux, energy density, energy flux),
+    with the scheme derivative of the coefficients' space.
 
     Evaluation uses right limits at element interfaces for broken fields.
     """
     space = coeffs.space
     spatial = coeffs.temporal_values(t)
-    dcoeffs, order = scheme_derivative(variant, space, spatial)
+    dcoeffs, order = scheme_derivative(space, spatial)
     return _densities(problem, space.evaluate(spatial, x), space.evaluate(dcoeffs, x, order),
                       space.evaluate(coeffs.temporal_values(t, derivative_order=1), x))
 
@@ -106,11 +102,11 @@ def global_invariants(trajectory: Trajectory) -> InvariantSeries:
 
     The slab space rule is exact for the densities: its degree is max(deg S p, 2p).
     """
-    problem, variant, space = trajectory.problem, trajectory.variant, trajectory.space
+    problem, space = trajectory.problem, trajectory.space
     rule = slab_rules(problem, space.degree, trajectory.q)[1]
     states = trajectory.node_states()
     vals = space.eval_on_rule(states, rule)                            # (nodes, D, M, ns)
-    dcoeffs, order = scheme_derivative(variant, space, states)
+    dcoeffs, order = scheme_derivative(space, states)
     dz = space.eval_on_rule(dcoeffs, rule, order)
     momentum, _, energy, _ = _densities(problem, np.swapaxes(vals, 0, 1), np.swapaxes(dz, 0, 1))
     return InvariantSeries(trajectory.times.copy(), space.integrate(vals, rule),
@@ -135,16 +131,15 @@ class LocalResiduals:
     plain_momentum: float
 
 
-def local_conservation_residuals(variant: SchemeVariant,
-                                 problem: MultisymplecticProblem,
+def local_conservation_residuals(problem: MultisymplecticProblem,
                                  coeffs: SlabCoefficients) -> LocalResiduals:
     space, slab, values = coeffs.space, coeffs.slab, coeffs.values
     grid = SlabGrid(space, slab.q, slab.dt, *slab_rules(problem, space.degree, slab.q))
     k, l = problem.K, problem.L
     dtt = grid.dTt / slab.dt
-    z, dz = field_on_grid(variant, grid, values, grid.Tt)
-    zt, dz_t = field_on_grid(variant, grid, values, dtt)
-    grad = _grad_s(problem, z)
+    z, dz = field_on_grid(grid, values, grid.Tt)
+    zt, dz_t = field_on_grid(grid, values, dtt)
+    grad = pointwise_grad(problem, z)
 
     # d/dt of momentum and energy densities, pointwise on the grid; W pairs
     # grad S with the test-space projection of Dz.
@@ -152,7 +147,7 @@ def local_conservation_residuals(variant: SchemeVariant,
     e_t = 0.5 * (_form(zt, l, dz) + _form(z, l, dz_t)) - np.sum(grad * zt, axis=0)
     w_field = np.sum(grad * grid.eval(grid.project(dz), grid.Ts), axis=0)
 
-    if variant is not SchemeVariant.DG_PRIMARY:
+    if space.continuity != "dg":
         # Laws are global in space; flux terms integrate to zero exactly and
         # are carried along to keep the full statement in view.  The
         # elementwise derivative commutes with d/dt, so Dz_t is (z_t)_x.
@@ -271,18 +266,18 @@ class StabilityMonitor:
         return worst - self.bound
 
 
-def _slope(variant: SchemeVariant, space: SpatialSpace, u: np.ndarray, rule):
+def _slope(space: SpatialSpace, u: np.ndarray, rule):
     """Slope coefficients of a scalar field u (..., dofs) and the grid values of
     its scheme derivative on ``rule``: the slope is G(u) on broken spaces and
-    the L2 projection of u_x otherwise."""
-    dcoeffs, order = scheme_derivative(variant, space, u)
+    the L2 projection of u_x on continuous ones."""
+    dcoeffs, order = scheme_derivative(space, u)
     du = space.eval_on_rule(dcoeffs, rule, order)
     return (space.project_grid(du, rule) if order else dcoeffs), du
 
 
 def energy_stability_monitor(trajectory: Trajectory) -> StabilityMonitor:
     """Track the three stability quantities of wave runs against their bound."""
-    problem, variant, space = trajectory.problem, trajectory.variant, trajectory.space
+    problem, space = trajectory.problem, trajectory.space
     if problem.D != 3:
         raise ValueError("the stability bound is formulated for wave systems")
     rule = slab_rules(problem, space.degree, trajectory.q)[1]
@@ -291,7 +286,7 @@ def energy_stability_monitor(trajectory: Trajectory) -> StabilityMonitor:
     # V(u) = S(u, 0, 0) for the wave family's density.
     potential = space.integrate(problem.s(np.moveaxis(vals, 1, -1) * [1.0, 0.0, 0.0]), rule)
     velocity = space.integrate(vals[:, 1] ** 2, rule)
-    slope, du = _slope(variant, space, states[:, 0], rule)
+    slope, du = _slope(space, states[:, 0], rule)
     bound = velocity[0] + space.integrate(du[0] ** 2, rule) + potential[0]
     return StabilityMonitor(trajectory.times.copy(), velocity,
                             space.integrate(space.eval_on_rule(slope, rule) ** 2, rule),
@@ -315,7 +310,7 @@ def auxiliary_identity_residual(trajectory: Trajectory) -> float:
     nodes = np.stack([coeffs.values for coeffs in trajectory.slabs])   # (slabs, 3, dofs, q+2)
     spatial = np.swapaxes(nodes @ trial, -1, -2)                       # (slabs, 3, q+1, dofs)
     rule = slab_rules(problem, space.degree, trajectory.q)[1]
-    target, _ = _slope(trajectory.variant, space, spatial[:, 0], rule)
+    target, _ = _slope(space, spatial[:, 0], rule)
     return float(np.max(np.abs(spatial[:, 2] - target)))
 
 
@@ -337,12 +332,12 @@ def auxiliary_field(trajectory: Trajectory) -> tuple[SpatialSpace, np.ndarray]:
     problem, space, q = trajectory.problem, trajectory.space, trajectory.q
     aux_space = SpatialSpace(space.partition, space.degree, "dg")
     grid = SlabGrid(space, q, 1.0, *slab_rules(problem, space.degree, q))
-    ta0 = np.einsum("ag,bg,g->ab", grid.Ts, grid.Tt, grid.wt)          # (q+1, q+2)
+    ta0 = grid.time_mass                                               # (q+1, q+2)
     initial = space.eval_on_rule(trajectory.initial_coeffs, grid.rule_x)
-    start = aux_space.project_grid(_grad_s(problem, initial), grid.rule_x)
+    start = aux_space.project_grid(pointwise_grad(problem, initial), grid.rule_x)
     nodes = np.empty((len(trajectory.slabs), problem.D, aux_space.dof_count, q + 2))
     for n, coeffs in enumerate(trajectory.slabs):
-        rows = grid.test(_grad_s(problem, grid.eval(coeffs.values, grid.Tt)), aux_space)
+        rows = grid.test(pointwise_grad(problem, grid.eval(coeffs.values, grid.Tt)), aux_space)
         rhs = aux_space.mass_solve(np.swapaxes(rows, 1, 2)) \
             - ta0[:, :1] * start[:, None, :]                               # (D, q+1, dofs)
         nodes[n, :, :, 0] = start

@@ -245,17 +245,13 @@ def nls() -> MultisymplecticProblem:
     )
 
 
-PROBLEM_LABELS = ("linear-wave", "nonlinear-wave", "nls")
+_FACTORIES = {"linear-wave": linear_wave, "nonlinear-wave": nonlinear_wave, "nls": nls}
+PROBLEM_LABELS = tuple(_FACTORIES)
 
 
 def problem_by_label(label: str) -> MultisymplecticProblem:
-    factories = {
-        "linear-wave": linear_wave,
-        "nonlinear-wave": nonlinear_wave,
-        "nls": nls,
-    }
     try:
-        return factories[label]()
+        return _FACTORIES[label]()
     except KeyError:
         raise ValueError(f"unknown problem label {label!r}; choose from {PROBLEM_LABELS}")
 

@@ -4,7 +4,9 @@ One slab couples the whole spatial mesh with a single temporal element:
 trial functions are continuous degree q+1 in time (node 0 pinned by the
 incoming state) times the spatial space; tests are discontinuous degree q in
 time times the same spatial space.  The scheme variants differ only in the
-spatial derivative (elementwise vs average-flux).  ``cg-momentum`` adds an
+spatial derivative (elementwise vs average-flux), which the spatial space's
+continuity selects, so the variant reaches no further than
+:func:`build_space` and the :class:`Trajectory`.  ``cg-momentum`` adds an
 auxiliary field, the broken-space projection of the gradient term, which
 acts on every continuous test function like the gradient itself: its slab
 system is the ``cg`` one, and its field is computed from the finished
@@ -42,6 +44,7 @@ __all__ = [
     "run_simulation",
     "build_space",
     "slab_rules",
+    "pointwise_grad",
     "scheme_derivative",
     "field_on_grid",
 ]
@@ -59,14 +62,6 @@ class SchemeVariant(enum.Enum):
     @property
     def spatial_continuity(self) -> str:
         return "dg" if self is SchemeVariant.DG_PRIMARY else "cg"
-
-    @classmethod
-    def from_label(cls, label: str) -> "SchemeVariant":
-        for variant in cls:
-            if variant.value == label:
-                return variant
-        raise ValueError(f"unknown variant {label!r}; choose from "
-                         f"{[v.value for v in cls]}")
 
 
 class ConfigurationError(ValueError):
@@ -273,27 +268,35 @@ def slab_rules(problem: MultisymplecticProblem, p: int,
             gauss_legendre(quadrature_order_policy(max(2 * p, (g + 1) * p))))
 
 
-def scheme_derivative(variant: SchemeVariant, space: SpatialSpace, coeffs: np.ndarray,
+def pointwise_grad(problem: MultisymplecticProblem, z: np.ndarray) -> np.ndarray:
+    """grad S at field values (D, ...), components first.  Transposes stand
+    in for ``np.moveaxis``, whose axis checks cost more than the call on a
+    slab grid; a Newton iteration makes several such calls."""
+    grad = problem.grad_s(z.transpose(tuple(range(1, z.ndim)) + (0,)))
+    return grad.transpose((-1,) + tuple(range(grad.ndim - 1)))
+
+
+def scheme_derivative(space: SpatialSpace, coeffs: np.ndarray,
                       axis: int = -1) -> tuple[np.ndarray, int]:
     """Coefficients and x-derivative order whose evaluation is the scheme derivative Dz.
 
     Dz is the average-flux derivative G on broken spaces (G's coefficients,
-    order 0) and the elementwise derivative otherwise (the field's own
-    coefficients, order 1).  ``axis`` is the dof axis of ``coeffs``.
+    order 0) and the elementwise derivative on continuous ones (the field's
+    own coefficients, order 1).  ``axis`` is the dof axis of ``coeffs``.
     """
-    if variant is SchemeVariant.DG_PRIMARY:
+    if space.continuity == "dg":
         return apply_g(space, coeffs, axis=axis), 0
     return coeffs, 1
 
 
-def field_on_grid(variant: SchemeVariant, grid: SlabGrid, nodes: np.ndarray,
+def field_on_grid(grid: SlabGrid, nodes: np.ndarray,
                   time_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Grid values (D, nt, M, ns) of node coefficients (D, dofs, T) and of their Dz.
 
     ``time_table`` is applied to both, so a time-derivative table yields
     (z_t, Dz_t).
     """
-    dcoeffs, order = scheme_derivative(variant, grid.space, nodes, axis=1)
+    dcoeffs, order = scheme_derivative(grid.space, nodes, axis=1)
     return grid.eval(nodes, time_table), grid.eval(dcoeffs, time_table, derivative_order=order)
 
 
@@ -302,13 +305,13 @@ class SlabAssembler(SlabGrid):
 
     Reusable across slabs of equal length; the rules follow
     :func:`slab_rules`, so every integral below is exact for the shipped
-    polynomial densities.
+    polynomial densities.  The space's continuity chooses the scheme
+    derivative: the average-flux G on a broken space, the elementwise
+    derivative on a continuous one.
     """
 
-    def __init__(self, variant: SchemeVariant, problem: MultisymplecticProblem,
-                 space: SpatialSpace, q: int, dt: float):
-        if variant.spatial_continuity != space.continuity:
-            raise ValueError(f"{variant.value} requires a {variant.spatial_continuity} space")
+    def __init__(self, problem: MultisymplecticProblem, space: SpatialSpace, q: int,
+                 dt: float):
         super().__init__(space, q, dt, *slab_rules(problem, space.degree, q))
         self.problem = problem
         d = problem.D
@@ -316,9 +319,9 @@ class SlabAssembler(SlabGrid):
         self.n = space.dof_count
         self.size = d * self.n * (q + 1)
 
-        # Temporal coupling blocks (test x trial, all q+2 trial nodes).
+        # Temporal coupling block of the time derivative (test x trial); the
+        # temporal mass block is the grid's ``time_mass``.
         ta1 = np.einsum("ag,bg,g->ab", self.Ts, self.dTt, self.rule_t.weights)
-        ta0 = dt * np.einsum("ag,bg,g->ab", self.Ts, self.Tt, self.rule_t.weights)
 
         # The slab operator: the residual's linear part over every trial
         # node, node 0 included, with rows ordered (spatial dof, component,
@@ -328,15 +331,15 @@ class SlabAssembler(SlabGrid):
         self.jacobian_is_constant = problem.s_degree <= 2
         time_k = np.kron(problem.K, ta1)
         if self.jacobian_is_constant:
-            time_k -= np.kron(problem.hess_s(np.zeros(d)), ta0)
+            time_k -= np.kron(problem.hess_s(np.zeros(d)), self.time_mass)
             shape = (d, len(self.rule_t), space.partition.element_count, len(self.rule_x))
             grad_zero = np.broadcast_to(problem.grad_s(np.zeros(d))[:, None, None, None], shape)
             self._grad_zero_rows = np.swapaxes(self.test(grad_zero), 0, 1).ravel()
-        deriv = weak_g_matrix(space) if variant is SchemeVariant.DG_PRIMARY \
+        deriv = weak_g_matrix(space) if space.continuity == "dg" \
             else space.derivative_operator()
         kron = scipy.sparse.kron
         self.operator = (kron(space.mass_operator(), time_k)
-                         + kron(deriv, np.kron(problem.L, ta0))).tocsr()
+                         + kron(deriv, np.kron(problem.L, self.time_mass))).tocsr()
         self._pattern = None  # (CSC linear part on the full pattern, Hessian index map)
         self._band = None     # (band index of each entry, kl, ku, fold order, its inverse)
         self._factor = None   # the last band factor, kept across iterations and slabs
@@ -363,14 +366,6 @@ class SlabAssembler(SlabGrid):
         Hessian is constant.  It is block-banded with periodic corner blocks."""
         return self.operator.tocsc()[:, np.arange(self.operator.shape[1]) % (self.q + 2) != 0]
 
-    def _pointwise_grad(self, zgrid: np.ndarray) -> np.ndarray:
-        """grad S at grid values (D, ...), components first.  Transposes stand
-        in for ``np.moveaxis``, whose axis checks cost more than the call on
-        a slab grid; a Newton iteration makes several such calls."""
-        axes = tuple(range(1, zgrid.ndim))
-        grad = self.problem.grad_s(zgrid.transpose(axes + (0,)))
-        return grad.transpose((-1,) + tuple(range(grad.ndim - 1)))
-
     # -- residual and jacobian -------------------------------------------------
 
     def residual(self, z_nodes: np.ndarray, iterate: _SlabIterate | None = None) -> np.ndarray:
@@ -384,7 +379,7 @@ class SlabAssembler(SlabGrid):
         linear = self.operator @ np.swapaxes(z_nodes, 0, 1).ravel()
         if self.jacobian_is_constant:
             return linear - self._grad_zero_rows
-        grad = self._pointwise_grad(self._iterate_of(z_nodes, iterate).state)
+        grad = pointwise_grad(self.problem, self._iterate_of(z_nodes, iterate).state)
         return linear - np.swapaxes(self.test(grad), 0, 1).ravel()
 
     def jacobian(self, z_nodes: np.ndarray,
@@ -496,7 +491,9 @@ class SlabAssembler(SlabGrid):
         A step at roundoff scale (1e-14 times the largest node value) that
         leaves the residual above the tolerance ends the iteration: the slab
         is accepted as ``stalled`` when the residual is within 10x the
-        tolerance, and a :class:`SolverFailure` is raised otherwise.
+        tolerance, and a :class:`SolverFailure` that says Newton stalled is
+        raised otherwise.  Reaching ``max_iterations`` above the tolerance
+        raises a :class:`SolverFailure` that names the limit.
 
         Each iterate is a :class:`_SlabIterate`: its grid state is
         evaluated once, by :meth:`residual`, and reused by the Jacobian of
@@ -513,15 +510,14 @@ class SlabAssembler(SlabGrid):
         if guessed:
             z_nodes[:, :, 1:] = guess[:, :, 1:]
         iterations = factorisations = krylov = 0
-        restarted = accepted = stalled = False
+        restarted = stalled = False
         iterate, r = self._evaluate(z_nodes)
         norm = _max_norm(r)
-        while True:
-            if norm <= tolerance and not (guessed and iterations == 0):
-                accepted = True
-                break
+        # ``not norm <= tolerance`` also holds for a NaN residual, which is never accepted.
+        while not norm <= tolerance or (guessed and iterations == 0):
             if iterations >= max_iterations:
-                break
+                raise SolverFailure(f"Newton reached the iteration limit {max_iterations} "
+                                    f"at residual {norm:.3e}", residual_norm=norm)
             step, factorised, krylov_step = self._newton_step(iterate, r)
             z_nodes[:, :, 1:] += self.as_nodes(step)
             iterations += 1
@@ -537,13 +533,11 @@ class SlabAssembler(SlabGrid):
                 norm = _max_norm(r)
                 continue
             if norm > tolerance and _max_norm(step) <= 1e-14 * max(1.0, _max_norm(z_nodes)):
-                accepted = stalled = norm <= 10.0 * tolerance
+                if norm > 10.0 * tolerance:
+                    raise SolverFailure(f"Newton stalled at residual {norm:.3e} after "
+                                        f"{iterations} iterations", residual_norm=norm)
+                stalled = True
                 break
-        if not accepted:
-            raise SolverFailure(
-                f"Newton stalled at residual {norm:.3e} after {iterations} iterations",
-                residual_norm=norm,
-            )
         return SlabSolution(z_nodes, norm, iterations, factorisations, restarted, stalled,
                             krylov)
 
@@ -706,13 +700,13 @@ def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
     times[-1] = config.t_final
     traj = Trajectory(problem, variant, space, config.q, times, z0)
 
-    assemblers = {config.dt: SlabAssembler(variant, problem, space, config.q, config.dt)}
+    assemblers = {config.dt: SlabAssembler(problem, space, config.q, config.dt)}
     z_prev, previous = z0, None
 
     for index, dt in enumerate(slab_lengths):
         assembler = assemblers.get(dt)
         if assembler is None:
-            assembler = SlabAssembler(variant, problem, space, config.q, dt)
+            assembler = SlabAssembler(problem, space, config.q, dt)
             assemblers[dt] = assembler
         predicted = previous is not None and not assembler.jacobian_is_constant
         guess = assembler.predict(*previous) if predicted else None

@@ -305,8 +305,9 @@ class SlabGrid:
 
     Holds the rules, the trial table ``Tt`` and its reference derivative
     ``dTt``, the test table ``Ts``, the spatial basis table ``B``, the
-    physical time weights ``wt``, and the weighted test tables of
-    :meth:`test`, built once per spatial space.  Every integral
+    physical time weights ``wt``, the temporal mass block ``time_mass``
+    (q+1, q+2) of test against trial functions, and the weighted test
+    tables of :meth:`test`, built once per spatial space.  Every integral
     over a slab (the scheme's rows, the local conservation laws, the
     space-time projection, error norms) goes through one of these grids.
     """
@@ -321,6 +322,7 @@ class SlabGrid:
         self.Ts = slab.test_basis.tabulate(rule_t.points)              # (q+1, nt)
         self.B = space.tabulate(rule_x.points)
         self.wt = dt * rule_t.weights
+        self.time_mass = dt * np.einsum("ag,bg,g->ab", self.Ts, self.Tt, rule_t.weights)
         self._weighted_time = self.Ts * self.wt                        # (q+1, nt)
         self._weighted_bases: dict[SpatialSpace, np.ndarray] = {}
 

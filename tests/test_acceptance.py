@@ -46,7 +46,7 @@ PROBLEMS = {
 @functools.lru_cache(maxsize=None)
 def cached_run(problem_label, variant_label, q, p, dt, dx, t_final):
     problem = PROBLEMS[problem_label]()
-    variant = SchemeVariant.from_label(variant_label)
+    variant = SchemeVariant(variant_label)
     config = SolverConfig(q=q, p=p, dt=dt, dx=dx, t_final=t_final)
     trajectory = run_simulation(variant, problem, config)
     return problem, variant, trajectory
@@ -449,11 +449,11 @@ def test_criterion_11_oracle_suite():
         ("cg-momentum", nonlinear_wave()),
     ]
     for label, prob in cases:
-        variant = SchemeVariant.from_label(label)
+        variant = SchemeVariant(label)
         config = SolverConfig(q=1, p=1, dt=0.1, dx=prob.domain_length / 4,
                               t_final=0.1)
         space = build_space(prob, config, variant)
-        asm = SlabAssembler(variant, prob, space, config.q, config.dt)
+        asm = SlabAssembler(prob, space, config.q, config.dt)
         z = rng.uniform(-0.5, 0.5, (prob.D, space.dof_count, config.q + 2))
         jac = asm.jacobian(z).toarray()
         step = 1e-6
@@ -485,15 +485,15 @@ def _shift(asm, z, delta):
 
 def test_local_laws_on_acceptance_runs():
     # Per-slab law residuals stay at solver tolerance on the headline runs.
-    problem, variant, traj = cached_run("nonlinear-wave", "cg", 1, 2, 0.1, 0.05, 10.0)
+    problem, _, traj = cached_run("nonlinear-wave", "cg", 1, 2, 0.1, 0.05, 10.0)
     worst = 0.0
     for coeffs in traj.slabs[::10]:
-        res = local_conservation_residuals(variant, problem, coeffs)
+        res = local_conservation_residuals(problem, coeffs)
         worst = max(worst, float(np.max(np.abs(res.momentum))),
                     float(np.max(np.abs(res.energy))))
-    problem, variant, traj = cached_run("nls", "dg", 0, 1, 0.1, 0.4, 2.0 * np.pi)
+    problem, _, traj = cached_run("nls", "dg", 0, 1, 0.1, 0.4, 2.0 * np.pi)
     for coeffs in traj.slabs[::10]:
-        res = local_conservation_residuals(variant, problem, coeffs)
+        res = local_conservation_residuals(problem, coeffs)
         worst = max(worst, float(np.max(np.abs(res.momentum))),
                     float(np.max(np.abs(res.energy))))
     assert worst <= 1e-10

@@ -139,24 +139,34 @@ def test_converge_table(tmp_path):
     assert float(rows[-1][5]) > 1.5
 
 
-def test_converge_solver_failure_names_level_slab_and_residual(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("failing", [2, 3, 4])
+def test_converge_solver_failure_names_level_slab_and_residual(tmp_path, monkeypatch, capsys,
+                                                               failing):
+    # The levels solved before the failure keep their rows of the complete
+    # study (EOCs from the second level on), then the failed level's row
+    # holds i, h and NaN.
     import mspde.cli
     from mspde.solver import SolverFailure, run_simulation
 
-    levels = []
+    argv = ["converge", "--problem", "linear-wave", "--q", "0", "--p", "1",
+            "--imin", "2", "--imax", "4", "--T", "0.25"]
+    assert main(argv + ["--out", str(tmp_path / "complete")]) == 0
+    complete = (tmp_path / "complete" / "convergence.csv").read_text().splitlines()
 
-    def fail_at_second_level(variant, problem, config):
-        levels.append(config.dx)
-        if len(levels) == 2:
+    def fail_at_level(variant, problem, config):
+        if config.dx == 2.0**-failing:
             raise SolverFailure("stalled", residual_norm=1.0, slab_index=2)
         return run_simulation(variant, problem, config)
 
-    monkeypatch.setattr(mspde.cli, "run_simulation", fail_at_second_level)
-    code = main(["converge", "--problem", "linear-wave", "--q", "0", "--p", "1",
-                 "--imin", "2", "--imax", "4", "--T", "0.25", "--out", str(tmp_path)])
-    assert code == 1
+    monkeypatch.setattr(mspde.cli, "run_simulation", fail_at_level)
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "failed")]) == 1
     err = capsys.readouterr().err
-    assert "level 3" in err and "slab 2" in err and "residual 1.000e+00" in err
+    assert f"level {failing}" in err and "slab 2" in err and "residual 1.000e+00" in err
+    lines = (tmp_path / "failed" / "convergence.csv").read_text().splitlines()
+    solved = failing - 2
+    assert lines[: solved + 1] == complete[: solved + 1]
+    assert lines[solved + 1:] == [f"{failing},{2.0**-failing}" + ",nan" * 6]
 
 
 def test_converge_requires_exact_solution(tmp_path):

@@ -51,7 +51,7 @@ def test_densities_fluxes_constant_state():
     coeffs = traj.slabs[0]
     frozen = dataclasses.replace(coeffs, values=np.zeros_like(coeffs.values))
     frozen.values[0] = 1.2
-    g, f, e, ef = densities_fluxes(SchemeVariant.CG_PRIMARY, prob, frozen, 0.05, 0.3)
+    g, f, e, ef = densities_fluxes(prob, frozen, 0.05, 0.3)
     assert g == pytest.approx(0.0, abs=1e-14)
     assert f == pytest.approx(0.0, abs=1e-14)  # S(c,0,0) = 0 for this density
     assert e == pytest.approx(0.0, abs=1e-14)
@@ -100,16 +100,16 @@ def test_nonlinear_wave_energy_conserved_momentum_bounded():
 def test_cg_local_laws_hold_per_slab():
     prob, traj = short_run(t_final=1.0)
     for coeffs in traj.slabs:
-        res = local_conservation_residuals(SchemeVariant.CG_PRIMARY, prob, coeffs)
+        res = local_conservation_residuals(prob, coeffs)
         assert abs(float(res.momentum)) < 1e-10
         assert abs(float(res.energy)) < 1e-10
 
 
 def test_cg_consistent_momentum_law_despite_plain_drift():
     prob, traj = short_run(t_final=2.0)
-    plain = [local_conservation_residuals(SchemeVariant.CG_PRIMARY, prob, c).plain_momentum
+    plain = [local_conservation_residuals(prob, c).plain_momentum
              for c in traj.slabs]
-    consistent = [float(local_conservation_residuals(SchemeVariant.CG_PRIMARY, prob, c).momentum)
+    consistent = [float(local_conservation_residuals(prob, c).momentum)
                   for c in traj.slabs]
     assert max(abs(v) for v in plain) > 1e-9      # the plain law genuinely drifts
     assert max(abs(v) for v in consistent) < 1e-10
@@ -119,7 +119,7 @@ def test_dg_local_laws_hold_per_element():
     prob, traj = short_run(variant=SchemeVariant.DG_PRIMARY, q=1, p=2,
                            dx=0.125, t_final=0.5)
     for coeffs in traj.slabs:
-        res = local_conservation_residuals(SchemeVariant.DG_PRIMARY, prob, coeffs)
+        res = local_conservation_residuals(prob, coeffs)
         assert res.momentum.shape == (8,)
         assert np.max(np.abs(res.momentum)) < 1e-10
         assert np.max(np.abs(res.energy)) < 1e-10
@@ -130,7 +130,7 @@ def test_dg_local_laws_on_nls():
     traj = run_simulation(SchemeVariant.DG_PRIMARY, prob,
                           SolverConfig(q=0, p=1, dt=0.1, dx=0.4, t_final=0.5))
     for coeffs in traj.slabs:
-        res = local_conservation_residuals(SchemeVariant.DG_PRIMARY, prob, coeffs)
+        res = local_conservation_residuals(prob, coeffs)
         assert np.max(np.abs(res.energy)) < 1e-10
         assert np.max(np.abs(res.momentum)) < 1e-10
 
@@ -145,10 +145,10 @@ def test_local_laws_on_nonuniform_meshes(variant, factory):
     nodes = np.concatenate([[0.0], np.cumsum(widths)]) * (prob.domain_length / widths.sum())
     nodes[-1] = prob.domain_length
     space = SpatialSpace(Partition1D(nodes, periodic=True), 2, variant.spatial_continuity)
-    asm = SlabAssembler(variant, prob, space, 1, 0.1)
+    asm = SlabAssembler(prob, space, 1, 0.1)
     z_nodes = asm.solve_slab(space.project(prob.initial_state), 1e-12, 50).z_nodes
     coeffs = SlabCoefficients(TemporalSlab(0.0, 0.1, 1), space, z_nodes)
-    res = local_conservation_residuals(variant, prob, coeffs)
+    res = local_conservation_residuals(prob, coeffs)
     assert np.max(np.abs(res.momentum)) <= 1e-10
     assert np.max(np.abs(res.energy)) <= 1e-10
 
@@ -162,13 +162,13 @@ def test_local_laws_exact_on_the_shared_slab_rules(variant, factory, q, monkeypa
     prob, traj = short_run(variant, factory, q=q, dx=factory().domain_length / 10,
                            t_final=0.1)
     coeffs = traj.slabs[0]
-    shared = local_conservation_residuals(variant, prob, coeffs)
+    shared = local_conservation_residuals(prob, coeffs)
 
     def richer(problem, p, q):
         return tuple(gauss_legendre(len(rule) + 1) for rule in slab_rules(problem, p, q))
 
     monkeypatch.setattr(diagnostics, "slab_rules", richer)
-    finer = local_conservation_residuals(variant, prob, coeffs)
+    finer = local_conservation_residuals(prob, coeffs)
     for name in ("momentum", "energy", "plain_momentum"):
         difference = np.abs(getattr(shared, name) - getattr(finer, name))
         assert np.max(difference) <= 1e-14, (name, np.max(difference))
@@ -186,14 +186,14 @@ def test_pointwise_densities_integrate_to_the_invariant_series(variant):
     nodes[-1] = prob.domain_length
     space = SpatialSpace(Partition1D(nodes, periodic=True), 2, variant.spatial_continuity)
     z0 = space.project(prob.initial_state)
-    z_nodes = SlabAssembler(variant, prob, space, 1, 0.1).solve_slab(z0, 1e-12, 50).z_nodes
+    z_nodes = SlabAssembler(prob, space, 1, 0.1).solve_slab(z0, 1e-12, 50).z_nodes
     coeffs = SlabCoefficients(TemporalSlab(0.0, 0.1, 1), space, z_nodes)
     traj = Trajectory(prob, variant, space, 1, np.array([0.0, 0.1]), z0, [coeffs])
     series = global_invariants(traj)
     rule = slab_rules(prob, space.degree, 1)[1]
     xs = space.quad_points(rule)
     for node, t in enumerate(series.times):
-        g, _, e, _ = densities_fluxes(variant, prob, coeffs, t, xs.ravel())
+        g, _, e, _ = densities_fluxes(prob, coeffs, t, xs.ravel())
         for density, total in ((g, series.momentum[node]), (e, series.energy[node])):
             density = density.reshape(xs.shape)
             scale = space.integrate(np.abs(density), rule)
@@ -333,7 +333,7 @@ def test_energy_law_across_degree_grid(variant, factory):
             assert de.max() < 1e-9, (variant, prob.label, q, p, de.max())
             if variant is SchemeVariant.CG_PRIMARY:
                 for coeffs in traj.slabs:
-                    res = local_conservation_residuals(variant, prob, coeffs)
+                    res = local_conservation_residuals(prob, coeffs)
                     assert abs(float(np.max(np.abs(res.momentum)))) < 1e-9
 
 
@@ -350,7 +350,7 @@ def test_run_and_diagnostics_need_no_dense_operator(variant, monkeypatch):
     prob, traj = short_run(variant, dx=0.25, t_final=0.2)
     global_invariants(traj)
     for coeffs in traj.slabs:
-        local_conservation_residuals(variant, prob, coeffs)
+        local_conservation_residuals(prob, coeffs)
     energy_stability_monitor(traj)
     auxiliary_identity_residual(traj)
     _, linear = short_run(variant, factory=linear_wave, dx=0.25, t_final=0.2)
@@ -368,7 +368,7 @@ def node_state(trajectory, n):
     return trajectory.initial_coeffs if n == 0 else trajectory.slabs[n - 1].values[:, :, -1]
 
 
-def reference_invariants(variant, problem, trajectory):
+def reference_invariants(problem, trajectory):
     """The mass, momentum and energy series, and the largest integral of an
     integrand's magnitude as their scale: mass and momentum are cancelling
     integrals, so their roundoff is measured against that."""
@@ -378,7 +378,7 @@ def reference_invariants(variant, problem, trajectory):
     for n in range(trajectory.node_count):
         state = node_state(trajectory, n)
         vals = space.eval_on_rule(state, rule)
-        dcoeffs, order = scheme_derivative(variant, space, state)
+        dcoeffs, order = scheme_derivative(space, state)
         g, _, e, _ = diagnostics._densities(problem, vals,
                                             space.eval_on_rule(dcoeffs, rule, order))
         mass.append([space.integrate(vals[c], rule) for c in range(problem.D)])
@@ -389,7 +389,7 @@ def reference_invariants(variant, problem, trajectory):
     return (np.array(mass), np.array(momentum), np.array(energy)), scale
 
 
-def reference_monitor(variant, problem, trajectory):
+def reference_monitor(problem, trajectory):
     space = trajectory.space
     rule = slab_rules(problem, space.degree, trajectory.q)[1]
     v2, w2, pot = [], [], []
@@ -400,7 +400,7 @@ def reference_monitor(variant, problem, trajectory):
         z[..., 0] = vals[0]
         v2.append(space.integrate(vals[1] ** 2, rule))
         pot.append(space.integrate(problem.s(z), rule))
-        dcoeffs, order = scheme_derivative(variant, space, state[0])
+        dcoeffs, order = scheme_derivative(space, state[0])
         du = space.eval_on_rule(dcoeffs, rule, order)
         slope = space.eval_on_rule(space.project_grid(du, rule), rule) if order else du
         w2.append(space.integrate(slope**2, rule))
@@ -417,7 +417,7 @@ def reference_auxiliary_residual(trajectory):
     for coeffs in trajectory.slabs:
         for s in gauss_legendre(trajectory.q + 1).points:
             spatial = coeffs.temporal_values(coeffs.slab.times(s))
-            target, order = scheme_derivative(trajectory.variant, space, spatial[0])
+            target, order = scheme_derivative(space, spatial[0])
             if order:
                 target = space.project_grid(space.eval_on_rule(target, rule, order), rule)
             worst = max(worst, float(np.max(np.abs(spatial[2] - target))))
@@ -453,12 +453,12 @@ def test_one_pass_diagnostics_match_the_per_node_loops(variant, monkeypatch):
     assert traj.node_count == 4 and traj.slabs[-1].slab.dt == pytest.approx(0.05)
 
     series = global_invariants(traj)
-    references, scale = reference_invariants(variant, prob, traj)
+    references, scale = reference_invariants(prob, traj)
     for actual, reference in zip((series.mass, series.momentum, series.energy), references):
         assert_series_close(actual, reference, scale)
 
     monitor = energy_stability_monitor(traj)
-    v2, w2, pot, bound = reference_monitor(variant, prob, traj)
+    v2, w2, pot, bound = reference_monitor(prob, traj)
     assert_series_close(monitor.velocity_norm2, v2)
     assert_series_close(monitor.projected_slope_norm2, w2)
     assert_series_close(monitor.potential_integral, pot)
@@ -477,7 +477,7 @@ def test_diagnostics_of_a_trajectory_without_slabs(variant, monkeypatch):
     series = global_invariants(empty)
     assert series.mass.shape == (1, prob.D)
     assert series.momentum.shape == series.energy.shape == (1,)
-    (mass, momentum, energy), scale = reference_invariants(variant, prob, traj)
+    (mass, momentum, energy), scale = reference_invariants(prob, traj)
     for actual, reference in ((series.mass, mass), (series.momentum, momentum),
                               (series.energy, energy)):
         assert_series_close(actual, reference[:1], scale)

@@ -45,7 +45,7 @@ def assembler(variant, q, p, seed):
     rng = np.random.default_rng(seed)
     problem = nls()
     space = nonuniform_space(rng, problem.domain_length, 5, p, variant.spatial_continuity)
-    return SlabAssembler(variant, problem, space, q, 0.1), rng
+    return SlabAssembler(problem, space, q, 0.1), rng
 
 
 def reference_eval(nodes, space, basis_table, time_table):
@@ -107,13 +107,13 @@ def test_spacetime_eval_matches_einsum(variant, q, p):
         return reference_eval(nodes, space, space.tabulate(asm.rule_x.points, 1), time_table) \
             / space.partition.widths[None, None, :, None]
 
-    z, dz = field_on_grid(variant, asm, nodes, asm.Tt)
+    z, dz = field_on_grid(asm, nodes, asm.Tt)
     assert_close(z, reference_eval(nodes, space, asm.B, asm.Tt))
     assert_close(dz, reference_derivative(asm.Tt))
     assert_close(asm.eval(nodes, asm.dTt / asm.dt),
                  reference_eval(nodes, space, asm.B, asm.dTt) / asm.dt)
     # The shared evaluation on a time-derivative table gives Dz_t.
-    _, dz_t = field_on_grid(variant, asm, nodes, asm.dTt)
+    _, dz_t = field_on_grid(asm, nodes, asm.dTt)
     assert_close(dz_t, reference_derivative(asm.dTt))
 
     test_nodes = rng.standard_normal((d, space.dof_count, q + 1))
@@ -154,7 +154,7 @@ def test_residual_matches_einsum_quadrature(factory, variant, q, p):
     rng = np.random.default_rng(200 + 10 * q + p)
     problem = factory()
     space = nonuniform_space(rng, problem.domain_length, 5, p, variant.spatial_continuity)
-    asm = SlabAssembler(variant, problem, space, q, 0.1)
+    asm = SlabAssembler(problem, space, q, 0.1)
     nodes = rng.uniform(-1.0, 1.0, (problem.D, space.dof_count, q + 2))
 
     z = reference_eval(nodes, space, asm.B, asm.Tt)
@@ -306,7 +306,7 @@ def test_band_factor_solves_like_a_dense_solve(variant, q, p, factory, mesh):
                              variant.spatial_continuity)
     else:
         space = nonuniform_space(rng, problem.domain_length, 5, p, variant.spatial_continuity)
-    asm = SlabAssembler(variant, problem, space, q, 0.1)
+    asm = SlabAssembler(problem, space, q, 0.1)
     nodes = rng.uniform(-1.0, 1.0, (problem.D, space.dof_count, q + 2))
     b = rng.standard_normal(asm.size)
     expected = np.linalg.solve(asm.jacobian(nodes).toarray(), b)

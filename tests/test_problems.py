@@ -3,6 +3,7 @@ import pytest
 
 from mspde.mesh import gauss_legendre, uniform_partition
 from mspde.problems import (
+    PROBLEM_LABELS,
     linear_wave,
     nls,
     nonlinear_wave,
@@ -185,6 +186,8 @@ def test_hessian_pattern_defaults_to_full_and_checks_its_shape():
 
 
 def test_problem_lookup():
+    assert PROBLEM_LABELS == ("linear-wave", "nonlinear-wave", "nls")
+    assert [problem_by_label(label).label for label in PROBLEM_LABELS] == list(PROBLEM_LABELS)
     assert problem_by_label("nls").D == 4
     with pytest.raises(ValueError):
         problem_by_label("kdv")

@@ -33,9 +33,9 @@ def constant_wave_problem(value=0.7):
 
 
 def test_variant_labels():
-    assert SchemeVariant.from_label("cg-momentum") is SchemeVariant.CG_MOMENTUM
+    assert SchemeVariant("cg-momentum") is SchemeVariant.CG_MOMENTUM
     with pytest.raises(ValueError):
-        SchemeVariant.from_label("upwind")
+        SchemeVariant("upwind")
 
 
 def test_config_validation():
@@ -67,7 +67,7 @@ def test_residual_vanishes_at_constant_steady_state():
     prob = linear_wave()
     config = SolverConfig(q=1, p=2, dt=0.1, dx=0.25, t_final=1.0)
     space = build_space(prob, config, SchemeVariant.CG_PRIMARY)
-    asm = SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, 1, 0.1)
+    asm = SlabAssembler(prob, space, 1, 0.1)
     z = np.zeros((3, space.dof_count, 3))
     z[0] = 1.3
     r = asm.residual(z)
@@ -78,7 +78,7 @@ def test_residual_size_is_test_space_dimension():
     prob = nonlinear_wave()
     config = SolverConfig(q=2, p=2, dt=0.1, dx=0.25, t_final=1.0)
     space = build_space(prob, config, SchemeVariant.CG_PRIMARY)
-    asm = SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, 2, 0.1)
+    asm = SlabAssembler(prob, space, 2, 0.1)
     rng = np.random.default_rng(0)
     z = rng.standard_normal((3, space.dof_count, 4))
     r = asm.residual(z)
@@ -91,7 +91,7 @@ def test_residual_of_projected_exact_solution_shrinks():
     for m in (8, 16, 32):
         config = SolverConfig(q=1, p=2, dt=1.0 / m, dx=1.0 / m, t_final=1.0)
         space = build_space(prob, config, SchemeVariant.CG_PRIMARY)
-        asm = SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, config.q, config.dt)
+        asm = SlabAssembler(prob, space, config.q, config.dt)
         nodes = np.stack(
             [space.project(lambda x, s=s: prob.exact_solution(s * config.dt, x))
              for s in np.linspace(0.0, 1.0, config.q + 2)],
@@ -107,7 +107,7 @@ def test_linear_jacobian_state_independent():
     prob = linear_wave()
     config = SolverConfig(q=1, p=1, dt=0.1, dx=0.25, t_final=1.0)
     space = build_space(prob, config, SchemeVariant.CG_PRIMARY)
-    asm = SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, 1, 0.1)
+    asm = SlabAssembler(prob, space, 1, 0.1)
     rng = np.random.default_rng(1)
     j1 = asm.jacobian(rng.standard_normal((3, space.dof_count, 3)))
     j2 = asm.jacobian(rng.standard_normal((3, space.dof_count, 3)))
@@ -120,7 +120,7 @@ def acceptance_assembler(factory, variant, dx):
     prob = factory()
     config = SolverConfig(q=1, p=2, dt=0.1, dx=dx, t_final=0.1)
     space = build_space(prob, config, variant)
-    asm = SlabAssembler(variant, prob, space, config.q, config.dt)
+    asm = SlabAssembler(prob, space, config.q, config.dt)
     z0 = space.project(prob.initial_state)
     return asm, np.repeat(z0[:, :, None], config.q + 2, axis=2)
 
@@ -213,7 +213,7 @@ def test_jacobian_matches_finite_differences(variant, factory):
     prob = factory()
     config = SolverConfig(q=1, p=1, dt=0.1, dx=prob.domain_length / 4, t_final=0.1)
     space = build_space(prob, config, variant)
-    asm = SlabAssembler(variant, prob, space, config.q, config.dt)
+    asm = SlabAssembler(prob, space, config.q, config.dt)
     rng = np.random.default_rng(3)
     z = rng.uniform(-0.5, 0.5, (prob.D, space.dof_count, config.q + 2))
     jac = asm.jacobian(z).toarray()
@@ -380,7 +380,7 @@ def test_predicted_slab_takes_at_least_one_step():
     prob = nonlinear_wave()
     config = SolverConfig(q=1, p=2, dt=0.1, dx=0.25, t_final=0.1)
     space = build_space(prob, config, SchemeVariant.CG_PRIMARY)
-    asm = SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, config.q, config.dt)
+    asm = SlabAssembler(prob, space, config.q, config.dt)
     z0 = space.project(prob.initial_state)
     solved = asm.solve_slab(z0, 1e-12, 50)
     assert np.max(np.abs(asm.residual(solved.z_nodes))) <= 1e-12
@@ -420,7 +420,7 @@ def test_nls_coarse_dg_converges_through_the_restart(monkeypatch):
     assert max(traj.final_residuals) <= config.newton_tolerance
     slab_steps = steps[traj.newton_iterations[0]:]
     steps.clear()
-    asm = SlabAssembler(SchemeVariant.DG_PRIMARY, prob, traj.space, config.q, config.dt)
+    asm = SlabAssembler(prob, traj.space, config.q, config.dt)
     fresh = asm.solve_slab(traj.node_states()[1], config.newton_tolerance,
                            config.max_newton_iterations)
     assert traj.newton_iterations[1] > fresh.iterations
@@ -514,7 +514,7 @@ def test_short_final_slab_extrapolates_with_the_step_ratio(monkeypatch):
     assert np.allclose(calls, [(0.15, 0.15)] * 5 + [(0.1, 0.15)], rtol=0.0, atol=1e-12)
 
     space = build_space(prob, config, SchemeVariant.CG_PRIMARY)
-    asm = SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, config.q, 0.1)
+    asm = SlabAssembler(prob, space, config.q, 0.1)
     rng = np.random.default_rng(2)
     coeffs = rng.standard_normal((3, prob.D, space.dof_count))
 
@@ -546,6 +546,23 @@ def test_newton_failure_reports_residual():
     assert excinfo.value.residual_norm > 0.0
     assert excinfo.value.slab_index == 0
     assert "slab 0" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("tolerance,max_iterations,cause,other", [
+    (1e-12, 1, "reached the iteration limit 1", "stalled"),
+    (1e-30, 50, "stalled", "iteration limit"),
+])
+def test_newton_failure_names_its_cause(tolerance, max_iterations, cause, other):
+    # One Newton step leaves an NLS slab's residual far above 1e-12; a
+    # tolerance of 1e-30 is out of reach, so the iteration ends on a
+    # roundoff-scale step far above 10x the tolerance.
+    asm, z_nodes = acceptance_assembler(nls, SchemeVariant.DG_PRIMARY, 0.4)
+    with pytest.raises(SolverFailure) as excinfo:
+        asm.solve_slab(z_nodes[:, :, 0], tolerance, max_iterations)
+    message, norm = str(excinfo.value), excinfo.value.residual_norm
+    assert cause in message and other not in message
+    assert f"residual {norm:.3e}" in message
+    assert norm > 10.0 * tolerance
 
 
 def test_slab_accepted_above_tolerance_is_logged(monkeypatch, caplog):
@@ -594,7 +611,7 @@ def test_slab_below_the_roundoff_floor_is_recorded_as_stalled(caplog):
     assert len(caplog.records) == 3
 
     space = build_space(prob, config, SchemeVariant.DG_PRIMARY)
-    asm = SlabAssembler(SchemeVariant.DG_PRIMARY, prob, space, config.q, config.dt)
+    asm = SlabAssembler(prob, space, config.q, config.dt)
     solved = asm.solve_slab(space.project(prob.initial_state), 1e-13, 50)
     assert solved.stalled and solved.iterations >= 2
     assert not asm.solve_slab(space.project(prob.initial_state), 1e-12, 50).stalled
@@ -642,7 +659,7 @@ def test_newton_solve_public_entrypoint():
     prob = nonlinear_wave()
     config = SolverConfig(q=1, p=1, dt=0.1, dx=0.25, t_final=0.1)
     space = build_space(prob, config, SchemeVariant.CG_PRIMARY)
-    asm = SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, 1, 0.1)
+    asm = SlabAssembler(prob, space, 1, 0.1)
     z0 = space.project(lambda x: prob.initial_state(x))
     z_nodes = asm.solve_slab(z0, 1e-12, 50).z_nodes
     r = asm.residual(z_nodes)
@@ -722,11 +739,3 @@ def test_auxiliary_field_of_other_variants_and_of_no_slabs():
                        traj.initial_coeffs)
     aux_space, aux = auxiliary_field(empty)
     assert aux.shape == (0, 3, aux_space.dof_count, config.q + 2)
-
-
-def test_variant_space_mismatch_rejected():
-    prob = linear_wave()
-    config = SolverConfig(q=0, p=1, dt=0.1, dx=0.25, t_final=0.2)
-    space = build_space(prob, config, SchemeVariant.DG_PRIMARY)
-    with pytest.raises(ValueError):
-        SlabAssembler(SchemeVariant.CG_PRIMARY, prob, space, 0, 0.1)
