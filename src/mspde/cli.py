@@ -24,6 +24,7 @@ from .solver import (
     SchemeVariant,
     SolverConfig,
     SolverFailure,
+    advance,
     run_simulation,
 )
 
@@ -124,19 +125,17 @@ def cmd_run(args) -> int:
     try:
         config = SolverConfig(q=args.q, p=args.p, dt=args.dt, dx=args.dx,
                               t_final=args.T, newton_tolerance=args.newton_tol)
-        trajectory = run_simulation(variant, problem, config)
+        for trajectory in advance(variant, problem, config):
+            pass
     except ConfigurationError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     except SolverFailure as failure:
-        rows = []
-        if failure.partial is not None and failure.partial.slabs:
-            rows = _invariant_rows(global_invariants(failure.partial))
-        failed_time = (failure.slab_index or 0) * config.dt
-        rows.append([failed_time, *(["nan"] * (len(header) - 1))])
+        rows = _invariant_rows(global_invariants(trajectory)) if trajectory.slabs else []
+        rows.append([failure.slab_index * config.dt, *(["nan"] * (len(header) - 1))])
         _write_csv(out_dir / "invariants.csv", header, rows)
         print(f"solver failure on slab {failure.slab_index}: "
-              f"residual {failure.residual_norm:.3e}", file=sys.stderr)
+              f"residual {failure.residual_norm:.3e} ({failure})", file=sys.stderr)
         return 1
 
     series = global_invariants(trajectory)
@@ -185,7 +184,7 @@ def cmd_converge(args) -> int:
             return 2
         except SolverFailure as failure:
             print(f"solver failure at level {i}, slab {failure.slab_index}: "
-                  f"residual {failure.residual_norm:.3e}", file=sys.stderr)
+                  f"residual {failure.residual_norm:.3e} ({failure})", file=sys.stderr)
             failed = [float(i), h, *(["nan"] * (2 * len(names)))]
             break
         errors.append(bochner_error(trajectory)[-1])

@@ -27,7 +27,6 @@ from .spatial_ops import node_traces
 
 __all__ = [
     "InvariantSeries",
-    "ConvergenceRecord",
     "densities_fluxes",
     "global_invariants",
     "local_conservation_residuals",
@@ -109,7 +108,7 @@ def global_invariants(trajectory: Trajectory) -> InvariantSeries:
     dcoeffs, order = scheme_derivative(space, states)
     dz = space.eval_on_rule(dcoeffs, rule, order)
     momentum, _, energy, _ = _densities(problem, np.swapaxes(vals, 0, 1), np.swapaxes(dz, 0, 1))
-    return InvariantSeries(trajectory.times.copy(), space.integrate(vals, rule),
+    return InvariantSeries(trajectory.times, space.integrate(vals, rule),
                            space.integrate(momentum, rule), space.integrate(energy, rule),
                            tuple(problem.component_names))
 
@@ -211,19 +210,6 @@ def bochner_error(trajectory: Trajectory) -> np.ndarray:
     return np.sqrt(errors)
 
 
-@dataclass(eq=False)
-class ConvergenceRecord:
-    """Errors and experimental convergence orders over a refinement sequence."""
-
-    hs: np.ndarray
-    errors: np.ndarray  # (levels, D)
-    component_names: tuple
-
-    @property
-    def rates(self) -> np.ndarray:
-        return eoc(self.errors, self.hs)
-
-
 def eoc(errors, hs) -> np.ndarray:
     """Log-log slopes between consecutive refinement levels.
 
@@ -288,7 +274,7 @@ def energy_stability_monitor(trajectory: Trajectory) -> StabilityMonitor:
     velocity = space.integrate(vals[:, 1] ** 2, rule)
     slope, du = _slope(space, states[:, 0], rule)
     bound = velocity[0] + space.integrate(du[0] ** 2, rule) + potential[0]
-    return StabilityMonitor(trajectory.times.copy(), velocity,
+    return StabilityMonitor(trajectory.times, velocity,
                             space.integrate(space.eval_on_rule(slope, rule) ** 2, rule),
                             potential, float(bound))
 

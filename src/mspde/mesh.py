@@ -20,7 +20,6 @@ __all__ = [
     "quadrature_order_policy",
     "uniform_partition",
     "equispaced_nodes",
-    "eval_basis",
 ]
 
 # Highest polynomial degree the capped rule still integrates exactly.
@@ -198,11 +197,3 @@ class LagrangeBasis:
             return total / denom
         raise ValueError("only derivative orders 0 and 1 are supported")
 
-
-def eval_basis(basis: LagrangeBasis, j: int, x, derivative_order: int = 0):
-    """Value or first reference-derivative of nodal basis function ``j`` at ``x``."""
-    if not 0 <= j <= basis.degree:
-        raise ValueError(f"basis index {j} out of range for degree {basis.degree}")
-    arr = np.asarray(x, dtype=float)
-    result = basis._eval_one(j, np.atleast_1d(arr), derivative_order)
-    return float(result[0]) if arr.ndim == 0 else result

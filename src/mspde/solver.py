@@ -21,7 +21,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -41,6 +41,7 @@ __all__ = [
     "SlabAssembler",
     "SlabSolution",
     "BandFactor",
+    "advance",
     "run_simulation",
     "build_space",
     "slab_rules",
@@ -96,17 +97,12 @@ class SolverConfig:
 
 
 class SolverFailure(RuntimeError):
-    """Newton did not reach the requested residual norm.
-
-    When raised from :func:`run_simulation`, ``partial`` carries the
-    trajectory of the slabs completed before the failure.
-    """
+    """Newton did not reach the requested residual norm."""
 
     def __init__(self, message: str, residual_norm: float, slab_index: int | None = None):
         super().__init__(message)
         self.residual_norm = residual_norm
         self.slab_index = slab_index
-        self.partial: "Trajectory | None" = None
 
 
 class SlabSolution(NamedTuple):
@@ -554,8 +550,8 @@ class SlabAssembler(SlabGrid):
         blocks next to the diagonal, so it is a plain band whose widths are
         read off the fixed pattern.  :meth:`jacobian`'s flat array of values
         is scattered into zeroed LAPACK band storage through an index map
-        built on the first call, and factorised by partial-pivoting
-        ``dgbtrf``.  A singular Jacobian raises :class:`SolverFailure` with
+        built on the first call, and factorised by ``dgbtrf`` (LU with row
+        interchanges).  A singular Jacobian raises :class:`SolverFailure` with
         the residual norm at z_nodes.
 
         The Newton loop keeps the factor it last built: exact for a
@@ -641,30 +637,23 @@ class Trajectory:
     """Solved slabs plus the projected initial state.
 
     Consecutive slabs share their interface values exactly: node 0 of slab
-    n+1 is copied from node q+1 of slab n.  Per slab, ``newton_iterations``
-    and ``factorisations`` count the Newton iterations and Jacobian
-    factorisations, ``krylov_iterations`` the GMRES iterations of the Newton
-    steps solved on a band factor kept from an earlier iterate or slab (0
-    on a linear problem, whose kept factor is exact), ``restarted`` says
-    whether its predicted start was abandoned for the constant extension,
-    ``final_residuals`` holds the residual norm it was accepted at, and
-    ``stalled`` says whether that norm exceeds the Newton tolerance: a slab
-    accepted under the 10x rule.
+    n+1 is copied from node q+1 of slab n.  ``records`` holds each slab's
+    :class:`SlabSolution` as :meth:`SlabAssembler.solve_slab` returned it,
+    whose ``z_nodes`` is that slab's coefficient array.
     """
 
     problem: MultisymplecticProblem
     variant: SchemeVariant
     space: SpatialSpace
     q: int
-    times: np.ndarray
     initial_coeffs: np.ndarray
     slabs: list[SlabCoefficients] = field(default_factory=list)
-    newton_iterations: list[int] = field(default_factory=list)
-    final_residuals: list[float] = field(default_factory=list)
-    factorisations: list[int] = field(default_factory=list)
-    restarted: list[bool] = field(default_factory=list)
-    stalled: list[bool] = field(default_factory=list)
-    krylov_iterations: list[int] = field(default_factory=list)
+    records: list[SlabSolution] = field(default_factory=list)
+
+    @property
+    def times(self) -> np.ndarray:
+        """The temporal nodes: 0, then each slab's end time."""
+        return np.array([0.0] + [coeffs.slab.t_end for coeffs in self.slabs])
 
     @property
     def node_count(self) -> int:
@@ -677,15 +666,19 @@ class Trajectory:
                         + [coeffs.values[:, :, -1] for coeffs in self.slabs])
 
 
-def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
-                   config: SolverConfig) -> Trajectory:
-    """Project the initial state, then advance slab by slab to t_final.
+def advance(variant: SchemeVariant, problem: MultisymplecticProblem,
+            config: SolverConfig) -> Iterator[Trajectory]:
+    """Project the initial state, then advance slab by slab to t_final,
+    yielding the one growing trajectory before the first slab and after
+    each slab it accepts.
 
     On a nonlinear problem every slab after the first starts Newton from the
     previous slab's trial polynomial extrapolated to its nodes (see
     :meth:`SlabAssembler.predict`).  A linear problem's Newton iteration
     takes one step from any start, so there the prediction would only cost
-    time and add the step's roundoff to steady states.
+    time and add the step's roundoff to steady states.  A slab that fails
+    raises a :class:`SolverFailure` that names it; the trajectory yielded
+    last then holds the slabs solved before it.
     """
     space = build_space(problem, config, variant)
     z0 = space.project(lambda x: problem.initial_state(x))
@@ -698,7 +691,8 @@ def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
 
     times = np.concatenate([[0.0], np.cumsum(slab_lengths)])
     times[-1] = config.t_final
-    traj = Trajectory(problem, variant, space, config.q, times, z0)
+    traj = Trajectory(problem, variant, space, config.q, z0)
+    yield traj
 
     assemblers = {config.dt: SlabAssembler(problem, space, config.q, config.dt)}
     z_prev, previous = z0, None
@@ -714,20 +708,21 @@ def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
             solved = assembler.solve_slab(z_prev, config.newton_tolerance,
                                           config.max_newton_iterations, guess)
         except SolverFailure as failure:
-            traj.times = traj.times[: index + 1]
-            error = SolverFailure(f"slab {index}: {failure}", failure.residual_norm, index)
-            error.partial = traj
-            raise error from failure
+            raise SolverFailure(f"slab {index}: {failure}", failure.residual_norm,
+                                index) from failure
         if solved.residual > config.newton_tolerance:
             logger.warning("slab %d accepted at residual %.3e, above newton_tolerance %.3e",
                            index, solved.residual, config.newton_tolerance)
         slab = TemporalSlab(times[index], times[index + 1], config.q)
         traj.slabs.append(SlabCoefficients(slab, space, solved.z_nodes))
-        traj.newton_iterations.append(solved.iterations)
-        traj.final_residuals.append(solved.residual)
-        traj.factorisations.append(solved.factorisations)
-        traj.restarted.append(solved.restarted)
-        traj.stalled.append(solved.stalled)
-        traj.krylov_iterations.append(solved.krylov_iterations)
+        traj.records.append(solved)
+        yield traj
         z_prev, previous = solved.z_nodes[:, :, -1], (solved.z_nodes, dt)
+
+
+def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
+                   config: SolverConfig) -> Trajectory:
+    """The trajectory of :func:`advance` once it has reached t_final."""
+    for traj in advance(variant, problem, config):
+        pass
     return traj

@@ -293,7 +293,7 @@ def test_nls_stall_rule_accepts_no_slab_with_the_predictor():
         for q in (0, 1):
             for p in (1, 2):
                 _, _, traj = cached_run("nls", variant, q, p, 0.1, 0.4, 2.0 * np.pi)
-                accepted[(variant, q, p)] = sum(norm > 1e-12 for norm in traj.final_residuals)
+                accepted[(variant, q, p)] = sum(solved.residual > 1e-12 for solved in traj.records)
     assert accepted == dict.fromkeys(accepted, 0)
 
 
@@ -302,8 +302,8 @@ def test_predictor_cuts_nls_dg_acceptance_iterations():
     # predictor; the kept band factor preconditions the GMRES solves of the
     # Newton steps and is rebuilt 14 times.
     _, _, traj = cached_run("nls", "dg", 1, 2, 0.1, 0.4, 2.0 * np.pi)
-    assert sum(traj.newton_iterations) <= 130
-    assert sum(traj.factorisations) == 14
+    assert sum(solved.iterations for solved in traj.records) <= 130
+    assert sum(solved.factorisations for solved in traj.records) == 14
 
 
 def test_odd_degree_momentum_instability_is_real():

@@ -163,6 +163,7 @@ def test_converge_solver_failure_names_level_slab_and_residual(tmp_path, monkeyp
     assert main(argv + ["--out", str(tmp_path / "failed")]) == 1
     err = capsys.readouterr().err
     assert f"level {failing}" in err and "slab 2" in err and "residual 1.000e+00" in err
+    assert "stalled" in err
     lines = (tmp_path / "failed" / "convergence.csv").read_text().splitlines()
     solved = failing - 2
     assert lines[: solved + 1] == complete[: solved + 1]
@@ -230,20 +231,19 @@ def test_skew_check_detects_corrupted_operator():
 
 
 def test_solver_failure_flushes_partial_series(tmp_path, monkeypatch):
-    import mspde.cli
-    from mspde.problems import linear_wave
-    from mspde.solver import SchemeVariant, SolverConfig, SolverFailure, run_simulation
+    # The third slab solve fails: the run writes the two slabs solved before
+    # it, then the failure row at the failed slab's start.
+    from mspde.solver import SlabAssembler, SolverFailure
 
-    def fail_after_two(variant, problem, config):
-        partial = run_simulation(
-            variant, problem,
-            SolverConfig(q=config.q, p=config.p, dt=config.dt, dx=config.dx,
-                         t_final=2 * config.dt))
-        failure = SolverFailure("stalled", residual_norm=1.0, slab_index=2)
-        failure.partial = partial
-        raise failure
+    solve_slab, calls = SlabAssembler.solve_slab, []
 
-    monkeypatch.setattr(mspde.cli, "run_simulation", fail_after_two)
+    def fail_third(self, *args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise SolverFailure("stalled", residual_norm=1.0)
+        return solve_slab(self, *args)
+
+    monkeypatch.setattr(SlabAssembler, "solve_slab", fail_third)
     out = tmp_path / "partial"
     code = main(["run", "--problem", "linear-wave", "--q", "0", "--p", "1",
                  "--dt", "0.125", "--dx", "0.125", "--T", "1", "--out", str(out)])
@@ -254,10 +254,10 @@ def test_solver_failure_flushes_partial_series(tmp_path, monkeypatch):
     assert float(rows[-1][0]) == pytest.approx(0.25)
 
 
-def test_singular_slab_jacobian_is_a_solver_failure(tmp_path, monkeypatch):
+def test_singular_slab_jacobian_is_a_solver_failure(tmp_path, monkeypatch, capsys):
     # A singular Jacobian ends the run like any other Newton failure: the
-    # failure names the slab, and the CLI writes the partial series and
-    # exits 1.
+    # failure names the slab, and the CLI writes the partial series, says
+    # why on stderr and exits 1.
     from mspde.problems import nls
     from mspde.solver import (SchemeVariant, SlabAssembler, SolverConfig, SolverFailure,
                               run_simulation)
@@ -281,6 +281,7 @@ def test_singular_slab_jacobian_is_a_solver_failure(tmp_path, monkeypatch):
     code = main(["run", "--problem", "nls", "--variant", "dg", "--q", "1", "--p", "2",
                  "--dt", "0.1", "--dx", "0.4", "--T", "0.3", "--out", str(out)])
     assert code == 1
+    assert "singular slab Jacobian" in capsys.readouterr().err
     _, rows = read_csv(out / "invariants.csv")
     assert len(rows) == 1  # the failure row at t=0
     assert float(rows[0][0]) == 0.0 and rows[0][1] == "nan"

@@ -188,7 +188,7 @@ def test_pointwise_densities_integrate_to_the_invariant_series(variant):
     z0 = space.project(prob.initial_state)
     z_nodes = SlabAssembler(prob, space, 1, 0.1).solve_slab(z0, 1e-12, 50).z_nodes
     coeffs = SlabCoefficients(TemporalSlab(0.0, 0.1, 1), space, z_nodes)
-    traj = Trajectory(prob, variant, space, 1, np.array([0.0, 0.1]), z0, [coeffs])
+    traj = Trajectory(prob, variant, space, 1, z0, [coeffs])
     series = global_invariants(traj)
     rule = slab_rules(prob, space.degree, 1)[1]
     xs = space.quad_points(rule)
@@ -302,19 +302,6 @@ def test_auxiliary_identity_fails_at_slab_endpoints():
     ux = space.eval_on_rule(spatial[0], rule, 1)
     proj = space.mass_solve(space.scatter_add(np.einsum("mg,kg,mg->mk", ux, b, w)))
     assert np.max(np.abs(spatial[2] - proj)) > 1e-6
-
-
-def test_convergence_record_rates():
-    from mspde.diagnostics import ConvergenceRecord
-
-    record = ConvergenceRecord(
-        hs=np.array([0.5, 0.25, 0.125]),
-        errors=np.array([[1e-1, 2e-1], [2.5e-2, 1e-1], [6.25e-3, 5e-2]]),
-        component_names=("u", "v"),
-    )
-    assert record.rates.shape == (2, 2)
-    assert record.rates[:, 0] == pytest.approx([2.0, 2.0])
-    assert record.rates[:, 1] == pytest.approx([1.0, 1.0])
 
 
 @pytest.mark.parametrize("variant", list(SchemeVariant))
@@ -473,7 +460,7 @@ def test_one_pass_diagnostics_match_the_per_node_loops(variant, monkeypatch):
 @pytest.mark.parametrize("variant", list(SchemeVariant))
 def test_diagnostics_of_a_trajectory_without_slabs(variant, monkeypatch):
     prob, traj = nonuniform_run(variant, monkeypatch, t_final=0.1)
-    empty = Trajectory(prob, variant, traj.space, traj.q, traj.times[:1], traj.initial_coeffs)
+    empty = Trajectory(prob, variant, traj.space, traj.q, traj.initial_coeffs)
     series = global_invariants(empty)
     assert series.mass.shape == (1, prob.D)
     assert series.momentum.shape == series.energy.shape == (1,)

@@ -201,8 +201,7 @@ def test_bochner_error_matches_einsum(variant, q, p):
     slabs = [SlabCoefficients(TemporalSlab(t0, t1, q), space,
                               rng.standard_normal((3, space.dof_count, q + 2)))
              for t0, t1 in zip(times[:-1], times[1:])]
-    traj = Trajectory(problem, variant, space, q, times, slabs[0].values[:, :, 0],
-                      slabs=slabs)
+    traj = Trajectory(problem, variant, space, q, slabs[0].values[:, :, 0], slabs=slabs)
 
     rule = gauss_legendre(9)
     b = space.basis.tabulate(rule.points)

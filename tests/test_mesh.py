@@ -4,7 +4,6 @@ import pytest
 from mspde.mesh import (
     LagrangeBasis,
     Partition1D,
-    eval_basis,
     equispaced_nodes,
     gauss_legendre,
     quadrature_order_policy,
@@ -118,23 +117,18 @@ def test_periodic_locate_wraps():
 
 def test_linear_basis_values():
     basis = LagrangeBasis(1, np.array([0.0, 1.0]))
-    assert eval_basis(basis, 0, 0.25) == pytest.approx(0.75)
-    assert eval_basis(basis, 0, 0.7, derivative_order=1) == pytest.approx(-1.0)
+    assert basis.tabulate(0.25)[0, 0] == pytest.approx(0.75)
+    assert basis.tabulate(0.7, derivative_order=1)[0, 0] == pytest.approx(-1.0)
 
 
 def test_quadratic_basis_nodal_property():
     basis = LagrangeBasis(2, np.array([0.0, 0.5, 1.0]))
-    assert eval_basis(basis, 1, 0.5) == pytest.approx(1.0)
-    for j, node in enumerate(basis.nodes):
+    assert basis.tabulate(0.5)[1, 0] == pytest.approx(1.0)
+    values = basis.tabulate(basis.nodes)
+    for j in range(3):
         for i in range(3):
             expected = 1.0 if i == j else 0.0
-            assert eval_basis(basis, i, node) == pytest.approx(expected, abs=1e-14)
-
-
-def test_basis_index_out_of_range():
-    basis = LagrangeBasis.equispaced(2)
-    with pytest.raises(ValueError):
-        eval_basis(basis, 3, 0.5)
+            assert values[i, j] == pytest.approx(expected, abs=1e-14)
 
 
 def test_partition_of_unity_random_points():

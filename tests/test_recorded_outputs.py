@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import mspde.cli
+import mspde.solver
 from mspde.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -44,28 +44,31 @@ WORKLOADS = {
 # invariant values 8.9e-15 absolute, convergence errors 1.3e-10 relative and
 # EOCs 4.7e-10 absolute.
 BOUNDS = {"level": 0.0, "invariant": 8.9e-15, "error": 1.3e-10, "eoc": 4.7e-10}
-NEWTON_RECORDS = ("newton_iterations", "factorisations", "krylov_iterations", "restarted",
-                  "stalled")
+# Each key of newton.json and the SlabSolution field it lists per slab.
+NEWTON_RECORDS = {"newton_iterations": "iterations", "factorisations": "factorisations",
+                  "krylov_iterations": "krylov_iterations", "restarted": "restarted",
+                  "stalled": "stalled"}
 
 
 def rerun(workload: str, out_dir: Path) -> tuple[Path, dict]:
     """Run a workload through the command line into out_dir: its CSV and the
     Newton records of every trajectory it solved (one per convergence level)."""
     trajectories = []
-    run_simulation = mspde.cli.run_simulation
+    trajectory = mspde.solver.Trajectory
 
-    def recorded(*args):
-        trajectories.append(run_simulation(*args))
+    def recorded(*args, **kwargs):
+        trajectories.append(trajectory(*args, **kwargs))
         return trajectories[-1]
 
-    mspde.cli.run_simulation = recorded
+    mspde.solver.Trajectory = recorded
     try:
         assert main([*WORKLOADS[workload], "--out", str(out_dir)]) == 0
     finally:
-        mspde.cli.run_simulation = run_simulation
+        mspde.solver.Trajectory = trajectory
     name = "convergence.csv" if WORKLOADS[workload][0] == "converge" else "invariants.csv"
-    records = {key: [list(getattr(traj, key)) for traj in trajectories]
-               for key in NEWTON_RECORDS}
+    records = {key: [[getattr(solved, field) for solved in traj.records]
+                     for traj in trajectories]
+               for key, field in NEWTON_RECORDS.items()}
     return out_dir / name, records
 
 

@@ -15,11 +15,17 @@ from mspde.solver import (
     SolverConfig,
     SolverFailure,
     Trajectory,
+    advance,
     build_space,
     run_simulation,
     slab_rules,
 )
 from mspde.spaces import SlabGrid
+
+
+def record(traj, name):
+    """One field of every slab's SlabSolution in a trajectory's records."""
+    return [getattr(solved, name) for solved in traj.records]
 
 
 def constant_wave_problem(value=0.7):
@@ -234,7 +240,7 @@ def test_linear_problem_converges_in_one_iteration():
     prob = linear_wave()
     config = SolverConfig(q=1, p=2, dt=0.125, dx=0.125, t_final=0.5)
     traj = run_simulation(SchemeVariant.CG_PRIMARY, prob, config)
-    assert all(n == 1 for n in traj.newton_iterations)
+    assert all(n == 1 for n in record(traj, "iterations"))
 
 
 def test_linear_problem_factorises_once_per_assembler(monkeypatch):
@@ -246,8 +252,8 @@ def test_linear_problem_factorises_once_per_assembler(monkeypatch):
     prob = linear_wave()
     config = SolverConfig(q=1, p=2, dt=0.15, dx=0.125, t_final=1.0)
     traj = run_simulation(SchemeVariant.DG_PRIMARY, prob, config)
-    assert traj.factorisations == [1, 0, 0, 0, 0, 0, 1]
-    assert traj.newton_iterations == [1] * 7
+    assert record(traj, "factorisations") == [1, 0, 0, 0, 0, 0, 1]
+    assert record(traj, "iterations") == [1] * 7
 
 
 @pytest.mark.parametrize("variant", list(SchemeVariant))
@@ -316,10 +322,10 @@ def test_nonlinear_newton_evaluates_each_iterate_once(factory, variant, dx, t_fi
                                     getattr(SlabAssembler, name)))
     config = SolverConfig(q=1, p=2, dt=0.1, dx=dx, t_final=t_final)
     traj = run_simulation(variant, prob, config)
-    assert sum(traj.newton_iterations) >= 2 * len(traj.slabs)
+    assert sum(record(traj, "iterations")) >= 2 * len(traj.slabs)
     assert calls["grid"] == calls["residual"]
     assert calls["grad_s"] == calls["residual"]
-    assert calls["hess_s"] == calls["jacobian"] == sum(traj.newton_iterations)
+    assert calls["hess_s"] == calls["jacobian"] == sum(record(traj, "iterations"))
 
 
 @pytest.mark.parametrize("factory,variant,dx", [
@@ -369,9 +375,9 @@ def test_nls_dg_predicted_slabs_take_fewer_factorisations():
     # later steps.
     config = SolverConfig(q=1, p=2, dt=0.1, dx=0.4, t_final=0.3)
     traj = run_simulation(SchemeVariant.DG_PRIMARY, nls(), config)
-    assert traj.newton_iterations == [3, 2, 2]
-    assert traj.factorisations == [1, 0, 0]
-    assert traj.restarted == [False] * 3
+    assert record(traj, "iterations") == [3, 2, 2]
+    assert record(traj, "factorisations") == [1, 0, 0]
+    assert record(traj, "restarted") == [False] * 3
 
 
 def test_predicted_slab_takes_at_least_one_step():
@@ -392,8 +398,8 @@ def test_predicted_slab_takes_at_least_one_step():
                                exact_solution=None)
     steady = run_simulation(SchemeVariant.CG_PRIMARY, zero,
                             dataclasses.replace(config, t_final=1.0))
-    assert steady.newton_iterations[0] == 0
-    assert min(steady.newton_iterations[1:]) >= 1
+    assert record(steady, "iterations")[0] == 0
+    assert min(record(steady, "iterations")[1:]) >= 1
     assert not np.any(steady.node_states()[-1])
 
 
@@ -416,15 +422,15 @@ def test_nls_coarse_dg_converges_through_the_restart(monkeypatch):
     prob = nls()
     config = SolverConfig(q=0, p=1, dt=1.6, dx=1.6, t_final=3.2)
     traj = run_simulation(SchemeVariant.DG_PRIMARY, prob, config)
-    assert traj.restarted == [False, True]
-    assert max(traj.final_residuals) <= config.newton_tolerance
-    slab_steps = steps[traj.newton_iterations[0]:]
+    assert record(traj, "restarted") == [False, True]
+    assert max(record(traj, "residual")) <= config.newton_tolerance
+    slab_steps = steps[record(traj, "iterations")[0]:]
     steps.clear()
     asm = SlabAssembler(prob, traj.space, config.q, config.dt)
     fresh = asm.solve_slab(traj.node_states()[1], config.newton_tolerance,
                            config.max_newton_iterations)
-    assert traj.newton_iterations[1] > fresh.iterations
-    assert traj.factorisations == [3, 5] and fresh.factorisations == 3
+    assert record(traj, "iterations")[1] > fresh.iterations
+    assert record(traj, "factorisations") == [3, 5] and fresh.factorisations == 3
     assert steps[0] == (1, 0)
     assert slab_steps[-fresh.iterations:] == steps
     assert np.array_equal(traj.slabs[1].values, fresh.z_nodes)
@@ -489,11 +495,11 @@ def test_krylov_iterations_are_recorded_per_slab():
     config = SolverConfig(q=1, p=2, dt=0.15, dx=0.125, t_final=1.0)
     for variant in (SchemeVariant.CG_PRIMARY, SchemeVariant.DG_PRIMARY):
         traj = run_simulation(variant, linear_wave(), config)
-        assert traj.krylov_iterations == [0] * len(traj.slabs)
+        assert record(traj, "krylov_iterations") == [0] * len(traj.slabs)
     config = SolverConfig(q=1, p=2, dt=0.1, dx=0.4, t_final=0.3)
     traj = run_simulation(SchemeVariant.DG_PRIMARY, nls(), config)
-    assert len(traj.krylov_iterations) == 3
-    assert min(traj.krylov_iterations[1:]) > 0
+    assert len(record(traj, "krylov_iterations")) == 3
+    assert min(record(traj, "krylov_iterations")[1:]) > 0
 
 
 def test_short_final_slab_extrapolates_with_the_step_ratio(monkeypatch):
@@ -533,8 +539,8 @@ def test_nonlinear_newton_iteration_count():
     prob = nonlinear_wave()
     config = SolverConfig(q=1, p=2, dt=0.1, dx=0.1, t_final=1.0)
     traj = run_simulation(SchemeVariant.CG_PRIMARY, prob, config)
-    assert max(traj.newton_iterations) <= 8
-    assert max(traj.newton_iterations) == 3
+    assert max(record(traj, "iterations")) <= 8
+    assert max(record(traj, "iterations")) == 3
 
 
 def test_newton_failure_reports_residual():
@@ -571,8 +577,8 @@ def test_slab_accepted_above_tolerance_is_logged(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="mspde.solver"):
         traj = run_simulation(SchemeVariant.CG_PRIMARY, prob, config)
     assert not caplog.records
-    assert len(traj.final_residuals) == 2
-    assert max(traj.final_residuals) <= config.newton_tolerance
+    assert len(record(traj, "residual")) == 2
+    assert max(record(traj, "residual")) <= config.newton_tolerance
 
     solve = SlabAssembler.solve_slab
 
@@ -583,7 +589,7 @@ def test_slab_accepted_above_tolerance_is_logged(monkeypatch, caplog):
     monkeypatch.setattr(SlabAssembler, "solve_slab", stalled)
     with caplog.at_level(logging.WARNING, logger="mspde.solver"):
         traj = run_simulation(SchemeVariant.CG_PRIMARY, prob, config)
-    assert traj.final_residuals == [5.0 * config.newton_tolerance] * 2
+    assert record(traj, "residual") == [5.0 * config.newton_tolerance] * 2
     messages = [record.getMessage() for record in caplog.records]
     assert len(messages) == 2
     assert "slab 0 " in messages[0] and "slab 1 " in messages[1]
@@ -593,8 +599,8 @@ def test_slab_accepted_above_tolerance_is_logged(monkeypatch, caplog):
 def test_normal_run_records_no_stalled_slab():
     config = SolverConfig(q=1, p=2, dt=0.1, dx=0.25, t_final=0.5)
     traj = run_simulation(SchemeVariant.CG_PRIMARY, nonlinear_wave(), config)
-    assert traj.stalled == [False] * 5
-    assert max(traj.final_residuals) <= config.newton_tolerance
+    assert record(traj, "stalled") == [False] * 5
+    assert max(record(traj, "residual")) <= config.newton_tolerance
 
 
 def test_slab_below_the_roundoff_floor_is_recorded_as_stalled(caplog):
@@ -606,8 +612,8 @@ def test_slab_below_the_roundoff_floor_is_recorded_as_stalled(caplog):
     config = SolverConfig(q=1, p=2, dt=0.1, dx=0.125, t_final=0.3, newton_tolerance=1e-13)
     with caplog.at_level(logging.WARNING, logger="mspde.solver"):
         traj = run_simulation(SchemeVariant.DG_PRIMARY, prob, config)
-    assert traj.stalled == [True] * 3
-    assert all(1e-13 < norm <= 1e-12 for norm in traj.final_residuals)
+    assert record(traj, "stalled") == [True] * 3
+    assert all(1e-13 < norm <= 1e-12 for norm in record(traj, "residual"))
     assert len(caplog.records) == 3
 
     space = build_space(prob, config, SchemeVariant.DG_PRIMARY)
@@ -641,6 +647,27 @@ def test_short_final_slab_hits_t_final():
     traj = run_simulation(SchemeVariant.CG_PRIMARY, prob, config)
     assert len(traj.slabs) == 7  # ceil(1.0 / 0.15)
     assert abs(traj.times[-1] - 1.0) < 1e-12
+
+
+def test_advance_yields_the_growing_trajectory():
+    # One trajectory, yielded before the first slab and after each one, with
+    # a short last slab; the last yield is run_simulation's result, and each
+    # record's nodes are its slab's coefficients, not a copy.
+    config = SolverConfig(q=1, p=2, dt=0.1, dx=0.4, t_final=0.25)
+    slab_counts = []
+    for traj in advance(SchemeVariant.DG_PRIMARY, nls(), config):
+        assert len(traj.times) == len(traj.slabs) + 1 == len(traj.records) + 1
+        slab_counts.append(len(traj.slabs))
+    assert slab_counts == [0, 1, 2, 3]
+    assert traj.times[-1] == config.t_final
+    final = run_simulation(SchemeVariant.DG_PRIMARY, nls(), config)
+    assert np.array_equal(traj.times, final.times)
+    assert np.array_equal(traj.node_states(), final.node_states())
+    for ours, theirs in zip(traj.records, final.records, strict=True):
+        assert np.array_equal(ours.z_nodes, theirs.z_nodes)
+        assert ours[1:] == theirs[1:]
+    assert all(solved.z_nodes is coeffs.values
+               for solved, coeffs in zip(traj.records, traj.slabs, strict=True))
 
 
 def test_consecutive_slabs_share_interface_values():
@@ -677,8 +704,8 @@ def test_momentum_variant_reproduces_primary_dynamics():
     assert len(t1.slabs) == len(t2.slabs) == 5
     for a, b in zip(t1.slabs, t2.slabs):
         assert np.array_equal(a.values, b.values)
-    for record in ("newton_iterations", "factorisations", "krylov_iterations", "restarted"):
-        assert getattr(t1, record) == getattr(t2, record), record
+    for name in ("iterations", "factorisations", "krylov_iterations", "restarted"):
+        assert record(t1, name) == record(t2, name), name
 
 
 def test_momentum_variant_auxiliary_field_solves_the_coupled_system():
@@ -728,14 +755,13 @@ def test_momentum_variant_projects_the_initial_auxiliary_field():
 
 def test_auxiliary_field_of_other_variants_and_of_no_slabs():
     # Only cg-momentum carries an auxiliary field; a trajectory without
-    # slabs, as a failure's partial one can be, has no auxiliary nodes.
+    # slabs, as advance yields before the first one, has no auxiliary nodes.
     prob = nonlinear_wave()
     config = SolverConfig(q=1, p=2, dt=0.1, dx=0.25, t_final=0.1)
     for variant in (SchemeVariant.CG_PRIMARY, SchemeVariant.DG_PRIMARY):
         with pytest.raises(ValueError, match="cg-momentum"):
             auxiliary_field(run_simulation(variant, prob, config))
     traj = run_simulation(SchemeVariant.CG_MOMENTUM, prob, config)
-    empty = Trajectory(prob, traj.variant, traj.space, traj.q, traj.times[:1],
-                       traj.initial_coeffs)
+    empty = Trajectory(prob, traj.variant, traj.space, traj.q, traj.initial_coeffs)
     aux_space, aux = auxiliary_field(empty)
     assert aux.shape == (0, 3, aux_space.dof_count, config.q + 2)
