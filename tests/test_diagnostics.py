@@ -304,6 +304,15 @@ def test_auxiliary_identity_fails_at_slab_endpoints():
     assert np.max(np.abs(spatial[2] - proj)) > 1e-6
 
 
+def test_convergence_record_rates():
+    # One column of rates per component, as cmd_converge reports them.
+    rates = eoc(np.array([[1e-1, 2e-1], [2.5e-2, 1e-1], [6.25e-3, 5e-2]]),
+                np.array([0.5, 0.25, 0.125]))
+    assert rates.shape == (2, 2)
+    assert rates[:, 0] == pytest.approx([2.0, 2.0])
+    assert rates[:, 1] == pytest.approx([1.0, 1.0])
+
+
 @pytest.mark.parametrize("variant", list(SchemeVariant))
 @pytest.mark.parametrize("factory", [linear_wave, nonlinear_wave, nls])
 def test_energy_law_across_degree_grid(variant, factory):
