@@ -102,7 +102,7 @@ def _derivative_consistency(seed) -> float:
     for factory in (problems.linear_wave, problems.nonlinear_wave, problems.nls):
         report = problems.validate(factory(), seed=seed)
         worst = max(worst, report.gradient_residual, report.hessian_residual,
-                    report.hessian_asymmetry, report.hessian_outside_pattern)
+                    report.hessian_asymmetry)
     return worst
 
 

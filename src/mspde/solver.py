@@ -327,7 +327,9 @@ class SlabAssembler(SlabGrid):
         self.jacobian_is_constant = problem.s_degree <= 2
         time_k = np.kron(problem.K, ta1)
         if self.jacobian_is_constant:
-            time_k -= np.kron(problem.hess_s(np.zeros(d)), self.time_mass)
+            hess = np.zeros((d, d))
+            hess[problem.hessian_pattern] = problem.hess_s(np.zeros(d))
+            time_k -= np.kron(hess, self.time_mass)
             shape = (d, len(self.rule_t), space.partition.element_count, len(self.rule_x))
             grad_zero = np.broadcast_to(problem.grad_s(np.zeros(d))[:, None, None, None], shape)
             self._grad_zero_rows = np.swapaxes(self.test(grad_zero), 0, 1).ravel()
@@ -341,10 +343,9 @@ class SlabAssembler(SlabGrid):
         self._factor = None   # the last band factor, kept across iterations and slabs
         self._extrapolations = {}  # previous slab length -> trial table at this slab's nodes
 
-        # Sum-factorisation tables of the Hessian block: the component pairs
-        # of the problem's Hessian pattern, (row x column basis x space
-        # weight) products and (test x unknown trial x time weight) products.
-        self._hessian_pairs = np.nonzero(problem.hessian_pattern)
+        # Sum-factorisation tables of the Hessian block: (row x column basis
+        # x space weight) products and (test x unknown trial x time weight)
+        # products.
         ns, nt = len(self.rule_x), len(self.rule_t)
         self._space_products = np.einsum(
             "kh,lh,h->hkl", self.B, self.B, self.rule_x.weights).reshape(ns, -1)
@@ -387,10 +388,10 @@ class SlabAssembler(SlabGrid):
         block, written into a fixed pattern.  The Hessian block is taken at
         the grid state of ``iterate``, the Newton loop's iterate of z_nodes
         (a new one when None), so a state the residual has evaluated is not
-        evaluated again.  The returned matrix owns its arrays.  The Newton
-        step of a nonlinear problem calls it once per iteration: GMRES
-        multiplies by it, and a refactorisation scatters its values into
-        band storage.
+        evaluated again.  The returned matrix owns its values and shares the
+        pattern's read-only index arrays.  The Newton step of a nonlinear
+        problem calls it once per iteration: GMRES multiplies by it, and a
+        refactorisation scatters its values into band storage.
         """
         if self.jacobian_is_constant:
             return self.linear_jacobian
@@ -398,10 +399,9 @@ class SlabAssembler(SlabGrid):
             self._pattern = self._jacobian_pattern()
         linear, hessian_map = self._pattern
         state = self._iterate_of(z_nodes, iterate).state
-        # A shallow copy with fresh arrays: the pattern is valid by
+        # A shallow copy with fresh values: the pattern is valid by
         # construction, so scipy's constructor checks would only cost time.
         jac = copy.copy(linear)
-        jac.indices, jac.indptr = linear.indices.copy(), linear.indptr.copy()
         jac.data = linear.data - np.bincount(hessian_map, weights=self._hessian_values(state),
                                              minlength=linear.nnz)
         return jac
@@ -419,10 +419,10 @@ class SlabAssembler(SlabGrid):
         ns), ordered (a, b, M, P, k, l) for the P pairs of the problem's
         Hessian pattern.
 
-        Sum-factorised: the pointwise Hessian is contracted over space
+        Sum-factorised: ``hess_s``'s pattern values are contracted over space
         quadrature first, then over time quadrature.
         """
-        hess = self.problem.hess_s(zgrid.transpose(1, 2, 3, 0))[(...,) + self._hessian_pairs]
+        hess = self.problem.hess_s(zgrid.transpose(1, 2, 3, 0))
         nt, m, ns, _ = hess.shape
         in_space = hess.transpose(0, 1, 3, 2).reshape(-1, ns) @ self._space_products
         vals = self._time_products @ in_space.reshape(nt, -1)
@@ -434,10 +434,11 @@ class SlabAssembler(SlabGrid):
         :meth:`_hessian_values` entry.
 
         The pattern is the linear part's plus every element's Hessian block
-        on the pairs of the problem's Hessian pattern.
+        on the pairs of the problem's Hessian pattern; every :meth:`jacobian`
+        shares its read-only index arrays.
         """
         size = self.size
-        first, second = self._hessian_pairs
+        first, second = np.nonzero(self.problem.hessian_pattern)
         index = self.as_nodes(np.arange(size))[:, self.space.element_dofs]  # (D, M, p+1, q+1)
         row = index[first].transpose(3, 1, 0, 2)                            # (a, M, P, k)
         col = index[second].transpose(3, 1, 0, 2)                           # (b, M, P, l)
@@ -453,6 +454,7 @@ class SlabAssembler(SlabGrid):
         data[np.searchsorted(keys, linear_keys)] = linear.data
         indptr = np.searchsorted(keys // size, np.arange(size + 1))
         pattern = scipy.sparse.csc_matrix((data, keys % size, indptr), shape=(size, size))
+        pattern.indices.flags.writeable = pattern.indptr.flags.writeable = False
         return pattern, np.searchsorted(keys, hessian_keys)
 
     # -- newton ----------------------------------------------------------------

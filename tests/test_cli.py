@@ -201,11 +201,23 @@ def test_seed_is_a_verify_option_only(tmp_path):
     assert key.value.code == 2
 
 
+VERIFY_GROUPS = [
+    "quadrature-exactness", "basis-partition-of-unity", "basis-derivative-fd",
+    "mass-matrix-symmetry", "l2-projection-orthogonality", "problem-skew-symmetry",
+    "gradient-hessian-fd", "exact-solution-pde-residual", "jump-average-algebra",
+    "derivative-op-constants", "derivative-op-skew-symmetry", "derivative-op-product-rule",
+    "derivative-op-local-identities", "broken-derivative-exactness", "slab-jacobian-fd",
+    "steady-state-preservation", "trajectory-temporal-continuity",
+    "wave-auxiliary-identity", "local-conservation-laws", "slab-factor-solve",
+]
+
+
 def test_verify_passes_with_default_seed(capsys):
     assert main(["verify", "--seed", "0"]) == 0
-    output = capsys.readouterr().out
-    assert output.count("PASS") >= 12
-    assert "FAIL" not in output
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[:-1]] == [["PASS", name]
+                                                         for name in VERIFY_GROUPS]
+    assert lines[-1] == "20/20 property groups passed"
 
 
 def test_verify_reports_at_least_twelve_groups():

@@ -180,7 +180,12 @@ def test_hessian_block_matches_einsum(variant, q, p):
     nodes = rng.uniform(-1.0, 1.0, (d, space.dof_count, q + 2))
     zgrid = reference_eval(nodes, space, asm.B, asm.Tt)
 
-    hess = asm.problem.hess_s(np.moveaxis(zgrid, 0, -1))
+    # The kernel's values on the pattern's pairs, scattered to D x D here so
+    # that the oracle does not share the solver's pair handling.
+    pattern = asm.problem.hessian_pattern
+    values = asm.problem.hess_s(np.moveaxis(zgrid, 0, -1))
+    hess = np.zeros(values.shape[:-1] + pattern.shape)
+    hess[..., pattern] = values
     wx = space.partition.widths[:, None] * asm.rule_x.weights[None, :]
     vals = np.einsum("gmhcd,kh,lh,ag,bg,g,mh->mkcaldb", hess, asm.B, asm.B,
                      asm.Ts, asm.Tt[1:], asm.wt, wx)

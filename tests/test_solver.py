@@ -143,14 +143,22 @@ def test_jacobian_stores_only_the_declared_hessian_pattern(factory, variant, dx,
     assert asm.jacobian(z).nnz == nnz
 
 
-def test_jacobian_pattern_is_built_lazily_and_results_own_their_data():
+def test_jacobian_pattern_is_built_lazily_and_results_share_its_read_only_indices():
     asm, z = acceptance_assembler(nonlinear_wave, SchemeVariant.CG_PRIMARY, 0.25)
     assert asm._pattern is None and asm._band is None
     j1 = asm.jacobian(z)
     j2 = asm.jacobian(2.0 * z)
     assert asm._pattern is not None
-    for a, b in [(j1.data, j2.data), (j1.indices, j2.indices), (j1.indptr, j2.indptr)]:
-        assert not np.shares_memory(a, b)
+    pattern = asm._pattern[0]
+    # Every call has fresh values ...
+    assert not np.shares_memory(j1.data, j2.data)
+    assert not np.shares_memory(j1.data, pattern.data)
+    # ... and the pattern's index arrays, which no caller can write.
+    for jac in (j1, j2):
+        assert jac.indices is pattern.indices and jac.indptr is pattern.indptr
+        for index in (jac.indices, jac.indptr):
+            with pytest.raises(ValueError):
+                index[0] = index[0]
     assert np.max(np.abs(j1.toarray() - j2.toarray())) > 0.0
     for jac in (j1, j2):
         jac.check_format(full_check=True)
