@@ -64,8 +64,8 @@ def _mass_symmetry() -> float:
     for continuity in ("cg", "dg"):
         for p in (1, 2, 3):
             space = SpatialSpace(uniform_partition(1.0, 6), p, continuity)
-            mass = space.mass_matrix()
-            worst = max(worst, float(np.max(np.abs(mass - mass.T))))
+            mass = space.mass_operator()
+            worst = max(worst, float(abs(mass - mass.T).max()))
     return worst
 
 
@@ -79,46 +79,14 @@ def _projection_quality(rng) -> float:
         resid = space.eval_on_rule(coeffs, rule) - f(space.quad_points(rule))
         moments = space.test_rows(resid, rule)
         worst = max(worst, float(np.max(np.abs(moments))))
-        again = space.mass_solve(space.mass_matrix() @ coeffs)
+        again = space.mass_solve(space.mass_operator() @ coeffs)
         worst = max(worst, float(np.max(np.abs(again - coeffs))))
     return worst
 
 
-def _problem_skew(rng) -> float:
-    worst = 0.0
-    for factory in (problems.linear_wave, problems.nonlinear_wave, problems.nls):
-        prob = factory()
-        u = rng.standard_normal((50, prob.D))
-        v = rng.standard_normal((50, prob.D))
-        for mat in (prob.K, prob.L):
-            lhs = np.einsum("nd,nd->n", u, v @ mat.T)
-            rhs = -np.einsum("nd,nd->n", v, u @ mat.T)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
-
-
-def _derivative_consistency(seed) -> float:
-    worst = 0.0
-    for factory in (problems.linear_wave, problems.nonlinear_wave, problems.nls):
-        report = problems.validate(factory(), seed=seed)
-        worst = max(worst, report.gradient_residual, report.hessian_residual,
-                    report.hessian_asymmetry)
-    return worst
-
-
-def _exact_solution_residual(seed) -> float:
-    worst = 0.0
-    for factory in (problems.linear_wave, problems.nls):
-        report = problems.validate(factory(), seed=seed)
-        worst = max(worst, report.pde_residual or 0.0)
-    return worst
-
-
-def _jump_average_algebra(rng) -> float:
-    left, right = rng.standard_normal((2, 100))
-    trace = spatial_ops.TraceValues(0, left, right)
-    resid = spatial_ops.jump(trace) + 2.0 * spatial_ops.avg(trace) - 2.0 * left
-    return float(np.max(np.abs(resid)))
+def _worst(reports, *fields) -> float:
+    """Largest of the named residuals over the problems' validation reports."""
+    return max(getattr(report, field) or 0.0 for report in reports for field in fields)
 
 
 def _g_spaces():
@@ -130,10 +98,9 @@ def _g_spaces():
 def _g_orthogonality(rng) -> float:
     worst = 0.0
     for space in _g_spaces():
-        g = spatial_ops.g_matrix(space)
         fields = rng.uniform(-1.0, 1.0, size=(50, space.dof_count))
-        gu = fields @ g.T
-        integrals = gu @ space.mass_matrix() @ np.ones(space.dof_count)
+        integrals = spatial_ops.apply_g(space, fields) @ (
+            space.mass_operator() @ np.ones(space.dof_count))
         worst = max(worst, float(np.max(np.abs(integrals))))
     return worst
 
@@ -141,12 +108,12 @@ def _g_orthogonality(rng) -> float:
 def _g_skew(rng, g_override=None) -> float:
     worst = 0.0
     for space in _g_spaces():
-        g = g_override(space) if g_override else spatial_ops.g_matrix(space)
-        mass = space.mass_matrix()
+        g = g_override(space) if g_override else spatial_ops.g_operator(space)
+        mass = space.mass_operator()
         u = rng.uniform(-1.0, 1.0, size=(50, space.dof_count))
         v = rng.uniform(-1.0, 1.0, size=(50, space.dof_count))
-        lhs = np.einsum("ni,ij,nj->n", u @ g.T, mass, v)
-        rhs = -np.einsum("ni,ij,nj->n", u, mass, v @ g.T)
+        lhs = np.sum((u @ g.T) * (v @ mass), axis=1)
+        rhs = -np.sum((u @ mass) * (v @ g.T), axis=1)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
@@ -162,11 +129,10 @@ def _g_product_rule(rng) -> float:
                + space.eval_on_rule(u, rule) * space.eval_on_rule(v, rule, 1))
         ul, ur = spatial_ops.node_traces(space, u)
         vl, vr = spatial_ops.node_traces(space, v)
-        g_uv = spatial_ops.weak_g_from_samples(space, uv, duv, ul * vl, ur * vr, rule)
-        mass = space.mass_matrix()
-        ones = np.ones(space.dof_count)
-        lhs = g_uv @ mass @ ones
-        rhs = (space.mass_matrix() @ spatial_ops.apply_g(space, u)) @ v \
+        g_uv = spatial_ops.weak_g_from_samples(space, duv, ul * vl, ur * vr, rule)
+        mass = space.mass_operator()
+        lhs = g_uv @ (mass @ np.ones(space.dof_count))
+        rhs = (mass @ spatial_ops.apply_g(space, u)) @ v \
             + u @ (mass @ spatial_ops.apply_g(space, v))
         worst = max(worst, float(abs(lhs - rhs)))
     return worst
@@ -193,21 +159,6 @@ def _g_local_identities(rng) -> float:
                                    - (terms.cross_upper - terms.cross_lower)))
             upper = (m + 1) % space.partition.element_count
             worst = max(worst, abs(gu_one[m] - (avg_u[upper] - avg_u[m])))
-    return worst
-
-
-def _broken_derivative_exactness() -> float:
-    worst = 0.0
-    for p in (1, 2, 3):
-        space = SpatialSpace(uniform_partition(1.0, 5), p, "dg")
-        # A member of the space: derivative must be elementwise exact.
-        rng = np.random.default_rng(p)
-        coeffs = rng.standard_normal(space.dof_count)
-        deriv_space, deriv = spatial_ops.broken_derivative(space, coeffs)
-        rule = gauss_legendre(p + 2)
-        direct = space.eval_on_rule(coeffs, rule, 1)
-        via = deriv_space.eval_on_rule(deriv, rule)
-        worst = max(worst, float(np.max(np.abs(direct - via))))
     return worst
 
 
@@ -336,21 +287,24 @@ def _local_conservation() -> float:
 def run_property_checks(seed: int = 0) -> list[CheckResult]:
     """All structural identity checks; deterministic for a given seed."""
     rng = np.random.default_rng(seed)
+    reports = [problems.validate(factory(), seed=seed) for factory in
+               (problems.linear_wave, problems.nonlinear_wave, problems.nls)]
     return [
         CheckResult("quadrature-exactness", _quadrature_exactness(), 1e-13),
         CheckResult("basis-partition-of-unity", _partition_of_unity(rng), 1e-13),
         CheckResult("basis-derivative-fd", _basis_derivative_fd(rng), 1e-6),
         CheckResult("mass-matrix-symmetry", _mass_symmetry(), 1e-15),
         CheckResult("l2-projection-orthogonality", _projection_quality(rng), 1e-11),
-        CheckResult("problem-skew-symmetry", _problem_skew(rng), 1e-14),
-        CheckResult("gradient-hessian-fd", _derivative_consistency(seed), 1e-6),
-        CheckResult("exact-solution-pde-residual", _exact_solution_residual(seed), 1e-8),
-        CheckResult("jump-average-algebra", _jump_average_algebra(rng), 1e-14),
+        CheckResult("problem-skew-symmetry",
+                    _worst(reports, "skew_residual_k", "skew_residual_l"), 1e-14),
+        CheckResult("gradient-hessian-fd",
+                    _worst(reports, "gradient_residual", "hessian_residual",
+                           "hessian_asymmetry"), 1e-6),
+        CheckResult("exact-solution-pde-residual", _worst(reports, "pde_residual"), 1e-8),
         CheckResult("derivative-op-constants", _g_orthogonality(rng), 1e-12),
         CheckResult("derivative-op-skew-symmetry", _g_skew(rng), 1e-12),
         CheckResult("derivative-op-product-rule", _g_product_rule(rng), 1e-12),
         CheckResult("derivative-op-local-identities", _g_local_identities(rng), 1e-12),
-        CheckResult("broken-derivative-exactness", _broken_derivative_exactness(), 1e-12),
         CheckResult("slab-jacobian-fd", _jacobian_fd(rng), 1e-5),
         CheckResult("steady-state-preservation", _steady_states(), 1e-12),
         CheckResult("trajectory-temporal-continuity", _temporal_continuity(), 1e-13),

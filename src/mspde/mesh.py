@@ -70,14 +70,13 @@ def quadrature_order_policy(max_integrand_degree: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Partition1D:
-    """Ordered 1D mesh; ``node_coords`` includes both interval endpoints.
+    """Ordered periodic 1D mesh; ``node_coords`` includes both interval endpoints.
 
-    For periodic partitions the last node identifies with the first modulo
-    ``total_length``.
+    Every partition is periodic: the last node identifies with the first
+    modulo ``total_length``.
     """
 
     node_coords: np.ndarray
-    periodic: bool
 
     def __post_init__(self):
         coords = np.asarray(self.node_coords, dtype=float)
@@ -105,17 +104,10 @@ class Partition1D:
         return self._widths
 
     def locate(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Map physical coordinates to (element index, reference coordinate).
-
-        Periodic partitions wrap x into the fundamental interval first.
-        """
-        x = np.asarray(x, dtype=float)
+        """Map physical coordinates to (element index, reference coordinate),
+        wrapping x into the fundamental interval first."""
         x0 = self.node_coords[0]
-        if self.periodic:
-            x = x0 + np.mod(x - x0, self.total_length)
-        else:
-            if np.any(x < x0 - 1e-12) or np.any(x > self.node_coords[-1] + 1e-12):
-                raise ValueError("coordinate outside non-periodic partition")
+        x = x0 + np.mod(np.asarray(x, dtype=float) - x0, self.total_length)
         elem = np.clip(
             np.searchsorted(self.node_coords, x, side="right") - 1,
             0,
@@ -125,13 +117,13 @@ class Partition1D:
         return elem, np.clip(ref, 0.0, 1.0)
 
 
-def uniform_partition(length: float, count: int, periodic: bool = True) -> Partition1D:
-    """Partition of [0, length) into ``count`` equal elements."""
+def uniform_partition(length: float, count: int) -> Partition1D:
+    """Periodic partition of [0, length) into ``count`` equal elements."""
     if length <= 0.0:
         raise ValueError(f"length must be positive, got {length}")
     if count < 1:
         raise ValueError(f"element count must be at least 1, got {count}")
-    return Partition1D(np.linspace(0.0, length, count + 1), periodic)
+    return Partition1D(np.linspace(0.0, length, count + 1))
 
 
 def equispaced_nodes(degree: int) -> np.ndarray:

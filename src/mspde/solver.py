@@ -246,7 +246,7 @@ def build_space(problem: MultisymplecticProblem, config: SolverConfig,
         raise ConfigurationError(
             f"dx={config.dx} does not tile a domain of length {problem.domain_length}"
         )
-    partition = uniform_partition(problem.domain_length, m, periodic=True)
+    partition = uniform_partition(problem.domain_length, m)
     return SpatialSpace(partition, config.p, variant.spatial_continuity)
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "SpatialSpace",
     "TemporalSlab",
     "SlabCoefficients",
-    "l2_project_spacetime",
     "SlabGrid",
 ]
 
@@ -63,8 +62,6 @@ class SpatialSpace:
             raise ValueError("continuity must be 'cg' or 'dg'")
         if degree < (1 if continuity == "cg" else 0):
             raise ValueError(f"degree {degree} too low for a {continuity} space")
-        if not partition.periodic:
-            raise ValueError("spatial spaces are defined on periodic partitions")
         self.partition = partition
         self.degree = degree
         self.continuity = continuity
@@ -368,24 +365,3 @@ class SlabGrid:
         elements = (self.wt @ per_time) * self.space.partition.widths
         return elements if per_element else np.sum(elements, axis=-1)
 
-
-def l2_project_spacetime(field, slab: TemporalSlab, space: SpatialSpace,
-                         time_rule: QuadratureRule | None = None,
-                         space_rule: QuadratureRule | None = None) -> np.ndarray:
-    """Project a space-time field onto (degree-q test in time) x ``space``.
-
-    ``field`` is either a callable (t, x) -> (D,) evaluated pointwise, or a
-    pre-sampled grid of shape (D, nt, M, ns) matching the supplied rules.
-    Returns coefficients of shape (D, dofs, q+1) against the slab test basis.
-    """
-    nonpoly = gauss_legendre(quadrature_order_policy(QUADRATURE_NONPOLY))
-    grid = SlabGrid(space, slab.q, slab.dt, nonpoly if time_rule is None else time_rule,
-                    nonpoly if space_rule is None else space_rule)
-    if callable(field):
-        xs = space.quad_points(grid.rule_x)
-        field = np.stack(
-            [np.asarray(field(t, xs.ravel())).reshape(-1, *xs.shape)
-             for t in slab.times(grid.rule_t.points)],
-            axis=1,
-        )
-    return grid.project(np.asarray(field, dtype=float))

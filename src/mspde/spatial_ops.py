@@ -1,4 +1,4 @@
-"""Jump/average algebra and discrete first-derivative operators.
+"""Discrete first-derivative operators on broken spaces.
 
 The broken space carries a global derivative operator G built from
 elementwise derivatives plus centred (average) interface fluxes:
@@ -21,38 +21,15 @@ import scipy.sparse
 from .spaces import SpatialSpace, assemble
 
 __all__ = [
-    "TraceValues",
-    "jump",
-    "avg",
     "node_traces",
     "g_operator",
     "g_matrix",
     "weak_g_matrix",
     "apply_g",
     "weak_g_from_samples",
-    "broken_derivative",
     "LocalBoundaryTerms",
     "local_g_boundary_terms",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class TraceValues:
-    """Left/right limits of a (possibly vector-valued) field at mesh node m."""
-
-    node_index: int
-    left_value: np.ndarray
-    right_value: np.ndarray
-
-
-def jump(trace: TraceValues) -> np.ndarray:
-    """[U] = U^- - U^+."""
-    return np.asarray(trace.left_value) - np.asarray(trace.right_value)
-
-
-def avg(trace: TraceValues) -> np.ndarray:
-    """{U} = (U^- + U^+) / 2."""
-    return 0.5 * (np.asarray(trace.left_value) + np.asarray(trace.right_value))
 
 
 def _node_dofs(space: SpatialSpace) -> np.ndarray:
@@ -102,7 +79,7 @@ def g_operator(space: SpatialSpace) -> scipy.sparse.csr_matrix:
 
 
 def g_matrix(space: SpatialSpace) -> np.ndarray:
-    """Dense copy of :func:`g_operator`, for dense algebra on small meshes."""
+    """Dense copy of :func:`g_operator`, for dense algebra in tests on small meshes."""
     return g_operator(space).toarray()
 
 
@@ -113,15 +90,15 @@ def apply_g(space: SpatialSpace, coeffs: np.ndarray, axis: int = -1) -> np.ndarr
     return np.moveaxis(flat.reshape(coeffs.shape), 0, axis)
 
 
-def weak_g_from_samples(space: SpatialSpace, grid_values: np.ndarray,
-                        grid_derivatives: np.ndarray, left_traces: np.ndarray,
-                        right_traces: np.ndarray, rule) -> np.ndarray:
+def weak_g_from_samples(space: SpatialSpace, grid_derivatives: np.ndarray,
+                        left_traces: np.ndarray, right_traces: np.ndarray,
+                        rule) -> np.ndarray:
     """Coefficients of G(F) for a sampled broken field F outside the space.
 
-    ``grid_values``/``grid_derivatives`` hold F and its elementwise x
-    derivative on the rule grid (..., M, ns); traces hold the limits at each
-    node (..., M).  Used by the conservation diagnostics, where F is a
-    product of fields with polynomial degree above the space's.
+    ``grid_derivatives`` holds F's elementwise x derivative on the rule grid
+    (..., M, ns); traces hold F's limits at each node (..., M).  The product
+    rule's check uses it, where F is a product of fields with polynomial
+    degree above the space's.
     """
     rhs = space.test_rows(grid_derivatives, rule)
     # One accumulating scatter of -[F]_m {phi}_m: at degree 0 one dof is the
@@ -133,24 +110,6 @@ def weak_g_from_samples(space: SpatialSpace, grid_values: np.ndarray,
     return space.mass_solve(rhs)
 
 
-def broken_derivative(space: SpatialSpace, coeffs: np.ndarray):
-    """Elementwise exact derivative, returned on the degree-(p-1) broken space.
-
-    Returns (derivative space, coefficients); coefficients keep the input's
-    leading axes but live on the new space's dofs.
-    """
-    if space.degree < 1:
-        raise ValueError("broken derivative needs degree >= 1")
-    coeffs = np.asarray(coeffs)
-    target = SpatialSpace(space.partition, space.degree - 1, "dg")
-    db = space.tabulate(target.basis.nodes, derivative_order=1)
-    local = np.einsum("...mk,kg->...mg", space.gather(coeffs), db)
-    local = local / space.partition.widths[:, None]
-    out = np.zeros(coeffs.shape[:-1] + (target.dof_count,))
-    out[..., target.element_dofs.reshape(-1)] = local.reshape(local.shape[:-2] + (-1,))
-    return target, out
-
-
 @dataclass(frozen=True, eq=False)
 class LocalBoundaryTerms:
     """Nodal trace combinations entering the elementwise operator identities.
@@ -160,13 +119,10 @@ class LocalBoundaryTerms:
     are (U^- . V^+ + U^+ . V^-)/2 at the respective nodes.
     """
 
-    element: int
     avg_lower: float
     avg_upper: float
     cross_lower: float
     cross_upper: float
-    left_products: tuple[float, float]   # U^- . V^- at lower/upper node
-    right_products: tuple[float, float]  # U^+ . V^+ at lower/upper node
 
 
 def local_g_boundary_terms(space: SpatialSpace, u_coeffs: np.ndarray,
@@ -187,11 +143,8 @@ def local_g_boundary_terms(space: SpatialSpace, u_coeffs: np.ndarray,
         return float(np.sum(a[..., node] * b[..., node]))
 
     return LocalBoundaryTerms(
-        element=element,
         avg_lower=0.5 * (dot(ul, vl, lo) + dot(ur, vr, lo)),
         avg_upper=0.5 * (dot(ul, vl, up) + dot(ur, vr, up)),
         cross_lower=0.5 * (dot(ul, vr, lo) + dot(ur, vl, lo)),
         cross_upper=0.5 * (dot(ul, vr, up) + dot(ur, vl, up)),
-        left_products=(dot(ul, vl, lo), dot(ul, vl, up)),
-        right_products=(dot(ur, vr, lo), dot(ur, vr, up)),
     )

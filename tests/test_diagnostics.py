@@ -144,7 +144,7 @@ def test_local_laws_on_nonuniform_meshes(variant, factory):
     widths = np.random.default_rng(12).uniform(0.5, 1.5, 12)
     nodes = np.concatenate([[0.0], np.cumsum(widths)]) * (prob.domain_length / widths.sum())
     nodes[-1] = prob.domain_length
-    space = SpatialSpace(Partition1D(nodes, periodic=True), 2, variant.spatial_continuity)
+    space = SpatialSpace(Partition1D(nodes), 2, variant.spatial_continuity)
     asm = SlabAssembler(prob, space, 1, 0.1)
     z_nodes = asm.solve_slab(space.project(prob.initial_state), 1e-12, 50).z_nodes
     coeffs = SlabCoefficients(TemporalSlab(0.0, 0.1, 1), space, z_nodes)
@@ -184,7 +184,7 @@ def test_pointwise_densities_integrate_to_the_invariant_series(variant):
     widths = np.random.default_rng(7).uniform(0.5, 1.5, 10)
     nodes = np.concatenate([[0.0], np.cumsum(widths)]) * (prob.domain_length / widths.sum())
     nodes[-1] = prob.domain_length
-    space = SpatialSpace(Partition1D(nodes, periodic=True), 2, variant.spatial_continuity)
+    space = SpatialSpace(Partition1D(nodes), 2, variant.spatial_continuity)
     z0 = space.project(prob.initial_state)
     z_nodes = SlabAssembler(prob, space, 1, 0.1).solve_slab(z0, 1e-12, 50).z_nodes
     coeffs = SlabCoefficients(TemporalSlab(0.0, 0.1, 1), space, z_nodes)
@@ -428,7 +428,7 @@ def nonuniform_run(variant, monkeypatch, t_final):
     widths = np.random.default_rng(13).uniform(0.5, 1.5, 9)
     nodes = np.concatenate([[0.0], np.cumsum(widths)]) * (prob.domain_length / widths.sum())
     nodes[-1] = prob.domain_length
-    space = SpatialSpace(Partition1D(nodes, periodic=True), 2, variant.spatial_continuity)
+    space = SpatialSpace(Partition1D(nodes), 2, variant.spatial_continuity)
     monkeypatch.setattr("mspde.solver.build_space", lambda *args: space)
     config = SolverConfig(q=1, p=2, dt=0.1, dx=0.1, t_final=t_final)
     return prob, run_simulation(variant, prob, config)

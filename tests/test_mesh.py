@@ -95,7 +95,7 @@ def test_uniform_partition_nls_grid():
 
 
 def test_single_element_partition():
-    part = uniform_partition(1.0, 1, periodic=False)
+    part = uniform_partition(1.0, 1)
     assert part.element_count == 1
 
 
@@ -105,7 +105,7 @@ def test_partition_rejects_bad_input():
     with pytest.raises(ValueError):
         uniform_partition(1.0, 0)
     with pytest.raises(ValueError):
-        Partition1D(np.array([0.0, 0.5, 0.4]), periodic=False)
+        Partition1D(np.array([0.0, 0.5, 0.4]))
 
 
 def test_periodic_locate_wraps():

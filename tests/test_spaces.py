@@ -6,9 +6,9 @@ import pytest
 from mspde.mesh import gauss_legendre, uniform_partition
 from mspde.spaces import (
     SlabCoefficients,
+    SlabGrid,
     SpatialSpace,
     TemporalSlab,
-    l2_project_spacetime,
 )
 
 
@@ -188,7 +188,11 @@ def test_spacetime_projection_reproduces_member():
         spatial = np.einsum("cna,a->cn", target, tab)
         return np.stack([space.evaluate(spatial[c], x) for c in range(2)])
 
-    got = l2_project_spacetime(field, slab, space)
+    rule = gauss_legendre(9)
+    xs = space.quad_points(rule)
+    samples = np.stack([field(t, xs.ravel()).reshape((2,) + xs.shape)
+                        for t in slab.times(rule.points)], axis=1)   # (2, nt, M, ns)
+    got = SlabGrid(space, slab.q, slab.dt, rule, rule).project(samples)
     assert got == pytest.approx(target, abs=1e-12)
 
 
@@ -208,7 +212,7 @@ def test_spacetime_projection_orthogonality():
     zx = np.einsum("cmkt,kh,tg->cgmh", local, db, tt)
     zx = zx / space.partition.widths[None, None, :, None]
 
-    coeffs = l2_project_spacetime(zx, slab, space, rule_t, rule_x)
+    coeffs = SlabGrid(space, slab.q, slab.dt, rule_t, rule_x).project(zx)
 
     ts = slab.test_basis.tabulate(rule_t.points)
     b = space.tabulate(rule_x.points)
@@ -245,7 +249,7 @@ def test_spacetime_projection_preserves_time_derivative_of_trial():
     local = z_nodes[:, space.element_dofs, :]
     zt_grid = np.einsum("cmkt,kh,tg->cgmh", local, b, dtt)
 
-    coeffs = l2_project_spacetime(zt_grid, slab, space, rule_t, rule_x)
+    coeffs = SlabGrid(space, slab.q, slab.dt, rule_t, rule_x).project(zt_grid)
     ts = slab.test_basis.tabulate(rule_t.points)
     back = np.einsum("cmka,kh,ag->cgmh", coeffs[:, space.element_dofs, :], b, ts)
     assert back == pytest.approx(zt_grid, abs=1e-12)

@@ -6,12 +6,8 @@ from hypothesis import strategies as st
 from mspde.mesh import Partition1D, gauss_legendre, uniform_partition
 from mspde.spaces import SpatialSpace
 from mspde.spatial_ops import (
-    TraceValues,
     apply_g,
-    avg,
-    broken_derivative,
     g_matrix,
-    jump,
     local_g_boundary_terms,
     node_traces,
     weak_g_from_samples,
@@ -20,25 +16,6 @@ from mspde.spatial_ops import (
 
 def dg(m=8, p=2, length=1.0):
     return SpatialSpace(uniform_partition(length, m), p, "dg")
-
-
-def test_jump_and_average_values():
-    trace = TraceValues(0, np.array([2.0]), np.array([4.0]))
-    assert jump(trace) == pytest.approx([-2.0])
-    assert avg(trace) == pytest.approx([3.0])
-
-
-def test_continuous_trace_has_zero_jump():
-    trace = TraceValues(3, np.array([1.25]), np.array([1.25]))
-    assert jump(trace) == pytest.approx([0.0])
-    assert avg(trace) == pytest.approx([1.25])
-
-
-def test_jump_avg_identity_random():
-    rng = np.random.default_rng(5)
-    left, right = rng.standard_normal((2, 40))
-    trace = TraceValues(0, left, right)
-    assert jump(trace) + 2.0 * avg(trace) == pytest.approx(2.0 * left)
 
 
 def test_g_on_constant_is_zero():
@@ -105,14 +82,13 @@ def test_g_product_rule_global(p, m):
     u = _random_fields(space, 25, seed=3 * p + m)
     v = _random_fields(space, 25, seed=3 * p + m + 7)
 
-    uv_grid = space.eval_on_rule(u, rule) * space.eval_on_rule(v, rule)
     duv_grid = (
         space.eval_on_rule(u, rule, 1) * space.eval_on_rule(v, rule)
         + space.eval_on_rule(u, rule) * space.eval_on_rule(v, rule, 1)
     )
     ul, ur = node_traces(space, u)
     vl, vr = node_traces(space, v)
-    g_uv = weak_g_from_samples(space, uv_grid, duv_grid, ul * vl, ur * vr, rule)
+    g_uv = weak_g_from_samples(space, duv_grid, ul * vl, ur * vr, rule)
 
     mass = space.mass_matrix()
     ones = np.ones(space.dof_count)
@@ -163,14 +139,13 @@ def test_local_product_rule_identity(p):
     v = _random_fields(space, 1, seed=9 + p)[0]
     rule = gauss_legendre(2 * p + 2)
 
-    uv_grid = space.eval_on_rule(u, rule) * space.eval_on_rule(v, rule)
     duv_grid = (
         space.eval_on_rule(u, rule, 1) * space.eval_on_rule(v, rule)
         + space.eval_on_rule(u, rule) * space.eval_on_rule(v, rule, 1)
     )
     ul, ur = node_traces(space, u)
     vl, vr = node_traces(space, v)
-    g_uv = weak_g_from_samples(space, uv_grid, duv_grid, ul * vl, ur * vr, rule)
+    g_uv = weak_g_from_samples(space, duv_grid, ul * vl, ur * vr, rule)
 
     w = space.partition.widths[:, None] * rule.weights[None, :]
     g_uv_elem = np.einsum("mg,mg->m", space.eval_on_rule(g_uv, rule), w)
@@ -196,10 +171,12 @@ def test_local_terms_collapse_for_continuous_fields():
     left = space.partition.node_coords[:-1, None]
     pts = left + space.partition.widths[:, None] * xs_nodes[None, :]
     coeffs[space.element_dofs.ravel()] = f(pts).ravel()
+    # u.v at node m, from the left limits (both limits agree).
+    products = node_traces(space, coeffs)[0] ** 2
     for m in range(4):
         terms = local_g_boundary_terms(space, coeffs, coeffs, m)
-        assert terms.cross_lower == pytest.approx(terms.left_products[0], abs=1e-13)
-        assert terms.avg_lower == pytest.approx(terms.left_products[0], abs=1e-13)
+        assert terms.cross_lower == pytest.approx(products[m], abs=1e-13)
+        assert terms.avg_lower == pytest.approx(products[m], abs=1e-13)
 
 
 def test_constant_fields_orthogonality_rhs_zero():
@@ -208,38 +185,6 @@ def test_constant_fields_orthogonality_rhs_zero():
     for m in range(4):
         terms = local_g_boundary_terms(space, ones, ones, m)
         assert terms.avg_upper - terms.avg_lower == pytest.approx(0.0, abs=1e-15)
-
-
-def test_broken_derivative_of_linear_element():
-    space = dg(4, 1)
-    coeffs = np.zeros(space.dof_count)
-    coeffs[space.element_dofs[0]] = [0.0, 1.0]
-    deriv_space, deriv = broken_derivative(space, coeffs)
-    assert deriv_space.degree == 0
-    assert deriv[deriv_space.element_dofs[0, 0]] == pytest.approx(4.0)
-    assert np.max(np.abs(deriv[1:])) < 1e-14
-
-
-def test_broken_derivative_of_constant_is_zero():
-    space = dg(5, 3)
-    _, deriv = broken_derivative(space, np.full(space.dof_count, 2.2))
-    assert np.max(np.abs(deriv)) < 1e-12
-
-
-def _broken_derivative_error(m):
-    space = SpatialSpace(uniform_partition(1.0, m), 2, "cg")
-    coeffs = space.project(lambda x: np.sin(2 * np.pi * x))
-    deriv_space, deriv = broken_derivative(space, coeffs)
-    rule = gauss_legendre(8)
-    grid = deriv_space.eval_on_rule(deriv, rule)
-    exact = 2 * np.pi * np.cos(2 * np.pi * deriv_space.quad_points(rule))
-    return float(np.sqrt(deriv_space.integrate((grid - exact) ** 2, rule)))
-
-
-@pytest.mark.parametrize("m", [8, 16, 32])
-def test_broken_derivative_converges_to_smooth_slope(m):
-    # Each case computes its own coarser error, so no case depends on another.
-    assert _broken_derivative_error(m) < 0.6 * _broken_derivative_error(m // 2)
 
 
 def test_node_traces_of_cg_field_coincide():
@@ -288,7 +233,7 @@ def test_g_identities_on_nonuniform_meshes(widths, p, seed):
     # product, at the operator identity suite's 1e-12, on meshes whose
     # elements all differ in width.
     nodes = np.concatenate([[0.0], np.cumsum(widths)])
-    space = SpatialSpace(Partition1D(nodes, periodic=True), p, "dg")
+    space = SpatialSpace(Partition1D(nodes), p, "dg")
     g, mass = g_matrix(space), space.mass_matrix()
     rng = np.random.default_rng(seed)
     u, v = rng.uniform(-1.0, 1.0, size=(2, 20, space.dof_count))
