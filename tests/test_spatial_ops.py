@@ -11,11 +11,59 @@ from mspde.spatial_ops import (
     local_g_boundary_terms,
     node_traces,
     weak_g_from_samples,
+    weak_g_matrix,
 )
 
 
 def dg(m=8, p=2, length=1.0):
     return SpatialSpace(uniform_partition(length, m), p, "dg")
+
+
+# Jumps [U] = U^- - U^+ and averages {U} = (U^- + U^+)/2 come from the node
+# traces; G's interface flux and the local boundary terms are built on them.
+
+
+def test_jump_and_average_values():
+    # At degree 0 G is its centred flux alone: h G(U) on element k is
+    # {U}_{k+1} - {U}_k.
+    space = dg(4, 0)
+    u = np.array([2.0, 4.0, 1.0, -3.0])
+    left, right = node_traces(space, u)
+    assert (left[1], right[1]) == (2.0, 4.0)
+    assert left[1] - right[1] == pytest.approx(-2.0)
+    averages = 0.5 * (left + right)
+    assert averages[1] == pytest.approx(3.0)
+    h = space.partition.widths
+    assert apply_g(space, u) * h == pytest.approx(np.roll(averages, -1) - averages)
+
+
+def test_continuous_trace_has_zero_jump():
+    # A continuous field interpolated node by node has no jumps, so the
+    # interface term of G's weak form vanishes and leaves the elementwise one.
+    space = dg(5, 2)
+    left = space.partition.node_coords[:-1, None]
+    pts = left + space.partition.widths[:, None] * space.basis.nodes[None, :]
+    coeffs = np.zeros(space.dof_count)
+    coeffs[space.element_dofs.ravel()] = np.sin(2 * np.pi * pts).ravel()
+    left, right = node_traces(space, coeffs)
+    assert left - right == pytest.approx(0.0, abs=1e-14)
+    assert weak_g_matrix(space) @ coeffs == pytest.approx(
+        space.derivative_operator() @ coeffs, abs=1e-13)
+
+
+def test_jump_avg_identity_random():
+    # {U.V} - (U^-.V^+ + U^+.V^-)/2 = [U].[V]/2 at every node, for vector fields.
+    space = dg(6, 2)
+    rng = np.random.default_rng(5)
+    u, v = rng.standard_normal((2, 3, space.dof_count))
+    ul, ur = node_traces(space, u)
+    vl, vr = node_traces(space, v)
+    jumps = 0.5 * np.sum((ul - ur) * (vl - vr), axis=0)
+    for m in range(6):
+        terms = local_g_boundary_terms(space, u, v, m)
+        assert terms.avg_lower - terms.cross_lower == pytest.approx(jumps[m], abs=1e-13)
+        assert terms.avg_upper - terms.cross_upper == pytest.approx(
+            jumps[(m + 1) % 6], abs=1e-13)
 
 
 def test_g_on_constant_is_zero():
@@ -185,6 +233,40 @@ def test_constant_fields_orthogonality_rhs_zero():
     for m in range(4):
         terms = local_g_boundary_terms(space, ones, ones, m)
         assert terms.avg_upper - terms.avg_lower == pytest.approx(0.0, abs=1e-15)
+
+
+# The elementwise (broken) derivative is eval_on_rule at derivative order 1,
+# the kernel that the product rule's samples and the run's residuals use.
+
+
+def test_broken_derivative_of_linear_element():
+    space = dg(4, 1)
+    coeffs = np.zeros(space.dof_count)
+    coeffs[space.element_dofs[0]] = [0.0, 1.0]
+    deriv = space.eval_on_rule(coeffs, gauss_legendre(2), 1)
+    assert deriv[0] == pytest.approx([4.0, 4.0])
+    assert np.max(np.abs(deriv[1:])) < 1e-14
+
+
+def test_broken_derivative_of_constant_is_zero():
+    space = dg(5, 3)
+    deriv = space.eval_on_rule(np.full(space.dof_count, 2.2), gauss_legendre(4), 1)
+    assert np.max(np.abs(deriv)) < 1e-12
+
+
+def _broken_derivative_error(m):
+    space = SpatialSpace(uniform_partition(1.0, m), 2, "cg")
+    coeffs = space.project(lambda x: np.sin(2 * np.pi * x))
+    rule = gauss_legendre(8)
+    grid = space.eval_on_rule(coeffs, rule, 1)
+    exact = 2 * np.pi * np.cos(2 * np.pi * space.quad_points(rule))
+    return float(np.sqrt(space.integrate((grid - exact) ** 2, rule)))
+
+
+@pytest.mark.parametrize("m", [8, 16, 32])
+def test_broken_derivative_converges_to_smooth_slope(m):
+    # Each case computes its own coarser error, so no case depends on another.
+    assert _broken_derivative_error(m) < 0.6 * _broken_derivative_error(m // 2)
 
 
 def test_node_traces_of_cg_field_coincide():
