@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import copy
 import enum
-import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -147,24 +146,6 @@ class BandFactor(NamedTuple):
         folded, _ = dgbtrs(self.lu, self.kl, self.ku, b.take(self.order), self.ipiv,
                            overwrite_b=True)
         return folded.take(self.position)
-
-
-class _SlabIterate:
-    """One Newton iterate: its nodes (D, dofs, q+2) and its state on the
-    slab grid (D, nt, M, ns), evaluated on first use and then kept.
-
-    The residual and the Jacobian of the Newton step at an iterate share
-    this state, so it is evaluated once per iterate.  The nodes must not
-    change while the iterate is in use.
-    """
-
-    def __init__(self, assembler: "SlabAssembler", z_nodes: np.ndarray):
-        self.assembler = assembler
-        self.z_nodes = z_nodes
-
-    @functools.cached_property
-    def state(self) -> np.ndarray:
-        return self.assembler.eval(self.z_nodes, self.assembler.Tt)
 
 
 def _max_norm(values: np.ndarray) -> float:
@@ -365,40 +346,41 @@ class SlabAssembler(SlabGrid):
 
     # -- residual and jacobian -------------------------------------------------
 
-    def residual(self, z_nodes: np.ndarray, iterate: _SlabIterate | None = None) -> np.ndarray:
+    def residual(self, z_nodes: np.ndarray, state: np.ndarray | None = None) -> np.ndarray:
         """Flat residual over all test rows, ordered like the unknowns: the
         slab operator's product with the nodes, less the tested gradient
         term (a constant vector when the Hessian is constant).
 
-        ``iterate``, the Newton loop's iterate of z_nodes, keeps the grid
-        state evaluated here for the Jacobian.
+        ``state`` is the grid state (D, nt, M, ns) of z_nodes, evaluated
+        here when None.
         """
         linear = self.operator @ np.swapaxes(z_nodes, 0, 1).ravel()
         if self.jacobian_is_constant:
             return linear - self._grad_zero_rows
-        grad = pointwise_grad(self.problem, self._iterate_of(z_nodes, iterate).state)
+        grad = pointwise_grad(self.problem, self._state(z_nodes) if state is None else state)
         return linear - np.swapaxes(self.test(grad), 0, 1).ravel()
 
     def jacobian(self, z_nodes: np.ndarray,
-                 iterate: _SlabIterate | None = None) -> scipy.sparse.csc_matrix:
+                 state: np.ndarray | None = None) -> scipy.sparse.csc_matrix:
         """Exact sparse derivative of the flat residual w.r.t. the unknown nodes.
 
         With a constant Hessian this is :attr:`linear_jacobian`; otherwise the
         slab operator's unknown columns less the state-dependent Hessian
         block, written into a fixed pattern.  The Hessian block is taken at
-        the grid state of ``iterate``, the Newton loop's iterate of z_nodes
-        (a new one when None), so a state the residual has evaluated is not
-        evaluated again.  The returned matrix owns its values and shares the
-        pattern's read-only index arrays.  The Newton step of a nonlinear
-        problem calls it once per iteration: GMRES multiplies by it, and a
-        refactorisation scatters its values into band storage.
+        ``state``, the grid state of z_nodes (evaluated here when None), so
+        a state the residual has evaluated is not evaluated again.  The
+        returned matrix owns its values and shares the pattern's read-only
+        index arrays.  The Newton step of a nonlinear problem calls it once
+        per iteration: GMRES multiplies by it, and a refactorisation
+        scatters its values into band storage.
         """
         if self.jacobian_is_constant:
             return self.linear_jacobian
         if self._pattern is None:
             self._pattern = self._jacobian_pattern()
         linear, hessian_map = self._pattern
-        state = self._iterate_of(z_nodes, iterate).state
+        if state is None:
+            state = self._state(z_nodes)
         # A shallow copy with fresh values: the pattern is valid by
         # construction, so scipy's constructor checks would only cost time.
         jac = copy.copy(linear)
@@ -406,13 +388,10 @@ class SlabAssembler(SlabGrid):
                                              minlength=linear.nnz)
         return jac
 
-    def _iterate_of(self, z_nodes: np.ndarray, iterate: _SlabIterate | None) -> _SlabIterate:
-        """``iterate`` when it is the iterate of z_nodes, a new one when None."""
-        if iterate is None:
-            return _SlabIterate(self, z_nodes)
-        if iterate.assembler is not self or iterate.z_nodes is not z_nodes:
-            raise ValueError("iterate is not this assembler's iterate of z_nodes")
-        return iterate
+    def _state(self, z_nodes: np.ndarray) -> np.ndarray | None:
+        """Grid state (D, nt, M, ns) of z_nodes, or None when the Jacobian
+        is constant: neither the residual nor the Jacobian then needs one."""
+        return None if self.jacobian_is_constant else self.eval(z_nodes, self.Tt)
 
     def _hessian_values(self, zgrid: np.ndarray) -> np.ndarray:
         """Gradient-term derivative values at the grid state zgrid (D, nt, M,
@@ -493,9 +472,9 @@ class SlabAssembler(SlabGrid):
         raised otherwise.  Reaching ``max_iterations`` above the tolerance
         raises a :class:`SolverFailure` that names the limit.
 
-        Each iterate is a :class:`_SlabIterate`: its grid state is
-        evaluated once, by :meth:`residual`, and reused by the Jacobian of
-        the Newton step at that iterate.
+        Each iterate is its nodes and its grid state: the state is
+        evaluated once, by :meth:`_evaluate`, and passed to the residual and
+        to the Jacobian of the Newton step at that iterate.
 
         Each step solves the iterate's exact Newton system (see
         :meth:`_newton_step`), by GMRES preconditioned with the band factor
@@ -509,25 +488,25 @@ class SlabAssembler(SlabGrid):
             z_nodes[:, :, 1:] = guess[:, :, 1:]
         iterations = factorisations = krylov = 0
         restarted = stalled = False
-        iterate, r = self._evaluate(z_nodes)
+        state, r = self._evaluate(z_nodes)
         norm = _max_norm(r)
         # ``not norm <= tolerance`` also holds for a NaN residual, which is never accepted.
         while not norm <= tolerance or (guessed and iterations == 0):
             if iterations >= max_iterations:
                 raise SolverFailure(f"Newton reached the iteration limit {max_iterations} "
                                     f"at residual {norm:.3e}", residual_norm=norm)
-            step, factorised, krylov_step = self._newton_step(iterate, r)
+            step, factorised, krylov_step = self._newton_step(z_nodes, state, r)
             z_nodes[:, :, 1:] += self.as_nodes(step)
             iterations += 1
             factorisations += factorised
             krylov += krylov_step
-            iterate, r = self._evaluate(z_nodes)
+            state, r = self._evaluate(z_nodes)
             previous, norm = norm, _max_norm(r)
             if guessed and not (norm <= tolerance or norm < previous):
                 guessed, restarted = False, True
                 self._factor = None
                 z_nodes[:, :, 1:] = z_start[:, :, None]
-                iterate, r = self._evaluate(z_nodes)
+                state, r = self._evaluate(z_nodes)
                 norm = _max_norm(r)
                 continue
             if norm > tolerance and _max_norm(step) <= 1e-14 * max(1.0, _max_norm(z_nodes)):
@@ -539,10 +518,10 @@ class SlabAssembler(SlabGrid):
         return SlabSolution(z_nodes, norm, iterations, factorisations, restarted, stalled,
                             krylov)
 
-    def _evaluate(self, z_nodes: np.ndarray) -> tuple[_SlabIterate, np.ndarray]:
-        """A new iterate of z_nodes and its residual."""
-        iterate = _SlabIterate(self, z_nodes)
-        return iterate, self.residual(z_nodes, iterate)
+    def _evaluate(self, z_nodes: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+        """The grid state of z_nodes (see :meth:`_state`) and their residual."""
+        state = self._state(z_nodes)
+        return state, self.residual(z_nodes, state)
 
     def factorise(self, z_nodes: np.ndarray) -> BandFactor:
         """Band LU of the Jacobian at z_nodes, in the folded unknown order.
@@ -560,15 +539,14 @@ class SlabAssembler(SlabGrid):
         constant Jacobian, and the GMRES preconditioner of the later steps
         of a nonlinear one (see :meth:`_newton_step`).
         """
-        return self._factorise(_SlabIterate(self, z_nodes))
+        state = self._state(z_nodes)
+        return self._factorise(z_nodes, state, self.jacobian(z_nodes, state))
 
-    def _factorise(self, iterate: _SlabIterate,
-                   jac: scipy.sparse.csc_matrix | None = None) -> BandFactor:
-        """:meth:`factorise` at an iterate, whose grid state is not evaluated
-        again when the residual has evaluated it, from the iterate's
-        :meth:`jacobian` ``jac`` when given."""
-        if jac is None:
-            jac = self.jacobian(iterate.z_nodes, iterate)
+    def _factorise(self, z_nodes: np.ndarray, state: np.ndarray | None,
+                   jac: scipy.sparse.csc_matrix) -> BandFactor:
+        """:meth:`factorise` of ``jac``, the :meth:`jacobian` at z_nodes and
+        their grid state ``state``, from which a singular Jacobian's
+        residual norm is taken."""
         if self._band is None:
             self._band = self._band_layout(jac)
         index, kl, ku, order, position = self._band
@@ -578,7 +556,7 @@ class SlabAssembler(SlabGrid):
         lu, ipiv, info = dgbtrf(band.reshape((rows, self.size), order="F"), kl, ku,
                                 overwrite_ab=True)
         if info > 0:
-            norm = _max_norm(self.residual(iterate.z_nodes, iterate))
+            norm = _max_norm(self.residual(z_nodes, state))
             raise SolverFailure(f"singular slab Jacobian at residual {norm:.3e}",
                                 residual_norm=norm)
         if info < 0:
@@ -604,10 +582,11 @@ class SlabAssembler(SlabGrid):
         dtype = np.int32 if rows * self.size <= np.iinfo(np.int32).max else np.int64
         return index.astype(dtype), kl, ku, order.astype(dtype), position.astype(dtype)
 
-    def _newton_step(self, iterate: _SlabIterate,
+    def _newton_step(self, z_nodes: np.ndarray, state: np.ndarray | None,
                      r: np.ndarray) -> tuple[np.ndarray, int, int]:
-        """Newton step s, with J s = -r at the iterate's Jacobian J, for its
-        residual r, and the factorisations and GMRES iterations it took.
+        """Newton step s, with J s = -r at the Jacobian J of the iterate
+        z_nodes with grid state ``state``, for its residual r, and the
+        factorisations and GMRES iterations it took.
 
         The assembler keeps the last band factor it built, across Newton
         iterations and slabs.  A constant Jacobian's kept factor is exact,
@@ -624,13 +603,13 @@ class SlabAssembler(SlabGrid):
         """
         if self.jacobian_is_constant and self._factor is not None:
             return self._factor.solve(-r), 0, 0
-        jac = self.jacobian(iterate.z_nodes, iterate)
+        jac = self.jacobian(z_nodes, state)
         krylov = 0
         if self._factor is not None:
             step, krylov = _gmres(jac, self._factor, r)
             if step is not None:
                 return step, 0, krylov
-        self._factor = self._factorise(iterate, jac)
+        self._factor = self._factorise(z_nodes, state, jac)
         return self._factor.solve(-r), 1, krylov
 
 
@@ -696,14 +675,12 @@ def advance(variant: SchemeVariant, problem: MultisymplecticProblem,
     traj = Trajectory(problem, variant, space, config.q, z0)
     yield traj
 
-    assemblers = {config.dt: SlabAssembler(problem, space, config.q, config.dt)}
-    z_prev, previous = z0, None
-
+    # Only the last slab can be shorter, so one assembler serves every slab
+    # of its length and is rebuilt when the length changes.
+    assembler, z_prev, previous = None, z0, None
     for index, dt in enumerate(slab_lengths):
-        assembler = assemblers.get(dt)
-        if assembler is None:
+        if assembler is None or assembler.dt != dt:
             assembler = SlabAssembler(problem, space, config.q, dt)
-            assemblers[dt] = assembler
         predicted = previous is not None and not assembler.jacobian_is_constant
         guess = assembler.predict(*previous) if predicted else None
         try:

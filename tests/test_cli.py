@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -207,7 +208,7 @@ def test_seed_is_a_verify_option_only(tmp_path):
 VERIFY_GROUPS = [
     "quadrature-exactness", "basis-partition-of-unity", "basis-derivative-fd",
     "mass-matrix-symmetry", "l2-projection-orthogonality", "problem-skew-symmetry",
-    "gradient-hessian-fd", "exact-solution-pde-residual",
+    "gradient-hessian-fd", "hessian-symmetry", "exact-solution-pde-residual",
     "derivative-op-constants", "derivative-op-skew-symmetry", "derivative-op-product-rule",
     "derivative-op-local-identities", "slab-jacobian-fd",
     "steady-state-preservation", "trajectory-temporal-continuity",
@@ -220,7 +221,34 @@ def test_verify_passes_with_default_seed(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in lines[:-1]] == [["PASS", name]
                                                          for name in VERIFY_GROUPS]
-    assert lines[-1] == "18/18 property groups passed"
+    assert lines[-1] == "19/19 property groups passed"
+
+
+def test_verify_fails_an_asymmetric_hessian(monkeypatch, capsys):
+    # An NLS whose (v, u) Hessian value is off by 1e-8 meets the
+    # finite-difference Hessian within 1e-6, and validate rejects its
+    # asymmetry; so does verify's symmetry group, and no other group.
+    import mspde.problems
+
+    nls = mspde.problems.nls
+
+    def asymmetric():
+        base = nls()
+
+        def hess_s(z):
+            h = base.hess_s(z).copy()
+            h[..., 2] += 1e-8  # the pairs are (u, u), (u, v), (v, u), ...
+            return h
+
+        return dataclasses.replace(base, hess_s=hess_s)
+
+    assert not mspde.problems.validate(asymmetric()).passed
+    monkeypatch.setattr(mspde.problems, "nls", asymmetric)
+    assert main(["verify", "--seed", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[:-1]] == [
+        ["FAIL" if name == "hessian-symmetry" else "PASS", name] for name in VERIFY_GROUPS]
+    assert lines[-1] == "18/19 property groups passed"
 
 
 def test_verify_builds_no_dense_spatial_operator(monkeypatch):
@@ -294,8 +322,8 @@ def test_singular_slab_jacobian_is_a_solver_failure(tmp_path, monkeypatch, capsy
 
     jacobian = SlabAssembler.jacobian
 
-    def singular(self, z_nodes, iterate=None):
-        jac = jacobian(self, z_nodes, iterate)
+    def singular(self, z_nodes, state=None):
+        jac = jacobian(self, z_nodes, state)
         jac.data[jac.indptr[3]:jac.indptr[4]] = 0.0
         return jac
 

@@ -264,6 +264,22 @@ def test_linear_problem_factorises_once_per_assembler(monkeypatch):
     assert record(traj, "iterations") == [1] * 7
 
 
+def test_advance_builds_only_the_assemblers_it_uses(monkeypatch):
+    # A run shorter than dt is one slab of length t_final: no assembler of
+    # length dt is built for it.
+    init, lengths = SlabAssembler.__init__, []
+
+    def counted(self, problem, space, q, dt):
+        lengths.append(dt)
+        init(self, problem, space, q, dt)
+
+    monkeypatch.setattr(SlabAssembler, "__init__", counted)
+    config = SolverConfig(q=1, p=2, dt=0.1, dx=0.125, t_final=0.05)
+    traj = run_simulation(SchemeVariant.DG_PRIMARY, linear_wave(), config)
+    assert len(traj.slabs) == 1
+    assert lengths == [0.05]
+
+
 @pytest.mark.parametrize("variant", list(SchemeVariant))
 def test_linear_slabs_evaluate_no_gradient_after_set_up(variant, monkeypatch):
     # A quadratic S enters the slab operator and one constant vector when
@@ -288,9 +304,9 @@ def test_linear_slabs_evaluate_no_gradient_after_set_up(variant, monkeypatch):
         init(self, *args)
         phase[0] = "other"
 
-    def counted_residual(self, z_nodes, iterate=None):
+    def counted_residual(self, z_nodes, state=None):
         residual_calls.append(self.dt)
-        return residual(self, z_nodes, iterate)
+        return residual(self, z_nodes, state)
 
     monkeypatch.setattr(SlabAssembler, "__init__", set_up)
     monkeypatch.setattr(SlabAssembler, "residual", counted_residual)
@@ -352,14 +368,14 @@ def test_factor_from_the_shared_iterate_grid_is_bit_identical(factory, variant, 
     scattered = []
     jacobian = SlabAssembler.jacobian
 
-    def recorded(self, z_nodes, iterate=None):
-        jac = jacobian(self, z_nodes, iterate)
+    def recorded(self, z_nodes, state=None):
+        jac = jacobian(self, z_nodes, state)
         scattered.append(jac.data.copy())
         return jac
 
     monkeypatch.setattr(SlabAssembler, "jacobian", recorded)
-    iterate, _ = asm._evaluate(z)
-    shared = asm._factorise(iterate)
+    state, _ = asm._evaluate(z)
+    shared = asm._factorise(z, state, asm.jacobian(z, state))
     alone = asm.factorise(z)
     assert np.array_equal(shared.lu, alone.lu)
     assert np.array_equal(shared.ipiv, alone.ipiv)
@@ -368,12 +384,23 @@ def test_factor_from_the_shared_iterate_grid_is_bit_identical(factory, variant, 
     assert np.array_equal(data, scattered[0]) and np.array_equal(data, scattered[1])
 
 
-def test_an_iterate_of_other_nodes_is_rejected():
-    asm, z = acceptance_assembler(nls, SchemeVariant.DG_PRIMARY, 0.4)
-    stale, _ = asm._evaluate(z.copy())
-    for method in (asm.residual, asm.jacobian):
-        with pytest.raises(ValueError, match="iterate"):
-            method(z, stale)
+@pytest.mark.parametrize("factory,variant,dx", [
+    (nls, SchemeVariant.DG_PRIMARY, 0.4),
+    (nonlinear_wave, SchemeVariant.CG_PRIMARY, 0.05),
+])
+def test_a_passed_grid_state_gives_the_residual_and_jacobian_of_the_nodes(factory, variant,
+                                                                          dx):
+    # The grid state that _evaluate hands the Newton step yields, bit for
+    # bit, the residual and the Jacobian that the nodes alone give.
+    asm, z = acceptance_assembler(factory, variant, dx)
+    z = z + 0.01 * np.random.default_rng(5).standard_normal(z.shape)
+    state, r = asm._evaluate(z)
+    assert np.array_equal(r, asm.residual(z))
+    assert np.array_equal(asm.residual(z, state), asm.residual(z))
+    shared, alone = asm.jacobian(z, state), asm.jacobian(z)
+    assert np.array_equal(shared.indptr, alone.indptr)
+    assert np.array_equal(shared.indices, alone.indices)
+    assert np.array_equal(shared.data, alone.data)
 
 
 def test_nls_dg_predicted_slabs_take_fewer_factorisations():
@@ -421,8 +448,8 @@ def test_nls_coarse_dg_converges_through_the_restart(monkeypatch):
     steps = []
     newton_step = SlabAssembler._newton_step
 
-    def recorded(self, iterate, r):
-        result = newton_step(self, iterate, r)
+    def recorded(self, z_nodes, state, r):
+        result = newton_step(self, z_nodes, state, r)
         steps.append(result[1:])  # (factorisations, GMRES iterations)
         return result
 
@@ -446,14 +473,15 @@ def test_nls_coarse_dg_converges_through_the_restart(monkeypatch):
 
 def kept_factor_step(factory, variant, dx, kept_at):
     """The Newton step at nodes z of an assembler that keeps the factor of
-    the nodes kept_at(z): the assembler, z's iterate and residual r, z's own
-    factor, and the step, its factorisations and its GMRES iterations."""
+    the nodes kept_at(z): the assembler, z and its grid state, its residual
+    r, z's own factor, and the step, its factorisations and its GMRES
+    iterations."""
     asm, z = acceptance_assembler(factory, variant, dx)
     z = z + 0.01 * np.random.default_rng(11).standard_normal(z.shape)
-    iterate, r = asm._evaluate(z)
+    state, r = asm._evaluate(z)
     own = asm.factorise(z)
     asm._factor = asm.factorise(kept_at(z))
-    return asm, iterate, r, own, asm._newton_step(iterate, r)
+    return asm, z, state, r, own, asm._newton_step(z, state, r)
 
 
 def nearby(z):
@@ -467,7 +495,7 @@ def nearby(z):
 def test_a_stale_kept_factor_is_replaced(factory, variant, dx):
     # With the factor of ten times the nodes GMRES reaches its cap, so the
     # step refactorises at the iterate, keeps that factor and is its solve.
-    asm, _, r, own, (step, factorised, krylov) = kept_factor_step(
+    asm, _, _, r, own, (step, factorised, krylov) = kept_factor_step(
         factory, variant, dx, lambda z: 10.0 * z)
     assert (factorised, krylov) == (1, solver._GMRES_CAP)
     expected = own.solve(-r)
@@ -477,11 +505,11 @@ def test_a_stale_kept_factor_is_replaced(factory, variant, dx):
 
 def test_a_gmres_step_meets_the_linear_tolerance():
     # A nearby factor serves the step in 3 GMRES iterations and is kept.
-    asm, iterate, r, _, (step, factorised, krylov) = kept_factor_step(
+    asm, z, state, r, _, (step, factorised, krylov) = kept_factor_step(
         nls, SchemeVariant.DG_PRIMARY, 0.4, nearby)
     assert (factorised, krylov) == (0, 3)
-    assert np.array_equal(asm._factor.lu, asm.factorise(nearby(iterate.z_nodes)).lu)
-    linear = asm.jacobian(iterate.z_nodes, iterate) @ step + r
+    assert np.array_equal(asm._factor.lu, asm.factorise(nearby(z)).lu)
+    linear = asm.jacobian(z, state) @ step + r
     assert np.linalg.norm(linear) <= max(1e-12 * np.linalg.norm(r), 1e-15)
 
 
@@ -490,7 +518,7 @@ def test_a_step_never_comes_from_an_unconverged_gmres_solve(cap, monkeypatch):
     # Capped below the 3 iterations that the nearby factor needs, GMRES
     # stops unconverged and the step is the solve of the iterate's factor.
     monkeypatch.setattr(solver, "_GMRES_CAP", cap)
-    _, _, r, own, (step, factorised, krylov) = kept_factor_step(
+    _, _, _, r, own, (step, factorised, krylov) = kept_factor_step(
         nls, SchemeVariant.DG_PRIMARY, 0.4, nearby)
     assert (factorised, krylov) == (1, cap)
     assert np.array_equal(step, own.solve(-r))
