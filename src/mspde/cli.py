@@ -123,6 +123,8 @@ def cmd_run(args) -> int:
     header = (["t"] + [f"mass_{c}" for c in names] + ["momentum", "energy"]
               + [f"dev_mass_{c}" for c in names] + ["dev_momentum", "dev_energy"])
     try:
+        if args.snapshots < 0:
+            raise ConfigurationError(f"snapshots must be nonnegative, got {args.snapshots}")
         config = SolverConfig(q=args.q, p=args.p, dt=args.dt, dx=args.dx,
                               t_final=args.T, newton_tolerance=args.newton_tol)
         for trajectory in advance(variant, problem, config):

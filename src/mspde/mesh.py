@@ -6,7 +6,7 @@ reached by affine maps, so jacobians are plain element widths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -141,6 +141,7 @@ class LagrangeBasis:
 
     degree: int
     nodes: np.ndarray
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -151,41 +152,70 @@ class LagrangeBasis:
             raise ValueError("basis nodes must be distinct")
 
     @classmethod
+    @lru_cache(maxsize=None)
     def equispaced(cls, degree: int) -> "LagrangeBasis":
-        return cls(degree, equispaced_nodes(degree))
+        """The equispaced basis of a degree, built once and shared, so its
+        nodes are read-only."""
+        basis = cls(degree, equispaced_nodes(degree))
+        basis.nodes.flags.writeable = False
+        return basis
 
     @property
     def size(self) -> int:
         return self.degree + 1
 
+    def table(self, points, derivative_order: int = 0) -> np.ndarray:
+        """Read-only :meth:`tabulate`, computed once per point set and order.
+
+        The cache is keyed by the points themselves, so equal point sets
+        share one table and different ones never do; it suits the few fixed
+        point sets of quadrature rules, not arbitrary evaluation points.
+        """
+        points = np.atleast_1d(np.asarray(points, dtype=float))
+        key = (points.tobytes(), derivative_order)
+        table = self._tables.get(key)
+        if table is None:
+            table = self.tabulate(points, derivative_order)
+            table.flags.writeable = False
+            self._tables[key] = table
+        return table
+
     def tabulate(self, points, derivative_order: int = 0) -> np.ndarray:
         """Values (or first derivatives) of all basis functions at ``points``.
 
-        Returns an array of shape (degree + 1, len(points)).
+        Returns an array of shape (degree + 1, len(points)).  Basis function
+        j is the product of (x - x_k) over the other nodes k, in increasing
+        k, over the product of (x_j - x_k); its derivative sums, over the
+        other nodes in increasing order, the product that skips one more
+        node.  Every basis function is computed at once: a factor of 1 stands
+        in for a skipped node, and a term of 0 for a skipped sum, which
+        leaves each value as the node-by-node loop computes it.
         """
+        if derivative_order not in (0, 1):
+            raise ValueError("only derivative orders 0 and 1 are supported")
         x = np.atleast_1d(np.asarray(points, dtype=float))
         n = self.size
-        out = np.empty((n, x.size))
-        for j in range(n):
-            out[j] = self._eval_one(j, x, derivative_order)
-        return out
+        others = ~np.eye(n, dtype=bool)[:, :, None]                    # (j, k, 1)
+        factors = np.where(others, x - self.nodes[:, None], 1.0)       # (j, k, len(x))
+        gaps = np.where(others[:, :, 0], self.nodes[:, None] - self.nodes, 1.0)
+        denominator = np.ones(n)
+        for k in range(n):
+            denominator = denominator * gaps[:, k]
+        if derivative_order == 0:
+            return _product(factors, skip=None) / denominator[:, None]
+        total = np.zeros((n, x.size))
+        for skip in range(n):
+            term = _product(factors, skip)
+            term[skip] = 0.0
+            total += term
+        return total / denominator[:, None]
 
-    def _eval_one(self, j: int, x: np.ndarray, order: int) -> np.ndarray:
-        others = [k for k in range(self.size) if k != j]
-        denom = np.prod([self.nodes[j] - self.nodes[k] for k in others]) if others else 1.0
-        if order == 0:
-            num = np.ones_like(x)
-            for k in others:
-                num = num * (x - self.nodes[k])
-            return num / denom
-        if order == 1:
-            total = np.zeros_like(x)
-            for skip in others:
-                term = np.ones_like(x)
-                for k in others:
-                    if k != skip:
-                        term = term * (x - self.nodes[k])
-                total += term
-            return total / denom
-        raise ValueError("only derivative orders 0 and 1 are supported")
 
+def _product(factors: np.ndarray, skip: int | None) -> np.ndarray:
+    """Product over the middle axis of (j, k, points) factors, in increasing
+    k and starting from 1, leaving out k = skip."""
+    out = np.ones((factors.shape[0], factors.shape[2]))
+    for k in range(factors.shape[1]):
+        if k != skip:
+            out = out * factors[:, k]
+    return out

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -219,6 +220,88 @@ def _gmres(jac: scipy.sparse.csc_matrix, factor: BandFactor,
     return None, _GMRES_CAP
 
 
+def _entries(matrix: scipy.sparse.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the stored entries of a CSR or CSC matrix."""
+    major = np.repeat(np.arange(len(matrix.indptr) - 1), np.diff(matrix.indptr))
+    if matrix.format == "csc":
+        return matrix.indices, major, matrix.data
+    return major, matrix.indices, matrix.data
+
+
+def _kron_sum(terms, n: int, kept: np.ndarray | None = None):
+    """Canonical CSR arrays (data, indices, indptr) of sum_t kron(S_t, T_t),
+    and the position in ``data`` of entries given by their block indices.
+
+    ``terms`` holds (rows, cols, values, T) for n x n spatial matrices S_t,
+    given by their stored entries, and dense (R, C) temporal blocks T_t.
+    Every product of a stored S_t entry with a nonzero T_t entry is formed, the
+    terms are added in order, and a sum of zero is dropped: the arrays that
+    ``scipy.sparse.kron`` and the sum of its results give, bit for bit.  A
+    boolean (R, C) block ``kept`` marks the entries, on the first term's
+    spatial entries, that are stored whatever their value (as +0.0 when
+    zero).
+
+    The entries are laid out by index arithmetic, padded to W stored
+    entries in every spatial row and V in every temporal row: the array
+    (n, R, W, V) is in CSR order, and the padding is zero and dropped.
+    ``locate(i, j, r, c)`` (broadcast integer arrays) returns the position
+    of the stored entry at (i R + r, j C + c).
+    """
+    keys = [rows.astype(np.int64) * n + cols for rows, cols, _, _ in terms]
+    union, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    row, col = np.divmod(union, n)
+    start = np.searchsorted(row, np.arange(n + 1))
+    slot = np.arange(len(union)) - start[row]
+    nonzero = np.any([block != 0 for *_, block in terms]
+                     + ([kept] if kept is not None else []), axis=0)
+    t_row, t_col = np.nonzero(nonzero)
+    t_start = np.searchsorted(t_row, np.arange(len(nonzero) + 1))
+    t_slot = np.arange(len(t_row)) - t_start[t_row]
+    w, v = int(np.max(np.diff(start))), int(np.max(np.diff(t_start), initial=0))
+
+    # Operands of (n, R, W V) products, whose inner axis is long enough for
+    # numpy's loops: each spatial entry repeated V times, and each temporal
+    # row tiled W times.
+    def spatial(values, dtype=float):
+        out = np.zeros((n, w), dtype)
+        out[row, slot] = values
+        return np.repeat(out, v, axis=1)[:, None, :]
+
+    def temporal(values, dtype=float):
+        out = np.zeros((len(nonzero), v), dtype)
+        out[t_row, t_slot] = values
+        return np.tile(out, w)[None]
+
+    total, bounds = None, np.cumsum([len(k) for k in keys])
+    for (_, _, values, block), end in zip(terms, bounds):
+        on_union = np.zeros(len(union))
+        on_union[inverse[end - len(values):end]] = values
+        product = spatial(on_union) * temporal(block[t_row, t_col])
+        if total is None:
+            total = product
+        else:
+            total += product
+    stored = total != 0
+    if kept is not None:
+        first = np.zeros(len(union), dtype=bool)
+        first[inverse[:bounds[0]]] = True
+        stored |= spatial(first, bool) & temporal(kept[t_row, t_col], bool)
+        total += 0.0  # a kept zero is stored as +0.0
+    columns = spatial(col, np.int32) * np.int32(nonzero.shape[1]) + temporal(t_col, np.int32)
+    counts = np.count_nonzero(stored.reshape(-1, w * v), axis=1)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    t_index = np.zeros(nonzero.shape, dtype=np.int64)
+    t_index[t_row, t_col] = t_slot
+
+    def locate(i, j, r, c):
+        rank = np.zeros(stored.size, dtype=np.int32)
+        rank[stored.ravel()] = np.arange(indptr[-1], dtype=np.int32)
+        s = np.searchsorted(union, i * n + j) - start[i]
+        return rank[((i * len(nonzero) + r) * w + s) * v + t_index[r, c]].astype(np.intp)
+
+    return total[stored], columns[stored], indptr, locate
+
+
 def build_space(problem: MultisymplecticProblem, config: SolverConfig,
                 variant: SchemeVariant) -> SpatialSpace:
     """Uniform periodic space matching the configured element size."""
@@ -302,9 +385,11 @@ class SlabAssembler(SlabGrid):
 
         # The slab operator: the residual's linear part over every trial
         # node, node 0 included, with rows ordered (spatial dof, component,
-        # test) and columns (spatial dof, component, node).  A quadratic S
-        # has a constant Hessian, which joins the K block; the residual of
-        # such a problem is affine in the nodes.
+        # test) and columns (spatial dof, component, node), built as
+        # mass x (K block) + (scheme derivative) x (L block) by
+        # :func:`_kron_sum`.  A quadratic S has a constant Hessian, which
+        # joins the K block; the residual of such a problem is affine in the
+        # nodes.
         self.jacobian_is_constant = problem.s_degree <= 2
         time_k = np.kron(problem.K, ta1)
         if self.jacobian_is_constant:
@@ -314,11 +399,12 @@ class SlabAssembler(SlabGrid):
             shape = (d, len(self.rule_t), space.partition.element_count, len(self.rule_x))
             grad_zero = np.broadcast_to(problem.grad_s(np.zeros(d))[:, None, None, None], shape)
             self._grad_zero_rows = np.swapaxes(self.test(grad_zero), 0, 1).ravel()
-        deriv = weak_g_matrix(space) if space.continuity == "dg" \
+        self._deriv = weak_g_matrix(space) if space.continuity == "dg" \
             else space.derivative_operator()
-        kron = scipy.sparse.kron
-        self.operator = (kron(space.mass_operator(), time_k)
-                         + kron(deriv, np.kron(problem.L, self.time_mass))).tocsr()
+        self._time_blocks = (time_k, np.kron(problem.L, self.time_mass))
+        data, indices, indptr, _ = _kron_sum(self._spatial_terms(), self.n)
+        self.operator = scipy.sparse.csr_matrix(
+            (data, indices, indptr), shape=(self.size, self.n * d * (q + 2)))
         self._pattern = None  # (CSC linear part on the full pattern, Hessian index map)
         self._band = None     # (band index of each entry, kl, ku, fold order, its inverse)
         self._factor = None   # the last band factor, kept across iterations and slabs
@@ -337,12 +423,32 @@ class SlabAssembler(SlabGrid):
         """View (D, dofs, q+1) of a flat vector over the unknowns or the test rows."""
         return np.swapaxes(flat.reshape(self.n, self.problem.D, self.q + 1), 0, 1)
 
-    @property
+    def _spatial_terms(self, unknowns: bool = False) -> list:
+        """The slab operator's terms (rows, cols, values, temporal block) for
+        :func:`_kron_sum`: the spatial mass with the K block and the scheme
+        derivative with the L block.  With ``unknowns`` they are those of its
+        transpose restricted to the unknown nodes, whose CSR arrays are the
+        CSC arrays of :attr:`linear_jacobian`."""
+        terms = []
+        for matrix, block in zip((self.space.mass_operator(), self._deriv), self._time_blocks):
+            rows, cols, values = _entries(matrix)
+            if unknowns:
+                rows, cols = cols, rows
+                block = block[:, np.arange(block.shape[1]) % (self.q + 2) != 0].T
+            terms.append((rows, cols, values, block))
+        return terms
+
+    @functools.cached_property
     def linear_jacobian(self) -> scipy.sparse.csc_matrix:
         """The slab operator's columns of the unknown nodes 1..q+1: the
         state-independent part of the Jacobian, and all of it when the
-        Hessian is constant.  It is block-banded with periodic corner blocks."""
-        return self.operator.tocsc()[:, np.arange(self.operator.shape[1]) % (self.q + 2) != 0]
+        Hessian is constant.  It is block-banded with periodic corner blocks.
+        Built once, on first use; its arrays are read-only."""
+        unknown = np.arange(self.operator.shape[1]) % (self.q + 2) != 0
+        linear = self.operator.tocsc()[:, unknown]
+        for array in (linear.data, linear.indices, linear.indptr):
+            array.flags.writeable = False
+        return linear
 
     # -- residual and jacobian -------------------------------------------------
 
@@ -374,15 +480,17 @@ class SlabAssembler(SlabGrid):
         per iteration: GMRES multiplies by it, and a refactorisation
         scatters its values into band storage.
         """
+        # A shallow copy with fresh values: the pattern is valid by
+        # construction, so scipy's constructor checks would only cost time.
         if self.jacobian_is_constant:
-            return self.linear_jacobian
+            jac = copy.copy(self.linear_jacobian)
+            jac.data = jac.data.copy()
+            return jac
         if self._pattern is None:
             self._pattern = self._jacobian_pattern()
         linear, hessian_map = self._pattern
         if state is None:
             state = self._state(z_nodes)
-        # A shallow copy with fresh values: the pattern is valid by
-        # construction, so scipy's constructor checks would only cost time.
         jac = copy.copy(linear)
         jac.data = linear.data - np.bincount(hessian_map, weights=self._hessian_values(state),
                                              minlength=linear.nnz)
@@ -413,28 +521,27 @@ class SlabAssembler(SlabGrid):
         :meth:`_hessian_values` entry.
 
         The pattern is the linear part's plus every element's Hessian block
-        on the pairs of the problem's Hessian pattern; every :meth:`jacobian`
+        on the pairs of the problem's Hessian pattern: the mass's spatial
+        entries (the element blocks) times the (unknown, test) pairs of
+        those components, kept whatever their value.  Every :meth:`jacobian`
         shares its read-only index arrays.
         """
-        size = self.size
-        first, second = np.nonzero(self.problem.hessian_pattern)
-        index = self.as_nodes(np.arange(size))[:, self.space.element_dofs]  # (D, M, p+1, q+1)
-        row = index[first].transpose(3, 1, 0, 2)                            # (a, M, P, k)
-        col = index[second].transpose(3, 1, 0, 2)                           # (b, M, P, l)
-        hessian_keys = (col[None, :, :, :, None, :] * size
-                        + row[:, None, :, :, :, None]).ravel()              # (a, b, M, P, k, l)
-
-        linear = self.linear_jacobian.tocoo()
-        linear_keys = linear.col.astype(np.int64) * size + linear.row
-        # Entry keys column * size + row, sorted and unique, are in CSC order.
-        keys = np.sort(np.concatenate([linear_keys, hessian_keys]))
-        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
-        data = np.zeros(len(keys))
-        data[np.searchsorted(keys, linear_keys)] = linear.data
-        indptr = np.searchsorted(keys // size, np.arange(size + 1))
-        pattern = scipy.sparse.csc_matrix((data, keys % size, indptr), shape=(size, size))
+        q1 = self.q + 1
+        hessian = np.kron(self.problem.hessian_pattern.T, np.ones((q1, q1), dtype=bool))
+        data, indices, indptr, locate = _kron_sum(self._spatial_terms(unknowns=True),
+                                                  self.n, kept=hessian)
+        pattern = scipy.sparse.csc_matrix((data, indices, indptr), shape=(self.size, self.size))
         pattern.indices.flags.writeable = pattern.indptr.flags.writeable = False
-        return pattern, np.searchsorted(keys, hessian_keys)
+        # Entry (a, b, M, P, k, l): row (dof k of element M, component
+        # first[P], test a), column (dof l, component second[P], node b+1).
+        first, second = (index.reshape(1, 1, 1, -1, 1, 1)
+                         for index in np.nonzero(self.problem.hessian_pattern))
+        a = np.arange(q1).reshape(-1, 1, 1, 1, 1, 1)
+        b = a.reshape(1, -1, 1, 1, 1, 1)
+        dofs = self.space.element_dofs[None, None, :, None]                # (1, 1, M, 1, p+1)
+        hessian_map = locate(dofs[..., None, :], dofs[..., None], second * q1 + b,
+                             first * q1 + a)
+        return pattern, hessian_map.ravel()
 
     # -- newton ----------------------------------------------------------------
 
@@ -574,13 +681,16 @@ class SlabAssembler(SlabGrid):
         order = (dofs[:, None] * block + np.arange(block)).ravel()
         position = np.empty_like(order)
         position[order] = np.arange(self.size)
-        row = position[jac.indices]
-        col = position[np.repeat(np.arange(self.size), np.diff(jac.indptr))]
-        kl, ku = int(np.max(row - col)), int(np.max(col - row))
+        # Folded column of each entry, and its folded row less that column.
+        col = np.repeat(position.astype(np.int32), np.diff(jac.indptr))
+        index = position.astype(np.int32)[jac.indices] - col
+        kl, ku = int(index.max()), -int(index.min())
         rows = 2 * kl + ku + 1
-        index = kl + ku + row - col + rows * col
         dtype = np.int32 if rows * self.size <= np.iinfo(np.int32).max else np.int64
-        return index.astype(dtype), kl, ku, order.astype(dtype), position.astype(dtype)
+        index = index.astype(dtype, copy=False)
+        index += kl + ku
+        index += rows * col.astype(dtype, copy=False)
+        return index, kl, ku, order.astype(dtype), position.astype(dtype)
 
     def _newton_step(self, z_nodes: np.ndarray, state: np.ndarray | None,
                      r: np.ndarray) -> tuple[np.ndarray, int, int]:

@@ -31,20 +31,35 @@ __all__ = [
 ]
 
 
-def assemble(row_dofs, col_dofs, blocks, shape) -> scipy.sparse.csr_matrix:
-    """Sum element blocks (M, r, c) into a sparse matrix of the given shape.
+def assemble(groups, shape, format: str = "csr"):
+    """Sum element blocks into a canonical sparse matrix of the given shape.
 
-    Block m lands on rows ``row_dofs[m]`` (length r) and columns
-    ``col_dofs[m]`` (length c); entries that meet on one (row, column) pair
-    are added.  A single (r, c) block is shared by all M elements.
+    ``groups`` holds (row_dofs, col_dofs, blocks) triples: block m (r, c) of
+    a group lands on rows ``row_dofs[m]`` (length r) and columns
+    ``col_dofs[m]`` (length c), and a single (r, c) block is shared by all M
+    elements of its group.  Entries that meet on one (row, column) pair are
+    added in the order given, groups first; every entry is stored, zeros
+    too.  The matrix is built from the sorted (row, column) keys, as CSR or,
+    with ``format="csc"``, from the (column, row) keys as CSC.
     """
-    row_dofs, col_dofs = np.asarray(row_dofs), np.asarray(col_dofs)
-    full = (len(row_dofs), row_dofs.shape[1], col_dofs.shape[1])
-    blocks = np.broadcast_to(np.asarray(blocks, dtype=float), full)
-    rows = np.broadcast_to(row_dofs[:, :, None], full)
-    cols = np.broadcast_to(col_dofs[:, None, :], full)
-    return scipy.sparse.csr_matrix(
-        (blocks.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
+    rows, cols, values = [], [], []
+    for row_dofs, col_dofs, blocks in groups:
+        row_dofs, col_dofs = np.asarray(row_dofs), np.asarray(col_dofs)
+        full = (len(row_dofs), row_dofs.shape[1], col_dofs.shape[1])
+        values.append(np.broadcast_to(np.asarray(blocks, dtype=float), full).ravel())
+        rows.append(np.broadcast_to(row_dofs[:, :, None], full).ravel())
+        cols.append(np.broadcast_to(col_dofs[:, None, :], full).ravel())
+    major, minor = (rows, cols) if format == "csr" else (cols, rows)
+    n_major, n_minor = shape if format == "csr" else shape[::-1]
+    keys = np.concatenate(major).astype(np.int64) * n_minor + np.concatenate(minor)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    data = np.add.reduceat(np.concatenate(values)[order], first)
+    keys = keys[first]
+    indptr = np.searchsorted(keys, n_minor * np.arange(n_major + 1)).astype(np.int32)
+    matrix = scipy.sparse.csr_matrix if format == "csr" else scipy.sparse.csc_matrix
+    return matrix((data, (keys % n_minor).astype(np.int32), indptr), shape=shape)
 
 
 class SpatialSpace:
@@ -76,22 +91,16 @@ class SpatialSpace:
             self.element_dofs = (p + 1) * np.arange(m)[:, None] + np.arange(p + 1)[None, :]
         self._mass = None
         self._mass_lu = None
-        self._g = None  # sparse average-flux derivative, built by spatial_ops.g_operator
-        self._tabulations: dict = {}
+        self._derivative = None
+        # Sparse weak form and average-flux derivative G, built by spatial_ops.
+        self._weak_g = self._g = None
 
     # -- tabulation ---------------------------------------------------------
 
     def tabulate(self, points, derivative_order: int = 0) -> np.ndarray:
-        """Cached reference-basis table of shape (p+1, len(points)).
-
-        The cache is keyed by the points themselves, so equal point sets
-        share one table and different ones never do.
-        """
-        points = np.atleast_1d(np.asarray(points, dtype=float))
-        cache_key = (points.tobytes(), derivative_order)
-        if cache_key not in self._tabulations:
-            self._tabulations[cache_key] = self.basis.tabulate(points, derivative_order)
-        return self._tabulations[cache_key]
+        """Cached, read-only reference-basis table of shape (p+1, len(points)),
+        shared by every space of this degree (see :meth:`LagrangeBasis.table`)."""
+        return self.basis.table(points, derivative_order)
 
     def gather(self, coeffs: np.ndarray) -> np.ndarray:
         """Element-local values of global coefficients, shape (..., M, p+1).
@@ -134,29 +143,36 @@ class SpatialSpace:
         return np.einsum("kg,lg,g->kl", b, b, rule.weights)
 
     def mass_operator(self) -> scipy.sparse.csc_matrix:
-        """Sparse exactly integrated mass matrix, row i holding int u phi_i."""
+        """Sparse exactly integrated mass matrix, row i holding int u phi_i,
+        built once per space."""
         if self._mass is None:
             blocks = self.partition.widths[:, None, None] * self.reference_mass()
-            self._mass = self._assemble(blocks).tocsc()
+            self._mass = self._assemble(blocks, format="csc")
         return self._mass
 
     def mass_matrix(self) -> np.ndarray:
         """Dense copy of :meth:`mass_operator`, for dense algebra on small meshes."""
         return self.mass_operator().toarray()
 
-    def derivative_operator(self) -> scipy.sparse.csr_matrix:
-        """Sparse elementwise weak derivative, row i holding int u_x phi_i.
-
-        Widths cancel against the derivative jacobian.
-        """
+    def reference_derivative(self) -> np.ndarray:
+        """Element block (p+1, p+1) of the elementwise weak derivative, entry
+        (k, l) holding int phi_l' phi_k on the reference element; widths
+        cancel against the derivative jacobian."""
         rule = gauss_legendre(quadrature_order_policy(max(2 * self.degree - 1, 0)))
         b, db = self.tabulate(rule.points), self.tabulate(rule.points, 1)
-        return self._assemble(np.einsum("kg,lg,g->kl", b, db, rule.weights))
+        return np.einsum("kg,lg,g->kl", b, db, rule.weights)
 
-    def _assemble(self, blocks) -> scipy.sparse.csr_matrix:
+    def derivative_operator(self) -> scipy.sparse.csr_matrix:
+        """Sparse elementwise weak derivative, row i holding int u_x phi_i,
+        built once per space."""
+        if self._derivative is None:
+            self._derivative = self._assemble(self.reference_derivative())
+        return self._derivative
+
+    def _assemble(self, blocks, format: str = "csr"):
         """Element blocks (M, p+1, p+1), or one shared block, summed on this space's dofs."""
-        return assemble(self.element_dofs, self.element_dofs, blocks,
-                        (self.dof_count, self.dof_count))
+        return assemble([(self.element_dofs, self.element_dofs, blocks)],
+                        (self.dof_count, self.dof_count), format)
 
     def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M x = rhs (rhs may carry leading axes; dof axis last).
@@ -250,10 +266,12 @@ class TemporalSlab:
 
     @property
     def trial_basis(self) -> LagrangeBasis:
+        """The shared equispaced basis of degree q+1."""
         return LagrangeBasis.equispaced(self.q + 1)
 
     @property
     def test_basis(self) -> LagrangeBasis:
+        """The shared equispaced basis of degree q."""
         return LagrangeBasis.equispaced(self.q)
 
     def to_reference(self, t) -> np.ndarray:
@@ -314,9 +332,9 @@ class SlabGrid:
         slab = TemporalSlab(0.0, dt, q)
         self.space, self.q, self.dt = space, q, dt
         self.rule_t, self.rule_x = rule_t, rule_x
-        self.Tt = slab.trial_basis.tabulate(rule_t.points)             # (q+2, nt)
-        self.dTt = slab.trial_basis.tabulate(rule_t.points, 1)         # reference derivative
-        self.Ts = slab.test_basis.tabulate(rule_t.points)              # (q+1, nt)
+        self.Tt = slab.trial_basis.table(rule_t.points)                # (q+2, nt)
+        self.dTt = slab.trial_basis.table(rule_t.points, 1)            # reference derivative
+        self.Ts = slab.test_basis.table(rule_t.points)                 # (q+1, nt)
         self.B = space.tabulate(rule_x.points)
         self.wt = dt * rule_t.weights
         self.time_mass = dt * np.einsum("ag,bg,g->ab", self.Ts, self.Tt, rule_t.weights)

@@ -52,17 +52,24 @@ def node_traces(space: SpatialSpace, coeffs: np.ndarray) -> tuple[np.ndarray, np
 
 
 def weak_g_matrix(space: SpatialSpace) -> scipy.sparse.csr_matrix:
-    """Sparse weak form ``M G`` of the average-flux derivative on a broken space.
+    """Sparse weak form ``M G`` of the average-flux derivative on a broken space,
+    cached per space.
 
     Row i holds int G(U) . phi_i as a linear function of U's coefficients:
     the elementwise derivative plus the interface term -[U]_m {phi}_m at each
-    node m, on (left limit, right limit).
+    node m, on (left limit, right limit).  Entries that sum to zero are not
+    stored.
     """
     if space.continuity != "dg":
         raise ValueError("the average-flux derivative operator needs a broken space")
-    n, pair = space.dof_count, _node_dofs(space)
-    return space.derivative_operator() \
-        + assemble(pair, pair, [[-0.5, 0.5], [-0.5, 0.5]], (n, n))
+    if space._weak_g is None:
+        dofs, pair = space.element_dofs, _node_dofs(space)
+        weak = assemble([(dofs, dofs, space.reference_derivative()),
+                         (pair, pair, [[-0.5, 0.5], [-0.5, 0.5]])],
+                        (space.dof_count, space.dof_count))
+        weak.eliminate_zeros()
+        space._weak_g = weak
+    return space._weak_g
 
 
 def g_operator(space: SpatialSpace) -> scipy.sparse.csr_matrix:

@@ -103,6 +103,13 @@ def test_invalid_config_exit_code(tmp_path):
     assert main(["converge", "--hscale", "nan", "--out", str(tmp_path)]) == 2
 
 
+def test_negative_snapshot_count_is_invalid(tmp_path, capsys):
+    out = tmp_path / "snap"
+    assert main(["run", "--T", "0.2", "--snapshots", "-3", "--out", str(out)]) == 2
+    assert "invalid configuration: snapshots must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--problem", "nonlinear-wave", "--dx", "0.25", "--T", "0.1"],
     ["converge", "--imin", "2", "--imax", "2", "--T", "0.25"],
