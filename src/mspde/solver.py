@@ -25,11 +25,11 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .mesh import QuadratureRule, gauss_legendre, quadrature_order_policy, uniform_partition
 from .problems import MultisymplecticProblem
-from .spaces import SlabCoefficients, SlabGrid, SpatialSpace, TemporalSlab
+from .spaces import (BandFactor, SlabCoefficients, SlabGrid, SpatialSpace, TemporalSlab,
+                     band_factorise, band_layout)
 from .spatial_ops import apply_g, weak_g_matrix
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "Trajectory",
     "SlabAssembler",
     "SlabSolution",
-    "BandFactor",
     "advance",
     "run_simulation",
     "build_space",
@@ -124,29 +123,6 @@ class SlabSolution(NamedTuple):
     restarted: bool
     stalled: bool
     krylov_iterations: int
-
-
-class BandFactor(NamedTuple):
-    """LAPACK band LU (``dgbtrf``) of a slab Jacobian in the folded unknown order.
-
-    ``order[k]`` is the unknown at folded position k and ``position`` its
-    inverse; ``lu`` is the Fortran-ordered band storage of the factor, with
-    ``kl`` sub- and ``ku`` superdiagonals of the folded Jacobian and kl more
-    rows of pivoting fill.
-    """
-
-    lu: np.ndarray
-    ipiv: np.ndarray
-    kl: int
-    ku: int
-    order: np.ndarray
-    position: np.ndarray
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solution x of J x = b for the factorised Jacobian J."""
-        folded, _ = dgbtrs(self.lu, self.kl, self.ku, b.take(self.order), self.ipiv,
-                           overwrite_b=True)
-        return folded.take(self.position)
 
 
 def _max_norm(values: np.ndarray) -> float:
@@ -631,16 +607,10 @@ class SlabAssembler(SlabGrid):
         return state, self.residual(z_nodes, state)
 
     def factorise(self, z_nodes: np.ndarray) -> BandFactor:
-        """Band LU of the Jacobian at z_nodes, in the folded unknown order.
-
-        Folding the periodic dof numbering (0, n-1, 1, n-2, ...; each dof's
-        D(q+1) unknowns kept together) brings the Jacobian's periodic corner
-        blocks next to the diagonal, so it is a plain band whose widths are
-        read off the fixed pattern.  :meth:`jacobian`'s flat array of values
-        is scattered into zeroed LAPACK band storage through an index map
-        built on the first call, and factorised by ``dgbtrf`` (LU with row
-        interchanges).  A singular Jacobian raises :class:`SolverFailure` with
-        the residual norm at z_nodes.
+        """Band LU of the Jacobian at z_nodes by :func:`band_factorise`, on the
+        folded :func:`band_layout` of :meth:`jacobian`'s fixed pattern, built
+        on the first call.  A singular Jacobian raises :class:`SolverFailure`
+        with the residual norm at z_nodes.
 
         The Newton loop keeps the factor it last built: exact for a
         constant Jacobian, and the GMRES preconditioner of the later steps
@@ -655,42 +625,13 @@ class SlabAssembler(SlabGrid):
         their grid state ``state``, from which a singular Jacobian's
         residual norm is taken."""
         if self._band is None:
-            self._band = self._band_layout(jac)
-        index, kl, ku, order, position = self._band
-        rows = 2 * kl + ku + 1
-        band = np.zeros(rows * self.size)
-        band[index] = jac.data
-        lu, ipiv, info = dgbtrf(band.reshape((rows, self.size), order="F"), kl, ku,
-                                overwrite_ab=True)
-        if info > 0:
+            self._band = band_layout(jac, self.n)
+        try:
+            return band_factorise(jac.data, self._band)
+        except np.linalg.LinAlgError:
             norm = _max_norm(self.residual(z_nodes, state))
             raise SolverFailure(f"singular slab Jacobian at residual {norm:.3e}",
-                                residual_norm=norm)
-        if info < 0:
-            raise ValueError(f"dgbtrf rejected argument {-info}")
-        return BandFactor(lu, ipiv, kl, ku, order, position)
-
-    def _band_layout(self, jac: scipy.sparse.csc_matrix):
-        """Position in the flat Fortran band array of each stored Jacobian
-        entry, the band's kl and ku, the folded unknown order and its
-        inverse, the folded position of each unknown."""
-        n, block = self.n, self.size // self.n
-        dofs = np.empty(n, dtype=np.int64)
-        dofs[0::2] = np.arange((n + 1) // 2)
-        dofs[1::2] = n - 1 - np.arange(n // 2)
-        order = (dofs[:, None] * block + np.arange(block)).ravel()
-        position = np.empty_like(order)
-        position[order] = np.arange(self.size)
-        # Folded column of each entry, and its folded row less that column.
-        col = np.repeat(position.astype(np.int32), np.diff(jac.indptr))
-        index = position.astype(np.int32)[jac.indices] - col
-        kl, ku = int(index.max()), -int(index.min())
-        rows = 2 * kl + ku + 1
-        dtype = np.int32 if rows * self.size <= np.iinfo(np.int32).max else np.int64
-        index = index.astype(dtype, copy=False)
-        index += kl + ku
-        index += rows * col.astype(dtype, copy=False)
-        return index, kl, ku, order.astype(dtype), position.astype(dtype)
+                                residual_norm=norm) from None
 
     def _newton_step(self, z_nodes: np.ndarray, state: np.ndarray | None,
                      r: np.ndarray) -> tuple[np.ndarray, int, int]:

@@ -9,10 +9,11 @@ space, so time differentiation maps trial into test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .mesh import (
     LagrangeBasis,
@@ -24,6 +25,9 @@ from .mesh import (
 
 __all__ = [
     "assemble",
+    "BandFactor",
+    "band_layout",
+    "band_factorise",
     "SpatialSpace",
     "TemporalSlab",
     "SlabCoefficients",
@@ -62,6 +66,58 @@ def assemble(groups, shape, format: str = "csr"):
     return matrix((data, (keys % n_minor).astype(np.int32), indptr), shape=shape)
 
 
+class BandFactor(NamedTuple):
+    """Band LU of :func:`band_factorise`: ``lu`` is the factor's Fortran band
+    storage, with ``kl`` sub- and ``ku`` superdiagonals and kl more rows of
+    pivoting fill, of the matrix in the folded unknown order ``order``."""
+
+    lu: np.ndarray
+    ipiv: np.ndarray
+    kl: int
+    ku: int
+    order: np.ndarray
+    position: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solution x, of shape (size,) or (size, k) like b, of A x = b."""
+        folded, _ = dgbtrs(self.lu, self.kl, self.ku, b.take(self.order, axis=0), self.ipiv,
+                           overwrite_b=True)
+        return folded.take(self.position, axis=0)
+
+
+def band_layout(pattern: scipy.sparse.csc_matrix, n: int):
+    """Band layout of a CSC pattern over n periodic dofs of size // n unknowns
+    each, folded in dof order 0, n-1, 1, n-2, ... so that its periodic corner
+    blocks meet the diagonal: the flat Fortran band index of each stored
+    entry, kl, ku, the folded unknown order and its inverse ``position``."""
+    size, block = pattern.shape[0], pattern.shape[0] // n
+    dofs = np.stack([np.arange(n), n - 1 - np.arange(n)], axis=1).ravel()[:n]
+    order = (dofs[:, None] * block + np.arange(block)).ravel()
+    position = np.argsort(order)
+    # Folded column of each entry, and its folded row less that column.
+    col = np.repeat(position.astype(np.int32), np.diff(pattern.indptr))
+    index = position.astype(np.int32)[pattern.indices] - col
+    kl, ku = int(index.max()), -int(index.min())
+    rows = 2 * kl + ku + 1
+    dtype = np.int32 if rows * size <= np.iinfo(np.int32).max else np.int64
+    index = index.astype(dtype) + (kl + ku) + rows * col.astype(dtype)
+    return index, kl, ku, order.astype(dtype), position.astype(dtype)
+
+
+def band_factorise(data: np.ndarray, layout) -> BandFactor:
+    """LAPACK band LU with row interchanges (``dgbtrf``) of the stored entries
+    ``data`` on the pattern of a :func:`band_layout`; singular raises LinAlgError."""
+    index, kl, ku, order, position = layout
+    band = np.zeros((2 * kl + ku + 1) * len(order))
+    band[index] = data
+    lu, ipiv, info = dgbtrf(band.reshape((-1, len(order)), order="F"), kl, ku, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: zero pivot {info}")
+    if info < 0:
+        raise ValueError(f"dgbtrf rejected argument {-info}")
+    return BandFactor(lu, ipiv, kl, ku, order, position)
+
+
 class SpatialSpace:
     """Degree-p periodic finite element space, continuous or broken.
 
@@ -90,7 +146,8 @@ class SpatialSpace:
             self.dof_count = m * (p + 1)
             self.element_dofs = (p + 1) * np.arange(m)[:, None] + np.arange(p + 1)[None, :]
         self._mass = None
-        self._mass_lu = None
+        # The inverse mass: element blocks on a broken space, a band factor on a continuous one.
+        self._inverse_blocks = self._mass_factor = None
         self._derivative = None
         # Sparse weak form and average-flux derivative G, built by spatial_ops.
         self._weak_g = self._g = None
@@ -150,10 +207,6 @@ class SpatialSpace:
             self._mass = self._assemble(blocks, format="csc")
         return self._mass
 
-    def mass_matrix(self) -> np.ndarray:
-        """Dense copy of :meth:`mass_operator`, for dense algebra on small meshes."""
-        return self.mass_operator().toarray()
-
     def reference_derivative(self) -> np.ndarray:
         """Element block (p+1, p+1) of the elementwise weak derivative, entry
         (k, l) holding int phi_l' phi_k on the reference element; widths
@@ -174,17 +227,25 @@ class SpatialSpace:
         return assemble([(self.element_dofs, self.element_dofs, blocks)],
                         (self.dof_count, self.dof_count), format)
 
-    def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve M x = rhs (rhs may carry leading axes; dof axis last).
+    def inverse_mass_blocks(self) -> np.ndarray:
+        """Inverse (M, p+1, p+1) of a broken space's block-diagonal mass, built
+        once per space and read-only: :meth:`mass_solve` and G apply it."""
+        if self._inverse_blocks is None:
+            inverse = np.linalg.inv(self.reference_mass())
+            self._inverse_blocks = inverse[None, :, :] / self.partition.widths[:, None, None]
+            self._inverse_blocks.flags.writeable = False
+        return self._inverse_blocks
 
-        The sparse mass is factorised once; the broken mass is block
-        diagonal, so its factor has no fill.
-        """
-        if self._mass_lu is None:
-            self._mass_lu = scipy.sparse.linalg.splu(self.mass_operator())
+    def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve M x = rhs (dof axis last): one batched product with the element inverse
+        blocks on a broken space, the folded band LU of the cyclic mass on a continuous one."""
         rhs = np.asarray(rhs, dtype=float)
-        flat = rhs.reshape(-1, self.dof_count).T
-        return self._mass_lu.solve(flat).T.reshape(rhs.shape)
+        if self.continuity == "dg":
+            return (self.inverse_mass_blocks() @ self.gather(rhs)[..., None]).reshape(rhs.shape)
+        if self._mass_factor is None:
+            mass = self.mass_operator()
+            self._mass_factor = band_factorise(mass.data, band_layout(mass, self.dof_count))
+        return self._mass_factor.solve(rhs.reshape(-1, self.dof_count).T).T.reshape(rhs.shape)
 
     def quad_points(self, rule: QuadratureRule) -> np.ndarray:
         """Physical quadrature coordinates, shape (M, len(rule))."""

@@ -76,12 +76,11 @@ def g_operator(space: SpatialSpace) -> scipy.sparse.csr_matrix:
     """Sparse average-flux derivative G on a broken space, cached per space.
 
     The broken mass matrix is block diagonal, so G is the weak form times
-    the element-local inverse mass blocks.
+    the element-local inverse mass blocks that :meth:`SpatialSpace.mass_solve`
+    applies.
     """
     if space._g is None:
-        inverse = np.linalg.inv(space.reference_mass())
-        local = inverse[None, :, :] / space.partition.widths[:, None, None]
-        space._g = (space._assemble(local) @ weak_g_matrix(space)).tocsr()
+        space._g = (space._assemble(space.inverse_mass_blocks()) @ weak_g_matrix(space)).tocsr()
     return space._g
 
 

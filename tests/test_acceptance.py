@@ -72,7 +72,7 @@ def test_criterion_01_operator_identity_suite():
     for p in (1, 2, 3):
         for m in (4, 8):
             space = SpatialSpace(uniform_partition(1.0, m), p, "dg")
-            mass = space.mass_matrix()
+            mass = space.mass_operator().toarray()
             g = g_matrix(space)
             ones = np.ones(space.dof_count)
             u = rng.uniform(-1.0, 1.0, size=(50, space.dof_count))

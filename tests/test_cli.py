@@ -1,12 +1,14 @@
 import dataclasses
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mspde
 from mspde.checks import _g_skew, run_property_checks
 from mspde.cli import main
-from mspde.spaces import SpatialSpace
 
 
 def read_csv(path):
@@ -263,7 +265,6 @@ def test_verify_builds_no_dense_spatial_operator(monkeypatch):
     def dense(*args, **kwargs):
         raise AssertionError("dense spatial operator built by verify")
 
-    monkeypatch.setattr(SpatialSpace, "mass_matrix", dense)
     for name, module in list(sys.modules.items()):
         if name.startswith("mspde") and hasattr(module, "g_matrix"):
             monkeypatch.setattr(module, "g_matrix", dense)
@@ -271,6 +272,17 @@ def test_verify_builds_no_dense_spatial_operator(monkeypatch):
     results = run_property_checks(seed=0)
     assert [r.name for r in results] == VERIFY_GROUPS
     assert all(r.passed for r in results)
+
+
+def test_importing_the_cli_loads_no_second_sparse_factoriser():
+    # The LAPACK band LU is the package's one sparse factorisation, so the
+    # command line never imports scipy.sparse.linalg.
+    src = str(Path(mspde.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import mspde.cli; "
+            "print('scipy.sparse.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_verify_reports_at_least_twelve_groups():
@@ -288,7 +300,7 @@ def test_skew_check_detects_corrupted_operator():
         from mspde.spatial_ops import g_matrix
 
         g = g_matrix(space).copy()
-        g += 0.05 * np.linalg.inv(space.mass_matrix())
+        g += 0.05 * np.linalg.inv(space.mass_operator().toarray())
         return g
 
     residual = _g_skew(rng, g_override=corrupted)

@@ -8,6 +8,7 @@ from mspde.spaces import SpatialSpace
 from mspde.spatial_ops import (
     apply_g,
     g_matrix,
+    g_operator,
     local_g_boundary_terms,
     node_traces,
     weak_g_from_samples,
@@ -104,7 +105,7 @@ def test_g_orthogonal_to_constants(p, m):
     space = dg(m, p)
     fields = _random_fields(space, 50, seed=p * 10 + m)
     gu = apply_g(space, fields)
-    mass = space.mass_matrix()
+    mass = space.mass_operator().toarray()
     integrals = gu @ mass @ np.ones(space.dof_count)
     assert np.max(np.abs(integrals)) < 1e-12
 
@@ -115,7 +116,7 @@ def test_g_skew_symmetry(p, m):
     space = dg(m, p)
     u = _random_fields(space, 50, seed=p + m)
     v = _random_fields(space, 50, seed=p + m + 99)
-    mass = space.mass_matrix()
+    mass = space.mass_operator().toarray()
     lhs = np.einsum("ni,ij,nj->n", apply_g(space, u), mass, v)
     rhs = -np.einsum("ni,ij,nj->n", u, mass, apply_g(space, v))
     scale = np.maximum(1.0, np.abs(lhs))
@@ -138,7 +139,7 @@ def test_g_product_rule_global(p, m):
     vl, vr = node_traces(space, v)
     g_uv = weak_g_from_samples(space, duv_grid, ul * vl, ur * vr, rule)
 
-    mass = space.mass_matrix()
+    mass = space.mass_operator().toarray()
     ones = np.ones(space.dof_count)
     lhs = g_uv @ mass @ ones
     rhs = np.einsum("ni,ij,nj->n", apply_g(space, u), mass, v) + np.einsum(
@@ -282,7 +283,7 @@ def test_g_skew_symmetry_detects_sign_flip():
     # guards the checker itself.
     space = dg(4, 1)
     g = g_matrix(space).copy()
-    mass = space.mass_matrix()
+    mass = space.mass_operator().toarray()
     rng = np.random.default_rng(0)
     u, v = rng.standard_normal((2, space.dof_count))
     bad = g + 2.0 * np.linalg.solve(mass, np.eye(space.dof_count))  # deliberate corruption
@@ -313,13 +314,17 @@ def test_g_consistency_under_refinement(p):
 def test_g_identities_on_nonuniform_meshes(widths, p, seed):
     # Orthogonality to constants and skew-symmetry under the mass inner
     # product, at the operator identity suite's 1e-12, on meshes whose
-    # elements all differ in width.
+    # elements all differ in width; and G is the weak form under the
+    # inverse mass that mass_solve applies.
     nodes = np.concatenate([[0.0], np.cumsum(widths)])
     space = SpatialSpace(Partition1D(nodes), p, "dg")
-    g, mass = g_matrix(space), space.mass_matrix()
+    g, mass = g_matrix(space), space.mass_operator().toarray()
     rng = np.random.default_rng(seed)
     u, v = rng.uniform(-1.0, 1.0, size=(2, 20, space.dof_count))
     gu, gv = u @ g.T, v @ g.T
+    applied = (g_operator(space) @ u.T).T
+    solved = space.mass_solve((weak_g_matrix(space) @ u.T).T)
+    assert np.max(np.abs(solved - applied)) <= 1e-12 * np.max(np.abs(applied))
     assert np.max(np.abs(gu @ mass @ np.ones(space.dof_count))) < 1e-12
     skew = np.einsum("ni,ij,nj->n", gu, mass, v) + np.einsum("ni,ij,nj->n", u, mass, gv)
     assert np.max(np.abs(skew)) < 1e-12
