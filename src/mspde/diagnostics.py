@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import gauss_legendre
+from .mesh import gauss_legendre, nonpolynomial_rule
 from .problems import MultisymplecticProblem
 from .spaces import SlabCoefficients, SlabGrid, SpatialSpace
-from .solver import (SchemeVariant, Trajectory, field_on_grid, pointwise_grad,
-                     scheme_derivative, slab_rules)
+from .solver import SchemeVariant, Trajectory, field_on_grid, pointwise_grad, slab_rules
 from .spatial_ops import node_traces
 
 __all__ = [
@@ -68,7 +67,7 @@ def densities_fluxes(problem: MultisymplecticProblem, coeffs: SlabCoefficients, 
     """
     space = coeffs.space
     spatial = coeffs.temporal_values(t)
-    dcoeffs, order = scheme_derivative(space, spatial)
+    dcoeffs, order = space.scheme_derivative(spatial)
     return _densities(problem, space.evaluate(spatial, x), space.evaluate(dcoeffs, x, order),
                       space.evaluate(coeffs.temporal_values(t, derivative_order=1), x))
 
@@ -105,7 +104,7 @@ def global_invariants(trajectory: Trajectory) -> InvariantSeries:
     rule = slab_rules(problem, space.degree, trajectory.q)[1]
     states = trajectory.node_states()
     vals = space.eval_on_rule(states, rule)                            # (nodes, D, M, ns)
-    dcoeffs, order = scheme_derivative(space, states)
+    dcoeffs, order = space.scheme_derivative(states)
     dz = space.eval_on_rule(dcoeffs, rule, order)
     momentum, _, energy, _ = _densities(problem, np.swapaxes(vals, 0, 1), np.swapaxes(dz, 0, 1))
     return InvariantSeries(trajectory.times, space.integrate(vals, rule),
@@ -194,7 +193,7 @@ def bochner_error(trajectory: Trajectory) -> np.ndarray:
         raise ValueError(f"problem {problem.label!r} has no exact solution")
     space = trajectory.space
     # A unit-length grid: each slab's integral is scaled by its own dt.
-    grid = SlabGrid(space, trajectory.q, 1.0, gauss_legendre(9), gauss_legendre(9))
+    grid = SlabGrid(space, trajectory.q, 1.0, nonpolynomial_rule(), nonpolynomial_rule())
     # The slab's tensor grid: (nt, 1, 1) times against (1, M, ns) points, so a
     # closed form can evaluate its x and t factors once each.  The exact values
     # broadcast against the trajectory's, so one that ignores t still counts
@@ -256,7 +255,7 @@ def _slope(space: SpatialSpace, u: np.ndarray, rule):
     """Slope coefficients of a scalar field u (..., dofs) and the grid values of
     its scheme derivative on ``rule``: the slope is G(u) on broken spaces and
     the L2 projection of u_x on continuous ones."""
-    dcoeffs, order = scheme_derivative(space, u)
+    dcoeffs, order = space.scheme_derivative(u)
     du = space.eval_on_rule(dcoeffs, rule, order)
     return (space.project_grid(du, rule) if order else dcoeffs), du
 

@@ -18,6 +18,7 @@ __all__ = [
     "QUADRATURE_DEGREE_CAP",
     "gauss_legendre",
     "quadrature_order_policy",
+    "nonpolynomial_rule",
     "uniform_partition",
     "equispaced_nodes",
 ]
@@ -59,13 +60,18 @@ def quadrature_order_policy(max_integrand_degree: int) -> int:
     """Smallest point count integrating the given degree exactly, capped.
 
     Rules with n points are exact for degree <= 2n - 1.  Beyond degree 16
-    (including non-polynomial integrands, which callers signal by passing any
-    degree above the cap) the count saturates at the 9-point rule.
+    the count saturates at the 9-point rule.
     """
     if max_integrand_degree < 0:
         raise ValueError("integrand degree must be nonnegative")
     degree = min(max_integrand_degree, QUADRATURE_DEGREE_CAP)
     return degree // 2 + 1
+
+
+def nonpolynomial_rule() -> QuadratureRule:
+    """The capped 9-point rule, the one rule for integrands that are not
+    polynomials: projections of callables and errors against exact solutions."""
+    return gauss_legendre(quadrature_order_policy(QUADRATURE_DEGREE_CAP))
 
 
 @dataclass(frozen=True, eq=False)

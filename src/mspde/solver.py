@@ -30,7 +30,6 @@ from .mesh import QuadratureRule, gauss_legendre, quadrature_order_policy, unifo
 from .problems import MultisymplecticProblem
 from .spaces import (BandFactor, SlabCoefficients, SlabGrid, SpatialSpace, TemporalSlab,
                      band_factorise, band_layout)
-from .spatial_ops import apply_g, weak_g_matrix
 
 __all__ = [
     "SchemeVariant",
@@ -45,7 +44,6 @@ __all__ = [
     "build_space",
     "slab_rules",
     "pointwise_grad",
-    "scheme_derivative",
     "field_on_grid",
 ]
 
@@ -137,7 +135,7 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-def _gmres(jac: scipy.sparse.csc_matrix, factor: BandFactor,
+def _gmres(jac: scipy.sparse.csr_matrix, factor: BandFactor,
            r: np.ndarray) -> tuple[np.ndarray | None, int]:
     """Solution s of J s = -r by GMRES right-preconditioned with a band
     factor of another Jacobian, and the iterations it took; None in place
@@ -194,14 +192,6 @@ def _gmres(jac: scipy.sparse.csc_matrix, factor: BandFactor,
                 return None, j + 1
         basis[j + 1] = w / h_next
     return None, _GMRES_CAP
-
-
-def _entries(matrix: scipy.sparse.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of the stored entries of a CSR or CSC matrix."""
-    major = np.repeat(np.arange(len(matrix.indptr) - 1), np.diff(matrix.indptr))
-    if matrix.format == "csc":
-        return matrix.indices, major, matrix.data
-    return major, matrix.indices, matrix.data
 
 
 def _kron_sum(terms, n: int, kept: np.ndarray | None = None):
@@ -312,19 +302,6 @@ def pointwise_grad(problem: MultisymplecticProblem, z: np.ndarray) -> np.ndarray
     return grad.transpose((-1,) + tuple(range(grad.ndim - 1)))
 
 
-def scheme_derivative(space: SpatialSpace, coeffs: np.ndarray,
-                      axis: int = -1) -> tuple[np.ndarray, int]:
-    """Coefficients and x-derivative order whose evaluation is the scheme derivative Dz.
-
-    Dz is the average-flux derivative G on broken spaces (G's coefficients,
-    order 0) and the elementwise derivative on continuous ones (the field's
-    own coefficients, order 1).  ``axis`` is the dof axis of ``coeffs``.
-    """
-    if space.continuity == "dg":
-        return apply_g(space, coeffs, axis=axis), 0
-    return coeffs, 1
-
-
 def field_on_grid(grid: SlabGrid, nodes: np.ndarray,
                   time_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Grid values (D, nt, M, ns) of node coefficients (D, dofs, T) and of their Dz.
@@ -332,7 +309,7 @@ def field_on_grid(grid: SlabGrid, nodes: np.ndarray,
     ``time_table`` is applied to both, so a time-derivative table yields
     (z_t, Dz_t).
     """
-    dcoeffs, order = scheme_derivative(grid.space, nodes, axis=1)
+    dcoeffs, order = grid.space.scheme_derivative(nodes, axis=1)
     return grid.eval(nodes, time_table), grid.eval(dcoeffs, time_table, derivative_order=order)
 
 
@@ -341,9 +318,9 @@ class SlabAssembler(SlabGrid):
 
     Reusable across slabs of equal length; the rules follow
     :func:`slab_rules`, so every integral below is exact for the shipped
-    polynomial densities.  The space's continuity chooses the scheme
-    derivative: the average-flux G on a broken space, the elementwise
-    derivative on a continuous one.
+    polynomial densities.  The space supplies the weak form of its scheme
+    derivative (:meth:`SpatialSpace.weak_derivative`): the average-flux G on
+    a broken space, the elementwise derivative on a continuous one.
     """
 
     def __init__(self, problem: MultisymplecticProblem, space: SpatialSpace, q: int,
@@ -375,13 +352,10 @@ class SlabAssembler(SlabGrid):
             shape = (d, len(self.rule_t), space.partition.element_count, len(self.rule_x))
             grad_zero = np.broadcast_to(problem.grad_s(np.zeros(d))[:, None, None, None], shape)
             self._grad_zero_rows = np.swapaxes(self.test(grad_zero), 0, 1).ravel()
-        self._deriv = weak_g_matrix(space) if space.continuity == "dg" \
-            else space.derivative_operator()
+        self._deriv = space.weak_derivative()
         self._time_blocks = (time_k, np.kron(problem.L, self.time_mass))
-        data, indices, indptr, _ = _kron_sum(self._spatial_terms(), self.n)
-        self.operator = scipy.sparse.csr_matrix(
-            (data, indices, indptr), shape=(self.size, self.n * d * (q + 2)))
-        self._pattern = None  # (CSC linear part on the full pattern, Hessian index map)
+        self.operator = scipy.sparse.csr_matrix(_kron_sum(self._spatial_terms(), self.n)[:3],
+                                                shape=(self.size, self.n * d * (q + 2)))
         self._band = None     # (band index of each entry, kl, ku, fold order, its inverse)
         self._factor = None   # the last band factor, kept across iterations and slabs
         self._extrapolations = {}  # previous slab length -> trial table at this slab's nodes
@@ -401,30 +375,59 @@ class SlabAssembler(SlabGrid):
 
     def _spatial_terms(self, unknowns: bool = False) -> list:
         """The slab operator's terms (rows, cols, values, temporal block) for
-        :func:`_kron_sum`: the spatial mass with the K block and the scheme
-        derivative with the L block.  With ``unknowns`` they are those of its
-        transpose restricted to the unknown nodes, whose CSR arrays are the
-        CSC arrays of :attr:`linear_jacobian`."""
+        :func:`_kron_sum`: the stored entries of the CSR spatial mass with the
+        K block and of the scheme derivative with the L block; with
+        ``unknowns``, their temporal blocks restricted to the columns of the
+        unknown nodes 1..q+1."""
         terms = []
         for matrix, block in zip((self.space.mass_operator(), self._deriv), self._time_blocks):
-            rows, cols, values = _entries(matrix)
             if unknowns:
-                rows, cols = cols, rows
-                block = block[:, np.arange(block.shape[1]) % (self.q + 2) != 0].T
-            terms.append((rows, cols, values, block))
+                block = block[:, np.arange(block.shape[1]) % (self.q + 2) != 0]
+            rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+            terms.append((rows, matrix.indices, matrix.data, block))
         return terms
 
     @functools.cached_property
-    def linear_jacobian(self) -> scipy.sparse.csc_matrix:
-        """The slab operator's columns of the unknown nodes 1..q+1: the
-        state-independent part of the Jacobian, and all of it when the
-        Hessian is constant.  It is block-banded with periodic corner blocks.
-        Built once, on first use; its arrays are read-only."""
-        unknown = np.arange(self.operator.shape[1]) % (self.q + 2) != 0
-        linear = self.operator.tocsc()[:, unknown]
-        for array in (linear.data, linear.indices, linear.indptr):
+    def _pattern(self) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+        """The fixed CSR pattern of every :meth:`jacobian`, holding the
+        slab operator's unknown columns, and the position in its ``data`` of
+        each :meth:`_hessian_values` entry; built once, on first use, with
+        read-only arrays.
+
+        With a constant Hessian it is the operator's column slice and the
+        map is empty.  Otherwise the pattern adds every element's Hessian
+        block on the pairs of the problem's Hessian pattern: the mass's
+        spatial entries (the element blocks) times the (test, unknown) pairs
+        of those components, kept whatever their value.
+        """
+        q1 = self.q + 1
+        if self.jacobian_is_constant:
+            pattern = self.operator[:, np.arange(self.operator.shape[1]) % (q1 + 1) != 0]
+            hessian_map = np.zeros(0, dtype=np.intp)
+        else:
+            kept = np.kron(self.problem.hessian_pattern, np.ones((q1, q1), dtype=bool))
+            *arrays, locate = _kron_sum(self._spatial_terms(unknowns=True), self.n, kept=kept)
+            pattern = scipy.sparse.csr_matrix(tuple(arrays), shape=(self.size, self.size))
+            # Entry (a, b, M, P, k, l): row (dof k of element M, component
+            # first[P], test a), column (dof l, component second[P], node b+1).
+            first, second = (index.reshape(1, 1, 1, -1, 1, 1)
+                             for index in np.nonzero(self.problem.hessian_pattern))
+            a = np.arange(q1).reshape(-1, 1, 1, 1, 1, 1)
+            b = a.reshape(1, -1, 1, 1, 1, 1)
+            dofs = self.space.element_dofs[None, None, :, None]            # (1, 1, M, 1, p+1)
+            hessian_map = locate(dofs[..., None], dofs[..., None, :], first * q1 + a,
+                                 second * q1 + b).ravel()
+        for array in (pattern.data, pattern.indices, pattern.indptr):
             array.flags.writeable = False
-        return linear
+        return pattern, hessian_map
+
+    @property
+    def linear_jacobian(self) -> scipy.sparse.csr_matrix:
+        """The state-independent part of the Jacobian on its fixed pattern,
+        and all of it when the Hessian is constant: the slab operator's
+        columns of the unknown nodes 1..q+1, block-banded with periodic
+        corner blocks.  Built once, on first use; its arrays are read-only."""
+        return self._pattern[0]
 
     # -- residual and jacobian -------------------------------------------------
 
@@ -443,12 +446,12 @@ class SlabAssembler(SlabGrid):
         return linear - np.swapaxes(self.test(grad), 0, 1).ravel()
 
     def jacobian(self, z_nodes: np.ndarray,
-                 state: np.ndarray | None = None) -> scipy.sparse.csc_matrix:
+                 state: np.ndarray | None = None) -> scipy.sparse.csr_matrix:
         """Exact sparse derivative of the flat residual w.r.t. the unknown nodes.
 
-        With a constant Hessian this is :attr:`linear_jacobian`; otherwise the
-        slab operator's unknown columns less the state-dependent Hessian
-        block, written into a fixed pattern.  The Hessian block is taken at
+        The values of :attr:`linear_jacobian`, less, when the Hessian is not
+        constant, the state-dependent Hessian block, written into the fixed
+        pattern through its index map.  The Hessian block is taken at
         ``state``, the grid state of z_nodes (evaluated here when None), so
         a state the residual has evaluated is not evaluated again.  The
         returned matrix owns its values and shares the pattern's read-only
@@ -458,18 +461,14 @@ class SlabAssembler(SlabGrid):
         """
         # A shallow copy with fresh values: the pattern is valid by
         # construction, so scipy's constructor checks would only cost time.
+        pattern, hessian_map = self._pattern
+        jac = copy.copy(pattern)
         if self.jacobian_is_constant:
-            jac = copy.copy(self.linear_jacobian)
-            jac.data = jac.data.copy()
-            return jac
-        if self._pattern is None:
-            self._pattern = self._jacobian_pattern()
-        linear, hessian_map = self._pattern
-        if state is None:
-            state = self._state(z_nodes)
-        jac = copy.copy(linear)
-        jac.data = linear.data - np.bincount(hessian_map, weights=self._hessian_values(state),
-                                             minlength=linear.nnz)
+            jac.data = pattern.data.copy()
+        else:
+            state = self._state(z_nodes) if state is None else state
+            jac.data = pattern.data - np.bincount(hessian_map, self._hessian_values(state),
+                                                  minlength=pattern.nnz)
         return jac
 
     def _state(self, z_nodes: np.ndarray) -> np.ndarray | None:
@@ -490,34 +489,6 @@ class SlabAssembler(SlabGrid):
         in_space = hess.transpose(0, 1, 3, 2).reshape(-1, ns) @ self._space_products
         vals = self._time_products @ in_space.reshape(nt, -1)
         return (vals.reshape(len(vals), m, -1) * self.space.partition.widths[:, None]).ravel()
-
-    def _jacobian_pattern(self) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
-        """The linear part on the CSC pattern of a nonlinear problem's whole
-        Jacobian, and the position in its ``data`` of each
-        :meth:`_hessian_values` entry.
-
-        The pattern is the linear part's plus every element's Hessian block
-        on the pairs of the problem's Hessian pattern: the mass's spatial
-        entries (the element blocks) times the (unknown, test) pairs of
-        those components, kept whatever their value.  Every :meth:`jacobian`
-        shares its read-only index arrays.
-        """
-        q1 = self.q + 1
-        hessian = np.kron(self.problem.hessian_pattern.T, np.ones((q1, q1), dtype=bool))
-        data, indices, indptr, locate = _kron_sum(self._spatial_terms(unknowns=True),
-                                                  self.n, kept=hessian)
-        pattern = scipy.sparse.csc_matrix((data, indices, indptr), shape=(self.size, self.size))
-        pattern.indices.flags.writeable = pattern.indptr.flags.writeable = False
-        # Entry (a, b, M, P, k, l): row (dof k of element M, component
-        # first[P], test a), column (dof l, component second[P], node b+1).
-        first, second = (index.reshape(1, 1, 1, -1, 1, 1)
-                         for index in np.nonzero(self.problem.hessian_pattern))
-        a = np.arange(q1).reshape(-1, 1, 1, 1, 1, 1)
-        b = a.reshape(1, -1, 1, 1, 1, 1)
-        dofs = self.space.element_dofs[None, None, :, None]                # (1, 1, M, 1, p+1)
-        hessian_map = locate(dofs[..., None, :], dofs[..., None], second * q1 + b,
-                             first * q1 + a)
-        return pattern, hessian_map.ravel()
 
     # -- newton ----------------------------------------------------------------
 
@@ -620,7 +591,7 @@ class SlabAssembler(SlabGrid):
         return self._factorise(z_nodes, state, self.jacobian(z_nodes, state))
 
     def _factorise(self, z_nodes: np.ndarray, state: np.ndarray | None,
-                   jac: scipy.sparse.csc_matrix) -> BandFactor:
+                   jac: scipy.sparse.csr_matrix) -> BandFactor:
         """:meth:`factorise` of ``jac``, the :meth:`jacobian` at z_nodes and
         their grid state ``state``, from which a singular Jacobian's
         residual norm is taken."""

@@ -20,6 +20,7 @@ from .mesh import (
     Partition1D,
     QuadratureRule,
     gauss_legendre,
+    nonpolynomial_rule,
     quadrature_order_policy,
 )
 
@@ -35,16 +36,15 @@ __all__ = [
 ]
 
 
-def assemble(groups, shape, format: str = "csr"):
-    """Sum element blocks into a canonical sparse matrix of the given shape.
+def assemble(groups, shape) -> scipy.sparse.csr_matrix:
+    """Sum element blocks into a canonical CSR matrix of the given shape.
 
     ``groups`` holds (row_dofs, col_dofs, blocks) triples: block m (r, c) of
     a group lands on rows ``row_dofs[m]`` (length r) and columns
     ``col_dofs[m]`` (length c), and a single (r, c) block is shared by all M
     elements of its group.  Entries that meet on one (row, column) pair are
     added in the order given, groups first; every entry is stored, zeros
-    too.  The matrix is built from the sorted (row, column) keys, as CSR or,
-    with ``format="csc"``, from the (column, row) keys as CSC.
+    too.  The matrix is built from the sorted (row, column) keys.
     """
     rows, cols, values = [], [], []
     for row_dofs, col_dofs, blocks in groups:
@@ -53,17 +53,15 @@ def assemble(groups, shape, format: str = "csr"):
         values.append(np.broadcast_to(np.asarray(blocks, dtype=float), full).ravel())
         rows.append(np.broadcast_to(row_dofs[:, :, None], full).ravel())
         cols.append(np.broadcast_to(col_dofs[:, None, :], full).ravel())
-    major, minor = (rows, cols) if format == "csr" else (cols, rows)
-    n_major, n_minor = shape if format == "csr" else shape[::-1]
-    keys = np.concatenate(major).astype(np.int64) * n_minor + np.concatenate(minor)
+    keys = np.concatenate(rows).astype(np.int64) * shape[1] + np.concatenate(cols)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
     data = np.add.reduceat(np.concatenate(values)[order], first)
     keys = keys[first]
-    indptr = np.searchsorted(keys, n_minor * np.arange(n_major + 1)).astype(np.int32)
-    matrix = scipy.sparse.csr_matrix if format == "csr" else scipy.sparse.csc_matrix
-    return matrix((data, (keys % n_minor).astype(np.int32), indptr), shape=shape)
+    indptr = np.searchsorted(keys, shape[1] * np.arange(shape[0] + 1)).astype(np.int32)
+    return scipy.sparse.csr_matrix((data, (keys % shape[1]).astype(np.int32), indptr),
+                                   shape=shape)
 
 
 class BandFactor(NamedTuple):
@@ -85,8 +83,8 @@ class BandFactor(NamedTuple):
         return folded.take(self.position, axis=0)
 
 
-def band_layout(pattern: scipy.sparse.csc_matrix, n: int):
-    """Band layout of a CSC pattern over n periodic dofs of size // n unknowns
+def band_layout(pattern: scipy.sparse.csr_matrix, n: int):
+    """Band layout of a CSR pattern over n periodic dofs of size // n unknowns
     each, folded in dof order 0, n-1, 1, n-2, ... so that its periodic corner
     blocks meet the diagonal: the flat Fortran band index of each stored
     entry, kl, ku, the folded unknown order and its inverse ``position``."""
@@ -95,8 +93,8 @@ def band_layout(pattern: scipy.sparse.csc_matrix, n: int):
     order = (dofs[:, None] * block + np.arange(block)).ravel()
     position = np.argsort(order)
     # Folded column of each entry, and its folded row less that column.
-    col = np.repeat(position.astype(np.int32), np.diff(pattern.indptr))
-    index = position.astype(np.int32)[pattern.indices] - col
+    col = position.astype(np.int32)[pattern.indices]
+    index = np.repeat(position.astype(np.int32), np.diff(pattern.indptr)) - col
     kl, ku = int(index.max()), -int(index.min())
     rows = 2 * kl + ku + 1
     dtype = np.int32 if rows * size <= np.iinfo(np.int32).max else np.int64
@@ -148,9 +146,7 @@ class SpatialSpace:
         self._mass = None
         # The inverse mass: element blocks on a broken space, a band factor on a continuous one.
         self._inverse_blocks = self._mass_factor = None
-        self._derivative = None
-        # Sparse weak form and average-flux derivative G, built by spatial_ops.
-        self._weak_g = self._g = None
+        self._weak_derivative = self._g = None
 
     # -- tabulation ---------------------------------------------------------
 
@@ -199,33 +195,18 @@ class SpatialSpace:
         b = self.tabulate(rule.points)
         return np.einsum("kg,lg,g->kl", b, b, rule.weights)
 
-    def mass_operator(self) -> scipy.sparse.csc_matrix:
+    def mass_operator(self) -> scipy.sparse.csr_matrix:
         """Sparse exactly integrated mass matrix, row i holding int u phi_i,
         built once per space."""
         if self._mass is None:
             blocks = self.partition.widths[:, None, None] * self.reference_mass()
-            self._mass = self._assemble(blocks, format="csc")
+            self._mass = self._assemble(blocks)
         return self._mass
 
-    def reference_derivative(self) -> np.ndarray:
-        """Element block (p+1, p+1) of the elementwise weak derivative, entry
-        (k, l) holding int phi_l' phi_k on the reference element; widths
-        cancel against the derivative jacobian."""
-        rule = gauss_legendre(quadrature_order_policy(max(2 * self.degree - 1, 0)))
-        b, db = self.tabulate(rule.points), self.tabulate(rule.points, 1)
-        return np.einsum("kg,lg,g->kl", b, db, rule.weights)
-
-    def derivative_operator(self) -> scipy.sparse.csr_matrix:
-        """Sparse elementwise weak derivative, row i holding int u_x phi_i,
-        built once per space."""
-        if self._derivative is None:
-            self._derivative = self._assemble(self.reference_derivative())
-        return self._derivative
-
-    def _assemble(self, blocks, format: str = "csr"):
+    def _assemble(self, blocks):
         """Element blocks (M, p+1, p+1), or one shared block, summed on this space's dofs."""
         return assemble([(self.element_dofs, self.element_dofs, blocks)],
-                        (self.dof_count, self.dof_count), format)
+                        (self.dof_count, self.dof_count))
 
     def inverse_mass_blocks(self) -> np.ndarray:
         """Inverse (M, p+1, p+1) of a broken space's block-diagonal mass, built
@@ -281,7 +262,7 @@ class SpatialSpace:
 
     def project(self, f) -> np.ndarray:
         """L2 projection of a callable x -> (..., D) or (...) onto the space."""
-        rule = gauss_legendre(quadrature_order_policy(QUADRATURE_NONPOLY))
+        rule = nonpolynomial_rule()
         pts = self.quad_points(rule)
         vals = np.asarray(f(pts.ravel()), dtype=float)
         vals = vals.reshape(pts.shape + vals.shape[1:])
@@ -302,9 +283,71 @@ class SpatialSpace:
         w = self.partition.widths[:, None] * rule.weights[None, :]
         return np.einsum("...mg,mg->...", np.asarray(grid_values), w)
 
+    # -- the scheme derivative ---------------------------------------------
 
-# Sentinel degree signalling a non-polynomial integrand to the policy.
-QUADRATURE_NONPOLY = 10**6
+    def reference_derivative(self) -> np.ndarray:
+        """Element block (p+1, p+1) of the elementwise weak derivative, entry
+        (k, l) holding int phi_l' phi_k on the reference element; widths
+        cancel against the derivative jacobian."""
+        rule = gauss_legendre(quadrature_order_policy(max(2 * self.degree - 1, 0)))
+        b, db = self.tabulate(rule.points), self.tabulate(rule.points, 1)
+        return np.einsum("kg,lg,g->kl", b, db, rule.weights)
+
+    def node_dofs(self) -> np.ndarray:
+        """Dofs (M, 2) of the left and of the right limit at each mesh node.
+
+        Node m sits between elements m-1 and m (periodic wrap at m = 0); the
+        nodal basis puts the limits on the last and first local dof.
+        """
+        dofs = self.element_dofs
+        return np.stack([np.roll(dofs[:, -1], 1), dofs[:, 0]], axis=1)
+
+    def weak_derivative(self) -> scipy.sparse.csr_matrix:
+        """Sparse weak form of the scheme derivative Dz, row i holding
+        int Dz . phi_i, built once per space: the elementwise derivative on a
+        continuous space and, on a broken one, the average-flux derivative G,
+
+            int G(U) . phi = sum_m int_e U_x . phi  -  sum_m [U]_m . {phi}_m,
+
+        with [U] = U^- - U^+ and {U} = (U^- + U^+)/2 at each mesh node
+        (periodic wrap at the seam), zero sums not stored.  G is skew,
+        orthogonal to constants and obeys a discrete product rule.
+        """
+        if self._weak_derivative is None:
+            groups = [(self.element_dofs, self.element_dofs, self.reference_derivative())]
+            if self.continuity == "dg":
+                pair = self.node_dofs()
+                groups.append((pair, pair, [[-0.5, 0.5], [-0.5, 0.5]]))
+            weak = assemble(groups, (self.dof_count, self.dof_count))
+            if self.continuity == "dg":
+                weak.eliminate_zeros()
+            self._weak_derivative = weak
+        return self._weak_derivative
+
+    def g_operator(self) -> scipy.sparse.csr_matrix:
+        """Sparse average-flux derivative G on a broken space, built once per
+        space: the weak form times the element inverse mass blocks that
+        :meth:`mass_solve` applies."""
+        if self.continuity != "dg":
+            raise ValueError("the average-flux derivative operator needs a broken space")
+        if self._g is None:
+            self._g = self._assemble(self.inverse_mass_blocks()) @ self.weak_derivative()
+        return self._g
+
+    def apply_g(self, coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
+        """Apply the average-flux derivative along the dof axis (default: last)."""
+        coeffs = np.moveaxis(np.asarray(coeffs, dtype=float), axis, 0)
+        flat = self.g_operator() @ coeffs.reshape(self.dof_count, -1)
+        return np.moveaxis(flat.reshape(coeffs.shape), 0, axis)
+
+    def scheme_derivative(self, coeffs: np.ndarray, axis: int = -1) -> tuple[np.ndarray, int]:
+        """Coefficients and x-derivative order whose evaluation is the scheme
+        derivative Dz: G's coefficients and order 0 on a broken space, the
+        field's own coefficients and order 1 on a continuous one.  ``axis``
+        is the dof axis of ``coeffs``."""
+        if self.continuity == "dg":
+            return self.apply_g(coeffs, axis=axis), 0
+        return coeffs, 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,45 +1,22 @@
-"""Discrete first-derivative operators on broken spaces.
-
-The broken space carries a global derivative operator G built from
-elementwise derivatives plus centred (average) interface fluxes:
-
-    int G(U) . phi = sum_m int_e U_x . phi  -  sum_m [U]_m . {phi}_m
-
-for every broken test function phi, with [U] = U^- - U^+ and
-{U} = (U^- + U^+)/2 at each mesh node (periodic wrap at the seam).
-G is skew-symmetric, orthogonal to constants, and satisfies a discrete
-product rule; those identities are what the conservation diagnostics lean on.
-"""
+"""Nodal traces, G of sampled fields and element trace terms: the pieces that
+the identities of a broken space's average-flux derivative G
+(:meth:`SpatialSpace.g_operator`) are checked with."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
-from .spaces import SpatialSpace, assemble
+from .spaces import SpatialSpace
 
 __all__ = [
     "node_traces",
-    "g_operator",
     "g_matrix",
-    "weak_g_matrix",
-    "apply_g",
     "weak_g_from_samples",
     "LocalBoundaryTerms",
     "local_g_boundary_terms",
 ]
-
-
-def _node_dofs(space: SpatialSpace) -> np.ndarray:
-    """Dofs (M, 2) of the left and of the right limit at each mesh node.
-
-    Node m sits between elements m-1 and m (periodic wrap at m = 0); the
-    nodal basis puts the limits on the last and first local dof.
-    """
-    dofs = space.element_dofs
-    return np.stack([np.roll(dofs[:, -1], 1), dofs[:, 0]], axis=1)
 
 
 def node_traces(space: SpatialSpace, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -47,53 +24,13 @@ def node_traces(space: SpatialSpace, coeffs: np.ndarray) -> tuple[np.ndarray, np
 
     For a continuous space both limits coincide.
     """
-    traces = np.asarray(coeffs)[..., _node_dofs(space)]  # (..., M, 2)
+    traces = np.asarray(coeffs)[..., space.node_dofs()]  # (..., M, 2)
     return traces[..., 0], traces[..., 1]
 
 
-def weak_g_matrix(space: SpatialSpace) -> scipy.sparse.csr_matrix:
-    """Sparse weak form ``M G`` of the average-flux derivative on a broken space,
-    cached per space.
-
-    Row i holds int G(U) . phi_i as a linear function of U's coefficients:
-    the elementwise derivative plus the interface term -[U]_m {phi}_m at each
-    node m, on (left limit, right limit).  Entries that sum to zero are not
-    stored.
-    """
-    if space.continuity != "dg":
-        raise ValueError("the average-flux derivative operator needs a broken space")
-    if space._weak_g is None:
-        dofs, pair = space.element_dofs, _node_dofs(space)
-        weak = assemble([(dofs, dofs, space.reference_derivative()),
-                         (pair, pair, [[-0.5, 0.5], [-0.5, 0.5]])],
-                        (space.dof_count, space.dof_count))
-        weak.eliminate_zeros()
-        space._weak_g = weak
-    return space._weak_g
-
-
-def g_operator(space: SpatialSpace) -> scipy.sparse.csr_matrix:
-    """Sparse average-flux derivative G on a broken space, cached per space.
-
-    The broken mass matrix is block diagonal, so G is the weak form times
-    the element-local inverse mass blocks that :meth:`SpatialSpace.mass_solve`
-    applies.
-    """
-    if space._g is None:
-        space._g = (space._assemble(space.inverse_mass_blocks()) @ weak_g_matrix(space)).tocsr()
-    return space._g
-
-
 def g_matrix(space: SpatialSpace) -> np.ndarray:
-    """Dense copy of :func:`g_operator`, for dense algebra in tests on small meshes."""
-    return g_operator(space).toarray()
-
-
-def apply_g(space: SpatialSpace, coeffs: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Apply the average-flux derivative along the dof axis (default: last)."""
-    coeffs = np.moveaxis(np.asarray(coeffs, dtype=float), axis, 0)
-    flat = g_operator(space) @ coeffs.reshape(space.dof_count, -1)
-    return np.moveaxis(flat.reshape(coeffs.shape), 0, axis)
+    """Dense copy of :meth:`SpatialSpace.g_operator`, for dense algebra in tests on small meshes."""
+    return space.g_operator().toarray()
 
 
 def weak_g_from_samples(space: SpatialSpace, grid_derivatives: np.ndarray,
@@ -111,7 +48,7 @@ def weak_g_from_samples(space: SpatialSpace, grid_derivatives: np.ndarray,
     # right limit of node m and the left limit of node m+1.
     half_jumps = 0.5 * (np.asarray(left_traces) - np.asarray(right_traces))
     flat = rhs.reshape(-1, space.dof_count)
-    np.subtract.at(flat, (slice(None), _node_dofs(space).ravel()),
+    np.subtract.at(flat, (slice(None), space.node_dofs().ravel()),
                    np.repeat(half_jumps.reshape(len(flat), -1), 2, axis=-1))
     return space.mass_solve(rhs)
 

@@ -22,7 +22,6 @@ from mspde.solver import (
     SolverConfig,
     Trajectory,
     run_simulation,
-    scheme_derivative,
     slab_rules,
 )
 from mspde.spaces import SlabCoefficients, SpatialSpace, TemporalSlab
@@ -373,7 +372,7 @@ def reference_invariants(problem, trajectory):
     for n in range(trajectory.node_count):
         state = node_state(trajectory, n)
         vals = space.eval_on_rule(state, rule)
-        dcoeffs, order = scheme_derivative(space, state)
+        dcoeffs, order = space.scheme_derivative(state)
         g, _, e, _ = diagnostics._densities(problem, vals,
                                             space.eval_on_rule(dcoeffs, rule, order))
         mass.append([space.integrate(vals[c], rule) for c in range(problem.D)])
@@ -395,7 +394,7 @@ def reference_monitor(problem, trajectory):
         z[..., 0] = vals[0]
         v2.append(space.integrate(vals[1] ** 2, rule))
         pot.append(space.integrate(problem.s(z), rule))
-        dcoeffs, order = scheme_derivative(space, state[0])
+        dcoeffs, order = space.scheme_derivative(state[0])
         du = space.eval_on_rule(dcoeffs, rule, order)
         slope = space.eval_on_rule(space.project_grid(du, rule), rule) if order else du
         w2.append(space.integrate(slope**2, rule))
@@ -412,7 +411,7 @@ def reference_auxiliary_residual(trajectory):
     for coeffs in trajectory.slabs:
         for s in gauss_legendre(trajectory.q + 1).points:
             spatial = coeffs.temporal_values(coeffs.slab.times(s))
-            target, order = scheme_derivative(space, spatial[0])
+            target, order = space.scheme_derivative(spatial[0])
             if order:
                 target = space.project_grid(space.eval_on_rule(target, rule, order), rule)
             worst = max(worst, float(np.max(np.abs(spatial[2] - target))))

@@ -22,6 +22,7 @@ from mspde.spaces import (
     SlabGrid,
     SpatialSpace,
     TemporalSlab,
+    assemble,
 )
 from mspde.spatial_ops import g_matrix, node_traces, weak_g_from_samples
 
@@ -269,7 +270,12 @@ def test_derivative_operator_matches_einsum(continuity, p):
     rule = gauss_legendre(p + 2)
     b, db = space.basis.tabulate(rule.points), space.basis.tabulate(rule.points, 1)
     expected = reference_assembly(space, np.einsum("kg,lg,g->kl", b, db, rule.weights))
-    assert_close(space.derivative_operator().toarray(), expected)
+    elementwise = assemble([(space.element_dofs, space.element_dofs,
+                             space.reference_derivative())], (space.dof_count,) * 2)
+    assert_close(elementwise.toarray(), expected)
+    if continuity == "cg":
+        # The scheme derivative of a continuous space is the elementwise one.
+        assert_close(space.weak_derivative().toarray(), expected)
 
 
 @pytest.mark.parametrize("variant,q,p", CASES)

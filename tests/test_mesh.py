@@ -6,6 +6,7 @@ from mspde.mesh import (
     Partition1D,
     equispaced_nodes,
     gauss_legendre,
+    nonpolynomial_rule,
     quadrature_order_policy,
     uniform_partition,
 )
@@ -154,3 +155,9 @@ def test_derivative_matches_finite_differences():
 
 def test_degree_zero_nodes_are_midpoint():
     assert equispaced_nodes(0) == pytest.approx([0.5])
+
+
+def test_nonpolynomial_rule_is_the_capped_nine_point_rule():
+    # Projections of callables and the Bochner error share this rule.
+    assert nonpolynomial_rule() is gauss_legendre(9)
+    assert len(nonpolynomial_rule()) == quadrature_order_policy(10**6)

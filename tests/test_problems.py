@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mspde.mesh import gauss_legendre, uniform_partition
 from mspde.problems import (
     PROBLEM_LABELS,
+    VALIDATION_CHECKS,
+    ValidationReport,
     linear_wave,
     nls,
     nonlinear_wave,
@@ -155,8 +159,6 @@ def test_validation_flags_broken_skew_symmetry():
     problem = linear_wave()
     bad_k = problem.K.copy()
     bad_k[0, 1] = bad_k[1, 0] = 1.0
-    import dataclasses
-
     broken = dataclasses.replace(problem)
     object.__setattr__(broken, "K", bad_k)
     report = validate(broken, seed=0)
@@ -168,8 +170,6 @@ def test_validation_flags_a_hessian_outside_its_pattern():
     # NLS couples u and v in its Hessian; a diagonal mask would drop that
     # block from the slab Jacobian.  A kernel declared on that mask returns
     # no (u, v) value, and the finite-difference Hessian shows the omission.
-    import dataclasses
-
     problem = nls()
     assert validate(problem, seed=0).hessian_residual <= 1e-6
     diagonal = np.eye(4, dtype=bool)
@@ -185,8 +185,6 @@ def test_validation_flags_a_hessian_outside_its_pattern():
 
 
 def test_hessian_pattern_is_symmetric_and_checks_its_shape():
-    import dataclasses
-
     problem = nls()
     with pytest.raises(ValueError):
         dataclasses.replace(problem, hessian_pattern=np.ones((2, 2), dtype=bool))
@@ -208,3 +206,14 @@ def test_nonlinear_wave_initial_data_is_harmonic():
     problem = nonlinear_wave()
     ref = linear_wave().exact_solution(0.0, np.linspace(0, 1, 7))
     assert problem.initial_state(np.linspace(0, 1, 7)) == pytest.approx(ref)
+
+
+def test_validation_checks_bound_every_residual_of_the_report():
+    residuals = {f.name for f in dataclasses.fields(ValidationReport)} - {"label"}
+    bounded = [name for names, _ in VALIDATION_CHECKS.values() for name in names]
+    assert sorted(bounded) == sorted(residuals)
+    report = ValidationReport("x", 0.0, 0.0, 0.0, 0.0, 0.0, None)
+    for names, tolerance in VALIDATION_CHECKS.values():
+        for name in names:
+            assert dataclasses.replace(report, **{name: tolerance}).passed
+            assert not dataclasses.replace(report, **{name: 2.0 * tolerance}).passed

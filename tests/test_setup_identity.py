@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from mspde import spaces, spatial_ops
+from mspde import spaces
 from mspde.mesh import (
     LagrangeBasis,
     Partition1D,
@@ -73,7 +73,7 @@ def reference_on_space(space, blocks):
 
 def reference_mass(space):
     blocks = space.partition.widths[:, None, None] * space.reference_mass()
-    return reference_on_space(space, blocks).tocsc()
+    return reference_on_space(space, blocks)
 
 
 def reference_derivative(space):
@@ -114,7 +114,7 @@ def reference_operator(asm):
 
 
 def reference_linear_jacobian(operator, q):
-    return operator.tocsc()[:, np.arange(operator.shape[1]) % (q + 2) != 0]
+    return operator.tocsc()[:, np.arange(operator.shape[1]) % (q + 2) != 0].tocsr()
 
 
 def reference_pattern(asm, linear_jacobian):
@@ -123,15 +123,15 @@ def reference_pattern(asm, linear_jacobian):
     index = asm.as_nodes(np.arange(size))[:, asm.space.element_dofs]
     row = index[first].transpose(3, 1, 0, 2)
     col = index[second].transpose(3, 1, 0, 2)
-    hessian_keys = (col[None, :, :, :, None, :] * size + row[:, None, :, :, :, None]).ravel()
+    hessian_keys = (row[:, None, :, :, :, None] * size + col[None, :, :, :, None, :]).ravel()
     linear = linear_jacobian.tocoo()
-    linear_keys = linear.col.astype(np.int64) * size + linear.row
+    linear_keys = linear.row.astype(np.int64) * size + linear.col
     keys = np.sort(np.concatenate([linear_keys, hessian_keys]))
     keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
     data = np.zeros(len(keys))
     data[np.searchsorted(keys, linear_keys)] = linear.data
     indptr = np.searchsorted(keys // size, np.arange(size + 1))
-    pattern = scipy.sparse.csc_matrix((data, keys % size, indptr), shape=(size, size))
+    pattern = scipy.sparse.csr_matrix((data, keys % size, indptr), shape=(size, size))
     return pattern, np.searchsorted(keys, hessian_keys)
 
 
@@ -143,8 +143,8 @@ def reference_band_layout(asm, jac):
     order = (dofs[:, None] * block + np.arange(block)).ravel()
     position = np.empty_like(order)
     position[order] = np.arange(asm.size)
-    row = position[jac.indices]
-    col = position[np.repeat(np.arange(asm.size), np.diff(jac.indptr))]
+    row = position[np.repeat(np.arange(asm.size), np.diff(jac.indptr))]
+    col = position[jac.indices]
     kl, ku = int(np.max(row - col)), int(np.max(col - row))
     return kl + ku + row - col + (2 * kl + ku + 1) * col, kl, ku, order, position
 
@@ -180,24 +180,24 @@ def test_slab_set_up_matches_the_scipy_constructions(factory, continuity, p, q, 
 
     assert_same_matrix(space.mass_operator(), reference_mass(space))
     if continuity == "dg":
-        assert_same_matrix(spatial_ops.weak_g_matrix(space), reference_weak_g(space))
-        assert_same_matrix(spatial_ops.g_operator(space), reference_g(space))
+        assert_same_matrix(space.weak_derivative(), reference_weak_g(space))
+        assert_same_matrix(space.g_operator(), reference_g(space))
     else:
-        assert_same_matrix(space.derivative_operator(), reference_derivative(space))
+        assert_same_matrix(space.weak_derivative(), reference_derivative(space))
 
     operator = reference_operator(asm)
     assert_same_matrix(asm.operator, operator)
     linear = reference_linear_jacobian(operator, q)
-    assert_same_matrix(asm.linear_jacobian, linear)
-
     nodes = np.random.default_rng(p + 10 * q).uniform(
         -1.0, 1.0, (problem.D, space.dof_count, q + 2))
     jac = asm.jacobian(nodes)
     if asm.jacobian_is_constant:
+        assert_same_matrix(asm.linear_jacobian, linear)
         assert_same_matrix(jac, linear)
     else:
+        # The linear part on the whole pattern: the Hessian's entries are kept as +0.0.
         pattern, hessian_map = reference_pattern(asm, linear)
-        assert_same_matrix(asm._pattern[0], pattern)
+        assert_same_matrix(asm.linear_jacobian, pattern)
         assert_bits(asm._pattern[1], hessian_map)
     asm.factorise(nodes)
     for actual, expected in zip(asm._band, reference_band_layout(asm, jac)):
@@ -211,10 +211,15 @@ def test_spatial_matrices_match_the_scipy_constructions(continuity, p, mesh):
     # One element of a continuous space sums four blocks entries on one dof pair.
     space = make_space(1.0, mesh, p, continuity)
     assert_same_matrix(space.mass_operator(), reference_mass(space))
-    assert_same_matrix(space.derivative_operator(), reference_derivative(space))
+    elementwise = spaces.assemble([(space.element_dofs, space.element_dofs,
+                                    space.reference_derivative())],
+                                  (space.dof_count, space.dof_count))
+    assert_same_matrix(elementwise, reference_derivative(space))
     if continuity == "dg":
-        assert_same_matrix(spatial_ops.weak_g_matrix(space), reference_weak_g(space))
-        assert_same_matrix(spatial_ops.g_operator(space), reference_g(space))
+        assert_same_matrix(space.weak_derivative(), reference_weak_g(space))
+        assert_same_matrix(space.g_operator(), reference_g(space))
+    else:
+        assert_same_matrix(space.weak_derivative(), reference_derivative(space))
 
 
 @pytest.mark.parametrize("degree", range(6))
@@ -245,8 +250,7 @@ def test_a_second_assembler_on_a_space_assembles_no_spatial_matrix(continuity, m
         return assemble(*args, **kwargs)
 
     assemble = spaces.assemble
-    for module in (spaces, spatial_ops):
-        monkeypatch.setattr(module, "assemble", counted)
+    monkeypatch.setattr(spaces, "assemble", counted)
     problem = nls()
     space = make_space(problem.domain_length, "nonuniform", 2, continuity)
     SlabAssembler(problem, space, 1, 0.1)
@@ -268,3 +272,28 @@ def test_linear_jacobian_is_built_once_and_read_only():
     nodes = np.zeros((problem.D, asm.n, 3))
     jac = asm.jacobian(nodes)
     assert jac.indices is linear.indices and not np.shares_memory(jac.data, linear.data)
+
+
+def assert_canonical_csr(matrix, sorted_indices=True):
+    assert matrix.format == "csr"
+    matrix.check_format(full_check=True)
+    if sorted_indices:
+        assert all(np.all(np.diff(matrix.indices[start:end]) > 0)
+                   for start, end in zip(matrix.indptr[:-1], matrix.indptr[1:]))
+
+
+@pytest.mark.parametrize("factory,continuity", [
+    (factory, continuity) for factory in (linear_wave, nls) for continuity in ("cg", "dg")])
+def test_every_sparse_operator_is_csr(factory, continuity):
+    problem = factory()
+    space = make_space(problem.domain_length, "nonuniform", 2, continuity)
+    asm = SlabAssembler(problem, space, 1, 0.1)
+    nodes = np.random.default_rng(3).uniform(-1.0, 1.0, (problem.D, space.dof_count, 3))
+    assert_canonical_csr(space.mass_operator())
+    assert_canonical_csr(asm.jacobian(nodes))
+    for matrix in (asm.linear_jacobian, asm.operator, space.weak_derivative()):
+        assert_canonical_csr(matrix)
+    if continuity == "dg":
+        # G is scipy's product of the inverse mass blocks and the weak form,
+        # whose rows keep the column order the product met them in.
+        assert_canonical_csr(space.g_operator(), sorted_indices=False)

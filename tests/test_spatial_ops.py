@@ -4,15 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mspde.mesh import Partition1D, gauss_legendre, uniform_partition
-from mspde.spaces import SpatialSpace
+from mspde.spaces import SpatialSpace, assemble
 from mspde.spatial_ops import (
-    apply_g,
     g_matrix,
-    g_operator,
     local_g_boundary_terms,
     node_traces,
     weak_g_from_samples,
-    weak_g_matrix,
 )
 
 
@@ -35,7 +32,7 @@ def test_jump_and_average_values():
     averages = 0.5 * (left + right)
     assert averages[1] == pytest.approx(3.0)
     h = space.partition.widths
-    assert apply_g(space, u) * h == pytest.approx(np.roll(averages, -1) - averages)
+    assert space.apply_g(u) * h == pytest.approx(np.roll(averages, -1) - averages)
 
 
 def test_continuous_trace_has_zero_jump():
@@ -48,8 +45,9 @@ def test_continuous_trace_has_zero_jump():
     coeffs[space.element_dofs.ravel()] = np.sin(2 * np.pi * pts).ravel()
     left, right = node_traces(space, coeffs)
     assert left - right == pytest.approx(0.0, abs=1e-14)
-    assert weak_g_matrix(space) @ coeffs == pytest.approx(
-        space.derivative_operator() @ coeffs, abs=1e-13)
+    elementwise = assemble([(space.element_dofs, space.element_dofs,
+                             space.reference_derivative())], (space.dof_count,) * 2)
+    assert space.weak_derivative() @ coeffs == pytest.approx(elementwise @ coeffs, abs=1e-13)
 
 
 def test_jump_avg_identity_random():
@@ -69,7 +67,7 @@ def test_jump_avg_identity_random():
 
 def test_g_on_constant_is_zero():
     space = dg(6, 2)
-    out = apply_g(space, np.ones(space.dof_count))
+    out = space.apply_g(np.ones(space.dof_count))
     assert np.max(np.abs(out)) < 1e-13
 
 
@@ -87,7 +85,7 @@ def test_g_of_continuous_hat_is_projected_slope():
     # Continuous hat peaking at mesh node 1: elements 0 and 1 carry the tent.
     hat[space.element_dofs[0, 1]] = 1.0
     hat[space.element_dofs[1, 0]] = 1.0
-    out = apply_g(space, hat)
+    out = space.apply_g(hat)
     expected = np.zeros(space.dof_count)
     expected[space.element_dofs[0]] = 4.0
     expected[space.element_dofs[1]] = -4.0
@@ -104,7 +102,7 @@ def _random_fields(space, count, seed):
 def test_g_orthogonal_to_constants(p, m):
     space = dg(m, p)
     fields = _random_fields(space, 50, seed=p * 10 + m)
-    gu = apply_g(space, fields)
+    gu = space.apply_g(fields)
     mass = space.mass_operator().toarray()
     integrals = gu @ mass @ np.ones(space.dof_count)
     assert np.max(np.abs(integrals)) < 1e-12
@@ -117,8 +115,8 @@ def test_g_skew_symmetry(p, m):
     u = _random_fields(space, 50, seed=p + m)
     v = _random_fields(space, 50, seed=p + m + 99)
     mass = space.mass_operator().toarray()
-    lhs = np.einsum("ni,ij,nj->n", apply_g(space, u), mass, v)
-    rhs = -np.einsum("ni,ij,nj->n", u, mass, apply_g(space, v))
+    lhs = np.einsum("ni,ij,nj->n", space.apply_g(u), mass, v)
+    rhs = -np.einsum("ni,ij,nj->n", u, mass, space.apply_g(v))
     scale = np.maximum(1.0, np.abs(lhs))
     assert np.max(np.abs(lhs - rhs) / scale) < 1e-12
 
@@ -142,8 +140,8 @@ def test_g_product_rule_global(p, m):
     mass = space.mass_operator().toarray()
     ones = np.ones(space.dof_count)
     lhs = g_uv @ mass @ ones
-    rhs = np.einsum("ni,ij,nj->n", apply_g(space, u), mass, v) + np.einsum(
-        "ni,ij,nj->n", u, mass, apply_g(space, v)
+    rhs = np.einsum("ni,ij,nj->n", space.apply_g(u), mass, v) + np.einsum(
+        "ni,ij,nj->n", u, mass, space.apply_g(v)
     )
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -153,7 +151,7 @@ def test_local_orthogonality_identity(p):
     # Per element: int_e G(U) dx = {U}_upper - {U}_lower.
     space = dg(6, p)
     u = _random_fields(space, 20, seed=p)[0]
-    gu = apply_g(space, u)
+    gu = space.apply_g(u)
     rule = gauss_legendre(p + 1)
     grid = space.eval_on_rule(gu, rule)
     w = space.partition.widths[:, None] * rule.weights[None, :]
@@ -170,7 +168,7 @@ def test_local_skew_identity(p):
     space = dg(5, p)
     u = _random_fields(space, 1, seed=40 + p)[0]
     v = _random_fields(space, 1, seed=80 + p)[0]
-    gu, gv = apply_g(space, u), apply_g(space, v)
+    gu, gv = space.apply_g(u), space.apply_g(v)
     rule = gauss_legendre(2 * p + 1)
     w = space.partition.widths[:, None] * rule.weights[None, :]
     gu_v = np.einsum("mg,mg->m", space.eval_on_rule(gu, rule) * space.eval_on_rule(v, rule), w)
@@ -199,9 +197,9 @@ def test_local_product_rule_identity(p):
     w = space.partition.widths[:, None] * rule.weights[None, :]
     g_uv_elem = np.einsum("mg,mg->m", space.eval_on_rule(g_uv, rule), w)
     gu_v = np.einsum("mg,mg->m",
-                     space.eval_on_rule(apply_g(space, u), rule) * space.eval_on_rule(v, rule), w)
+                     space.eval_on_rule(space.apply_g(u), rule) * space.eval_on_rule(v, rule), w)
     u_gv = np.einsum("mg,mg->m",
-                     space.eval_on_rule(u, rule) * space.eval_on_rule(apply_g(space, v), rule), w)
+                     space.eval_on_rule(u, rule) * space.eval_on_rule(space.apply_g(v), rule), w)
 
     for m in range(space.partition.element_count):
         terms = local_g_boundary_terms(space, u, v, m)
@@ -299,7 +297,7 @@ def test_g_consistency_under_refinement(p):
     for m in (8, 16, 32):
         space = SpatialSpace(uniform_partition(1.0, m), p, "dg")
         coeffs = space.project(lambda x: np.sin(2 * np.pi * x))
-        gu = apply_g(space, coeffs)
+        gu = space.apply_g(coeffs)
         rule = gauss_legendre(8)
         exact = 2 * np.pi * np.cos(2 * np.pi * space.quad_points(rule))
         err = np.sqrt(space.integrate((space.eval_on_rule(gu, rule) - exact) ** 2, rule))
@@ -322,8 +320,8 @@ def test_g_identities_on_nonuniform_meshes(widths, p, seed):
     rng = np.random.default_rng(seed)
     u, v = rng.uniform(-1.0, 1.0, size=(2, 20, space.dof_count))
     gu, gv = u @ g.T, v @ g.T
-    applied = (g_operator(space) @ u.T).T
-    solved = space.mass_solve((weak_g_matrix(space) @ u.T).T)
+    applied = (space.g_operator() @ u.T).T
+    solved = space.mass_solve((space.weak_derivative() @ u.T).T)
     assert np.max(np.abs(solved - applied)) <= 1e-12 * np.max(np.abs(applied))
     assert np.max(np.abs(gu @ mass @ np.ones(space.dof_count))) < 1e-12
     skew = np.einsum("ni,ij,nj->n", gu, mass, v) + np.einsum("ni,ij,nj->n", u, mass, gv)
