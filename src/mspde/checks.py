@@ -11,7 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics, problems, solver, spatial_ops
-from .mesh import LagrangeBasis, gauss_legendre, uniform_partition
+from .mesh import (
+    QUADRATURE_DEGREE_CAP,
+    LagrangeBasis,
+    gauss_legendre,
+    quadrature_order_policy,
+    uniform_partition,
+)
 from .spaces import SpatialSpace
 
 __all__ = ["CheckResult", "run_property_checks"]
@@ -29,8 +35,9 @@ class CheckResult:
 
 
 def _quadrature_exactness() -> float:
+    """Worst monomial error of every rule the order policy can return."""
     worst = 0.0
-    for n in range(1, 10):
+    for n in range(1, quadrature_order_policy(QUADRATURE_DEGREE_CAP) + 1):
         rule = gauss_legendre(n)
         for k in range(2 * n):
             worst = max(worst, abs(float(np.sum(rule.weights * rule.points**k))

@@ -6,6 +6,7 @@ reached by affine maps, so jacobians are plain element widths.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -42,16 +43,58 @@ class QuadratureRule:
         return self.points.size
 
 
+# The n-point rules on [0, 1] for n = 1..9, every count the order policy
+# returns, as (points, weights) at index n - 1: the repr of numpy's
+# ``leggauss(n)`` mapped by (x + 1) / 2 and w / 2, so that each tabulated
+# rule is bit for bit the computed one and a run solves no eigenproblem.
+_GAUSS_LEGENDRE_TABLE = (
+    ((0.5,),
+     (1.0,)),
+    ((0.21132486540518713, 0.7886751345948129),
+     (0.5, 0.5)),
+    ((0.1127016653792583, 0.5, 0.8872983346207417),
+     (0.27777777777777785, 0.4444444444444444, 0.27777777777777785)),
+    ((0.06943184420297371, 0.33000947820757187, 0.6699905217924281, 0.9305681557970262),
+     (0.17392742256872679, 0.3260725774312732, 0.3260725774312732, 0.17392742256872679)),
+    ((0.04691007703066802, 0.23076534494715845, 0.5, 0.7692346550528415, 0.9530899229693319),
+     (0.11846344252809464, 0.23931433524968315, 0.28444444444444433, 0.23931433524968315,
+      0.11846344252809464)),
+    ((0.03376524289842403, 0.16939530676686776, 0.38069040695840156, 0.6193095930415985,
+      0.8306046932331322, 0.9662347571015759),
+     (0.08566224618958514, 0.18038078652406936, 0.23395696728634552, 0.23395696728634552,
+      0.18038078652406936, 0.08566224618958514)),
+    ((0.0254460438286207, 0.12923440720030277, 0.2970774243113014, 0.5, 0.7029225756886985,
+      0.8707655927996972, 0.9745539561713793),
+     (0.06474248308443487, 0.13985269574463843, 0.19091502525255935, 0.20897959183673465,
+      0.19091502525255935, 0.13985269574463843, 0.06474248308443487)),
+    ((0.019855071751231912, 0.10166676129318664, 0.2372337950418355, 0.4082826787521751,
+      0.5917173212478248, 0.7627662049581645, 0.8983332387068134, 0.9801449282487681),
+     (0.05061426814518853, 0.11119051722668721, 0.15685332293894344, 0.18134189168918083,
+      0.18134189168918083, 0.15685332293894344, 0.11119051722668721, 0.05061426814518853)),
+    ((0.015919880246186957, 0.08198444633668212, 0.19331428364970482, 0.33787328829809554, 0.5,
+      0.6621267117019045, 0.8066857163502952, 0.9180155536633179, 0.984080119753813),
+     (0.04063719418078708, 0.09032408034742868, 0.1303053482014678, 0.15617353852000146,
+      0.16511967750062992, 0.15617353852000146, 0.1303053482014678, 0.09032408034742868,
+      0.04063719418078708)),
+)
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule on [0, 1]; exact for degree <= 2n - 1.
 
-    Computed once per n and shared, so its arrays are read-only.
+    Rules up to 9 points are read from a table equal, bit for bit, to
+    numpy's ``leggauss`` (Golub-Welsch); larger ones are computed by it.
+    Built once per n and shared, so its arrays are read-only.
     """
     if n < 1:
         raise ValueError(f"quadrature rule needs at least one point, got n={n}")
-    pts, wts = np.polynomial.legendre.leggauss(n)
-    rule = QuadratureRule(points=(pts + 1.0) / 2.0, weights=wts / 2.0)
+    n = operator.index(n)  # a float such as 9.0 raises TypeError, as leggauss does
+    if n <= len(_GAUSS_LEGENDRE_TABLE):
+        rule = QuadratureRule(*map(np.array, _GAUSS_LEGENDRE_TABLE[n - 1]))
+    else:
+        pts, wts = np.polynomial.legendre.leggauss(n)
+        rule = QuadratureRule(points=(pts + 1.0) / 2.0, weights=wts / 2.0)
     rule.points.flags.writeable = rule.weights.flags.writeable = False
     return rule
 

@@ -135,7 +135,7 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-def _gmres(jac: scipy.sparse.csr_matrix, factor: BandFactor,
+def _gmres(jac: scipy.sparse.csr_array, factor: BandFactor,
            r: np.ndarray) -> tuple[np.ndarray | None, int]:
     """Solution s of J s = -r by GMRES right-preconditioned with a band
     factor of another Jacobian, and the iterations it took; None in place
@@ -354,8 +354,8 @@ class SlabAssembler(SlabGrid):
             self._grad_zero_rows = np.swapaxes(self.test(grad_zero), 0, 1).ravel()
         self._deriv = space.weak_derivative()
         self._time_blocks = (time_k, np.kron(problem.L, self.time_mass))
-        self.operator = scipy.sparse.csr_matrix(_kron_sum(self._spatial_terms(), self.n)[:3],
-                                                shape=(self.size, self.n * d * (q + 2)))
+        self.operator = scipy.sparse.csr_array(_kron_sum(self._spatial_terms(), self.n)[:3],
+                                               shape=(self.size, self.n * d * (q + 2)))
         self._band = None     # (band index of each entry, kl, ku, fold order, its inverse)
         self._factor = None   # the last band factor, kept across iterations and slabs
         self._extrapolations = {}  # previous slab length -> trial table at this slab's nodes
@@ -388,7 +388,7 @@ class SlabAssembler(SlabGrid):
         return terms
 
     @functools.cached_property
-    def _pattern(self) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+    def _pattern(self) -> tuple[scipy.sparse.csr_array, np.ndarray]:
         """The fixed CSR pattern of every :meth:`jacobian`, holding the
         slab operator's unknown columns, and the position in its ``data`` of
         each :meth:`_hessian_values` entry; built once, on first use, with
@@ -407,7 +407,7 @@ class SlabAssembler(SlabGrid):
         else:
             kept = np.kron(self.problem.hessian_pattern, np.ones((q1, q1), dtype=bool))
             *arrays, locate = _kron_sum(self._spatial_terms(unknowns=True), self.n, kept=kept)
-            pattern = scipy.sparse.csr_matrix(tuple(arrays), shape=(self.size, self.size))
+            pattern = scipy.sparse.csr_array(tuple(arrays), shape=(self.size, self.size))
             # Entry (a, b, M, P, k, l): row (dof k of element M, component
             # first[P], test a), column (dof l, component second[P], node b+1).
             first, second = (index.reshape(1, 1, 1, -1, 1, 1)
@@ -422,7 +422,7 @@ class SlabAssembler(SlabGrid):
         return pattern, hessian_map
 
     @property
-    def linear_jacobian(self) -> scipy.sparse.csr_matrix:
+    def linear_jacobian(self) -> scipy.sparse.csr_array:
         """The state-independent part of the Jacobian on its fixed pattern,
         and all of it when the Hessian is constant: the slab operator's
         columns of the unknown nodes 1..q+1, block-banded with periodic
@@ -446,7 +446,7 @@ class SlabAssembler(SlabGrid):
         return linear - np.swapaxes(self.test(grad), 0, 1).ravel()
 
     def jacobian(self, z_nodes: np.ndarray,
-                 state: np.ndarray | None = None) -> scipy.sparse.csr_matrix:
+                 state: np.ndarray | None = None) -> scipy.sparse.csr_array:
         """Exact sparse derivative of the flat residual w.r.t. the unknown nodes.
 
         The values of :attr:`linear_jacobian`, less, when the Hessian is not
@@ -591,7 +591,7 @@ class SlabAssembler(SlabGrid):
         return self._factorise(z_nodes, state, self.jacobian(z_nodes, state))
 
     def _factorise(self, z_nodes: np.ndarray, state: np.ndarray | None,
-                   jac: scipy.sparse.csr_matrix) -> BandFactor:
+                   jac: scipy.sparse.csr_array) -> BandFactor:
         """:meth:`factorise` of ``jac``, the :meth:`jacobian` at z_nodes and
         their grid state ``state``, from which a singular Jacobian's
         residual norm is taken."""

@@ -36,8 +36,8 @@ __all__ = [
 ]
 
 
-def assemble(groups, shape) -> scipy.sparse.csr_matrix:
-    """Sum element blocks into a canonical CSR matrix of the given shape.
+def assemble(groups, shape) -> scipy.sparse.csr_array:
+    """Sum element blocks into a canonical ``csr_array`` of the given shape.
 
     ``groups`` holds (row_dofs, col_dofs, blocks) triples: block m (r, c) of
     a group lands on rows ``row_dofs[m]`` (length r) and columns
@@ -60,8 +60,8 @@ def assemble(groups, shape) -> scipy.sparse.csr_matrix:
     data = np.add.reduceat(np.concatenate(values)[order], first)
     keys = keys[first]
     indptr = np.searchsorted(keys, shape[1] * np.arange(shape[0] + 1)).astype(np.int32)
-    return scipy.sparse.csr_matrix((data, (keys % shape[1]).astype(np.int32), indptr),
-                                   shape=shape)
+    return scipy.sparse.csr_array((data, (keys % shape[1]).astype(np.int32), indptr),
+                                  shape=shape)
 
 
 class BandFactor(NamedTuple):
@@ -83,7 +83,7 @@ class BandFactor(NamedTuple):
         return folded.take(self.position, axis=0)
 
 
-def band_layout(pattern: scipy.sparse.csr_matrix, n: int):
+def band_layout(pattern: scipy.sparse.csr_array, n: int):
     """Band layout of a CSR pattern over n periodic dofs of size // n unknowns
     each, folded in dof order 0, n-1, 1, n-2, ... so that its periodic corner
     blocks meet the diagonal: the flat Fortran band index of each stored
@@ -195,7 +195,7 @@ class SpatialSpace:
         b = self.tabulate(rule.points)
         return np.einsum("kg,lg,g->kl", b, b, rule.weights)
 
-    def mass_operator(self) -> scipy.sparse.csr_matrix:
+    def mass_operator(self) -> scipy.sparse.csr_array:
         """Sparse exactly integrated mass matrix, row i holding int u phi_i,
         built once per space."""
         if self._mass is None:
@@ -302,7 +302,7 @@ class SpatialSpace:
         dofs = self.element_dofs
         return np.stack([np.roll(dofs[:, -1], 1), dofs[:, 0]], axis=1)
 
-    def weak_derivative(self) -> scipy.sparse.csr_matrix:
+    def weak_derivative(self) -> scipy.sparse.csr_array:
         """Sparse weak form of the scheme derivative Dz, row i holding
         int Dz . phi_i, built once per space: the elementwise derivative on a
         continuous space and, on a broken one, the average-flux derivative G,
@@ -324,10 +324,16 @@ class SpatialSpace:
             self._weak_derivative = weak
         return self._weak_derivative
 
-    def g_operator(self) -> scipy.sparse.csr_matrix:
+    def g_operator(self) -> scipy.sparse.csr_array:
         """Sparse average-flux derivative G on a broken space, built once per
         space: the weak form times the element inverse mass blocks that
-        :meth:`mass_solve` applies."""
+        :meth:`mass_solve` applies.
+
+        G is scipy's sparse product as it comes, so each row keeps its
+        columns in the order the product met them: the indices are not
+        sorted.  They must stay so, because every product with G sums each
+        row in stored order; sorting them would reorder G's row sums and
+        move every ``dg`` invariant in the last bits."""
         if self.continuity != "dg":
             raise ValueError("the average-flux derivative operator needs a broken space")
         if self._g is None:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mspde.mesh import (
+    QUADRATURE_DEGREE_CAP,
     LagrangeBasis,
     Partition1D,
     equispaced_nodes,
@@ -56,6 +57,46 @@ def test_rules_are_shared_and_read_only():
 def test_zero_point_rule_rejected():
     with pytest.raises(ValueError):
         gauss_legendre(0)
+
+
+def leggauss_rule(n):
+    points, weights = np.polynomial.legendre.leggauss(n)
+    return (points + 1.0) / 2.0, weights / 2.0
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_tabulated_rules_are_leggauss_bit_for_bit(n):
+    rule = gauss_legendre(n)
+    for got, expected in zip((rule.points, rule.weights), leggauss_rule(n)):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("n", [10, 16])
+def test_rules_beyond_the_table_are_leggauss(n):
+    rule = gauss_legendre(n)
+    points, weights = leggauss_rule(n)
+    assert np.array_equal(rule.points, points) and np.array_equal(rule.weights, weights)
+
+
+def test_policy_rules_need_no_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a policy rule solved an eigenproblem")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    counts = {quadrature_order_policy(d) for d in range(QUADRATURE_DEGREE_CAP + 1)}
+    assert counts == set(range(1, 10))
+    for n in sorted(counts):
+        # The uncached function, so the shared cache neither hides nor keeps a rule.
+        assert len(gauss_legendre.__wrapped__(n)) == n
+
+
+@pytest.mark.parametrize("n", [2.5, 9.0])
+def test_non_integer_point_count_rejected(n):
+    with pytest.raises(TypeError):
+        gauss_legendre.__wrapped__(n)
 
 
 def test_order_policy_small_degrees():

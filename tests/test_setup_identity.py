@@ -275,7 +275,7 @@ def test_linear_jacobian_is_built_once_and_read_only():
 
 
 def assert_canonical_csr(matrix, sorted_indices=True):
-    assert matrix.format == "csr"
+    assert type(matrix) is scipy.sparse.csr_array
     matrix.check_format(full_check=True)
     if sorted_indices:
         assert all(np.all(np.diff(matrix.indices[start:end]) > 0)
