@@ -207,6 +207,10 @@ def cmd_converge(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        print(f"invalid configuration: seed must be nonnegative, got {args.seed}",
+              file=sys.stderr)
+        return 2
     results = run_property_checks(seed=args.seed)
     failed = 0
     for result in results:

@@ -309,20 +309,21 @@ def auxiliary_field(trajectory: Trajectory) -> tuple[SpatialSpace, np.ndarray]:
     the projection rows int (a - grad S(z)) . psi tau = 0 for broken-space
     psi and degree-q tau, i.e. (mass x ta0) a = rows(grad S(z)): one broken
     mass solve, then one (q+1)-square temporal solve.  The time rows and
-    ta0 both scale with the slab length, so one unit-length grid serves
-    every slab.
+    ta0 both scale with the slab length, so one unit-length grid on each
+    space serves every slab.
     """
     if trajectory.variant is not SchemeVariant.CG_MOMENTUM:
         raise ValueError("the auxiliary field belongs to the cg-momentum variant")
     problem, space, q = trajectory.problem, trajectory.space, trajectory.q
     aux_space = SpatialSpace(space.partition, space.degree, "dg")
-    grid = SlabGrid(space, q, 1.0, *slab_rules(problem, space.degree, q))
+    rules = slab_rules(problem, space.degree, q)
+    grid, aux_grid = SlabGrid(space, q, 1.0, *rules), SlabGrid(aux_space, q, 1.0, *rules)
     ta0 = grid.time_mass                                               # (q+1, q+2)
     initial = space.eval_on_rule(trajectory.initial_coeffs, grid.rule_x)
     start = aux_space.project_grid(pointwise_grad(problem, initial), grid.rule_x)
     nodes = np.empty((len(trajectory.slabs), problem.D, aux_space.dof_count, q + 2))
     for n, coeffs in enumerate(trajectory.slabs):
-        rows = grid.test(pointwise_grad(problem, grid.eval(coeffs.values, grid.Tt)), aux_space)
+        rows = aux_grid.test(pointwise_grad(problem, grid.eval(coeffs.values, grid.Tt)))
         rhs = aux_space.mass_solve(np.swapaxes(rows, 1, 2)) \
             - ta0[:, :1] * start[:, None, :]                               # (D, q+1, dofs)
         nodes[n, :, :, 0] = start

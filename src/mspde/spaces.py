@@ -432,9 +432,9 @@ class SlabGrid:
     ``dTt``, the test table ``Ts``, the spatial basis table ``B``, the
     physical time weights ``wt``, the temporal mass block ``time_mass``
     (q+1, q+2) of test against trial functions, and the weighted test
-    tables of :meth:`test`, built once per spatial space.  Every integral
-    over a slab (the scheme's rows, the local conservation laws, the
-    space-time projection, error norms) goes through one of these grids.
+    tables of :meth:`test`.  Every integral over a slab (the scheme's rows,
+    the local conservation laws, the space-time projection, error norms)
+    goes through one of these grids.
     """
 
     def __init__(self, space: SpatialSpace, q: int, dt: float,
@@ -449,7 +449,7 @@ class SlabGrid:
         self.wt = dt * rule_t.weights
         self.time_mass = dt * np.einsum("ag,bg,g->ab", self.Ts, self.Tt, rule_t.weights)
         self._weighted_time = self.Ts * self.wt                        # (q+1, nt)
-        self._weighted_bases: dict[SpatialSpace, np.ndarray] = {}
+        self._weighted_basis = (self.B * rule_x.weights).T             # (ns, p+1)
 
     def eval(self, nodes: np.ndarray, time_table: np.ndarray,
              derivative_order: int = 0) -> np.ndarray:
@@ -459,26 +459,20 @@ class SlabGrid:
         return self.space.eval_on_rule(np.swapaxes(np.asarray(nodes) @ time_table, 1, 2),
                                        self.rule_x, derivative_order)
 
-    def test(self, grid: np.ndarray, space: SpatialSpace | None = None) -> np.ndarray:
-        """Test-space rows (D, dofs, q+1) of a grid field (D, nt, M, ns) on ``space``
-        (default: the grid's; any space on the grid's partition).
+    def test(self, grid: np.ndarray) -> np.ndarray:
+        """Test-space rows (D, dofs, q+1) of a grid field (D, nt, M, ns).
 
         Row (c, i, a) is the quadrature sum of component c times spatial basis
         function i times temporal basis function a.  The grid is contracted
-        over space with the weighted basis table of ``space`` (built on its
-        first use), then over time with the weighted test table.
+        over space with the weighted basis table, then over time with the
+        weighted test table.
         """
-        space = space or self.space
-        weighted_basis = self._weighted_bases.get(space)
-        if weighted_basis is None:
-            weighted_basis = (space.tabulate(self.rule_x.points) * self.rule_x.weights).T
-            self._weighted_bases[space] = weighted_basis                # (ns, p+1)
         grid = np.asarray(grid)
         d, nt, m, ns = grid.shape
-        in_space = grid.reshape(-1, ns) @ weighted_basis                # (D*nt*M, p+1)
+        in_space = grid.reshape(-1, ns) @ self._weighted_basis          # (D*nt*M, p+1)
         rows = self._weighted_time @ in_space.reshape(d, nt, -1)
-        rows = rows.reshape(d, self.q + 1, m, -1) * space.partition.widths[:, None]
-        return np.swapaxes(space.scatter_add(rows), 1, 2)
+        rows = rows.reshape(d, self.q + 1, m, -1) * self.space.partition.widths[:, None]
+        return np.swapaxes(self.space.scatter_add(rows), 1, 2)
 
     def project(self, grid: np.ndarray) -> np.ndarray:
         """Test-space L2 projection (D, dofs, q+1) of a grid field (D, nt, M, ns):

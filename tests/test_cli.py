@@ -214,6 +214,15 @@ def test_seed_is_a_verify_option_only(tmp_path):
     assert key.value.code == 2
 
 
+def test_negative_verify_seed_is_invalid(capsys):
+    # numpy's generators take no negative seed; verify rejects one as a
+    # configuration, before any check runs, with one line on stderr.
+    assert main(["verify", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["invalid configuration: seed must be nonnegative, got -1"]
+
+
 VERIFY_GROUPS = [
     "quadrature-exactness", "basis-partition-of-unity", "basis-derivative-fd",
     "mass-matrix-symmetry", "l2-projection-orthogonality", "problem-skew-symmetry",

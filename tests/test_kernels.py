@@ -128,15 +128,13 @@ def test_slab_grid_test_matches_einsum(variant, q, p):
     space, weights = asm.space, asm.rule_x.weights
     grid = rng.standard_normal((asm.problem.D, len(asm.rule_t),
                                 space.partition.element_count, len(asm.rule_x)))
-    assert_close(asm.test(grid, space),
+    assert_close(asm.test(grid),
                  reference_test(grid, space, asm.B, asm.Ts, weights, asm.wt))
-    # Any space on the grid's partition: the broken space of degree p,
-    # whose weighted table the grid builds on first use.
+    # A grid on the broken space of degree p over the same partition.
     broken = SpatialSpace(space.partition, p, "dg")
-    for _ in range(2):
-        assert_close(asm.test(grid, broken),
-                     reference_test(grid, broken, broken.tabulate(asm.rule_x.points), asm.Ts,
-                                    weights, asm.wt))
+    assert_close(SlabGrid(broken, q, asm.dt, asm.rule_t, asm.rule_x).test(grid),
+                 reference_test(grid, broken, broken.tabulate(asm.rule_x.points), asm.Ts,
+                                weights, asm.wt))
 
 
 def forced_linear_wave():

@@ -756,12 +756,13 @@ def test_momentum_variant_auxiliary_field_solves_the_coupled_system():
     assert aux.shape == (5, 3, aux_space.dof_count, config.q + 2)
     assert aux_space.continuity == "dg" and aux_space.degree == config.p
     assert traj.slabs[-1].slab.dt == pytest.approx(0.05)
+    rules = slab_rules(prob, config.p, config.q)
     aux_prev = aux[0, :, :, 0]
     for coeffs, aux_nodes in zip(traj.slabs, aux):
         assert np.array_equal(aux_nodes[:, :, 0], aux_prev)
         aux_prev = aux_nodes[:, :, -1]
-        grid = SlabGrid(traj.space, config.q, coeffs.slab.dt,
-                        *slab_rules(prob, config.p, config.q))
+        grid = SlabGrid(traj.space, config.q, coeffs.slab.dt, *rules)
+        aux_grid = SlabGrid(aux_space, config.q, coeffs.slab.dt, *rules)
         z = grid.eval(coeffs.values, grid.Tt)
         zt = grid.eval(coeffs.values, grid.dTt / coeffs.slab.dt)
         zx = grid.eval(coeffs.values, grid.Tt, derivative_order=1)
@@ -770,7 +771,7 @@ def test_momentum_variant_auxiliary_field_solves_the_coupled_system():
         scheme = (np.einsum("cd,dgmh->cgmh", prob.K, zt)
                   + np.einsum("cd,dgmh->cgmh", prob.L, zx) - a)
         scheme_rows = grid.test(scheme)
-        projection_rows = grid.test(a - grad, aux_space)
+        projection_rows = aux_grid.test(a - grad)
         assert np.max(np.abs(projection_rows)) <= 1e-12
         assert np.max(np.abs(scheme_rows)) <= 1e-12
 
