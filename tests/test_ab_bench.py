@@ -17,14 +17,14 @@ def test_a_clear_gain_wins_every_pair_and_clears_the_spread():
     change = [value - 0.10 for value in PARENT]
     row = ab_bench.compare(PARENT, change, "lower", 0.25)
     assert (row["wins"], row["losses"], row["pairs"]) == (10, 0, 10)
-    assert row["gain"] and row["within_bound"]
+    assert row["gain"] and row["verdict"] == "ok"
     assert row["ratio"] == pytest.approx(0.9, abs=1e-3)
 
 
 def test_ties_count_for_neither_side_and_no_gain():
     row = ab_bench.compare(PARENT, list(PARENT), "lower", 0.25)
     assert (row["wins"], row["losses"]) == (0, 0)
-    assert not row["gain"] and row["within_bound"]
+    assert not row["gain"] and row["verdict"] == "ok"
 
 
 def test_nine_wins_within_the_spread_is_no_gain():
@@ -39,11 +39,47 @@ def test_nine_wins_within_the_spread_is_no_gain():
 
 def test_a_regression_past_the_bound_is_flagged_in_either_direction():
     slower = ab_bench.compare(PARENT, [value * 1.3 for value in PARENT], "lower", 0.25)
-    assert not slower["within_bound"] and slower["worse_by"] == pytest.approx(0.3)
+    assert slower["verdict"] == "EXCEEDED" and slower["worse_by"] == pytest.approx(0.3)
     lower_rate = ab_bench.compare(PARENT, [value * 0.7 for value in PARENT], "higher", 0.25)
-    assert not lower_rate["within_bound"] and not lower_rate["gain"]
+    assert lower_rate["verdict"] == "EXCEEDED" and not lower_rate["gain"]
     assert ab_bench.compare(PARENT, [value * 1.2 for value in PARENT], "lower",
-                            0.25)["within_bound"]
+                            0.25)["verdict"] == "ok"
+
+
+def test_more_failed_repeats_rule_out_a_gain():
+    change = [value - 0.10 for value in PARENT]
+    assert not ab_bench.compare(PARENT, change, "lower", 0.25, more_failures=True)["gain"]
+
+    def run(value, failed):
+        return {"attempted": 4, "failed": failed,
+                "metrics": {"run_s": {"value": value, "unit": "s"}}}
+
+    metrics = [{"name": "run_s", "better": "lower", "bound": 0.25}]
+    runs = {"parent": [run(p, 0) for p in PARENT], "change": [run(c, 0) for c in change]}
+    assert ab_bench.summarise(runs, metrics)["metrics"]["run_s"]["gain"]
+    runs["change"][0]["failed"] = 1
+    assert not ab_bench.summarise(runs, metrics)["metrics"]["run_s"]["gain"]
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # Parent quartiles 0.8 and 1.2 around a median of 1.0: a spread of 0.4
+    # against a bound of 0.25, so a change median 10 % worse cannot be judged.
+    wide = [0.6, 0.8, 0.8, 0.8, 1.0, 1.0, 1.2, 1.2, 1.2, 1.4]
+    row = ab_bench.compare(wide, [value * 1.1 for value in wide], "lower", 0.25)
+    assert row["verdict"] == "unresolved"
+    # Only a change whose every run beats every parent run is judged.
+    assert ab_bench.compare(wide, [value + 1.0 for value in wide], "lower",
+                            0.25)["verdict"] == "unresolved"
+    assert ab_bench.compare(wide, [value * 0.3 for value in wide], "lower",
+                            0.25)["verdict"] == "ok"
+
+
+def test_a_zero_parent_median_does_not_pass_a_worse_change():
+    zeros = [0.0] * 10
+    worse = ab_bench.compare(zeros, [0.1] * 10, "lower", 0.25)
+    assert worse["worse_by"] == float("inf") and worse["verdict"] == "EXCEEDED"
+    same = ab_bench.compare(zeros, list(zeros), "lower", 0.25)
+    assert same["worse_by"] == 0.0 and same["verdict"] == "ok"
 
 
 def test_summary_reads_every_end_to_end_metric_and_the_failed_share():

@@ -1,20 +1,27 @@
 """Paired benchmark runs of a parent checkout against a change checkout.
 
-    python3 tools/ab_bench.py PARENT_DIR CHANGE_DIR --pairs 10 --seconds 40
+    python3 tools/ab_bench.py PARENT_DIR CHANGE_DIR --pairs 10
 
 Each checkout is the root of a source tree with ``perfbench/`` and
-``BENCHMARK.json``.  For every workload and every seed of the pairs, the
-script runs ``perfbench/bench.py --trace 0`` once in each checkout, one after
-the other, and alternates which side goes first.  It reads each run's last
-JSON line and prints, per workload and end-to-end metric, both sides' median
-and quartiles, the pairs the change won (ties count for neither side) and the
-ratio of the medians.  Two verdicts follow each metric:
+``BENCHMARK.json``.  The parent's ``BENCHMARK.json`` sets the workloads, the
+run length (``run_seconds``) and the end-to-end metrics with their bounds, so
+both sides run exactly as the benchmark does.  For every workload and every
+seed of the pairs, the script runs ``perfbench/bench.py --trace 0`` once in
+each checkout, one after the other, and alternates which side goes first.  It
+reads each run's last JSON line and prints, per workload and end-to-end
+metric, both sides' median and quartiles, the pairs the change won (ties count
+for neither side) and the ratio of the medians.  Two verdicts follow each
+metric:
 
-* ``gain``: the change won at least nine tenths of the pairs and its median
-  is better than the parent's by more than the parent's interquartile range;
-* ``bound``: the change's median is not worse than the parent's by more than
-  the metric's ``bound`` in the parent's ``BENCHMARK.json``, as a fraction of
-  the parent's median.
+* ``gain``: the change won at least nine tenths of the pairs, its median is
+  better than the parent's by more than the parent's interquartile range, and
+  it failed no larger share of its repeats than the parent;
+* ``bound``: ``unresolved`` when the parent's interquartile range, as a
+  fraction of its median, is wider than the metric's bound and not every
+  change run is better than every parent run; otherwise ``EXCEEDED`` when the
+  change's median is worse than the parent's by more than the bound, as a
+  fraction of the parent's median, and ``ok`` when it is not.  A parent
+  median of 0 makes any worse change median infinitely worse.
 
 It also prints the failed share of repeats on each side.  The last line of
 standard output is the summary as JSON.  Only ``perfbench/`` and
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -53,23 +61,40 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
-    """Paired comparison of one metric; ``parent[i]`` and ``change[i]`` are pair i."""
+def relative(amount: float, base: float) -> float:
+    """``amount`` as a fraction of ``base``; infinite (with its sign) when ``base`` is 0."""
+    if base:
+        return amount / abs(base)
+    return math.copysign(math.inf, amount) if amount else 0.0
+
+
+def compare(parent: list[float], change: list[float], better: str, bound: float,
+            more_failures: bool = False) -> dict:
+    """Paired comparison of one metric; ``parent[i]`` and ``change[i]`` are pair i.
+
+    ``more_failures`` says the change failed a larger share of its repeats
+    than the parent, which rules out a gain.
+    """
     sign = 1.0 if better == "lower" else -1.0
     p_q1, p_med, p_q3 = quartiles(parent)
     c_q1, c_med, c_q3 = quartiles(change)
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    gain = (wins >= GAIN_SHARE * len(parent)
+    gain = (not more_failures and wins >= GAIN_SHARE * len(parent)
             and sign * (p_med - c_med) > p_q3 - p_q1)
-    worse_by = sign * (c_med - p_med) / p_med if p_med else 0.0
+    worse_by = relative(sign * (c_med - p_med), p_med)
+    separated = all(sign * (p - c) > 0 for p in parent for c in change)
+    if relative(p_q3 - p_q1, p_med) > bound and not separated:
+        verdict = "unresolved"
+    else:
+        verdict = "EXCEEDED" if worse_by > bound else "ok"
     return {
         "parent": {"q1": p_q1, "median": p_med, "q3": p_q3},
         "change": {"q1": c_q1, "median": c_med, "q3": c_q3},
         "wins": wins, "losses": losses, "pairs": len(parent),
         "ratio": c_med / p_med if p_med else float("nan"),
         "worse_by": worse_by, "bound": bound,
-        "gain": gain, "within_bound": worse_by <= bound,
+        "gain": gain, "verdict": verdict,
     }
 
 
@@ -80,12 +105,13 @@ def summarise(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
         attempted = sum(run["attempted"] for run in runs[side])
         failed = sum(run["failed"] for run in runs[side])
         result["failed"][side] = failed / attempted if attempted else 1.0
+    more_failures = result["failed"]["change"] > result["failed"]["parent"]
     for metric in end_to_end:
         name = metric["name"]
         values = {side: [run["metrics"][name]["value"] for run in runs[side]]
                   for side in SIDES}
         result["metrics"][name] = compare(values["parent"], values["change"],
-                                          metric["better"], metric["bound"])
+                                          metric["better"], metric["bound"], more_failures)
     return result
 
 
@@ -99,8 +125,7 @@ def _report(workload: str, summary: dict) -> None:
               f"  wins {row['wins']}/{row['pairs']} (losses {row['losses']})"
               f"  ratio {row['ratio']:.4f}"
               f"  gain {'yes' if row['gain'] else 'no'}"
-              f"  bound {'ok' if row['within_bound'] else 'EXCEEDED'}"
-              f" ({row['worse_by']:+.3f} of {row['bound']})")
+              f"  bound {row['verdict']} ({row['worse_by']:+.3f} of {row['bound']})")
 
 
 def main(argv=None) -> int:
@@ -108,24 +133,20 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=40.0,
-                        help="bench.py --seconds of every run")
-    parser.add_argument("--workload", action="append",
-                        help="workload to run (repeatable; default: all in BENCHMARK.json)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
 
     benchmark = json.loads((args.parent / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     summaries = {}
-    for workload in workloads:
+    for workload in (w["name"] for w in benchmark["workloads"]):
         runs = {side: [] for side in SIDES}
         for seed in range(args.pairs):
             order = SIDES if seed % 2 == 0 else SIDES[::-1]
             for side in order:
-                runs[side].append(run_bench(checkouts[side], workload, seed, args.seconds))
+                runs[side].append(run_bench(checkouts[side], workload, seed,
+                                            benchmark["run_seconds"]))
         summaries[workload] = summarise(runs, benchmark["end_to_end"])
         _report(workload, summaries[workload])
     print(json.dumps(summaries))
