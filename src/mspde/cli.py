@@ -133,7 +133,7 @@ def cmd_run(args) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     except SolverFailure as failure:
-        rows = _invariant_rows(global_invariants(trajectory)) if trajectory.slabs else []
+        rows = _invariant_rows(global_invariants(trajectory))
         rows.append([failure.slab_index * config.dt, *(["nan"] * (len(header) - 1))])
         _write_csv(out_dir / "invariants.csv", header, rows)
         print(f"solver failure on slab {failure.slab_index}: "

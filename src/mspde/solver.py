@@ -135,23 +135,40 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-def _gmres(jac: scipy.sparse.csr_array, factor: BandFactor,
-           r: np.ndarray) -> tuple[np.ndarray | None, int]:
+def _forcing(norm: float) -> float:
+    """Forcing term eta of the Newton step at an iterate whose residual
+    max-norm is ``norm``: min(max(norm^2, 1e-12), 1e-4).
+
+    A step solved to ||J s + r||_2 <= eta ||r||_2 with eta = O(||r||) keeps
+    Newton's local quadratic convergence (Dembo, Eisenstat & Steihaug, SIAM
+    J. Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17,
+    1996): the step's own quadratic error, about norm^2, hides any linear
+    accuracy beyond it.  From norm <= 1e-6 on eta is 1e-12, so the step
+    that brings a slab to its tolerance is solved as tightly as an exact
+    one; 1e-4 caps eta on a far-off start.
+    """
+    return min(max(norm * norm, 1e-12), 1e-4)
+
+
+def _gmres(jac: scipy.sparse.csr_array, factor: BandFactor, r: np.ndarray,
+           eta: float) -> tuple[np.ndarray | None, int]:
     """Solution s of J s = -r by GMRES right-preconditioned with a band
     factor of another Jacobian, and the iterations it took; None in place
     of s when GMRES has not converged within ``_GMRES_CAP`` iterations.
 
     GMRES (Saad & Schultz, 1986) starts from the factor's solve and stops
-    when the true residual ||J s + r||_2 is at most max(1e-12 ||r||_2,
-    1e-15).  The Krylov basis V is orthogonalised by classical Gram-Schmidt
-    with one reorthogonalisation, and Z = M^-1 V (``preconditioned``) is
-    kept, so the solution x0 + Z y takes no further back-solve.  The Givens rotations of the
-    Hessenberg columns and the triangular solve for y run on Python floats.
+    when the true residual ||J s + r||_2 is at most max(eta ||r||_2,
+    1e-15), for the forcing term eta (see :func:`_forcing`).  The Krylov
+    basis V is orthogonalised by classical Gram-Schmidt with one
+    reorthogonalisation, and Z = M^-1 V (``preconditioned``) is kept, so
+    the solution x0 + Z y takes no further back-solve.  The Givens
+    rotations of the Hessenberg columns and the triangular solve for y run
+    on Python floats.
     """
     b = -r
     x = factor.solve(b)
     residual = b - jac @ x
-    tolerance = max(1e-12 * _norm(r), 1e-15)
+    tolerance = max(eta * _norm(r), 1e-15)
     beta = _norm(residual)
     if beta <= tolerance:
         return x, 0
@@ -278,6 +295,22 @@ def build_space(problem: MultisymplecticProblem, config: SolverConfig,
         )
     partition = uniform_partition(problem.domain_length, m)
     return SpatialSpace(partition, config.p, variant.spatial_continuity)
+
+
+def _check_space(space: SpatialSpace, problem: MultisymplecticProblem, config: SolverConfig,
+                 variant: SchemeVariant) -> None:
+    """Raise :class:`ConfigurationError` unless a given space has the
+    variant's continuity, degree ``config.p`` and a partition of the
+    problem's domain length (to build_space's relative 1e-9)."""
+    if space.continuity != variant.spatial_continuity:
+        raise ConfigurationError(f"a {variant.value} run needs a {variant.spatial_continuity} "
+                                 f"space, got a {space.continuity} one")
+    if space.degree != config.p:
+        raise ConfigurationError(f"the space has degree {space.degree}, not p={config.p}")
+    length = space.partition.total_length
+    if abs(length - problem.domain_length) > 1e-9 * problem.domain_length:
+        raise ConfigurationError(f"the space's partition spans {length}, not the domain "
+                                 f"length {problem.domain_length}")
 
 
 def slab_rules(problem: MultisymplecticProblem, p: int,
@@ -530,9 +563,10 @@ class SlabAssembler(SlabGrid):
         evaluated once, by :meth:`_evaluate`, and passed to the residual and
         to the Jacobian of the Newton step at that iterate.
 
-        Each step solves the iterate's exact Newton system (see
+        Each step solves the iterate's Newton system (see
         :meth:`_newton_step`), by GMRES preconditioned with the band factor
-        that the assembler kept from an earlier iterate or slab, or by a new
+        that the assembler kept from an earlier iterate or slab, to the
+        forcing tolerance of the iterate's residual max-norm, or by a new
         factorisation.  A restart discards the kept factor, so the restarted
         solve repeats a new assembler's arithmetic.
         """
@@ -549,7 +583,7 @@ class SlabAssembler(SlabGrid):
             if iterations >= max_iterations:
                 raise SolverFailure(f"Newton reached the iteration limit {max_iterations} "
                                     f"at residual {norm:.3e}", residual_norm=norm)
-            step, factorised, krylov_step = self._newton_step(z_nodes, state, r)
+            step, factorised, krylov_step = self._newton_step(z_nodes, state, r, norm)
             z_nodes[:, :, 1:] += self.as_nodes(step)
             iterations += 1
             factorisations += factorised
@@ -604,11 +638,11 @@ class SlabAssembler(SlabGrid):
             raise SolverFailure(f"singular slab Jacobian at residual {norm:.3e}",
                                 residual_norm=norm) from None
 
-    def _newton_step(self, z_nodes: np.ndarray, state: np.ndarray | None,
-                     r: np.ndarray) -> tuple[np.ndarray, int, int]:
+    def _newton_step(self, z_nodes: np.ndarray, state: np.ndarray | None, r: np.ndarray,
+                     norm: float) -> tuple[np.ndarray, int, int]:
         """Newton step s, with J s = -r at the Jacobian J of the iterate
-        z_nodes with grid state ``state``, for its residual r, and the
-        factorisations and GMRES iterations it took.
+        z_nodes with grid state ``state``, for its residual r of max-norm
+        ``norm``, and the factorisations and GMRES iterations it took.
 
         The assembler keeps the last band factor it built, across Newton
         iterations and slabs.  A constant Jacobian's kept factor is exact,
@@ -618,17 +652,19 @@ class SlabAssembler(SlabGrid):
         On a nonlinear problem J is evaluated on every step, and with a kept
         factor of an earlier Jacobian the step is solved by GMRES,
         right-preconditioned with that factor and started from its solve,
-        to ||J s + r||_2 <= max(1e-12 ||r||_2, 1e-15) on the true residual.
-        When there is no kept factor, or GMRES has not converged within
-        ``_GMRES_CAP`` iterations, J is factorised, that factor is kept and
-        its solve is the step: no step comes from an unconverged solve.
+        to ||J s + r||_2 <= max(eta ||r||_2, 1e-15) on the true residual,
+        with eta = :func:`_forcing` (norm): an inexact Newton step far from
+        the solution, and 1e-12 once norm <= 1e-6.  When there is no kept
+        factor, or GMRES has not converged within ``_GMRES_CAP``
+        iterations, J is factorised, that factor is kept and its solve is
+        the step: no step comes from an unconverged solve.
         """
         if self.jacobian_is_constant and self._factor is not None:
             return self._factor.solve(-r), 0, 0
         jac = self.jacobian(z_nodes, state)
         krylov = 0
         if self._factor is not None:
-            step, krylov = _gmres(jac, self._factor, r)
+            step, krylov = _gmres(jac, self._factor, r, _forcing(norm))
             if step is not None:
                 return step, 0, krylov
         self._factor = self._factorise(z_nodes, state, jac)
@@ -669,11 +705,17 @@ class Trajectory:
                         + [coeffs.values[:, :, -1] for coeffs in self.slabs])
 
 
-def advance(variant: SchemeVariant, problem: MultisymplecticProblem,
-            config: SolverConfig) -> Iterator[Trajectory]:
+def advance(variant: SchemeVariant, problem: MultisymplecticProblem, config: SolverConfig,
+            space: SpatialSpace | None = None) -> Iterator[Trajectory]:
     """Project the initial state, then advance slab by slab to t_final,
     yielding the one growing trajectory before the first slab and after
     each slab it accepts.
+
+    The run is on ``space``, a nonuniform mesh say, or by default on
+    :func:`build_space`'s uniform space of element size ``config.dx``.  A
+    given space must have the variant's continuity, degree ``config.p`` and
+    a partition spanning ``problem.domain_length``, or a
+    :class:`ConfigurationError` is raised; ``config.dx`` is then not read.
 
     On a nonlinear problem every slab after the first starts Newton from the
     previous slab's trial polynomial extrapolated to its nodes (see
@@ -683,7 +725,10 @@ def advance(variant: SchemeVariant, problem: MultisymplecticProblem,
     raises a :class:`SolverFailure` that names it; the trajectory yielded
     last then holds the slabs solved before it.
     """
-    space = build_space(problem, config, variant)
+    if space is None:
+        space = build_space(problem, config, variant)
+    else:
+        _check_space(space, problem, config, variant)
     z0 = space.project(lambda x: problem.initial_state(x))
 
     n_full = int(np.floor(config.t_final / config.dt + 1e-12))
@@ -722,8 +767,9 @@ def advance(variant: SchemeVariant, problem: MultisymplecticProblem,
 
 
 def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
-                   config: SolverConfig) -> Trajectory:
-    """The trajectory of :func:`advance` once it has reached t_final."""
-    for traj in advance(variant, problem, config):
+                   config: SolverConfig, space: SpatialSpace | None = None) -> Trajectory:
+    """The trajectory of :func:`advance` on ``space`` (by default
+    :func:`build_space`'s) once it has reached t_final."""
+    for traj in advance(variant, problem, config, space):
         pass
     return traj

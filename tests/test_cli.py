@@ -368,9 +368,12 @@ def test_singular_slab_jacobian_is_a_solver_failure(tmp_path, monkeypatch, capsy
                  "--dt", "0.1", "--dx", "0.4", "--T", "0.3", "--out", str(out)])
     assert code == 1
     assert "singular slab Jacobian" in capsys.readouterr().err
-    _, rows = read_csv(out / "invariants.csv")
-    assert len(rows) == 1  # the failure row at t=0
-    assert float(rows[0][0]) == 0.0 and rows[0][1] == "nan"
+    header, rows = read_csv(out / "invariants.csv")
+    assert len(rows) == 2  # the initial state's row, then the failure row at t=0
+    assert float(rows[0][0]) == 0.0 and rows[0][1] != "nan"
+    assert all(float(value) == 0.0 for name, value in zip(header, rows[0])
+               if name.startswith("dev_"))
+    assert float(rows[1][0]) == 0.0 and rows[1][1] == "nan"
 
 
 @pytest.mark.parametrize("entry", ["problem = nope", "variant = dgx", "command = verify"])
