@@ -297,22 +297,6 @@ def build_space(problem: MultisymplecticProblem, config: SolverConfig,
     return SpatialSpace(partition, config.p, variant.spatial_continuity)
 
 
-def _check_space(space: SpatialSpace, problem: MultisymplecticProblem, config: SolverConfig,
-                 variant: SchemeVariant) -> None:
-    """Raise :class:`ConfigurationError` unless a given space has the
-    variant's continuity, degree ``config.p`` and a partition of the
-    problem's domain length (to build_space's relative 1e-9)."""
-    if space.continuity != variant.spatial_continuity:
-        raise ConfigurationError(f"a {variant.value} run needs a {variant.spatial_continuity} "
-                                 f"space, got a {space.continuity} one")
-    if space.degree != config.p:
-        raise ConfigurationError(f"the space has degree {space.degree}, not p={config.p}")
-    length = space.partition.total_length
-    if abs(length - problem.domain_length) > 1e-9 * problem.domain_length:
-        raise ConfigurationError(f"the space's partition spans {length}, not the domain "
-                                 f"length {problem.domain_length}")
-
-
 def slab_rules(problem: MultisymplecticProblem, p: int,
                q: int) -> tuple[QuadratureRule, QuadratureRule]:
     """Time and space rules of every slab integral at spatial degree p, test degree q.
@@ -705,17 +689,11 @@ class Trajectory:
                         + [coeffs.values[:, :, -1] for coeffs in self.slabs])
 
 
-def advance(variant: SchemeVariant, problem: MultisymplecticProblem, config: SolverConfig,
-            space: SpatialSpace | None = None) -> Iterator[Trajectory]:
+def advance(variant: SchemeVariant, problem: MultisymplecticProblem,
+            config: SolverConfig) -> Iterator[Trajectory]:
     """Project the initial state, then advance slab by slab to t_final,
     yielding the one growing trajectory before the first slab and after
     each slab it accepts.
-
-    The run is on ``space``, a nonuniform mesh say, or by default on
-    :func:`build_space`'s uniform space of element size ``config.dx``.  A
-    given space must have the variant's continuity, degree ``config.p`` and
-    a partition spanning ``problem.domain_length``, or a
-    :class:`ConfigurationError` is raised; ``config.dx`` is then not read.
 
     On a nonlinear problem every slab after the first starts Newton from the
     previous slab's trial polynomial extrapolated to its nodes (see
@@ -725,10 +703,7 @@ def advance(variant: SchemeVariant, problem: MultisymplecticProblem, config: Sol
     raises a :class:`SolverFailure` that names it; the trajectory yielded
     last then holds the slabs solved before it.
     """
-    if space is None:
-        space = build_space(problem, config, variant)
-    else:
-        _check_space(space, problem, config, variant)
+    space = build_space(problem, config, variant)
     z0 = space.project(lambda x: problem.initial_state(x))
 
     n_full = int(np.floor(config.t_final / config.dt + 1e-12))
@@ -767,9 +742,8 @@ def advance(variant: SchemeVariant, problem: MultisymplecticProblem, config: Sol
 
 
 def run_simulation(variant: SchemeVariant, problem: MultisymplecticProblem,
-                   config: SolverConfig, space: SpatialSpace | None = None) -> Trajectory:
-    """The trajectory of :func:`advance` on ``space`` (by default
-    :func:`build_space`'s) once it has reached t_final."""
-    for traj in advance(variant, problem, config, space):
+                   config: SolverConfig) -> Trajectory:
+    """The trajectory of :func:`advance` once it has reached t_final."""
+    for traj in advance(variant, problem, config):
         pass
     return traj

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mspde import solver
 from mspde.diagnostics import global_invariants, local_conservation_residuals
 from mspde.mesh import Partition1D
 from mspde.problems import nls, nonlinear_wave
@@ -43,6 +44,16 @@ def jittered_partition(length, count, amplitude=0.2, seed=1):
     jitter = np.random.default_rng(seed).uniform(-1.0, 1.0, count - 1)
     nodes[1:-1] += amplitude * (length / count) * jitter
     return Partition1D(nodes)
+
+
+def run_on(partition, variant, problem, config):
+    """run_simulation on ``partition`` in place of build_space's uniform one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "build_space", lambda problem, config, variant:
+                      SpatialSpace(partition, config.p, variant.spatial_continuity))
+        trajectory = run_simulation(variant, problem, config)
+    assert trajectory.space.partition is partition
+    return trajectory
 
 
 def check_conservation(trajectory, problem, last_slabs):
@@ -72,15 +83,13 @@ def test_conservation_without_mirror_symmetry(setup, variant, p, q):
     factory, dx, jitter = SETUPS[setup]
     problem = factory()
     config = SolverConfig(q=q, p=p, dt=0.1, dx=dx, t_final=1.0)
-    space = None
     if jitter:
         partition = jittered_partition(problem.domain_length,
                                        int(round(problem.domain_length / dx)))
         assert np.ptp(partition.widths) > 0.1 * dx
-        space = SpatialSpace(partition, p, SchemeVariant(variant).spatial_continuity)
-    trajectory = run_simulation(SchemeVariant(variant), problem, config, space)
-    if jitter:
-        assert trajectory.space is space
+        trajectory = run_on(partition, SchemeVariant(variant), problem, config)
+    else:
+        trajectory = run_simulation(SchemeVariant(variant), problem, config)
     check_conservation(trajectory, problem, last_slabs=2)
 
 
@@ -95,6 +104,5 @@ def test_nls_conservation_over_jitter_and_shift(p, q, variant, jitter, shift):
     config = SolverConfig(q=q, p=p, dt=0.1, dx=0.4, t_final=1.0)
     partition = jittered_partition(problem.domain_length,
                                    int(round(problem.domain_length / config.dx)), jitter)
-    space = SpatialSpace(partition, p, SchemeVariant(variant).spatial_continuity)
-    trajectory = run_simulation(SchemeVariant(variant), problem, config, space)
+    trajectory = run_on(partition, SchemeVariant(variant), problem, config)
     check_conservation(trajectory, problem, last_slabs=1)

@@ -8,10 +8,8 @@ import scipy.sparse
 
 from mspde import solver
 from mspde.diagnostics import auxiliary_field
-from mspde.mesh import Partition1D, uniform_partition
 from mspde.problems import linear_wave, nls, nonlinear_wave
 from mspde.solver import (
-    ConfigurationError,
     SchemeVariant,
     SlabAssembler,
     SolverConfig,
@@ -22,7 +20,8 @@ from mspde.solver import (
     run_simulation,
     slab_rules,
 )
-from mspde.spaces import SlabGrid, SpatialSpace
+from mspde.spaces import SlabGrid
+from test_acceptance import cached_run
 
 
 def record(traj, name):
@@ -69,35 +68,6 @@ def test_space_matches_requested_width():
     assert space.partition.element_count == 100
     with pytest.raises(ValueError):
         build_space(prob, dataclasses.replace(config, dx=0.3), SchemeVariant.CG_PRIMARY)
-
-
-def test_a_given_space_is_the_run_space():
-    # A jittered space replaces build_space's, whose dx is then not read.
-    prob = nonlinear_wave()
-    config = SolverConfig(q=1, p=2, dt=0.1, dx=0.3, t_final=0.2)
-    nodes = np.linspace(0.0, prob.domain_length, 9)
-    nodes[1:-1] += 0.02 * np.random.default_rng(3).uniform(-1.0, 1.0, 7)
-    space = SpatialSpace(Partition1D(nodes), 2, "cg")
-    traj = run_simulation(SchemeVariant.CG_PRIMARY, prob, config, space)
-    assert traj.space is space and len(traj.slabs) == 2
-    assert all(coeffs.space is space for coeffs in traj.slabs)
-    assert max(record(traj, "residual")) <= config.newton_tolerance
-
-
-@pytest.mark.parametrize("continuity,degree,length,match", [
-    ("dg", 2, 1.0, "needs a cg space, got a dg one"),
-    ("cg", 1, 1.0, "degree 1, not p=2"),
-    ("cg", 2, 0.75, "spans 0.75, not the domain length 1.0"),
-])
-def test_a_given_space_that_cannot_carry_the_run_is_rejected(continuity, degree, length,
-                                                             match):
-    prob = nonlinear_wave()
-    config = SolverConfig(q=1, p=2, dt=0.1, dx=0.25, t_final=0.2)
-    space = SpatialSpace(uniform_partition(length, 4), degree, continuity)
-    with pytest.raises(ConfigurationError, match=match):
-        next(advance(SchemeVariant.CG_PRIMARY, prob, config, space))
-    with pytest.raises(ConfigurationError, match=match):
-        run_simulation(SchemeVariant.CG_PRIMARY, prob, config, space)
 
 
 def test_residual_vanishes_at_constant_steady_state():
@@ -534,18 +504,26 @@ def nearby(z):
 CONVERGING = 1e-6
 
 
+# The forcing term is 1e-4 at the far iterate (||r||_inf 2.9e-2 on NLS dg,
+# 3.3e-2 on the nonlinear wave) and 1e-12 at the converging one: the tests
+# of how a step is chosen run at both.
+ITERATES = pytest.mark.parametrize("offset", [None, CONVERGING], ids=["far", "converging"])
+
+
+@ITERATES
 @pytest.mark.parametrize("factory,variant,dx", [
     (nls, SchemeVariant.DG_PRIMARY, 0.4),
     (nonlinear_wave, SchemeVariant.CG_PRIMARY, 0.05),
 ])
-def test_a_stale_kept_factor_is_replaced(factory, variant, dx):
-    # With the factor of twenty times the nodes GMRES reaches its cap, so
-    # the step refactorises at the iterate, keeps that factor and is its
-    # solve.  (Near the solution the factor of ten times the nodes still
-    # serves the nonlinear wave's step, in 6 iterations.)
+def test_a_stale_kept_factor_is_replaced(factory, variant, dx, offset):
+    # With the factor of fifty times the nodes GMRES reaches its cap at
+    # either iterate, so the step refactorises at the iterate, keeps that
+    # factor and is its solve.  (The factor of ten times the nodes serves
+    # the nonlinear wave's step, in 2 iterations far off and 6 near the
+    # solution.)
     asm, _, _, r, own, (step, factorised, krylov) = kept_factor_step(
-        factory, variant, dx, lambda z: 20.0 * z, CONVERGING)
-    assert solver._max_norm(r) <= 1e-6
+        factory, variant, dx, lambda z: 50.0 * z, offset)
+    assert (solver._max_norm(r) <= 1e-6) == (offset == CONVERGING)
     assert (factorised, krylov) == (1, solver._GMRES_CAP)
     expected = own.solve(-r)
     assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -564,15 +542,18 @@ def test_a_gmres_step_meets_the_linear_tolerance():
     assert np.linalg.norm(linear) <= max(1e-12 * np.linalg.norm(r), 1e-15)
 
 
+@pytest.mark.parametrize("offset,kept_at", [
+    (None, lambda z: 1.5 * z), (CONVERGING, nearby)], ids=["far", "converging"])
 @pytest.mark.parametrize("cap", [0, 1, 2])
-def test_a_step_never_comes_from_an_unconverged_gmres_solve(cap, monkeypatch):
-    # Capped below the 3 iterations that the nearby factor needs near the
-    # solution, GMRES stops unconverged and the step is the solve of the
-    # iterate's factor.
+def test_a_step_never_comes_from_an_unconverged_gmres_solve(cap, offset, kept_at, monkeypatch):
+    # Capped below the 3 iterations that the kept factor needs (that of 1.5
+    # times the far iterate's nodes, or the nearby one near the solution),
+    # GMRES stops unconverged and the step is the solve of the iterate's
+    # factor.
     monkeypatch.setattr(solver, "_GMRES_CAP", cap)
     _, _, _, r, own, (step, factorised, krylov) = kept_factor_step(
-        nls, SchemeVariant.DG_PRIMARY, 0.4, nearby, CONVERGING)
-    assert solver._max_norm(r) <= 1e-6
+        nls, SchemeVariant.DG_PRIMARY, 0.4, kept_at, offset)
+    assert (solver._max_norm(r) <= 1e-6) == (offset == CONVERGING)
     assert (factorised, krylov) == (1, cap)
     assert np.array_equal(step, own.solve(-r))
 
@@ -607,21 +588,20 @@ def test_the_forcing_term(norm, eta):
     assert solver._forcing(norm) == pytest.approx(eta, rel=1e-15)
 
 
-@pytest.mark.parametrize("factory,variant,config", [
-    # The nlwave-cgm workload, shortened to 20 slabs.
-    (nonlinear_wave, SchemeVariant.CG_MOMENTUM,
-     SolverConfig(q=1, p=2, dt=0.1, dx=0.05, t_final=2.0)),
-    # The NLS dg acceptance run.
-    (nls, SchemeVariant.DG_PRIMARY, SolverConfig(q=1, p=2, dt=0.1, dx=0.4, t_final=2 * np.pi)),
-])
-def test_the_forcing_term_removes_krylov_work_only(factory, variant, config, monkeypatch):
+@pytest.mark.parametrize("run", [
+    ("nonlinear-wave", "cg-momentum", 1, 2, 0.1, 0.05, 10.0),  # the nlwave-cgm workload
+    ("nls", "dg", 1, 2, 0.1, 0.4, 2.0 * np.pi),  # the NLS dg acceptance run
+], ids=["nlwave-cgm", "nls-dg-acceptance"])
+def test_the_forcing_term_removes_krylov_work_only(run, monkeypatch):
     # The per-slab Newton iterations are those of steps solved to 1e-12;
     # a linear forcing term, min(||r||_inf, 1e-3), would add iterations on
-    # both runs (41 against 40 and 150 against 127).
-    traj = run_simulation(variant, factory(), config)
+    # both runs (201 against 200 and 150 against 127).
+    problem, variant, traj = cached_run(*run)
+    q, p, dt, dx, t_final = run[2:]
+    config = SolverConfig(q=q, p=p, dt=dt, dx=dx, t_final=t_final)
     assert max(record(traj, "residual")) <= config.newton_tolerance
     monkeypatch.setattr(solver, "_forcing", lambda norm: 1e-12)
-    exact = run_simulation(variant, factory(), config)
+    exact = run_simulation(variant, problem, config)
     assert record(traj, "iterations") == record(exact, "iterations")
     assert record(traj, "restarted") == record(exact, "restarted")
     assert record(traj, "stalled") == record(exact, "stalled")
