@@ -460,7 +460,9 @@ class SlabAssembler(SlabGrid):
         if self.jacobian_is_constant:
             return linear - self._grad_zero_rows
         grad = pointwise_grad(self.problem, self._state(z_nodes) if state is None else state)
-        return linear - np.swapaxes(self.test(grad), 0, 1).ravel()
+        rows = linear.reshape(self.n, self.problem.D, self.q + 1)
+        rows -= np.swapaxes(self.test(grad), 0, 1)
+        return linear
 
     def jacobian(self, z_nodes: np.ndarray,
                  state: np.ndarray | None = None) -> scipy.sparse.csr_array:
@@ -553,8 +555,17 @@ class SlabAssembler(SlabGrid):
         forcing tolerance of the iterate's residual max-norm, or by a new
         factorisation.  A restart discards the kept factor, so the restarted
         solve repeats a new assembler's arithmetic.
+
+        The iterate is one contiguous (dofs, D, q+2) array, the order of the
+        slab operator's columns, so the residual reads it flat without a
+        copy and a step is added to its unknown nodes in the step's own
+        order; the loop reads it through its (D, dofs, q+2) view.  The
+        accepted ``z_nodes`` are a C-contiguous copy, which shares no memory
+        with ``z_start``, ``guess`` or any other slab's nodes.
         """
-        z_nodes = np.repeat(z_start[:, :, None], self.q + 2, axis=2)
+        d, q1 = self.problem.D, self.q + 1
+        iterate = np.repeat(z_start.T[:, :, None], q1 + 1, axis=2)
+        z_nodes = np.swapaxes(iterate, 0, 1)
         guessed = guess is not None and max_iterations > 0
         if guessed:
             z_nodes[:, :, 1:] = guess[:, :, 1:]
@@ -568,7 +579,7 @@ class SlabAssembler(SlabGrid):
                 raise SolverFailure(f"Newton reached the iteration limit {max_iterations} "
                                     f"at residual {norm:.3e}", residual_norm=norm)
             step, factorised, krylov_step = self._newton_step(z_nodes, state, r, norm)
-            z_nodes[:, :, 1:] += self.as_nodes(step)
+            iterate[:, :, 1:] += step.reshape(self.n, d, q1)
             iterations += 1
             factorisations += factorised
             krylov += krylov_step
@@ -587,8 +598,8 @@ class SlabAssembler(SlabGrid):
                                         f"{iterations} iterations", residual_norm=norm)
                 stalled = True
                 break
-        return SlabSolution(z_nodes, norm, iterations, factorisations, restarted, stalled,
-                            krylov)
+        return SlabSolution(np.ascontiguousarray(z_nodes), norm, iterations, factorisations,
+                            restarted, stalled, krylov)
 
     def _evaluate(self, z_nodes: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
         """The grid state of z_nodes (see :meth:`_state`) and their residual."""

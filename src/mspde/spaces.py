@@ -455,8 +455,10 @@ class SlabGrid:
              derivative_order: int = 0) -> np.ndarray:
         """Grid values (D, nt, M, ns) of node coefficients (D, dofs, T), or of
         their x-derivative at order 1: the time table (T, nt) is applied on
-        global dofs, then the spatial evaluation."""
-        return self.space.eval_on_rule(np.swapaxes(np.asarray(nodes) @ time_table, 1, 2),
+        global dofs, then the spatial evaluation.  The time product is
+        formed as a contiguous (D, nt, dofs) array, so a broken space's
+        :meth:`SpatialSpace.gather` reads it as a view."""
+        return self.space.eval_on_rule(time_table.T @ np.swapaxes(nodes, 1, 2),
                                        self.rule_x, derivative_order)
 
     def test(self, grid: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
-"""The paired-run statistics of ``tools/ab_bench.py`` (no benchmark is run)."""
+"""The paired-run statistics and argument handling of ``tools/ab_bench.py`` (no
+benchmark is run)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -91,3 +93,52 @@ def test_summary_reads_every_end_to_end_metric_and_the_failed_share():
     summary = ab_bench.summarise(runs, [{"name": "run_s", "better": "lower", "bound": 0.25}])
     assert summary["failed"] == {"parent": 0.0, "change": 0.125}
     assert summary["metrics"]["run_s"]["wins"] == 2
+
+
+def fake_checkouts(tmp_path):
+    """Parent and change directories whose benchmark has three workloads."""
+    benchmark = {"run_seconds": 40,
+                 "workloads": [{"name": name} for name in ("nls-dg", "nlwave-cgm",
+                                                           "lwave-converge")],
+                 "end_to_end": [{"name": "run_s", "better": "lower", "bound": 0.25}]}
+    for side in ab_bench.SIDES:
+        (tmp_path / side).mkdir()
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    return [str(tmp_path / side) for side in ab_bench.SIDES]
+
+
+def workloads_run(argv, monkeypatch):
+    """The workloads ``main(argv)`` runs, in order, with ``run_bench`` stubbed."""
+    ran = []
+
+    def run_bench(checkout, workload, seed, seconds):
+        ran.append(workload)
+        return {"attempted": 1, "failed": 0, "metrics": {"run_s": {"value": 1.0 + seed}}}
+
+    monkeypatch.setattr(ab_bench, "run_bench", run_bench)
+    assert ab_bench.main(argv) == 0
+    return list(dict.fromkeys(ran))
+
+
+def test_every_workload_runs_in_the_benchmark_order_by_default(tmp_path, monkeypatch):
+    checkouts = fake_checkouts(tmp_path)
+    assert workloads_run(checkouts + ["--pairs", "2"], monkeypatch) == [
+        "nls-dg", "nlwave-cgm", "lwave-converge"]
+
+
+def test_a_repeated_workload_option_runs_those_in_the_benchmark_order(tmp_path, monkeypatch):
+    checkouts = fake_checkouts(tmp_path)
+    assert workloads_run(checkouts + ["--pairs", "2", "--workload", "lwave-converge"],
+                         monkeypatch) == ["lwave-converge"]
+    argv = checkouts + ["--pairs", "2", "--workload", "lwave-converge", "--workload", "nls-dg"]
+    assert workloads_run(argv, monkeypatch) == ["nls-dg", "lwave-converge"]
+
+
+def test_an_unknown_workload_exits_2_and_names_the_benchmarks(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(ab_bench, "run_bench", None)  # nothing may run
+    with pytest.raises(SystemExit) as exit_info:
+        ab_bench.main(fake_checkouts(tmp_path) + ["--workload", "nls-dg", "--workload", "nls"])
+    assert exit_info.value.code == 2
+    message = capsys.readouterr().err
+    assert "unknown workload nls;" in message
+    assert "nls-dg, nlwave-cgm, lwave-converge" in message

@@ -45,10 +45,15 @@ PROBLEMS = {
 
 @functools.lru_cache(maxsize=None)
 def cached_run(problem_label, variant_label, q, p, dt, dx, t_final):
+    """One run shared by every test that asks for it, with its coefficient
+    arrays read-only, so a test that wrote into them would raise instead of
+    changing the inputs of the tests after it."""
     problem = PROBLEMS[problem_label]()
     variant = SchemeVariant(variant_label)
     config = SolverConfig(q=q, p=p, dt=dt, dx=dx, t_final=t_final)
     trajectory = run_simulation(variant, problem, config)
+    for values in [trajectory.initial_coeffs] + [slab.values for slab in trajectory.slabs]:
+        values.flags.writeable = False
     return problem, variant, trajectory
 
 

@@ -790,6 +790,48 @@ def test_advance_yields_the_growing_trajectory():
                for solved, coeffs in zip(traj.records, traj.slabs, strict=True))
 
 
+@pytest.mark.parametrize("factory,config,restarted", [
+    (linear_wave, SolverConfig(q=1, p=2, dt=0.1, dx=0.25, t_final=0.3), False),
+    (nls, SolverConfig(q=1, p=2, dt=0.1, dx=0.8, t_final=0.3), False),
+    (nls, SolverConfig(q=0, p=1, dt=1.6, dx=1.6, t_final=3.2), True),
+])
+def test_accepted_nodes_own_their_memory(factory, config, restarted, monkeypatch):
+    # Newton works on a (dofs, D, q+2) iterate; each accepted slab's nodes
+    # are a C-contiguous (D, dofs, q+2) copy that shares memory with neither
+    # the slab's start and guess nor the next slab's nodes, and the
+    # trajectory stores that very array.
+    calls = []
+    solve_slab = SlabAssembler.solve_slab
+
+    def recorded(self, z_start, tolerance, max_iterations, guess=None):
+        solved = solve_slab(self, z_start, tolerance, max_iterations, guess)
+        calls.append((z_start, guess, solved.z_nodes))
+        return solved
+
+    monkeypatch.setattr(SlabAssembler, "solve_slab", recorded)
+    traj = run_simulation(SchemeVariant.DG_PRIMARY, factory(), config)
+    assert any(record(traj, "restarted")) == restarted
+    assert (calls[-1][1] is None) == (factory is linear_wave)
+    shape = (traj.problem.D, traj.space.dof_count, config.q + 2)
+    for (z_start, guess, z_nodes), following, coeffs in zip(calls, calls[1:] + [None],
+                                                            traj.slabs, strict=True):
+        assert z_nodes.shape == shape and z_nodes.flags.c_contiguous
+        assert not np.shares_memory(z_nodes, z_start)
+        assert guess is None or not np.shares_memory(z_nodes, guess)
+        assert following is None or not np.shares_memory(z_nodes, following[2])
+        assert coeffs.values is z_nodes
+
+
+def test_a_shared_run_cannot_be_written():
+    # cached_run hands one trajectory to every test that asks for it, so its
+    # coefficient arrays are read-only: a write raises instead of changing
+    # the inputs of other tests.
+    _, _, traj = cached_run("linear-wave", "cg", 0, 1, 0.125, 0.125, 1.0)
+    for values in (traj.initial_coeffs, traj.slabs[0].values, traj.records[-1].z_nodes):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] += 1.0
+
+
 def test_consecutive_slabs_share_interface_values():
     prob = nonlinear_wave()
     config = SolverConfig(q=2, p=2, dt=0.1, dx=0.125, t_final=1.0)

@@ -1,17 +1,19 @@
 """Paired benchmark runs of a parent checkout against a change checkout.
 
-    python3 tools/ab_bench.py PARENT_DIR CHANGE_DIR --pairs 10
+    python3 tools/ab_bench.py PARENT_DIR CHANGE_DIR --pairs 10 [--workload NAME ...]
 
 Each checkout is the root of a source tree with ``perfbench/`` and
 ``BENCHMARK.json``.  The parent's ``BENCHMARK.json`` sets the workloads, the
 run length (``run_seconds``) and the end-to-end metrics with their bounds, so
-both sides run exactly as the benchmark does.  For every workload and every
-seed of the pairs, the script runs ``perfbench/bench.py --trace 0`` once in
-each checkout, one after the other, and alternates which side goes first.  It
-reads each run's last JSON line and prints, per workload and end-to-end
-metric, both sides' median and quartiles, the pairs the change won (ties count
-for neither side) and the ratio of the medians.  Two verdicts follow each
-metric:
+both sides run exactly as the benchmark does.  ``--workload`` (repeatable)
+runs only the named workloads, in the benchmark's order; without it every
+workload runs, and an unknown name exits with status 2.  For every workload
+and every seed of the pairs, the script runs ``perfbench/bench.py --trace 0``
+once in each checkout, one after the other, and alternates which side goes
+first.  It reads each run's last JSON line and prints, per workload and
+end-to-end metric, both sides' median and quartiles, the pairs the change won
+(ties count for neither side) and the ratio of the medians.  Two verdicts
+follow each metric:
 
 * ``gain``: the change won at least nine tenths of the pairs, its median is
   better than the parent's by more than the parent's interquartile range, and
@@ -133,14 +135,22 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--workload", action="append", metavar="NAME",
+                        help="run only this workload (repeatable); default: all")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
 
     benchmark = json.loads((args.parent / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in benchmark["workloads"]]
+    chosen = set(args.workload or names)
+    unknown = sorted(chosen - set(names))
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; the benchmark's workloads "
+                     f"are {', '.join(names)}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     summaries = {}
-    for workload in (w["name"] for w in benchmark["workloads"]):
+    for workload in (name for name in names if name in chosen):
         runs = {side: [] for side in SIDES}
         for seed in range(args.pairs):
             order = SIDES if seed % 2 == 0 else SIDES[::-1]
