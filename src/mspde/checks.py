@@ -204,7 +204,8 @@ def _jacobian_fd(rng) -> float:
 def _factor_solve(rng) -> float:
     """Largest relative gap between the slab factor's solve and a dense solve."""
     worst = 0.0
-    cases = _SLAB_CASES + [(solver.SchemeVariant.DG_PRIMARY, problems.linear_wave)]
+    cases = _SLAB_CASES + [(variant, problems.linear_wave) for variant in
+                           (solver.SchemeVariant.CG_PRIMARY, solver.SchemeVariant.DG_PRIMARY)]
     for asm, z in _random_slabs(rng, cases):
         b = rng.standard_normal(asm.size)
         expected = np.linalg.solve(asm.jacobian(z).toarray(), b)

@@ -28,8 +28,8 @@ import scipy.sparse
 
 from .mesh import QuadratureRule, gauss_legendre, quadrature_order_policy, uniform_partition
 from .problems import MultisymplecticProblem
-from .spaces import (BandFactor, SlabCoefficients, SlabGrid, SpatialSpace, TemporalSlab,
-                     band_factorise, band_layout)
+from .spaces import (BandFactor, CirculantFactor, SlabCoefficients, SlabGrid, SpatialSpace,
+                     TemporalSlab, band_factorise, band_layout, circulant_factorise)
 
 __all__ = [
     "SchemeVariant",
@@ -374,7 +374,7 @@ class SlabAssembler(SlabGrid):
         self.operator = scipy.sparse.csr_array(_kron_sum(self._spatial_terms(), self.n)[:3],
                                                shape=(self.size, self.n * d * (q + 2)))
         self._band = None     # (band index of each entry, kl, ku, fold order, its inverse)
-        self._factor = None   # the last band factor, kept across iterations and slabs
+        self._factor = None   # the last factor, kept across iterations and slabs
         self._extrapolations = {}  # previous slab length -> trial table at this slab's nodes
 
         # Sum-factorisation tables of the Hessian block: (row x column basis
@@ -606,11 +606,14 @@ class SlabAssembler(SlabGrid):
         state = self._state(z_nodes)
         return state, self.residual(z_nodes, state)
 
-    def factorise(self, z_nodes: np.ndarray) -> BandFactor:
-        """Band LU of the Jacobian at z_nodes by :func:`band_factorise`, on the
-        folded :func:`band_layout` of :meth:`jacobian`'s fixed pattern, built
-        on the first call.  A singular Jacobian raises :class:`SolverFailure`
-        with the residual norm at z_nodes.
+    def factorise(self, z_nodes: np.ndarray) -> BandFactor | CirculantFactor:
+        """Factor of the Jacobian at z_nodes.  A constant Jacobian that is
+        exactly block circulant over the elements (a uniform mesh whose
+        widths are bit-identical) gets the :func:`circulant_factorise`
+        factor; every other Jacobian the band LU of :func:`band_factorise`,
+        on the folded :func:`band_layout` of :meth:`jacobian`'s fixed
+        pattern, built on the first call.  A singular Jacobian raises
+        :class:`SolverFailure` with the residual norm at z_nodes.
 
         The Newton loop keeps the factor it last built: exact for a
         constant Jacobian, and the GMRES preconditioner of the later steps
@@ -620,13 +623,18 @@ class SlabAssembler(SlabGrid):
         return self._factorise(z_nodes, state, self.jacobian(z_nodes, state))
 
     def _factorise(self, z_nodes: np.ndarray, state: np.ndarray | None,
-                   jac: scipy.sparse.csr_array) -> BandFactor:
+                   jac: scipy.sparse.csr_array) -> BandFactor | CirculantFactor:
         """:meth:`factorise` of ``jac``, the :meth:`jacobian` at z_nodes and
         their grid state ``state``, from which a singular Jacobian's
-        residual norm is taken."""
-        if self._band is None:
-            self._band = band_layout(jac, self.n)
+        residual norm is taken.  The circulant check is made until a
+        Jacobian fails it, whose band layout then serves every later call."""
         try:
+            if self.jacobian_is_constant and self._band is None:
+                factor = circulant_factorise(jac, self.space.partition.element_count)
+                if factor is not None:
+                    return factor
+            if self._band is None:
+                self._band = band_layout(jac, self.n)
             return band_factorise(jac.data, self._band)
         except np.linalg.LinAlgError:
             norm = _max_norm(self.residual(z_nodes, state))
@@ -639,10 +647,11 @@ class SlabAssembler(SlabGrid):
         z_nodes with grid state ``state``, for its residual r of max-norm
         ``norm``, and the factorisations and GMRES iterations it took.
 
-        The assembler keeps the last band factor it built, across Newton
-        iterations and slabs.  A constant Jacobian's kept factor is exact,
-        so its step is the factor's solve, with no Krylov check: the check
-        would add an operator-sized matvec to every slab of a linear run.
+        The assembler keeps the last factor it built (see :meth:`factorise`),
+        across Newton iterations and slabs.  A constant Jacobian's kept
+        factor is exact, so its step is the factor's solve, with no Krylov
+        check: the check would add an operator-sized matvec to every slab of
+        a linear run.
 
         On a nonlinear problem J is evaluated on every step, and with a kept
         factor of an earlier Jacobian the step is solved by GMRES,

@@ -29,6 +29,8 @@ __all__ = [
     "BandFactor",
     "band_layout",
     "band_factorise",
+    "CirculantFactor",
+    "circulant_factorise",
     "SpatialSpace",
     "TemporalSlab",
     "SlabCoefficients",
@@ -114,6 +116,55 @@ def band_factorise(data: np.ndarray, layout) -> BandFactor:
     if info < 0:
         raise ValueError(f"dgbtrf rejected argument {-info}")
     return BandFactor(lu, ipiv, kl, ku, order, position)
+
+
+class CirculantFactor(NamedTuple):
+    """Inverse of a block-circulant matrix from :func:`circulant_factorise`:
+    ``inverse`` holds the inverses (count // 2 + 1, b, b) of its Fourier
+    blocks, for ``count`` circulant blocks of b unknowns each."""
+
+    inverse: np.ndarray
+    count: int
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solution x, of shape (size,) or (size, k) like b, of A x = b: a real
+        DFT over the blocks, one batched product, then the inverse DFT."""
+        spectrum = np.fft.rfft(b.reshape(self.count, self.inverse.shape[-1], -1), axis=0)
+        return np.fft.irfft(self.inverse @ spectrum, n=self.count, axis=0).reshape(b.shape)
+
+
+def circulant_factorise(matrix: scipy.sparse.csr_array, count: int) -> CirculantFactor | None:
+    """:class:`CirculantFactor` of a canonical CSR matrix that is exactly block
+    circulant over ``count`` blocks of size // count unknowns, or None.
+
+    Block row i must repeat block row 0 shifted cyclically by i blocks, entry
+    by entry: the same stored count in each row, and each stored value equal
+    to block row 0's stored value at the shifted column.  The check takes
+    O(nnz) time and one dense copy of block row 0.  Entry (r, kb + c) of
+    block row 0 is C_k[r, c], and the DFT over k turns the matrix into the
+    blocks sum_k C_k exp(2 pi i k w / count), w = 0 .. count // 2, the
+    others being their conjugates; a singular block raises LinAlgError.
+    """
+    size = matrix.shape[0]
+    if count < 1 or size % count or matrix.shape[1] != size:
+        return None
+    block = size // count
+    counts = np.diff(matrix.indptr).reshape(count, block)
+    if np.any(counts != counts[0]):
+        return None
+    stored = int(matrix.indptr[block])
+    # The flat index in block row 0 of every entry, its column shifted back cyclically.
+    columns = matrix.indices.reshape(count, stored) \
+        - block * np.arange(count, dtype=matrix.indices.dtype)[:, None]
+    columns[columns < 0] += size
+    index = np.repeat(size * np.arange(block, dtype=np.intp), counts[0]) + columns
+    first = np.full((block, size), np.nan)
+    first.flat[index[0]] = matrix.data[:stored]
+    if not np.array_equal(first.take(index), matrix.data.reshape(count, stored)):
+        return None
+    first[np.isnan(first)] = 0.0
+    blocks = first.reshape(block, count, block).transpose(1, 0, 2)
+    return CirculantFactor(np.linalg.inv(np.conj(np.fft.rfft(blocks, axis=0))), count)
 
 
 class SpatialSpace:

@@ -284,8 +284,9 @@ def test_verify_builds_no_dense_spatial_operator(monkeypatch):
 
 
 def test_importing_the_cli_loads_no_second_sparse_factoriser():
-    # The LAPACK band LU is the package's one sparse factorisation, so the
-    # command line never imports scipy.sparse.linalg.
+    # The LAPACK band LU and the circulant factor (numpy's FFT and batched
+    # inverse) are the package's slab factorisations, so the command line
+    # never imports scipy.sparse.linalg.
     src = str(Path(mspde.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import mspde.cli; "
             "print('scipy.sparse.linalg' in sys.modules)")

@@ -20,8 +20,12 @@ from mspde.solver import (
     run_simulation,
     slab_rules,
 )
-from mspde.spaces import SlabGrid
+from mspde.cli import main
+from mspde.mesh import Partition1D, uniform_partition
+from mspde.spaces import (BandFactor, CirculantFactor, SlabGrid, SpatialSpace,
+                          circulant_factorise)
 from test_acceptance import cached_run
+from test_recorded_outputs import WORKLOADS
 
 
 def record(traj, name):
@@ -188,17 +192,117 @@ def test_nls_slab_factor_fill_stays_banded():
 @pytest.mark.parametrize("factory,variant,dx", [
     (nls, SchemeVariant.DG_PRIMARY, 0.4),
     (nonlinear_wave, SchemeVariant.CG_PRIMARY, 0.05),
-    (linear_wave, SchemeVariant.DG_PRIMARY, 0.125),
+    (linear_wave, SchemeVariant.DG_PRIMARY, 0.1),
 ])
 def test_band_factor_step_matches_a_dense_solve(factory, variant, dx):
-    # State-dependent and constant Jacobians alike are factorised as one band
+    # State-dependent Jacobians, and a constant one whose element widths
+    # (linspace's tenths) are not bit-identical, are factorised as one band
     # LU in the folded dof order; its Newton step is a dense solve's.
     asm, z = acceptance_assembler(factory, variant, dx)
+    assert isinstance(asm.factorise(z), BandFactor)
     z = z + 0.01 * np.random.default_rng(5).standard_normal(z.shape)
     r = asm.residual(z)
     dense = np.linalg.solve(asm.jacobian(z).toarray(), -r)
     step = asm.factorise(z).solve(-r)
     assert np.max(np.abs(step - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def circulant_slab(continuity, p, q, count):
+    """Assembler of a linear wave slab on ``count`` elements of width 0.25,
+    whose bit-identical widths make its Jacobian block circulant, and that
+    Jacobian."""
+    prob = linear_wave()
+    space = SpatialSpace(uniform_partition(0.25 * count, count), p, continuity)
+    asm = SlabAssembler(prob, space, q, 0.1)
+    return asm, asm.jacobian(np.zeros((prob.D, asm.n, q + 2)))
+
+
+@pytest.mark.parametrize("continuity,p,q,count", [
+    (continuity, p, q, count) for continuity in ("cg", "dg") for p in (1, 2, 3)
+    for q in (0, 1, 2) for count in (2, 3, 4, 7)])
+def test_a_circulant_factor_solves_like_a_dense_solve(continuity, p, q, count):
+    # Two elements are each other's left and right neighbour, and three and
+    # seven give an odd number of Fourier blocks.
+    asm, jac = circulant_slab(continuity, p, q, count)
+    block = asm.size // count
+    factor = circulant_factorise(jac, count)
+    assert factor.inverse.shape == (count // 2 + 1, block, block)
+    assert isinstance(asm.factorise(np.zeros((asm.problem.D, asm.n, q + 2))), CirculantFactor)
+    rhs = np.random.default_rng(p + 3 * q + 9 * count).standard_normal(asm.size)
+    dense = np.linalg.solve(jac.toarray(), rhs)
+    assert np.max(np.abs(factor.solve(rhs) - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_a_circulant_factor_solves_several_right_hand_sides():
+    asm, jac = circulant_slab("dg", 2, 1, 4)
+    factor = circulant_factorise(jac, 4)
+    rhs = np.random.default_rng(2).standard_normal((asm.size, 3))
+    solution = factor.solve(rhs)
+    assert solution.shape == rhs.shape
+    dense = np.linalg.solve(jac.toarray(), rhs)
+    assert np.max(np.abs(solution - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_only_an_exactly_circulant_matrix_gets_a_circulant_factor():
+    prob = linear_wave()
+    widths = np.random.default_rng(4).uniform(0.5, 1.5, 8)
+    jittered = Partition1D(np.concatenate([[0.0], np.cumsum(widths / widths.sum())]))
+    tenths = build_space(prob, SolverConfig(q=1, p=2, dt=0.1, dx=0.1, t_final=0.1),
+                         SchemeVariant.DG_PRIMARY)
+    for space in (SpatialSpace(jittered, 2, "dg"), tenths):
+        asm = SlabAssembler(prob, space, 1, 0.1)
+        z = np.zeros((prob.D, asm.n, 3))
+        assert circulant_factorise(asm.jacobian(z), space.partition.element_count) is None
+        assert isinstance(asm.factorise(z), BandFactor)
+
+    asm, jac = circulant_slab("cg", 2, 1, 4)
+    assert circulant_factorise(jac, 4) is not None
+    last = jac.nnz - 5  # an entry of the last block row
+    perturbed = jac.copy()
+    perturbed.data[last] = np.nextafter(perturbed.data[last], np.inf)
+    assert circulant_factorise(perturbed, 4) is None
+    # The same values but one entry, which is no longer stored.
+    dropped = jac.copy()
+    dropped.data[last] = 0.0
+    dropped.eliminate_zeros()
+    assert dropped.nnz == jac.nnz - 1
+    assert circulant_factorise(dropped, 4) is None
+    assert circulant_factorise(jac, 3) is None  # 3 does not divide the unknowns
+
+
+def test_a_singular_circulant_jacobian_is_a_solver_failure(monkeypatch):
+    # The same local row zeroed in every block row keeps the matrix block
+    # circulant and makes every Fourier block singular.
+    asm, jac = circulant_slab("dg", 2, 1, 4)
+    block = asm.size // 4
+    for row in range(5, asm.size, block):
+        jac.data[jac.indptr[row]:jac.indptr[row + 1]] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        circulant_factorise(jac, 4)
+    monkeypatch.setattr(asm, "jacobian", lambda z_nodes, state=None: jac)
+    z = np.zeros((asm.problem.D, asm.n, 3))
+    with pytest.raises(SolverFailure, match="singular slab Jacobian"):
+        asm.factorise(z)
+
+
+@pytest.mark.parametrize("workload,factor", [
+    ("lwave-converge", CirculantFactor), ("nls-dg", BandFactor), ("nlwave-cgm", BandFactor)])
+def test_each_benchmark_workload_keeps_its_factor(workload, factor, tmp_path, monkeypatch):
+    # The linear convergence study's uniform levels are solved by the
+    # circulant factor; the nonlinear workloads never reach it.
+    kept = []
+    solve_slab = SlabAssembler.solve_slab
+
+    def recording(self, *args, **kwargs):
+        solved = solve_slab(self, *args, **kwargs)
+        kept.append((self.space.partition.element_count, type(self._factor)))
+        return solved
+
+    monkeypatch.setattr(SlabAssembler, "solve_slab", recording)
+    assert main([*WORKLOADS[workload], "--out", str(tmp_path)]) == 0
+    assert kept and all(kind is factor for _, kind in kept)
+    if workload == "lwave-converge":
+        assert sorted({count for count, _ in kept}) == [4, 8, 16, 32, 64]
 
 
 def test_slab_memory_grows_linearly_with_the_elements():
