@@ -187,28 +187,35 @@ def bochner_error(trajectory: Trajectory) -> np.ndarray:
 
     Returns an array of shape (node_count, D) whose row n is the error over
     [0, t_n]; row 0 is zero.  Requires the problem to ship an exact solution.
-    Each slab's exact values (..., D) are read component first through a
-    transpose, contiguous for a closed form that returns the transposed view
-    of component-first values (the linear wave's does), and subtracted from
-    the evaluated grid, which is then squared in place.
+    Both the discrete field and the exact solution are sums of time factors
+    times space factors on each slab: the q+2 trial functions against the
+    nodes' spatial values Z, and the J time factors against the exact
+    solution's space factors G, tabulated once per call.  So the error on a
+    slab's grid is one product [Tt.T | -time(t)] @ [Z; G] per component,
+    squared in place and integrated.
     """
     problem = trajectory.problem
-    if problem.exact_solution is None:
+    exact = problem.exact_solution
+    if exact is None:
         raise ValueError(f"problem {problem.label!r} has no exact solution")
-    space = trajectory.space
+    d, space, q = problem.D, trajectory.space, trajectory.q
     # A unit-length grid: each slab's integral is scaled by its own dt.
-    grid = SlabGrid(space, trajectory.q, 1.0, nonpolynomial_rule(), nonpolynomial_rule())
-    # The slab's tensor grid: (nt, 1, 1) times against (1, M, ns) points, so a
-    # closed form can evaluate its x and t factors once each.  The exact values
-    # broadcast against the trajectory's, so one that ignores t still counts
-    # once per grid point.
-    xs = space.quad_points(grid.rule_x)[None]
+    grid = SlabGrid(space, q, 1.0, nonpolynomial_rule(), nonpolynomial_rule())
+    nt, m, ns = len(grid.rule_t.points), space.partition.element_count, len(grid.rule_x.points)
+    g = np.moveaxis(exact.space(space.quad_points(grid.rule_x)), (-2, -1), (0, 1))
+    j = g.shape[1]
+    # [Z; G] per component: rows 0..q+1 take each slab's Z, the rest hold G.
+    factors = np.empty((d, q + 2 + j, m * ns))
+    factors[:, q + 2:] = g.reshape(d, j, m * ns)
+    table = np.empty((nt, q + 2 + j))                                     # [Tt.T | -time(t)]
+    table[:, :q + 2] = grid.Tt.T
 
-    errors = np.zeros((trajectory.node_count, problem.D))
+    errors = np.zeros((trajectory.node_count, d))
     for n, coeffs in enumerate(trajectory.slabs, start=1):
-        times = coeffs.slab.times(grid.rule_t.points)[:, None, None]
-        diff = grid.eval(coeffs.values, grid.Tt)
-        diff -= problem.exact_solution(times, xs).transpose(3, 0, 1, 2)
+        z = space.eval_on_rule(np.swapaxes(coeffs.values, 1, 2), grid.rule_x)
+        factors[:, :q + 2] = z.reshape(d, q + 2, m * ns)
+        np.negative(exact.time(coeffs.slab.times(grid.rule_t.points)), out=table[:, q + 2:])
+        diff = (table @ factors).reshape(d, nt, m, ns)
         diff *= diff
         errors[n] = errors[n - 1] + coeffs.slab.dt * grid.integrate(diff)
     return np.sqrt(errors)

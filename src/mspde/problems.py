@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "MultisymplecticProblem",
+    "SeparableSolution",
     "ValidationReport",
     "linear_wave",
     "nonlinear_wave",
@@ -23,6 +24,31 @@ __all__ = [
     "PROBLEM_LABELS",
     "VALIDATION_CHECKS",
 ]
+
+
+@dataclass(frozen=True)
+class SeparableSolution:
+    """A closed form z_c(t, x) = sum_j time(t)_j space(x)_cj of J separable terms.
+
+    ``time`` maps times (...) to their factors (..., J) and ``space`` maps
+    points (...) to the D x J factors (..., D, J).  Calling the solution
+    evaluates the sum with the times broadcast against the points and returns
+    (..., D): a tensor grid, e.g. (nt, 1, 1) times against (1, M, ns) points
+    giving (nt, M, ns, D), elementwise samples of one shape, or scalars.
+    Each factor is taken once per time and once per point, and a reader that
+    holds a grid's factors, as the error norm does, contracts them over J
+    instead.
+    """
+
+    time: Callable
+    space: Callable
+
+    def __call__(self, t, x) -> np.ndarray:
+        f, g = self.time(t), self.space(x)
+        value = f[..., None, 0] * g[..., 0]
+        for j in range(1, g.shape[-1]):
+            value += f[..., None, j] * g[..., j]
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,11 +62,11 @@ class MultisymplecticProblem:
     symmetric D x D structural mask of the Hessian: entries outside it are
     zero for every z, and the slab Jacobian stores none of them.
     ``s_degree`` is the polynomial degree of S in z (drives quadrature
-    orders).  ``exact_solution(t, x)`` and ``initial_state(x)`` are
-    vectorised over x and return (..., D); ``t`` may be an array that
-    broadcasts against x, e.g. (nt, 1, 1) times against (1, M, ns) points,
-    a slab's tensor grid, giving (nt, M, ns, D).  A closed form that ignores
-    t may return the points' shape alone: callers broadcast the result.
+    orders).  ``initial_state(x)`` is vectorised over x and returns
+    (..., D).  ``exact_solution``, where the problem has one, is a
+    :class:`SeparableSolution`: called as ``exact_solution(t, x)`` it returns
+    (..., D) with t broadcast against x, and its time and space factors
+    serve readers that contract them directly.
     """
 
     label: str
@@ -55,7 +81,7 @@ class MultisymplecticProblem:
     component_names: Sequence[str]
     initial_state: Callable
     hessian_pattern: np.ndarray
-    exact_solution: Optional[Callable] = None
+    exact_solution: Optional[SeparableSolution] = None
 
     def __post_init__(self):
         object.__setattr__(self, "K", np.asarray(self.K, dtype=float))
@@ -88,19 +114,27 @@ def linear_wave() -> MultisymplecticProblem:
     def hess_s(z):
         return np.broadcast_to([1.0, -1.0], np.shape(z)[:-1] + (2,))
 
-    # sin(2pi(x + t)) and cos(2pi(x + t)) by the addition formulas, so that
-    # on a tensor grid of times and points the sines and cosines are taken
-    # per time and per point, not per pair.  At t = 0 this is the direct
-    # form bit for bit (cos 0 = 1, sin 0 = 0), so initial states do not move.
-    # The components are stacked on a leading axis and returned as the
-    # (..., D) view, so a reader that takes them first, as the error norm
-    # does, reads them contiguously.
-    def exact(t, x):
-        px = 2.0 * np.pi * np.asarray(x)
+    # sin(2pi(x + t)) and cos(2pi(x + t)) by the addition formulas, with
+    # time factors (cos 2pi t, sin 2pi t) and the amplitudes 1/2 and pi
+    # folded into the space factors.  At t = 0 the sum is the direct form
+    # bit for bit (cos 0 = 1, sin 0 = 0), so initial states do not move.
+    # The space factors are stored component first and returned as the
+    # (..., D, J) view, so the values come out as the (..., D) view of
+    # component-first arrays, which the L2 projection reads contiguously.
+    def time(t):
         pt = 2.0 * np.pi * np.asarray(t)
-        sx, cx, st, ct = np.sin(px), np.cos(px), np.sin(pt), np.cos(pt)
-        slope = np.pi * (cx * ct - sx * st)
-        return np.moveaxis(np.stack([0.5 * (sx * ct + cx * st), slope, slope]), 0, -1)
+        return np.stack([np.cos(pt), np.sin(pt)], axis=-1)
+
+    def space(x):
+        px = 2.0 * np.pi * np.asarray(x)
+        sx, cx = np.sin(px), np.cos(px)
+        g = np.empty((3, 2) + px.shape)
+        g[0, 0], g[0, 1] = 0.5 * sx, 0.5 * cx
+        g[1, 0], g[1, 1] = np.pi * cx, -np.pi * sx
+        g[2] = g[1]
+        return np.moveaxis(g, (0, 1), (-2, -1))
+
+    exact = SeparableSolution(time, space)
 
     return MultisymplecticProblem(
         label="linear-wave",
@@ -214,19 +248,22 @@ def nls() -> MultisymplecticProblem:
     pattern[0, 1] = pattern[1, 0] = True  # (u, v) couple through |xi|^2
     length = 40.0
 
-    def exact(t, x):
+    # 2 exp(it) (sech, sech') as time factors (cos t, sin t) against the
+    # space factors 2 sech on (u, v) and 2 sech' on (p, q), stored component
+    # first as the linear wave's are.
+    def time(t):
+        t = np.asarray(t)
+        return np.stack([np.cos(t), np.sin(t)], axis=-1)
+
+    def space(x):
         xw = np.mod(np.asarray(x) + 0.5 * length, length) - 0.5 * length
-        sech = 1.0 / np.cosh(xw)
-        dsech = -np.tanh(xw) * sech
-        return np.stack(
-            [
-                2.0 * np.cos(t) * sech,
-                2.0 * np.sin(t) * sech,
-                2.0 * np.cos(t) * dsech,
-                2.0 * np.sin(t) * dsech,
-            ],
-            axis=-1,
-        )
+        two_sech = 2.0 / np.cosh(xw)
+        g = np.zeros((4, 2) + xw.shape)
+        g[0, 0] = g[1, 1] = two_sech
+        g[2, 0] = g[3, 1] = -np.tanh(xw) * two_sech
+        return np.moveaxis(g, (0, 1), (-2, -1))
+
+    exact = SeparableSolution(time, space)
 
     return MultisymplecticProblem(
         label="nls",

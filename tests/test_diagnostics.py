@@ -14,8 +14,8 @@ from mspde.diagnostics import (
     global_invariants,
     local_conservation_residuals,
 )
-from mspde.mesh import Partition1D, gauss_legendre, quadrature_order_policy
-from mspde.problems import linear_wave, nls, nonlinear_wave
+from mspde.mesh import Partition1D, gauss_legendre, nonpolynomial_rule, quadrature_order_policy
+from mspde.problems import SeparableSolution, linear_wave, nls, nonlinear_wave
 from mspde.solver import (
     SchemeVariant,
     SlabAssembler,
@@ -206,10 +206,10 @@ def test_bochner_error_zero_for_reproduced_state():
         base,
         initial_state=lambda x: np.stack(
             [np.full_like(x, 0.4), np.zeros_like(x), np.zeros_like(x)], axis=-1),
-        exact_solution=lambda t, x: np.stack(
-            [np.full_like(np.asarray(x, dtype=float), 0.4),
-             np.zeros_like(np.asarray(x, dtype=float)),
-             np.zeros_like(np.asarray(x, dtype=float))], axis=-1),
+        # One term: a unit time factor against the constant state.
+        exact_solution=SeparableSolution(
+            time=lambda t: np.ones(np.shape(t) + (1,)),
+            space=lambda x: np.broadcast_to([[0.4], [0.0], [0.0]], np.shape(x) + (3, 1))),
     )
     traj = run_simulation(SchemeVariant.CG_PRIMARY, prob,
                           SolverConfig(q=0, p=1, dt=0.1, dx=0.25, t_final=0.5))
@@ -217,21 +217,36 @@ def test_bochner_error_zero_for_reproduced_state():
     assert np.max(err) < 1e-13
 
 
-def test_bochner_error_passes_the_tensor_factors():
-    # The error norm hands the exact solution each slab's (nt, 1, 1) times
-    # and (1, M, ns) points, not their (nt, M, ns) broadcast, so a closed
-    # form can take its x and t factors once each.
+def test_bochner_error_contracts_the_exact_solution_factors():
+    # The error norm tabulates the space factors once per call, on the
+    # (M, ns) points of its grid, takes the time factors once per slab, on
+    # that slab's nt times, and never evaluates the pointwise closed form.
     prob, traj = short_run(factory=linear_wave, q=1, p=2, dt=0.125, dx=0.125, t_final=0.5)
-    shapes = []
+    exact = prob.exact_solution
+    calls = []
 
-    def recording(t, x):
-        shapes.append((np.shape(t), np.shape(x)))
-        return prob.exact_solution(t, x)
+    class Recording(SeparableSolution):
+        def __call__(self, t, x):
+            calls.append(("call",))
+            return super().__call__(t, x)
 
-    wrapped = dataclasses.replace(traj, problem=dataclasses.replace(prob, exact_solution=recording))
+    def time(t):
+        calls.append(("time", np.array(t)))
+        return exact.time(t)
+
+    def space(x):
+        calls.append(("space", np.shape(x)))
+        return exact.space(x)
+
+    wrapped = dataclasses.replace(
+        traj, problem=dataclasses.replace(prob, exact_solution=Recording(time, space)))
     assert np.array_equal(bochner_error(wrapped), bochner_error(traj))
     elements = traj.space.partition.element_count
-    assert shapes == [((9, 1, 1), (1, elements, 9))] * len(traj.slabs)
+    assert calls[0] == ("space", (elements, 9))
+    assert [call[0] for call in calls[1:]] == ["time"] * len(traj.slabs)
+    rule = nonpolynomial_rule()
+    for (_, times), coeffs in zip(calls[1:], traj.slabs):
+        assert np.array_equal(times, coeffs.slab.times(rule.points))
 
 
 def test_bochner_error_nondecreasing():

@@ -196,14 +196,18 @@ def test_hessian_block_matches_einsum(variant, q, p):
     assert_close(asm.linear_jacobian.toarray() - asm.jacobian(nodes).toarray(), expected)
 
 
+@pytest.mark.parametrize("factory", [linear_wave, nls])
 @pytest.mark.parametrize("variant,q,p", CASES)
-def test_bochner_error_matches_einsum(variant, q, p):
+def test_bochner_error_matches_einsum(variant, q, p, factory):
+    # The linear wave on the unit domain, and NLS (D = 4) on [0, 40), whose
+    # soliton straddles the periodic seam.
     rng = np.random.default_rng(60 + 10 * q + p)
-    problem = linear_wave()
+    problem = factory()
+    d = problem.D
     space = nonuniform_space(rng, problem.domain_length, 6, p, variant.spatial_continuity)
     times = np.array([0.0, 0.1, 0.25, 0.3])
     slabs = [SlabCoefficients(TemporalSlab(t0, t1, q), space,
-                              rng.standard_normal((3, space.dof_count, q + 2)))
+                              rng.standard_normal((d, space.dof_count, q + 2)))
              for t0, t1 in zip(times[:-1], times[1:])]
     traj = Trajectory(problem, variant, space, q, slabs[0].values[:, :, 0], slabs=slabs)
 
@@ -211,7 +215,7 @@ def test_bochner_error_matches_einsum(variant, q, p):
     b = space.basis.tabulate(rule.points)
     xs = space.quad_points(rule)
     wx = space.partition.widths[:, None] * rule.weights[None, :]
-    accum = np.zeros(3)
+    accum = np.zeros(d)
     expected = [accum.copy()]
     for coeffs in slabs:
         tt = coeffs.slab.trial_basis.tabulate(rule.points)

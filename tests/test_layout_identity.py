@@ -1,13 +1,14 @@
-"""Run-path products against the layouts they replaced, bit for bit.
+"""Run-path products against the layouts they replaced.
 
 The slab evaluation forms its time product as a contiguous (D, nt, dofs)
-array, the nonlinear residual subtracts the tested gradient in the slab
-operator's (dofs, D, q+1) row order, and the Bochner error subtracts the
-exact values into the evaluated grid and squares it in place.  Each
-reference below is the expression these replaced: the (D, dofs, nt) time
-product swapped to (D, nt, dofs), the tested gradient swapped and flattened
-before the subtraction, and a fresh (eval - exact) ** 2 per slab.  Arrays are
-compared with ``np.array_equal`` and on their sign bits.
+array, and the nonlinear residual subtracts the tested gradient in the slab
+operator's (dofs, D, q+1) row order.  Each reference below is the expression
+these replaced: the (D, dofs, nt) time product swapped to (D, nt, dofs) and
+the tested gradient swapped and flattened before the subtraction.  These
+arrays are compared with ``np.array_equal`` and on their sign bits.  The
+Bochner error contracts the exact solution's factors with the evaluated
+nodes, which changes its arithmetic, so it is compared with a fresh
+(eval - exact) ** 2 per slab to a relative tolerance.
 """
 
 import numpy as np
@@ -78,4 +79,6 @@ def reference_bochner_error(trajectory):
 ])
 def test_bochner_error_matches_the_per_slab_temporaries(factory, variant, config):
     trajectory = run_simulation(SchemeVariant(variant), factory(), config)
-    assert_bits(bochner_error(trajectory), reference_bochner_error(trajectory))
+    actual, reference = bochner_error(trajectory), reference_bochner_error(trajectory)
+    scale = np.max(reference, axis=0)
+    assert np.all(np.max(np.abs(actual - reference), axis=0) <= 1e-12 * scale)

@@ -44,8 +44,56 @@ def test_linear_wave_initial_state_is_the_direct_form_to_the_bit():
     assert np.array_equal(problem.initial_state(x), _direct_linear_wave(0.0, x))
 
 
+def _direct_nls(t, x, length=40.0):
+    """The NLS soliton 2 exp(it) (sech, sech') with the seam wrap, in real form."""
+    xw = np.mod(np.asarray(x) + 0.5 * length, length) - 0.5 * length
+    sech = 1.0 / np.cosh(xw)
+    dsech = -np.tanh(xw) * sech
+    xi = 2.0 * np.exp(1j * np.asarray(t))
+    return np.stack([xi.real * sech, xi.imag * sech, xi.real * dsech, xi.imag * dsech],
+                    axis=-1)
+
+
+@pytest.mark.parametrize("factory,direct,amplitude", [
+    (linear_wave, _direct_linear_wave, [0.5, np.pi, np.pi]),
+    (nls, _direct_nls, [2.0, 2.0, 2.0, 2.0]),
+])
+def test_exact_solution_matches_the_direct_closed_form(factory, direct, amplitude):
+    # Elementwise samples, a tensor grid and scalars, against the closed form
+    # evaluated directly; errors are relative to each component's amplitude.
+    problem = factory()
+    rng = np.random.default_rng(11)
+    t = rng.uniform(0.0, 2.0, 300)
+    x = rng.uniform(0.0, problem.domain_length, 300)
+    value = problem.exact_solution(t, x)
+    assert value.shape == (300, problem.D)
+    assert np.max(np.abs(value - direct(t, x)) / amplitude) <= 1e-13
+    grid = problem.exact_solution(t[:7, None, None], x.reshape(1, 20, 15))
+    assert grid.shape == (7, 20, 15, problem.D)
+    assert np.max(np.abs(grid - direct(t[:7, None, None], x.reshape(1, 20, 15)))
+                  / amplitude) <= 1e-13
+    point = problem.exact_solution(t[0], x[0])
+    assert point.shape == (problem.D,)
+    assert np.max(np.abs(point - direct(t[0], x[0])) / amplitude) <= 1e-13
+
+
+def test_nls_initial_state_is_the_direct_form_to_the_bit():
+    # At t = 0 the time factors are (1, 0), so the factor form reproduces the
+    # direct form's values, and the projected initial state, which every
+    # NLS trajectory starts from, is the direct form's to the sign bit.
+    problem = nls()
+    x = np.concatenate([np.linspace(0.0, 40.0, 401),
+                        np.random.default_rng(5).uniform(0.0, 40.0, 200), [-0.0, 20.0]])
+    assert np.array_equal(problem.initial_state(x), _direct_nls(0.0, x))
+    for continuity, degree in (("cg", 2), ("dg", 1), ("dg", 3)):
+        space = SpatialSpace(uniform_partition(40.0, 100), degree, continuity)
+        projected = space.project(problem.initial_state)
+        direct = space.project(lambda x: _direct_nls(0.0, x))
+        assert np.array_equal(projected.view(np.uint64), direct.view(np.uint64))
+
+
 def test_linear_wave_on_a_slab_tensor_grid():
-    # The error norm's grid at a convergence level: (9, 1, 1) times of every
+    # A slab's tensor grid at a convergence level: (9, 1, 1) times of every
     # slab up to T = 2 against (1, M, 9) points.  The closed form keeps the
     # broadcast shape and, against an extended-precision evaluation of the
     # same function (the same double pi, so only rounding counts), is never
