@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,8 +220,9 @@ def test_bochner_error_zero_for_reproduced_state():
 
 def test_bochner_error_contracts_the_exact_solution_factors():
     # The error norm tabulates the space factors once per call, on the
-    # (M, ns) points of its grid, takes the time factors once per slab, on
-    # that slab's nt times, and never evaluates the pointwise closed form.
+    # (M, ns) points of its grid, takes the time factors once per call, on
+    # every slab's nt times in slab order, and never evaluates the pointwise
+    # closed form.
     prob, traj = short_run(factory=linear_wave, q=1, p=2, dt=0.125, dx=0.125, t_final=0.5)
     exact = prob.exact_solution
     calls = []
@@ -242,11 +244,35 @@ def test_bochner_error_contracts_the_exact_solution_factors():
         traj, problem=dataclasses.replace(prob, exact_solution=Recording(time, space)))
     assert np.array_equal(bochner_error(wrapped), bochner_error(traj))
     elements = traj.space.partition.element_count
+    assert [call[0] for call in calls] == ["space", "time"]
     assert calls[0] == ("space", (elements, 9))
-    assert [call[0] for call in calls[1:]] == ["time"] * len(traj.slabs)
     rule = nonpolynomial_rule()
-    for (_, times), coeffs in zip(calls[1:], traj.slabs):
-        assert np.array_equal(times, coeffs.slab.times(rule.points))
+    assert np.array_equal(calls[1][1],
+                          np.stack([coeffs.slab.times(rule.points) for coeffs in traj.slabs]))
+
+
+def test_bochner_error_memory_stays_within_a_few_slab_grids():
+    # The benchmark's finest convergence level (linear wave, dg q=1 p=3,
+    # h = 1/64, T = 2): 128 slabs.  The error norm works on chunks of slabs,
+    # so its peak allocation stays below 8 slab grids (D x nt x M x ns
+    # doubles), far from the 16 MB that one grid of every slab would take.
+    h = 2.0**-6
+    prob, traj = short_run(SchemeVariant.DG_PRIMARY, linear_wave, q=1, p=3, dt=h, dx=h, t_final=2.0)
+    assert len(traj.slabs) == 128
+    grid_bytes = prob.D * 9 * traj.space.partition.element_count * 9 * 8
+    bochner_error(traj)                 # the basis tables and rules are cached on first use
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        bochner_error(traj)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 8 * grid_bytes
 
 
 def test_bochner_error_nondecreasing():
